@@ -8,9 +8,8 @@ product reduces through the structure tensors,
     r  = nu0 mu + mu0 nu + mu (.) nu + i mu (x) nu,
 
 and the result is delinearized back to an algebra element.  ``similarity``
-solves the conjugation exp(-i m . L) (n . L) exp(i m . L) = n' . L as a
-linear system in the adjoint kernel K+/K-.  Each analytic path has a dense
-matrix twin (``compose_direct``, ``similarity_direct``) used as its oracle.
+forms exp(-i m . L) (n . L) exp(i m . L) = n' . L with the same product, twice.
+Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_direct``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linsolve
 from .algebra import (
     GeneratorBasis,
     LinearElement,
@@ -30,10 +28,9 @@ from .algebra import (
     dot_sym,
     from_matrix,
 )
-from .errors import ConstraintViolationError, IllConditionedError
+from .errors import ConstraintViolationError
 from .linearize import delinearize_exp, exp_matrix, exp_minus_i, exp_plus_i, linearize_fn, log_coords
 
-ADJOINT_COND_LIMIT = 1e12
 CONSTRAINT_TOL = 1e-9
 DIRECT_SCALAR_TOL = 1e-10
 
@@ -43,11 +40,23 @@ class AdjointKernel:
     """The (N**2-1)-dimensional operators of the conjugation equation.
 
     K+- = mu0 I + D(mu) +- i F(mu) with D(mu)_jl = d_jkl mu_k and
-    F(mu)_jl = f_jkl mu_k; the conjugation reads K- n = K+ n'.
+    F(mu)_jl = f_jkl mu_k; ``similarity``'s n' satisfies K- n = K+ n'.
     """
 
     kplus: np.ndarray
     kminus: np.ndarray
+
+
+def _multiply(t: StructureTensors, a: LinearElement, b: LinearElement) -> LinearElement:
+    """Coordinates of (a0 I + a . L)(b0 I + b . L)."""
+    scalar = a.scalar * b.scalar + (2.0 / t.n) * np.dot(a.vector, b.vector)
+    vector = (
+        b.scalar * a.vector
+        + a.scalar * b.vector
+        + dot_sym(t, a.vector, b.vector)
+        + 1j * cross(t, a.vector, b.vector)
+    )
+    return LinearElement(scalar, vector)
 
 
 def compose_linear(
@@ -56,14 +65,7 @@ def compose_linear(
     """Product coordinates of exp(-i m . L) exp(-i n . L), not yet delinearized."""
     mu = linearize_fn(t, basis, m, exp_minus_i)
     nu = linearize_fn(t, basis, nvec, exp_minus_i)
-    scalar = mu.scalar * nu.scalar + (2.0 / t.n) * np.dot(mu.vector, nu.vector)
-    vector = (
-        nu.scalar * mu.vector
-        + mu.scalar * nu.vector
-        + dot_sym(t, mu.vector, nu.vector)
-        + 1j * cross(t, mu.vector, nu.vector)
-    )
-    return LinearElement(scalar, vector)
+    return _multiply(t, mu, nu)
 
 
 def compose(
@@ -132,22 +134,18 @@ def similarity(
 ) -> np.ndarray:
     """Coordinates n' with exp(-i m . L)(n . L) exp(i m . L) = n' . L.
 
-    Solves K+ n' = K- n by LU with partial pivoting, then enforces the
-    contract: the solution must be real, preserve the norm of n, and keep
-    the scalar invariant mu . n = mu . n', each within 1e-9.
+    Multiplies out conj(mu0, mu) (0, n) (mu0, mu), with exp(i m . L) = mu0 I + mu . L
+    (the generators are Hermitian).  The product must be real with no scalar part,
+    keep the norm of n and the invariant mu . n = mu . n', each within 1e-9.
     """
     (m, nvec) = _check_coords(t.dim, m, nvec)
     mu = linearize_fn(t, basis, m, exp_plus_i)
-    kernel = build_adjoint_kernel(t, mu)
-    if linsolve.condition_number(kernel.kplus) > ADJOINT_COND_LIMIT:
-        raise IllConditionedError("adjoint kernel condition number exceeds 1e12")
-    solution = linsolve.solve(kernel.kplus, kernel.kminus @ nvec.astype(complex))
-    residue = float(np.max(np.abs(solution.imag)))
+    mu_bar = LinearElement(np.conj(mu.scalar), np.conj(mu.vector))
+    product = _multiply(t, _multiply(t, mu_bar, LinearElement(0.0, nvec)), mu)
+    residue = max(abs(product.scalar), float(np.max(np.abs(product.vector.imag))))
     if residue > CONSTRAINT_TOL:
-        raise ConstraintViolationError(
-            f"conjugated coordinates have imaginary residue {residue:.3e}"
-        )
-    nprime = solution.real
+        raise ConstraintViolationError(f"conjugation left a scalar or imaginary part {residue:.3e}")
+    nprime = product.vector.real
     drift = abs(float(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))))
     if drift > CONSTRAINT_TOL:
         raise ConstraintViolationError(f"conjugation changed the norm by {drift:.3e}")

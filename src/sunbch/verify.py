@@ -26,6 +26,7 @@ from .algebra import (
     LinearElement,
 )
 from .bch import (
+    build_adjoint_kernel,
     compose,
     compose_direct,
     compose_linear,
@@ -354,9 +355,11 @@ def _adjoint_invariants(ctx, rng):
         m, nvec = ctx.sample(rng), ctx.sample(rng)
         nprime = similarity(ctx.tensors, ctx.basis, m, nvec)
         mu = linearize_fn(ctx.tensors, ctx.basis, m, exp_plus_i)
+        kernel = build_adjoint_kernel(ctx.tensors, mu)
         out[i] = max(
             abs(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))),
             abs(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)),
+            _maxabs(kernel.kplus @ nprime - kernel.kminus @ nvec),
         )
     return out
 

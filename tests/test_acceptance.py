@@ -10,6 +10,7 @@ import numpy as np
 from sunbch import (
     algebra_matrix,
     apply_spectral,
+    build_adjoint_kernel,
     cached_algebra,
     char_poly,
     compose,
@@ -73,7 +74,11 @@ def test_criterion_2_compose_oracle_equivalence():
 
 
 def test_criterion_3_similarity_oracle_equivalence():
-    """Adjoint kernel solve vs dense conjugation, plus its two invariants."""
+    """Coordinate-product conjugation vs dense conjugation, plus its invariants.
+
+    The invariants are the norm of n, the scalar mu . n, and the paper's
+    adjoint-kernel relation K+ n' = K- n.
+    """
     worst = 0.0
     worst_invariant = 0.0
     for n in (2, 3, 4):
@@ -86,10 +91,12 @@ def test_criterion_3_similarity_oracle_equivalence():
             delta = nprime - similarity_direct(basis, m, nvec)
             worst = max(worst, float(np.max(np.abs(delta))))
             mu = linearize_fn(t, basis, m, exp_plus_i)
+            kernel = build_adjoint_kernel(t, mu)
             worst_invariant = max(
                 worst_invariant,
                 abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)),
                 abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)),
+                float(np.max(np.abs(kernel.kplus @ nprime - kernel.kminus @ nvec))),
             )
     print(f"criterion 3, invariants: worst {worst_invariant:.3e} (tolerance 1e-09)")
     assert worst_invariant < 1e-9

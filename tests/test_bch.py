@@ -131,7 +131,24 @@ def test_similarity_trivial_cases(algebra3):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def test_similarity_zero_trace_exponent(algebra2, algebra3):
+    """Tr exp(-iM) = 0 makes K+ singular; the conjugation is still well posed."""
+    basis, t = algebra2
+    nprime = similarity(t, basis, xyz(0, 0, HALF_PI), xyz(1, 0, 0))
+    np.testing.assert_allclose(nprime, xyz(-1, 0, 0), atol=1e-12)
+    basis, t = algebra3
+    m = np.zeros(8)
+    m[6] = 2.0 * np.pi / 3.0  # diag(1, -1, 0)
+    nvec = seeded_samples(basis, 140, 1)[0]
+    for scale in (1.0, 1.0 + 1e-9):
+        np.testing.assert_allclose(
+            similarity(t, basis, scale * m, nvec),
+            similarity_direct(basis, scale * m, nvec),
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_similarity_routes_agree(n):
     basis, t = cached_algebra(n)
     for seed in range(20):
@@ -161,6 +178,10 @@ def test_similarity_preserves_invariants(algebra4):
         assert abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)) < 1e-9
         mu = linearize_fn(t, basis, m, exp_plus_i)
         assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) < 1e-9
+        kernel = build_adjoint_kernel(t, mu)
+        np.testing.assert_allclose(
+            kernel.kplus @ nprime, kernel.kminus @ nvec, rtol=0, atol=1e-12
+        )
 
 
 def test_similarity_degenerate_exponent(algebra3):

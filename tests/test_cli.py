@@ -93,6 +93,20 @@ def test_similarity_half_angle_rotation(capsys):
     assert doc["scalar_constraint"] < 1e-9
 
 
+def test_similarity_half_turn(capsys):
+    """Tr exp(-iM) = 0 here; conjugating s1 by a half-turn about z gives -s1."""
+    code, out, _ = run_cli(
+        capsys,
+        "similarity", "--n", "2",
+        "--m", "[0, 0, 1.5707963267948966]",
+        "--nvec", "[1, 0, 0]",
+    )
+    assert code == 0
+    doc = parse(out)
+    np.testing.assert_allclose(doc["nprime"], [-1.0, 0.0, 0.0], atol=1e-12)
+    assert doc["norm_drift"] < 1e-9
+
+
 def test_similarity_degenerate_exponent_exits_3(capsys):
     e8 = [0, 0, 0, 0, 0, 0, 0, 1]
     code, out, err = run_cli(
