@@ -23,6 +23,11 @@ together with the plain scalar product a . b = sum_k a_k b_k (no
 conjugation).  The product of two algebra elements then reduces to
 
     (a . L)(b . L) = (2/N)(a . b) I + ((a (.) b) + i (a (x) b)) . L
+
+Under 1% of the dim**3 tensor slots are nonzero at N = 8, so the two
+products run over index arrays of the nonzero entries only, one term per
+unordered pair k <= l.  The dense f and d stay for the tensor identities
+and the adjoint kernel.
 """
 
 from __future__ import annotations
@@ -59,12 +64,16 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class StructureTensors:
-    """Dense (and canonically stored sparse) structure constants for one N.
+    """Dense and sparse structure constants for one N.
 
     ``f`` and ``d`` are dense rank-3 arrays rebuilt from the canonical
     entries, so antisymmetry of f and symmetry of d hold exactly, not just
     to rounding.  ``f_entries`` holds 1-based triples with j < k < l;
-    ``d_entries`` holds 1-based triples with j <= k <= l.
+    ``d_entries`` holds 1-based triples with j <= k <= l.  ``f_coo`` and
+    ``d_coo`` are the 0-based (row, k, l, value) arrays of the nonzero dense
+    entries with k <= l that ``cross`` and ``dot_sym`` contract; a value
+    with k == l is halved, because the term a_k b_l + a_l b_k counts that
+    slot twice.
     """
 
     n: int
@@ -72,6 +81,8 @@ class StructureTensors:
     d: np.ndarray
     f_entries: tuple[tuple[int, int, int, float], ...]
     d_entries: tuple[tuple[int, int, int, float], ...]
+    f_coo: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    d_coo: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -108,6 +119,15 @@ def build_basis(n: int) -> GeneratorBasis:
     return GeneratorBasis(n, _freeze(np.stack(mats)))
 
 
+def _coo(tensor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, k, l, value) of the nonzero entries with k <= l, diagonal halved."""
+    rows, k, l = np.nonzero(tensor)
+    keep = k <= l
+    rows, k, l = rows[keep], k[keep], l[keep]
+    value = tensor[rows, k, l] * np.where(k == l, 0.5, 1.0)
+    return tuple(_freeze(x) for x in (rows, k, l, value))
+
+
 def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     """Compute f and d by the trace formulas, canonicalize, and densify."""
     g = basis.matrices
@@ -117,33 +137,33 @@ def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     f_raw = ((tr3 - tr3.transpose(1, 0, 2)) / 4j).real
     d_raw = ((tr3 + tr3.transpose(1, 0, 2)) / 4.0).real
 
-    f_entries = []
-    for j, k, l in itertools.combinations(range(dim), 3):
-        v = f_raw[j, k, l]
-        if abs(v) >= SPARSE_THRESHOLD:
-            f_entries.append((j + 1, k + 1, l + 1, float(v)))
-    d_entries = []
-    for j, k, l in itertools.combinations_with_replacement(range(dim), 3):
-        v = d_raw[j, k, l]
-        if abs(v) >= SPARSE_THRESHOLD:
-            d_entries.append((j + 1, k + 1, l + 1, float(v)))
+    # Canonical triples in lexicographic order: j < k < l for f, j <= k <= l for d.
+    j, k, l = np.ix_(np.arange(dim), np.arange(dim), np.arange(dim))
+    fj, fk, fl = np.nonzero((j < k) & (k < l) & (np.abs(f_raw) >= SPARSE_THRESHOLD))
+    dj, dk, dl = np.nonzero((j <= k) & (k <= l) & (np.abs(d_raw) >= SPARSE_THRESHOLD))
+    fv, dv = f_raw[fj, fk, fl], d_raw[dj, dk, dl]
 
     # Rebuild dense tensors from the canonical store so the symmetry
     # properties are exact by construction.
     f = np.zeros((dim, dim, dim))
-    for j, k, l, v in f_entries:
-        j, k, l = j - 1, k - 1, l - 1
-        for (a, b, c), sgn in (
-            ((j, k, l), 1.0), ((k, l, j), 1.0), ((l, j, k), 1.0),
-            ((k, j, l), -1.0), ((j, l, k), -1.0), ((l, k, j), -1.0),
-        ):
-            f[a, b, c] = sgn * v
+    for a, b, c in ((fj, fk, fl), (fk, fl, fj), (fl, fj, fk)):
+        f[a, b, c] = fv
+        f[b, a, c] = -fv
     d = np.zeros((dim, dim, dim))
-    for j, k, l, v in d_entries:
-        for a, b, c in set(itertools.permutations((j - 1, k - 1, l - 1))):
-            d[a, b, c] = v
+    for a, b, c in itertools.permutations((dj, dk, dl)):
+        d[a, b, c] = dv
+
+    def entries(*columns):
+        return tuple(zip(*(col.tolist() for col in columns)))
+
     return StructureTensors(
-        basis.n, _freeze(f), _freeze(d), tuple(f_entries), tuple(d_entries)
+        basis.n,
+        _freeze(f),
+        _freeze(d),
+        entries(fj + 1, fk + 1, fl + 1, fv),
+        entries(dj + 1, dk + 1, dl + 1, dv),
+        _coo(f),
+        _coo(d),
     )
 
 
@@ -164,22 +184,36 @@ def _check_coords(dim: int, *vectors: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def cross(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a (x) b)_j = f_jkl a_k b_l.
+def _row_sum(dim: int, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    out = np.zeros(dim, dtype=terms.dtype)
+    np.add.at(out, rows, terms)
+    return out
 
-    Computed from the antisymmetrized outer product, so swapping the
-    arguments negates the result exactly, not just to rounding.
+
+def cross(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a (x) b)_j = f_jkl a_k b_l, summed over the nonzero f_jkl with k < l.
+
+    Each term is f_jkl (a_k b_l - a_l b_k), so swapping the arguments
+    negates every term and the result exactly, not just to rounding,
+    whenever a_k b_l == b_l a_k bitwise: for real inputs and for one
+    complex argument (numpy's complex-by-complex product may round the two
+    orders differently).
     """
     a, b = _check_coords(t.dim, a, b)
-    outer = np.outer(a, b)
-    return 0.5 * np.einsum("jkl,kl->j", t.f, outer - outer.T)
+    rows, k, l, value = t.f_coo
+    return _row_sum(t.dim, rows, value * (a[k] * b[l] - a[l] * b[k]))
 
 
 def dot_sym(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a (.) b)_j = d_jkl a_k b_l, exactly symmetric in the arguments."""
+    """(a (.) b)_j = d_jkl a_k b_l, summed over the nonzero d_jkl with k <= l.
+
+    Each term is d_jkl (a_k b_l + a_l b_k), halved on the diagonal, so the
+    result is exactly symmetric in the arguments under the same condition
+    as ``cross``.
+    """
     a, b = _check_coords(t.dim, a, b)
-    outer = np.outer(a, b)
-    return 0.5 * np.einsum("jkl,kl->j", t.d, outer + outer.T)
+    rows, k, l, value = t.d_coo
+    return _row_sum(t.dim, rows, value * (a[k] * b[l] + a[l] * b[k]))
 
 
 def product_reduce(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> LinearElement:

@@ -129,15 +129,10 @@ def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> AdjointKerne
     )
 
 
-def similarity(
+def _conjugate(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
-) -> np.ndarray:
-    """Coordinates n' with exp(-i m . L)(n . L) exp(i m . L) = n' . L.
-
-    Multiplies out conj(mu0, mu) (0, n) (mu0, mu), with exp(i m . L) = mu0 I + mu . L
-    (the generators are Hermitian).  The product must be real with no scalar part,
-    keep the norm of n and the invariant mu . n = mu . n', each within 1e-9.
-    """
+) -> tuple[np.ndarray, float, float]:
+    """``similarity``'s n' with its norm drift and mu . n defect."""
     (m, nvec) = _check_coords(t.dim, m, nvec)
     mu = linearize_fn(t, basis, m, exp_plus_i)
     mu_bar = LinearElement(np.conj(mu.scalar), np.conj(mu.vector))
@@ -154,7 +149,19 @@ def similarity(
         raise ConstraintViolationError(
             f"scalar invariant mu . n drifted by {scalar_defect:.3e}"
         )
-    return nprime
+    return nprime, drift, scalar_defect
+
+
+def similarity(
+    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
+) -> np.ndarray:
+    """Coordinates n' with exp(-i m . L)(n . L) exp(i m . L) = n' . L.
+
+    Multiplies out conj(mu0, mu) (0, n) (mu0, mu), with exp(i m . L) = mu0 I + mu . L
+    (the generators are Hermitian).  The product must be real with no scalar part,
+    keep the norm of n and the invariant mu . n = mu . n', each within 1e-9.
+    """
+    return _conjugate(t, basis, m, nvec)[0]
 
 
 def similarity_direct(

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from .algebra import cached_algebra, serialize_algebra
-from .bch import compose_linear, similarity
+from .bch import _conjugate, compose_linear
 from .errors import NumericalDomainError
-from .linearize import delinearize_exp, exp_matrix, exp_plus_i, linearize_fn
+from .linearize import delinearize_exp, exp_matrix
 from .sampling import DEFAULT_SPECTRAL_CAP
 from .verify import RunConfig, run_suite
 
@@ -102,14 +102,7 @@ def cmd_similarity(args) -> dict:
     basis, tensors = cached_algebra(n)
     m = _coords_argument(args.m, basis.dim, "--m")
     nvec = _coords_argument(args.nvec, basis.dim, "--nvec")
-    nprime = similarity(tensors, basis, m, nvec)
-    mu = linearize_fn(tensors, basis, m, exp_plus_i)
-    norm_drift = abs(
-        float(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec)))
-    )
-    scalar_constraint = abs(
-        complex(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime))
-    )
+    nprime, norm_drift, scalar_constraint = _conjugate(tensors, basis, m, nvec)
     return {
         "nprime": [float(x) for x in nprime],
         "norm_drift": norm_drift,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -17,6 +19,7 @@ from sunbch import (
     structure_constants,
     to_matrix,
 )
+from sunbch.algebra import SPARSE_THRESHOLD
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -100,26 +103,57 @@ def test_product_reduce_diagonal_generator():
     )
 
 
-@seed(20260301)
-@settings(max_examples=50, deadline=None)
-@given(
-    a=arrays(np.float64, (8,), elements=st.floats(-1, 1)),
-    b=arrays(np.float64, (8,), elements=st.floats(-1, 1)),
-)
-def test_cross_antisymmetric_bitwise(a, b):
-    _, t = cached_algebra(3)
-    assert np.array_equal(cross(t, a, b), -cross(t, b, a))
+# One draw covers every N: each check uses the leading dim = N**2 - 1 entries.
+MAX_DIM = 63
+draws = arrays(np.float64, (MAX_DIM,), elements=st.floats(-1, 1))
+
+
+def bitwise_cases(a_re, a_im, b):
+    """(tensors, a, b) for N = 2..8, with a real and with a complex.
+
+    Complex first arguments are what ``power_table`` (powers of m times
+    the real m) and the product rule pass.
+    """
+    for n in range(2, 9):
+        _, t = cached_algebra(n)
+        dim = t.dim
+        for a in (a_re[:dim], a_re[:dim] + 1j * a_im[:dim]):
+            yield t, a, b[:dim]
 
 
 @seed(20260301)
 @settings(max_examples=50, deadline=None)
-@given(
-    a=arrays(np.float64, (8,), elements=st.floats(-1, 1)),
-    b=arrays(np.float64, (8,), elements=st.floats(-1, 1)),
-)
-def test_dot_sym_symmetric_bitwise(a, b):
-    _, t = cached_algebra(3)
-    assert np.array_equal(dot_sym(t, a, b), dot_sym(t, b, a))
+@given(a_re=draws, a_im=draws, b=draws)
+def test_cross_antisymmetric_bitwise(a_re, a_im, b):
+    for t, a, bb in bitwise_cases(a_re, a_im, b):
+        assert np.array_equal(cross(t, a, bb), -cross(t, bb, a))
+
+
+@seed(20260301)
+@settings(max_examples=50, deadline=None)
+@given(a_re=draws, a_im=draws, b=draws)
+def test_dot_sym_symmetric_bitwise(a_re, a_im, b):
+    for t, a, bb in bitwise_cases(a_re, a_im, b):
+        assert np.array_equal(dot_sym(t, a, bb), dot_sym(t, bb, a))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_contractions_match_dense_reference(n):
+    """The sparse sums agree with contracting the whole dense tensor."""
+    _, t = cached_algebra(n)
+    rng = np.random.default_rng(100 + n)
+
+    def dense(tensor, a, b, sign):
+        outer = np.outer(a, b)
+        return 0.5 * np.einsum("jkl,kl->j", tensor, outer + sign * outer.T)
+
+    for _ in range(5):
+        re = rng.uniform(-1, 1, (2, t.dim))
+        im = rng.uniform(-1, 1, (2, t.dim))
+        for a, b in ((re[0], re[1]), (re[0] + 1j * im[0], re[1]), (re[0] + 1j * im[0], re[1] + 1j * im[1])):
+            np.testing.assert_allclose(cross(t, a, b), dense(t.f, a, b, -1.0), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(dot_sym(t, a, b), dense(t.d, a, b, 1.0), rtol=0, atol=1e-13)
+            assert cross(t, a, b).dtype == dense(t.f, a, b, -1.0).dtype
 
 
 def test_product_reduce_matches_matrix_product(any_algebra):
@@ -183,3 +217,49 @@ def test_structure_constants_sparsity():
     for j, k, l, v in t.d_entries:
         assert j <= k <= l and abs(v) > 1e-13
     assert structure_constants(cached_algebra(2)[0]).f[0, 1, 2] == 1.0
+
+
+def loop_canonicalization(basis):
+    """The element-by-element construction that ``structure_constants`` replaced."""
+    g = basis.matrices
+    dim = basis.dim
+    prod = np.einsum("jab,kbc->jkac", g, g)
+    tr3 = np.einsum("jkab,lba->jkl", prod, g)
+    f_raw = ((tr3 - tr3.transpose(1, 0, 2)) / 4j).real
+    d_raw = ((tr3 + tr3.transpose(1, 0, 2)) / 4.0).real
+    f_entries = []
+    for j, k, l in itertools.combinations(range(dim), 3):
+        v = f_raw[j, k, l]
+        if abs(v) >= SPARSE_THRESHOLD:
+            f_entries.append((j + 1, k + 1, l + 1, float(v)))
+    d_entries = []
+    for j, k, l in itertools.combinations_with_replacement(range(dim), 3):
+        v = d_raw[j, k, l]
+        if abs(v) >= SPARSE_THRESHOLD:
+            d_entries.append((j + 1, k + 1, l + 1, float(v)))
+    f = np.zeros((dim, dim, dim))
+    for j, k, l, v in f_entries:
+        j, k, l = j - 1, k - 1, l - 1
+        for (a, b, c), sgn in (
+            ((j, k, l), 1.0), ((k, l, j), 1.0), ((l, j, k), 1.0),
+            ((k, j, l), -1.0), ((j, l, k), -1.0), ((l, k, j), -1.0),
+        ):
+            f[a, b, c] = sgn * v
+    d = np.zeros((dim, dim, dim))
+    for j, k, l, v in d_entries:
+        for a, b, c in set(itertools.permutations((j - 1, k - 1, l - 1))):
+            d[a, b, c] = v
+    return f, d, tuple(f_entries), tuple(d_entries)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_structure_constants_match_loop_canonicalization(n):
+    """The vectorized build is bitwise the loop build, entry types included."""
+    basis = build_basis(n)
+    t = structure_constants(basis)
+    f, d, f_entries, d_entries = loop_canonicalization(basis)
+    assert np.array_equal(t.f, f) and np.array_equal(t.d, d)
+    assert t.f_entries == f_entries and t.d_entries == d_entries
+    for ours, theirs in ((t.f_entries, f_entries), (t.d_entries, d_entries)):
+        for row, expected in zip(ours, theirs):
+            assert [type(x) for x in row] == [type(x) for x in expected]

@@ -107,6 +107,44 @@ def test_similarity_half_turn(capsys):
     assert doc["norm_drift"] < 1e-9
 
 
+def test_similarity_linearizes_once(capsys, monkeypatch):
+    """One linearization per call, and the report the two-linearization
+    front end produced, byte for byte."""
+    from sunbch import cached_algebra, linearize_fn, similarity
+    from sunbch.cli import _render
+    from sunbch.linearize import exp_plus_i
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linearize_fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("sunbch") and getattr(module, "linearize_fn", None) is linearize_fn:
+            monkeypatch.setattr(module, "linearize_fn", counted)
+
+    # the README example and the N = 2 half-turn
+    for m, nvec in (([0, 0, 0.7854], [1, 0, 0]), ([0, 0, 1.5707963267948966], [1, 0, 0])):
+        calls.clear()
+        code, out, err = run_cli(
+            capsys, "similarity", "--n", "2", "--m", json.dumps(m), "--nvec", json.dumps(nvec)
+        )
+        assert code == 0 and err == ""
+        assert len(calls) == 1
+        basis, tensors = cached_algebra(2)
+        m, nvec = np.asarray(m, dtype=float), np.asarray(nvec, dtype=float)
+        nprime = similarity(tensors, basis, m, nvec)
+        mu = linearize_fn(tensors, basis, m, exp_plus_i)
+        expected = {
+            "nprime": [float(x) for x in nprime],
+            "norm_drift": abs(float(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec)))),
+            "scalar_constraint": abs(complex(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime))),
+        }
+        assert out == _render(expected) + "\n"
+
+
 def test_similarity_degenerate_exponent_exits_3(capsys):
     e8 = [0, 0, 0, 0, 0, 0, 0, 1]
     code, out, err = run_cli(
