@@ -59,6 +59,8 @@ def _coords_argument(text: str, dim: int, flag: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.shape != (dim,):
         raise ValueError(f"{flag} must be a flat array of {dim} numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{flag} must hold finite numbers, got {text}")
     return arr
 
 
@@ -215,3 +217,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -2,12 +2,20 @@
 
 Everything here is self-contained: eigendecompositions use cyclic Jacobi
 rotations, characteristic polynomials come from the Faddeev-LeVerrier
-recurrence, and linear solves go through the in-package LU kernel.  The
-matrices are desk scale (N <= 8), so clarity wins over asymptotics.
+recurrence, and linear solves go through the in-package LU kernel.
+
+The matrices are desk scale (N <= 8).  A Jacobi rotation there touches a
+few dozen numbers, so a numpy call per step costs more in dispatch than
+in arithmetic.  ``eig_hermitian`` therefore sweeps over Python ``complex``
+and ``float`` scalars held in nested lists and converts to numpy arrays
+only at the end; at N = 8 that is about 4x faster than the same rotations
+written as numpy slice updates, and faster still at N = 3.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,55 +69,91 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=16)
+def _pivot_order(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Row-cyclic (p, q) pivots, each with the indices k outside the pair."""
+    return tuple(
+        (p, q, tuple(k for k in range(n) if k != p and k != q))
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    )
+
+
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
-    Each (p, q) pivot applies the unitary plane rotation that annihilates
-    the off-diagonal pair; sweeps repeat until the off-diagonal Frobenius
-    norm falls below JACOBI_OFF_TOL (relative to the input scale).
-    Eigenvalues are returned real, ascending.
+    Each (p, q) pivot, taken in row-cyclic order, applies the unitary plane
+    rotation that annihilates the off-diagonal pair; sweeps repeat until
+    the off-diagonal Frobenius norm falls below
+    JACOBI_OFF_TOL * max(1, ||m||_F).  The update is symmetric: a rotation
+    computes the entries (k, p) and (k, q) for k outside the pivot pair,
+    mirrors their conjugates into rows p and q, moves the diagonal by
+    -/+ t|a_pq| and sets the pivot pair to exactly 0, so the working
+    matrix stays exactly Hermitian with a real diagonal.  A non-finite or
+    non-Hermitian input raises ValueError.  Eigenvalues are returned real,
+    ascending (stable order for ties).
     """
     m = _square(m)
-    if np.max(np.abs(m - m.conj().T)) >= HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
+    # Written as not(<) so that a NaN anywhere (inf - inf included) also
+    # fails the guard.
+    with np.errstate(invalid="ignore"):
+        hermitian = np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL
+    if not hermitian:
+        raise ValueError("matrix is not finite and Hermitian within 1e-10")
     n = m.shape[0]
-    a = m.copy()
-    vecs = np.eye(n, dtype=complex)
-    tol = JACOBI_OFF_TOL * max(1.0, float(np.sqrt((np.abs(a) ** 2).sum())))
+    tol = JACOBI_OFF_TOL * max(1.0, float(np.sqrt((np.abs(m) ** 2).sum())))
     skip = tol / (4.0 * n * n)
-    # Sum off-diagonal squares directly: subtracting the diagonal part from
-    # the total Frobenius norm cancels catastrophically near convergence.
-    offdiag = ~np.eye(n, dtype=bool)
+    a = m.tolist()
+    # The real diagonal lives in `diag`; the diagonal entries of `a` are
+    # never read again.
+    diag = [a[k][k].real for k in range(n)]
+    # Eigenvector columns, one list each: a rotation rewrites two of them.
+    cols = [[1.0 + 0j if j == k else 0j for j in range(n)] for k in range(n)]
+    pivots = _pivot_order(n)
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.sqrt((np.abs(a[offdiag]) ** 2).sum()))
+        # Sum off-diagonal squares directly: subtracting the diagonal part
+        # from the total Frobenius norm cancels catastrophically near
+        # convergence.  The lower triangle mirrors the upper one exactly.
+        upper = sum(z.real * z.real + z.imag * z.imag
+                    for p in range(n - 1) for z in a[p][p + 1:])
+        off = math.sqrt(2.0 * upper)
         if off <= tol:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                absg = abs(g)
-                if absg <= skip:
-                    continue
-                phase = g / absg
-                zeta = (a[q, q].real - a[p, p].real) / (2.0 * absg)
-                sgn = 1.0 if zeta >= 0.0 else -1.0
-                t = sgn / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c * phase, s * phase], [-s, c]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vecs[:, [p, q]] = vecs[:, [p, q]] @ rot
+        for p, q, others in pivots:
+            row_p, row_q = a[p], a[q]
+            g = row_p[q]
+            absg = abs(g)
+            if absg <= skip:
+                continue
+            phase = complex(g.real / absg, g.imag / absg)
+            zeta = (diag[q] - diag[p]) / (2.0 * absg)
+            sgn = 1.0 if zeta >= 0.0 else -1.0
+            t = sgn / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # The rotation [[c phase, s phase], [-s, c]] on columns p, q.
+            c_phase, s_phase = c * phase, s * phase
+            for k in others:
+                row = a[k]
+                x, y = row[p], row[q]
+                x, y = c_phase * x - s * y, s_phase * x + c * y
+                row[p], row[q] = x, y
+                row_p[k], row_q[k] = x.conjugate(), y.conjugate()
+            shift = t * absg
+            diag[p] -= shift
+            diag[q] += shift
+            row_p[q] = row_q[p] = 0j
+            col_p, col_q = cols[p], cols[q]
+            cols[p] = [c_phase * x - s * y for x, y in zip(col_p, col_q)]
+            cols[q] = [s_phase * x + c * y for x, y in zip(col_p, col_q)]
     else:
         raise ConvergenceError(
             f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted, off-norm {off:.3e}"
         )
-    vals = np.diag(a).real.copy()
+    vals = np.array(diag)
     order = np.argsort(vals, kind="stable")
-    return SpectralDecomposition(vals[order], vecs[:, order])
+    vecs = np.array([cols[k] for k in order], dtype=complex).T.copy()
+    return SpectralDecomposition(vals[order], vecs)
 
 
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:

@@ -255,6 +255,21 @@ def test_usage_error_wrong_length(capsys):
     assert "3" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["compose", "similarity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_usage_error_nonfinite_coordinate(capsys, command, bad):
+    code, out, err = run_cli(
+        capsys,
+        command, "--n", "3",
+        "--m", f"[{bad}, 0, 0, 0, 0, 0, 0, 0]",
+        "--nvec", "[0.1, 0, 0, 0, 0, 0, 0, 0]",
+    )
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "usage"
+    assert "--m" in report["message"] and "finite" in report["message"]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -274,18 +289,23 @@ def run_console_script(*argv):
     with PYPROJECT.open("rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"]["sunbch"]
     module, function = target.split(":")
+    launcher = (
+        "import sys; sys.argv[0] = 'sunbch'; "
+        f"from {module} import {function}; {function}()"
+    )
+    return run_checkout_python("-c", launcher, *argv)
+
+
+def run_checkout_python(*args):
+    """Run `python *args` as its own process, importing this test's `sunbch`."""
     package_root = str(Path(sunbch.__file__).resolve().parents[1])
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [package_root, pythonpath])),
     )
-    launcher = (
-        "import sys; sys.argv[0] = 'sunbch'; "
-        f"from {module} import {function}; {function}()"
-    )
     return subprocess.run(
-        [sys.executable, "-c", launcher, *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -298,6 +318,19 @@ def test_console_script_entry_point():
     assert json.loads(script.stdout)["f"] == [[1, 2, 3, 1.0]]
 
     usage = run_console_script("basis", "--n", "1")
+    assert usage.returncode == 2
+    assert json.loads(usage.stderr)["error"] == "usage"
+
+
+@pytest.mark.parametrize("module", ["sunbch", "sunbch.cli"])
+def test_python_dash_m_runs_cli(capsys, module):
+    argv = ["verify", "--n", "2", "--trials", "3"]
+    child = run_checkout_python("-m", module, *argv)
+    assert main(argv) == 0
+    assert child.returncode == 0 and child.stderr == ""
+    assert child.stdout == capsys.readouterr().out
+
+    usage = run_checkout_python("-m", module, "basis", "--n", "1")
     assert usage.returncode == 2
     assert json.loads(usage.stderr)["error"] == "usage"
 

@@ -12,8 +12,9 @@ from sunbch import (
     expansion_coeffs,
     expansion_coeffs_derivative,
     lagrange_projectors,
+    spectral,
 )
-from sunbch.errors import DegenerateSpectrumError
+from sunbch.errors import ConvergenceError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
 from conftest import dense_exp, seeded_samples
@@ -26,7 +27,7 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_eig_hermitian_reconstruction(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(25):
@@ -60,6 +61,110 @@ def test_eig_hermitian_large_scale_converges():
 def test_eig_hermitian_rejects_nonhermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_hermitian_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        eig_hermitian(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
+def test_eig_hermitian_rejects_nan_coordinate_n8():
+    # Refused up front, not after spending the whole sweep budget.
+    basis, _ = cached_algebra(8)
+    coords = np.zeros(basis.dim)
+    coords[5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        eig_hermitian(algebra_matrix(basis, coords))
+
+
+def assert_eigh_consistent(m, spec, atol):
+    """Eigenvalues against LAPACK, eigenvectors by reconstruction."""
+    n = m.shape[0]
+    v = spec.eigenvectors
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(m), atol=atol)
+    assert np.max(np.abs((v * spec.eigenvalues) @ v.conj().T - m)) < atol
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_eig_hermitian_zero_matrix(n):
+    spec = eig_hermitian(np.zeros((n, n)))
+    assert np.array_equal(spec.eigenvalues, np.zeros(n))
+    # No rotation is applied, so the eigenvector basis is exactly I.
+    assert np.array_equal(spec.eigenvectors, np.eye(n))
+
+
+def test_eig_hermitian_diagonal_returned_bitwise():
+    entries = np.array([0.75, -1.5, 0.75, 1.0 / 3.0, -1.5, 0.0, 0.75])
+    spec = eig_hermitian(np.diag(entries))
+    order = np.argsort(entries, kind="stable")
+    assert spec.eigenvalues.tobytes() == entries[order].tobytes()
+    assert np.array_equal(spec.eigenvectors, np.eye(entries.size)[:, order])
+
+
+def test_eig_hermitian_lambda8_double_eigenvalue():
+    basis, _ = cached_algebra(3)
+    e8 = np.zeros(8)
+    e8[7] = 1.0
+    lam8 = algebra_matrix(basis, e8)
+    expected = np.array([-2.0, 1.0, 1.0]) / np.sqrt(3.0)
+    np.testing.assert_allclose(eig_hermitian(lam8).eigenvalues, expected, atol=1e-15)
+    # The same spectrum in a rotated basis, where the double eigenvalue has
+    # to be found by rotations rather than read off the diagonal.
+    rng = np.random.default_rng(61)
+    u = scipy.linalg.expm(-1j * random_hermitian(rng, 3))
+    rotated = u @ lam8 @ u.conj().T
+    rotated = (rotated + rotated.conj().T) / 2.0
+    spec = eig_hermitian(rotated)
+    np.testing.assert_allclose(spec.eigenvalues, expected, atol=1e-14)
+    assert_eigh_consistent(rotated, spec, atol=1e-14)
+
+
+def test_eig_hermitian_small_scale_absolute_tolerance():
+    # The stopping test is absolute below unit norm (JACOBI_OFF_TOL), so a
+    # matrix of norm ~1e-8 is only promised a reconstruction to that
+    # absolute level.  Eigenvalues still come out to a small relative error.
+    rng = np.random.default_rng(67)
+    m = 1e-8 * random_hermitian(rng, 8)
+    spec = eig_hermitian(m)
+    reference = np.linalg.eigvalsh(m)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(spec.eigenvalues - reference)) < 1e-12 * scale
+    v = spec.eigenvectors
+    assert np.max(np.abs((v * spec.eigenvalues) @ v.conj().T - m)) < spectral.JACOBI_OFF_TOL
+    assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_eig_hermitian_imaginary_offdiagonal(n):
+    rng = np.random.default_rng(71 + n)
+    skew = rng.standard_normal((n, n))
+    m = np.diag(rng.standard_normal(n)) + 1j * (skew - skew.T)
+    assert np.all(m[~np.eye(n, dtype=bool)].real == 0.0)
+    assert_eigh_consistent(m, eig_hermitian(m), atol=1e-12)
+    # Zero diagonal: every pivot starts from zeta = 0.
+    m0 = 1j * (skew - skew.T)
+    assert_eigh_consistent(m0, eig_hermitian(m0), atol=1e-12)
+
+
+def test_eig_hermitian_sweep_budget_exhausted(monkeypatch):
+    rng = np.random.default_rng(73)
+    m = random_hermitian(rng, 8)
+    off = np.sqrt(np.sum(np.abs(m[~np.eye(8, dtype=bool)]) ** 2))
+    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match=r"budget \(1\) exhausted") as info:
+        eig_hermitian(m)
+    # One sweep ran, so the reported off-norm is that of the input.
+    assert f"off-norm {off:.3e}" in str(info.value)
+
+
+def test_eig_hermitian_deterministic():
+    rng = np.random.default_rng(79)
+    m = random_hermitian(rng, 8)
+    first, second = eig_hermitian(m), eig_hermitian(m.copy())
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
 
 def test_eig_unitary_identity():
