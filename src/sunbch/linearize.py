@@ -4,15 +4,26 @@ Any smooth function of an algebra element collapses to an affine form,
 
     f(m . L) = f0 I + fvec . L,
 
-because powers of m . L reduce through the product rule.  The power table
-carries the reduction: with mu_n the coordinates of (m . L)**n,
+because every polynomial in M = m . L reduces through the product rule.
+``linearize_fn`` writes exp(-/+ i M) in the Newton form over the
+eigenvalues l1 < ... < lN of M,
 
-    mu0_{n+1} = (2/N) mu_n . m
-    mu_{n+1}  = mu0_n m + mu_n (.) m
+    f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
+
+which is exact on a simple spectrum.  Its divided differences are the
+first row of exp(c B) for the bidiagonal matrix B of the eigenvalues and
+ones (Opitz), so the eigenvalues are all the spectral input it needs: no
+eigenvectors, and no Vandermonde system to solve.  The Newton products
+are real and built in coordinates, one symmetric product per step; with
+P = s I + v . L,
+
+    P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L.
 
 The cross-product term of the full product rule drops out identically
-(every row lies in the commutative family generated by m under (.)), and
-that vanishing is asserted at each step.
+(every product lies in the commutative family generated by m under (.)),
+and that vanishing is asserted at each step.  ``power_table`` tabulates
+the plain powers of M by the same rule; it and the monomial coefficients
+of ``spectral.expansion_coeffs`` remain as cross-checks.
 
 ``delinearize_exp`` inverts the exponential case: given group-element
 coordinates it recovers m with exp(-i m . L) equal to the input, choosing
@@ -38,7 +49,14 @@ from .algebra import (
     to_matrix,
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
-from .spectral import apply_spectral, eig_hermitian, eig_unitary, expansion_coeffs
+from .spectral import (
+    _require_simple_spectrum,
+    apply_spectral,
+    eig_hermitian,
+    eig_unitary,
+    eigvals_hermitian,
+    exp_divided_differences,
+)
 from . import linsolve
 
 CROSS_RESIDUAL_TOL = 1e-10
@@ -98,32 +116,65 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> PowerTabl
     return PowerTable(scalars, vectors)
 
 
+# The two functions linearize_fn evaluates, with the c of exp(c x) each is.
+_EXPONENTS = {exp_minus_i: -1j, exp_plus_i: 1j}
+
+
 def linearize_fn(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, fn
 ) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L.
 
-    The expansion coefficients come from the eigenvalues of the dense
-    matrix; the coordinate structure comes from the power table.  The
-    all-matrix route (apply_spectral then from_matrix) reproduces the
-    same element and serves as the oracle in the test suite.
+    ``fn`` is ``exp_minus_i`` or ``exp_plus_i``; any other raises
+    ValueError.  With the eigenvalues l1 <= ... <= lN of M = m . L, the
+    Newton form of the interpolating polynomial gives
+
+        f(M) = sum_k f[l1..l(k+1)] P_k,   P_k = (M - l1 I) ... (M - lk I),
+
+    exactly, because f and its interpolant agree on the spectrum of the
+    diagonalizable M.  The divided differences come from
+    ``exp_divided_differences`` (Opitz's bidiagonal exponential), so only
+    the eigenvalues are needed, never the eigenvectors.  The products P_k
+    are real and built in coordinates, one ``dot_sym`` per step (see the
+    module docstring); the cross term of each step must vanish, and is
+    checked as in ``power_table``.  A spectrum with eigenvalues closer
+    than GAP_TOL times its radius is refused as degenerate.  The
+    all-matrix route (apply_spectral then from_matrix) reproduces the same
+    element and serves as the oracle in the test suite.
     """
+    c = _EXPONENTS.get(fn)
+    if c is None:
+        raise ValueError("linearize_fn evaluates exp_minus_i or exp_plus_i only")
     (m,) = _check_coords(t.dim, m)
     if not np.any(m):
         # The zero element is exact: f(0 . L) = f(0) I.
         return LinearElement(complex(fn(0.0)), np.zeros(t.dim, dtype=complex))
-    spec = eig_hermitian(algebra_matrix(basis, m))
-    coeffs = expansion_coeffs(spec, fn)
-    table = power_table(t, m, t.n - 1)
+    vals = eigvals_hermitian(algebra_matrix(basis, m))
+    _require_simple_spectrum(vals)
+    lam = vals.tolist()
+    coeffs = exp_divided_differences(lam, c)
+    scalars = [1.0, -lam[0]]
+    vectors = [m]
+    for k in range(2, t.n):
+        v = vectors[-1]
+        residual = np.max(np.abs(cross(t, v, m)))
+        if residual >= CROSS_RESIDUAL_TOL:
+            raise ConstraintViolationError(
+                f"cross term of Newton product {k} reached {residual:.3e}; "
+                "the commutative-family reduction no longer holds"
+            )
+        s = scalars[-1]
+        scalars.append(-lam[k - 1] * s + (2.0 / t.n) * np.dot(v, m))
+        vectors.append(s * m - lam[k - 1] * v + dot_sym(t, v, m))
     return LinearElement(
-        complex(np.sum(coeffs * table.scalars)), coeffs @ table.vectors
+        complex(np.dot(coeffs, scalars)), coeffs[1:] @ np.array(vectors)
     )
 
 
 def f0_trace(basis: GeneratorBasis, m: np.ndarray, fn) -> complex:
     """Identity coefficient the cheap way: f0 = (1/N) sum_k f(m_k)."""
-    spec = eig_hermitian(algebra_matrix(basis, m))
-    return complex(np.mean([fn(v) for v in spec.eigenvalues]))
+    vals = eigvals_hermitian(algebra_matrix(basis, m))
+    return complex(np.mean([fn(v) for v in vals]))
 
 
 def exp_matrix(basis: GeneratorBasis, m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,10 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-__all__ = ["lu_factor", "solve", "inverse", "determinant", "condition_number"]
+__all__ = [
+    "lu_factor", "lu_solve", "solve", "inverse", "determinant",
+    "factored_condition", "condition_number",
+]
 
 
 def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -45,9 +48,9 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return a, perm, sign
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for one right-hand side or a stack of columns."""
-    lu, perm, _ = lu_factor(a)
+def lu_solve(factors: tuple[np.ndarray, np.ndarray, int], b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` by substitution, given ``factors = lu_factor(a)``."""
+    lu, perm, _ = factors
     n = lu.shape[0]
     b = np.asarray(b, dtype=complex)
     single = b.ndim == 1
@@ -59,6 +62,11 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if col:
             x[:col] -= np.outer(lu[:col, col], x[col])
     return x[:, 0] if single else x
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for one right-hand side or a stack of columns."""
+    return lu_solve(lu_factor(a), b)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -74,12 +82,18 @@ def determinant(a: np.ndarray) -> complex:
     return sign * complex(np.prod(np.diag(lu)))
 
 
-def condition_number(a: np.ndarray) -> float:
-    """1-norm condition estimate via the explicit inverse; inf if singular."""
+def factored_condition(a: np.ndarray, factors: tuple[np.ndarray, np.ndarray, int]) -> float:
+    """1-norm condition number of ``a`` via its explicit inverse from ``factors``."""
     a = np.asarray(a)
     norm1 = np.max(np.abs(a).sum(axis=0))
+    inv = lu_solve(factors, np.eye(a.shape[0], dtype=complex))
+    return float(norm1 * np.max(np.abs(inv).sum(axis=0)))
+
+
+def condition_number(a: np.ndarray) -> float:
+    """1-norm condition estimate via the explicit inverse; inf if singular."""
     try:
-        inv = inverse(a)
+        factors = lu_factor(a)
     except SingularMatrixError:
         return np.inf
-    return float(norm1 * np.max(np.abs(inv).sum(axis=0)))
+    return factored_condition(a, factors)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import GeneratorBasis, algebra_matrix
-from .spectral import _min_gap, eig_hermitian
+from .spectral import _min_gap, eigvals_hermitian
 
 DEFAULT_SPECTRAL_CAP = 0.9 * np.pi
 DEFAULT_MIN_GAP = 1e-6
@@ -30,7 +30,7 @@ def random_coords(
     for _ in range(_MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, basis.dim)
         target = spectral_cap * (1.0 - rng.uniform())  # lands in (0, cap]
-        vals = eig_hermitian(algebra_matrix(basis, raw)).eigenvalues
+        vals = eigvals_hermitian(algebra_matrix(basis, raw))
         radius = float(np.max(np.abs(vals)))
         if radius == 0.0:
             continue

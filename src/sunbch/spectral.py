@@ -2,14 +2,20 @@
 
 Everything here is self-contained: eigendecompositions use cyclic Jacobi
 rotations, characteristic polynomials come from the Faddeev-LeVerrier
-recurrence, and linear solves go through the in-package LU kernel.
+recurrence, divided differences of the exponential come from a Taylor
+series of Opitz's bidiagonal matrix, and linear solves go through the
+in-package LU kernel.
 
 The matrices are desk scale (N <= 8).  A Jacobi rotation there touches a
 few dozen numbers, so a numpy call per step costs more in dispatch than
-in arithmetic.  ``eig_hermitian`` therefore sweeps over Python ``complex``
-and ``float`` scalars held in nested lists and converts to numpy arrays
+in arithmetic.  The Jacobi sweeps therefore run over Python ``complex``
+and ``float`` scalars held in nested lists and convert to numpy arrays
 only at the end; at N = 8 that is about 4x faster than the same rotations
-written as numpy slice updates, and faster still at N = 3.
+written as numpy slice updates, and faster still at N = 3.  One sweep
+routine serves both entries: ``eig_hermitian`` carries the eigenvector
+columns along, ``eigvals_hermitian`` leaves them out and returns the same
+eigenvalues bit for bit.  The same reasoning puts the divided-difference
+series on Python scalars.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ VANDERMONDE_COND_LIMIT = 1e12
 # Eigenvalues of (u + u')/2 closer than this share an eigenspace and are
 # split by the skew part instead.
 COS_CLUSTER_TOL = 1e-6
+_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -79,21 +86,15 @@ def _pivot_order(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     )
 
 
-def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+def _jacobi_diagonal(m: np.ndarray, cols: list[list[complex]] | None) -> list[float]:
+    """Run the cyclic Jacobi sweeps on the square complex ``m``; return its
+    final diagonal.
 
-    Each (p, q) pivot, taken in row-cyclic order, applies the unitary plane
-    rotation that annihilates the off-diagonal pair; sweeps repeat until
-    the off-diagonal Frobenius norm falls below
-    JACOBI_OFF_TOL * max(1, ||m||_F).  The update is symmetric: a rotation
-    computes the entries (k, p) and (k, q) for k outside the pivot pair,
-    mirrors their conjugates into rows p and q, moves the diagonal by
-    -/+ t|a_pq| and sets the pivot pair to exactly 0, so the working
-    matrix stays exactly Hermitian with a real diagonal.  A non-finite or
-    non-Hermitian input raises ValueError.  Eigenvalues are returned real,
-    ascending (stable order for ties).
+    ``eig_hermitian`` passes the identity's columns in ``cols`` and each
+    rotation is applied to them too; ``eigvals_hermitian`` passes None and
+    skips that work.  The columns never feed back into a rotation, so the
+    diagonal comes out bitwise the same either way.
     """
-    m = _square(m)
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
     # fails the guard.
     with np.errstate(invalid="ignore"):
@@ -101,14 +102,12 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     if not hermitian:
         raise ValueError("matrix is not finite and Hermitian within 1e-10")
     n = m.shape[0]
-    tol = JACOBI_OFF_TOL * max(1.0, float(np.sqrt((np.abs(m) ** 2).sum())))
+    tol = JACOBI_OFF_TOL * float(np.sqrt((np.abs(m) ** 2).sum()))
     skip = tol / (4.0 * n * n)
     a = m.tolist()
     # The real diagonal lives in `diag`; the diagonal entries of `a` are
     # never read again.
     diag = [a[k][k].real for k in range(n)]
-    # Eigenvector columns, one list each: a rotation rewrites two of them.
-    cols = [[1.0 + 0j if j == k else 0j for j in range(n)] for k in range(n)]
     pivots = _pivot_order(n)
     for _ in range(JACOBI_MAX_SWEEPS):
         # Sum off-diagonal squares directly: subtracting the diagonal part
@@ -118,7 +117,7 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
                     for p in range(n - 1) for z in a[p][p + 1:])
         off = math.sqrt(2.0 * upper)
         if off <= tol:
-            break
+            return diag
         for p, q, others in pivots:
             row_p, row_q = a[p], a[q]
             g = row_p[q]
@@ -143,17 +142,90 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
             diag[p] -= shift
             diag[q] += shift
             row_p[q] = row_q[p] = 0j
-            col_p, col_q = cols[p], cols[q]
-            cols[p] = [c_phase * x - s * y for x, y in zip(col_p, col_q)]
-            cols[q] = [s_phase * x + c * y for x, y in zip(col_p, col_q)]
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted, off-norm {off:.3e}"
-        )
-    vals = np.array(diag)
+            if cols is not None:
+                col_p, col_q = cols[p], cols[q]
+                cols[p] = [c_phase * x - s * y for x, y in zip(col_p, col_q)]
+                cols[q] = [s_phase * x + c * y for x, y in zip(col_p, col_q)]
+    raise ConvergenceError(
+        f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted, off-norm {off:.3e}"
+    )
+
+
+def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
+    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+
+    Each (p, q) pivot, taken in row-cyclic order, applies the unitary plane
+    rotation that annihilates the off-diagonal pair; sweeps repeat until
+    the off-diagonal Frobenius norm falls below JACOBI_OFF_TOL * ||m||_F.
+    The stop is relative, so a small matrix is diagonalized to the same
+    relative accuracy as a large one (Demmel & Veselic, SIAM J. Matrix
+    Anal. Appl. 13, 1992), and a zero matrix stops before any rotation.
+    The update is symmetric: a rotation computes the entries (k, p) and
+    (k, q) for k outside the pivot pair, mirrors their conjugates into
+    rows p and q, moves the diagonal by -/+ t|a_pq| and sets the pivot
+    pair to exactly 0, so the working matrix stays exactly Hermitian with
+    a real diagonal.  A non-finite or non-Hermitian input raises
+    ValueError.  Eigenvalues are returned real, ascending (stable order
+    for ties).
+    """
+    m = _square(m)
+    n = m.shape[0]
+    # Eigenvector columns, one list each: a rotation rewrites two of them.
+    cols = [[1.0 + 0j if j == k else 0j for j in range(n)] for k in range(n)]
+    vals = np.array(_jacobi_diagonal(m, cols))
     order = np.argsort(vals, kind="stable")
     vecs = np.array([cols[k] for k in order], dtype=complex).T.copy()
     return SpectralDecomposition(vals[order], vecs)
+
+
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``eig_hermitian(m)``, bitwise, without the vectors.
+
+    Runs the same sweeps but accumulates no eigenvector columns, which is
+    all that ``linearize_fn``, ``f0_trace`` and the sampler need.
+    """
+    return np.sort(np.array(_jacobi_diagonal(_square(m), None)), kind="stable")
+
+
+def exp_divided_differences(values, c: complex) -> np.ndarray:
+    """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(c x).
+
+    By Opitz's theorem they are the first row of exp(c B), where B is the
+    bidiagonal matrix with x1..xn on its diagonal and ones above it.  The
+    points are shifted to their midpoint first, exp(c B) = exp(c mid)
+    exp(c (B - mid I)), and that row is summed as the Taylor series
+    e1' sum_k (c (B - mid I))**k / k!, one bidiagonal step per term.  Its
+    entries are the series of complete homogeneous symmetric polynomials
+    that McCurdy, Ng & Parlett (Math. Comp. 43, 1984) use for close
+    points, so no difference of nearby values is ever divided by their
+    gap, and confluent points are allowed.  With half-spread r, term k of
+    entry j is at most |c|**j (|c| r)**(k-j) / ((k-j)! j!); the loop stops
+    once that bound is below one unit roundoff of the entry's |c|**j / j!
+    scale and falling.  The values are real.
+    """
+    xs = [float(x) for x in values]
+    n = len(xs)
+    lo, hi = min(xs), max(xs)
+    mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo) * abs(c)
+    shifted = [x - mid for x in xs]
+    # Terms of the series of exp(|c| r) are below one roundoff after `extra`
+    # steps; entry j starts at step j, so the last entry needs n - 1 more.
+    extra, size = 0, 1.0
+    while size > _ROUNDOFF or extra <= reach:
+        extra += 1
+        size *= reach / extra
+    row = [1.0 + 0j] + [0j] * (n - 1)  # e1' (c (B - mid I))**k / k!
+    total = row[:]
+    for k in range(1, n + extra):
+        scale = c / k
+        prev = 0j
+        # (row B)_j = row_j x_j + row_{j-1}; entries past k are still 0.
+        for j in range(min(k + 1, n)):
+            cur = row[j]
+            row[j] = term = scale * (cur * shifted[j] + prev)
+            total[j] += term
+            prev = cur
+    return np.exp(c * mid) * np.array(total)
 
 
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
@@ -263,14 +335,18 @@ def expansion_coeffs(spec: SpectralDecomposition, fn) -> np.ndarray:
     _require_simple_spectrum(vals)
     vander = np.vander(vals, increasing=True)
     fvals = np.asarray([fn(v) for v in spec.eigenvalues], dtype=complex)
+    # One factorization serves both the condition guard and the solve.
     try:
-        if linsolve.condition_number(vander) > VANDERMONDE_COND_LIMIT:
-            raise IllConditionedError(
-                "Vandermonde condition number exceeds 1e12 (clustered eigenvalues)"
-            )
-        return linsolve.solve(vander, fvals)
-    except SingularMatrixError as exc:
-        raise DegenerateSpectrumError(f"singular Vandermonde system: {exc}") from exc
+        factors = linsolve.lu_factor(vander)
+    except SingularMatrixError:
+        cond = np.inf
+    else:
+        cond = linsolve.factored_condition(vander, factors)
+    if cond > VANDERMONDE_COND_LIMIT:
+        raise IllConditionedError(
+            "Vandermonde condition number exceeds 1e12 (clustered eigenvalues)"
+        )
+    return linsolve.lu_solve(factors, fvals)
 
 
 def expansion_coeffs_derivative(

@@ -7,6 +7,7 @@ from sunbch import (
     compose,
     compose_direct,
     compose_linear,
+    cross,
     exp_matrix,
     linearize_fn,
     similarity,
@@ -61,6 +62,38 @@ def test_compose_routes_agree(n):
             compose_direct(basis, m, nvec),
             atol=1e-8,
         )
+
+
+def bch_series(t, m, nvec):
+    """Third-order BCH series of exp(-i m . L) exp(-i n . L) in coordinates:
+    r = m + n + m (x) n + (m (x) (m (x) n) + n (x) (n (x) m)) / 3, with
+    (x) = ``cross``.  Nested cross products only, no spectral code; its
+    truncation error is of order s**4 for operands of norm s."""
+    mn = cross(t, m, nvec)
+    return m + nvec + mn + (cross(t, m, mn) + cross(t, nvec, cross(t, nvec, m))) / 3.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_compose_near_identity_matches_bch_series(n):
+    """No refusal, and scale-relative accuracy, for operands of norm s.
+
+    The error is measured against s, the operands' common 2-norm, not
+    against |r|: r = m + n + ... can be much shorter than its operands
+    when n is close to -m, while the result's error does not shrink with
+    it.  The bound at 1e-8 is looser because delinearizing forms
+    exp(-i r . L), which differs from I by only ~s.
+    """
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(127 + n)
+    for scale, bound in ((1e-4, 1e-10), (1e-6, 1e-10), (1e-8, 1e-8)):
+        worst = 0.0
+        for _ in range(20):
+            m, nvec = (rng.uniform(-1.0, 1.0, basis.dim) for _ in range(2))
+            m *= scale / np.linalg.norm(m)
+            nvec *= scale / np.linalg.norm(nvec)
+            r = compose(t, basis, m, nvec)
+            worst = max(worst, np.linalg.norm(r - bch_series(t, m, nvec)) / scale)
+        assert worst <= bound, (scale, worst)
 
 
 def test_compose_against_scipy_product(algebra3):

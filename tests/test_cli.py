@@ -203,6 +203,19 @@ def test_verify_n4_two_hundred_trials(capsys):
     assert parse(out)["pass"] is True
 
 
+@pytest.mark.parametrize("n, seed", [(6, 2), (8, 4)])
+def test_verify_large_n_ends_in_report(capsys, n, seed):
+    # Both configurations once stopped with exit 3 (an ill-conditioned
+    # Vandermonde solve inside linearize_fn) before writing any report.
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", str(n), "--trials", "10", "--seed", str(seed)
+    )
+    assert code == 0
+    report = parse(out)
+    assert report["pass"] is True
+    assert report["n"] == n
+
+
 def test_verify_unreachable_tolerance_exits_1(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--n", "2", "--trials", "5", "--tol", "1e-16"

@@ -75,7 +75,7 @@ def test_linearize_zero_coords(algebra4):
     np.testing.assert_array_equal(elem.vector, np.zeros(15))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_linearize_exp_matches_scipy(n):
     """f0 I + fvec . L reproduces the dense matrix exponential."""
     basis, t = cached_algebra(n)
@@ -83,6 +83,18 @@ def test_linearize_exp_matches_scipy(n):
         elem = linearize_fn(t, basis, coords, exp_minus_i)
         recon = to_matrix(basis, elem)
         assert np.max(np.abs(recon - dense_exp(basis, coords))) < 1e-9
+        elem = linearize_fn(t, basis, coords, exp_plus_i)
+        recon = to_matrix(basis, elem)
+        assert np.max(np.abs(recon - dense_exp(basis, coords).conj().T)) < 1e-9
+
+
+def test_linearize_rejects_other_functions(algebra3):
+    basis, t = algebra3
+    coords = seeded_samples(basis, 13, 1)[0]
+    for fn in (np.exp, np.cos, lambda x: np.exp(-1j * x)):
+        for m in (coords, np.zeros(8)):
+            with pytest.raises(ValueError, match="exp_minus_i or exp_plus_i"):
+                linearize_fn(t, basis, m, fn)
 
 
 def test_exp_matrix_matches_scipy(algebra3):

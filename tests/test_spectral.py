@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,8 +16,9 @@ from sunbch import (
     lagrange_projectors,
     spectral,
 )
-from sunbch.errors import ConvergenceError, DegenerateSpectrumError
+from sunbch.errors import ConvergenceError, DegenerateSpectrumError, IllConditionedError
 from sunbch.linearize import exp_minus_i
+from sunbch.spectral import eigvals_hermitian, exp_divided_differences
 
 from conftest import dense_exp, seeded_samples
 
@@ -121,10 +124,10 @@ def test_eig_hermitian_lambda8_double_eigenvalue():
     assert_eigh_consistent(rotated, spec, atol=1e-14)
 
 
-def test_eig_hermitian_small_scale_absolute_tolerance():
-    # The stopping test is absolute below unit norm (JACOBI_OFF_TOL), so a
-    # matrix of norm ~1e-8 is only promised a reconstruction to that
-    # absolute level.  Eigenvalues still come out to a small relative error.
+def test_eig_hermitian_small_scale_relative_tolerance():
+    # The stopping test is relative (JACOBI_OFF_TOL * ||m||_F), so a matrix
+    # of norm ~1e-8 is diagonalized to the same relative accuracy as one of
+    # unit norm.
     rng = np.random.default_rng(67)
     m = 1e-8 * random_hermitian(rng, 8)
     spec = eig_hermitian(m)
@@ -132,8 +135,40 @@ def test_eig_hermitian_small_scale_absolute_tolerance():
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(spec.eigenvalues - reference)) < 1e-12 * scale
     v = spec.eigenvectors
-    assert np.max(np.abs((v * spec.eigenvalues) @ v.conj().T - m)) < spectral.JACOBI_OFF_TOL
+    recon = (v * spec.eigenvalues) @ v.conj().T
+    assert np.max(np.abs(recon - m)) < 1e-13 * np.linalg.norm(m)
     assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-12
+
+
+def values_only_inputs():
+    """Random Hermitian matrices for N = 1..8, zero matrices, lambda_8
+    plain and rotated, and a diagonal with ties."""
+    rng = np.random.default_rng(83)
+    cases = [random_hermitian(rng, n) for n in range(1, 9)]
+    cases += [1e-7 * random_hermitian(rng, n) for n in (3, 8)]
+    cases += [np.zeros((n, n)) for n in (1, 2, 5, 8)]
+    basis, _ = cached_algebra(3)
+    e8 = np.zeros(8)
+    e8[7] = 1.0
+    lam8 = algebra_matrix(basis, e8)
+    u = scipy.linalg.expm(-1j * random_hermitian(rng, 3))
+    rotated = u @ lam8 @ u.conj().T
+    cases += [lam8, (rotated + rotated.conj().T) / 2.0]
+    cases.append(np.diag([0.75, -1.5, 0.75, 1.0 / 3.0, -1.5, 0.0, 0.75]))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(values_only_inputs())))
+def test_eigvals_hermitian_bitwise_equal(index):
+    m = values_only_inputs()[index]
+    got = eigvals_hermitian(m)
+    assert got.dtype == np.float64
+    assert got.tobytes() == eig_hermitian(m).eigenvalues.tobytes()
+
+
+def test_eigvals_hermitian_rejects_nonfinite():
+    with pytest.raises(ValueError, match="finite"):
+        eigvals_hermitian(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -311,6 +346,40 @@ def test_expansion_residual_n4():
         assert np.max(np.abs(total - dense_exp(basis, coords))) < 1e-9
 
 
+def test_expansion_coeffs_factor_once(monkeypatch):
+    """One LU factorization per call; the coefficients and the condition
+    guard are bitwise those of a separate condition_number and solve."""
+    basis, _ = cached_algebra(4)
+    calls = []
+    factor = spectral.linsolve.lu_factor
+
+    def counted(a):
+        calls.append(1)
+        return factor(a)
+
+    for coords in seeded_samples(basis, 59, 10):
+        spec = eig_hermitian(algebra_matrix(basis, coords))
+        vander = np.vander(spec.eigenvalues.astype(complex), increasing=True)
+        fvals = exp_minus_i(spec.eigenvalues).astype(complex)
+        assert spectral.linsolve.condition_number(vander) <= spectral.VANDERMONDE_COND_LIMIT
+        reference = spectral.linsolve.solve(vander, fvals)
+        monkeypatch.setattr(spectral.linsolve, "lu_factor", counted)
+        calls.clear()
+        got = expansion_coeffs(spec, exp_minus_i)
+        monkeypatch.setattr(spectral.linsolve, "lu_factor", factor)
+        assert len(calls) == 1
+        assert got.tobytes() == reference.tobytes()
+
+
+def test_expansion_coeffs_ill_conditioned_message():
+    # Eigenvalues 1e-6 apart pass the gap guard but not the condition guard.
+    spec = spectral.SpectralDecomposition(
+        np.array([-1e-6, 0.0, 1e-6, 2e-6]), np.eye(4, dtype=complex)
+    )
+    with pytest.raises(IllConditionedError, match=r"exceeds 1e12 \(clustered eigenvalues\)"):
+        expansion_coeffs(spec, exp_minus_i)
+
+
 def test_expansion_coeffs_degenerate_rejected():
     basis, _ = cached_algebra(3)
     e8 = np.zeros(8)
@@ -341,3 +410,43 @@ def test_derivative_route_degree_mismatch():
     spec = eig_hermitian(SIGMA3)
     with pytest.raises(ValueError):
         expansion_coeffs_derivative(spec, char_poly(np.eye(3)), exp_minus_i)
+
+
+def bidiagonal(points):
+    n = len(points)
+    return np.diag(np.asarray(points, dtype=complex)) + np.eye(n, k=1)
+
+
+@pytest.mark.parametrize("c", [-1j, 1j])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_exp_divided_differences_match_scipy(n, c):
+    """The first row of exp(c B) for the Opitz bidiagonal B, against expm."""
+    rng = np.random.default_rng(89 + n)
+    for scale in (1e-8, 1e-4, 1e-2, 1.0, 2.0 * np.pi):
+        for _ in range(5):
+            points = np.sort(rng.uniform(-scale, scale, n))
+            got = exp_divided_differences(points, c)
+            ref = scipy.linalg.expm(c * bidiagonal(points))[0]
+            # Entry k is at most 1/k! in size, |f^(k)| being 1 on the reals.
+            weights = [1.0 / math.factorial(k) for k in range(n)]
+            assert np.max(np.abs(got - ref) / weights) < 1e-13
+
+
+@pytest.mark.parametrize("c", [-1j, 1j])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_exp_divided_differences_confluent(n, c):
+    """f[x, ..., x] (k + 1 copies) = c**k exp(c x) / k!."""
+    for x in (0.0, 0.3, -2.5):
+        got = exp_divided_differences([x] * n, c)
+        expected = [c**k * np.exp(c * x) / math.factorial(k) for k in range(n)]
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("c", [-1j, 1j])
+def test_exp_divided_differences_two_points(c):
+    """f[a, b] = (f(a) - f(b)) / (a - b) for well-separated points."""
+    for a, b in ((-1.0, 0.5), (0.25, 2.0), (-3.0, 2.9)):
+        got = exp_divided_differences([a, b], c)
+        assert got[0] == pytest.approx(np.exp(c * a), abs=1e-15)
+        expected = (np.exp(c * a) - np.exp(c * b)) / (a - b)
+        assert got[1] == pytest.approx(expected, rel=1e-14)
