@@ -22,8 +22,9 @@ P = s I + v . L,
 The cross-product term of the full product rule drops out identically
 (every product lies in the commutative family generated by m under (.)),
 and that vanishing is asserted at each step.  ``power_table`` tabulates
-the plain powers of M by the same rule; it and the monomial coefficients
-of ``spectral.expansion_coeffs`` remain as cross-checks.
+the plain powers of M with the same routine, every shift 0; it and the
+monomial coefficients of ``spectral.expansion_coeffs`` remain as
+cross-checks.
 
 ``delinearize_exp`` inverts the exponential case: given group-element
 coordinates it recovers m with exp(-i m . L) equal to the input, choosing
@@ -91,29 +92,48 @@ class PowerTable:
         return self.scalars.shape[0]
 
 
+def _newton_products(
+    t: StructureTensors, m: np.ndarray, shifts
+) -> tuple[list, list]:
+    """Coordinates of P_k = (M - x1 I) ... (M - xk I) for k = 0 .. len(shifts).
+
+    Returns the lists scalars[k] and vectors[k] with
+    P_k = scalars[k] I + vectors[k] . L, each step one ``dot_sym`` by the
+    rule in the module docstring.  The cross term of every step must
+    vanish; a residual at or above CROSS_RESIDUAL_TOL raises
+    ConstraintViolationError.
+    """
+    scalars, vectors = [1.0], [np.zeros_like(m)]
+    if shifts:
+        scalars.append(-shifts[0])
+        vectors.append(m)
+    for k in range(2, len(shifts) + 1):
+        v, s, shift = vectors[-1], scalars[-1], shifts[k - 1]
+        residual = np.max(np.abs(cross(t, v, m)))
+        if residual >= CROSS_RESIDUAL_TOL:
+            raise ConstraintViolationError(
+                f"cross term of product {k} reached {residual:.3e}; "
+                "the commutative-family reduction no longer holds"
+            )
+        scalars.append(-shift * s + (2.0 / t.n) * np.dot(v, m))
+        vectors.append(s * m - shift * v + dot_sym(t, v, m))
+    return scalars, vectors
+
+
 def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> PowerTable:
-    """Tabulate reduced powers of m . L up to ``max_power`` (<= N)."""
+    """Tabulate reduced powers of m . L up to ``max_power`` (<= N).
+
+    The powers are the Newton products with every shift 0.
+    """
     (m,) = _check_coords(t.dim, m)
     if not 0 <= max_power <= t.n:
         raise ValueError(
             f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
         )
-    rows = max_power + 1
-    scalars = np.zeros(rows, dtype=complex)
-    vectors = np.zeros((rows, t.dim), dtype=complex)
-    scalars[0] = 1.0
-    if rows > 1:
-        vectors[1] = m
-    for k in range(2, rows):
-        residual = np.max(np.abs(cross(t, vectors[k - 1], m)))
-        if residual >= CROSS_RESIDUAL_TOL:
-            raise ConstraintViolationError(
-                f"cross term of power {k} reached {residual:.3e}; "
-                "the commutative-family reduction no longer holds"
-            )
-        scalars[k] = (2.0 / t.n) * np.dot(vectors[k - 1], m)
-        vectors[k] = scalars[k - 1] * m + dot_sym(t, vectors[k - 1], m)
-    return PowerTable(scalars, vectors)
+    scalars, vectors = _newton_products(t, m, [0.0] * max_power)
+    return PowerTable(
+        np.array(scalars, dtype=complex), np.array(vectors, dtype=complex)
+    )
 
 
 # The two functions linearize_fn evaluates, with the c of exp(c x) each is.
@@ -135,12 +155,12 @@ def linearize_fn(
     diagonalizable M.  The divided differences come from
     ``exp_divided_differences`` (Opitz's bidiagonal exponential), so only
     the eigenvalues are needed, never the eigenvectors.  The products P_k
-    are real and built in coordinates, one ``dot_sym`` per step (see the
-    module docstring); the cross term of each step must vanish, and is
-    checked as in ``power_table``.  A spectrum with eigenvalues closer
-    than GAP_TOL times its radius is refused as degenerate.  The
-    all-matrix route (apply_spectral then from_matrix) reproduces the same
-    element and serves as the oracle in the test suite.
+    are real and built in coordinates by ``_newton_products``, one
+    ``dot_sym`` per step, with the cross term of each step checked.  A
+    spectrum with eigenvalues closer than GAP_TOL times its radius is
+    refused as degenerate.  The all-matrix route (apply_spectral then
+    from_matrix) reproduces the same element and serves as the oracle in
+    the test suite.
     """
     c = _EXPONENTS.get(fn)
     if c is None:
@@ -153,22 +173,8 @@ def linearize_fn(
     _require_simple_spectrum(vals)
     lam = vals.tolist()
     coeffs = exp_divided_differences(lam, c)
-    scalars = [1.0, -lam[0]]
-    vectors = [m]
-    for k in range(2, t.n):
-        v = vectors[-1]
-        residual = np.max(np.abs(cross(t, v, m)))
-        if residual >= CROSS_RESIDUAL_TOL:
-            raise ConstraintViolationError(
-                f"cross term of Newton product {k} reached {residual:.3e}; "
-                "the commutative-family reduction no longer holds"
-            )
-        s = scalars[-1]
-        scalars.append(-lam[k - 1] * s + (2.0 / t.n) * np.dot(v, m))
-        vectors.append(s * m - lam[k - 1] * v + dot_sym(t, v, m))
-    return LinearElement(
-        complex(np.dot(coeffs, scalars)), coeffs[1:] @ np.array(vectors)
-    )
+    scalars, vectors = _newton_products(t, m, lam[:-1])
+    return LinearElement(complex(np.dot(coeffs, scalars)), coeffs @ np.array(vectors))
 
 
 def f0_trace(basis: GeneratorBasis, m: np.ndarray, fn) -> complex:

@@ -3,8 +3,8 @@
 Everything here is self-contained: eigendecompositions use cyclic Jacobi
 rotations, characteristic polynomials come from the Faddeev-LeVerrier
 recurrence, divided differences of the exponential come from a Taylor
-series of Opitz's bidiagonal matrix, and linear solves go through the
-in-package LU kernel.
+series of Opitz's bidiagonal matrix (scaled and squared for widely spread
+points), and linear solves go through the in-package LU kernel.
 
 The matrices are desk scale (N <= 8).  A Jacobi rotation there touches a
 few dozen numbers, so a numpy call per step costs more in dispatch than
@@ -43,6 +43,10 @@ VANDERMONDE_COND_LIMIT = 1e12
 # Eigenvalues of (u + u')/2 closer than this share an eigenspace and are
 # split by the skew part instead.
 COS_CLUSTER_TOL = 1e-6
+# Largest |c| times half-spread that exp_divided_differences sums without
+# squaring: the series then loses at most exp(pi) ~ 23 roundoffs, and every
+# spectrum the sampler draws (radius <= 0.9 pi) stays within it.
+TAYLOR_REACH = math.pi
 _ROUNDOFF = 2.0 ** -53
 
 
@@ -193,39 +197,59 @@ def exp_divided_differences(values, c: complex) -> np.ndarray:
     By Opitz's theorem they are the first row of exp(c B), where B is the
     bidiagonal matrix with x1..xn on its diagonal and ones above it.  The
     points are shifted to their midpoint first, exp(c B) = exp(c mid)
-    exp(c (B - mid I)), and that row is summed as the Taylor series
-    e1' sum_k (c (B - mid I))**k / k!, one bidiagonal step per term.  Its
-    entries are the series of complete homogeneous symmetric polynomials
-    that McCurdy, Ng & Parlett (Math. Comp. 43, 1984) use for close
-    points, so no difference of nearby values is ever divided by their
-    gap, and confluent points are allowed.  With half-spread r, term k of
-    entry j is at most |c|**j (|c| r)**(k-j) / ((k-j)! j!); the loop stops
-    once that bound is below one unit roundoff of the entry's |c|**j / j!
-    scale and falling.  The values are real.
+    exp(c (B - mid I)), and exp(h (B - mid I)) is summed as a Taylor
+    series, one bidiagonal step per term, with h = c / 2**s.  Its entries
+    are the series of complete homogeneous symmetric polynomials that
+    McCurdy, Ng & Parlett (Math. Comp. 43, 1984) use for close points, so
+    no difference of nearby values is ever divided by their gap, and
+    confluent points are allowed.  With half-spread r, term k of entry j
+    is at most |h|**j (|h| r)**(k-j) / ((k-j)! j!), and the series
+    loses about exp(|h| r) roundoffs of the entry's |h|**j / j! scale to
+    cancellation.  So s is the least count of halvings that brings |h| r
+    to TAYLOR_REACH or below, and the sum is squared s times afterwards.
+    For s = 0 only the first row is summed; otherwise the whole upper
+    triangle is, since squaring needs it.  The loop stops once the bound
+    above is below one unit roundoff of the entry's scale.  The values
+    are real and finite; anything else raises ValueError.
     """
     xs = [float(x) for x in values]
     n = len(xs)
     lo, hi = min(xs), max(xs)
     mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo) * abs(c)
+    if not math.isfinite(mid + reach):
+        raise ValueError("divided differences need finite points")
+    squarings = 0
+    while reach > TAYLOR_REACH:
+        reach *= 0.5
+        squarings += 1
+    h = c * 0.5 ** squarings
     shifted = [x - mid for x in xs]
-    # Terms of the series of exp(|c| r) are below one roundoff after `extra`
-    # steps; entry j starts at step j, so the last entry needs n - 1 more.
+    # Terms of the series of exp(|h| r) are below one roundoff after
+    # `extra` steps; entry j of row i starts at step j - i.
     extra, size = 0, 1.0
-    while size > _ROUNDOFF or extra <= reach:
+    while size > _ROUNDOFF:
         extra += 1
         size *= reach / extra
-    row = [1.0 + 0j] + [0j] * (n - 1)  # e1' (c (B - mid I))**k / k!
-    total = row[:]
-    for k in range(1, n + extra):
-        scale = c / k
-        prev = 0j
-        # (row B)_j = row_j x_j + row_{j-1}; entries past k are still 0.
-        for j in range(min(k + 1, n)):
-            cur = row[j]
-            row[j] = term = scale * (cur * shifted[j] + prev)
-            total[j] += term
-            prev = cur
-    return np.exp(c * mid) * np.array(total)
+    rows = []
+    for i in range(n if squarings else 1):
+        row = [0j] * n  # e_i' (h (B - mid I))**k / k!
+        row[i] = 1.0 + 0j
+        total = row[:]
+        for k in range(1, n - i + extra):
+            scale = h / k
+            prev = 0j
+            # (row B)_j = row_j x_j + row_{j-1}; entries past i + k are 0.
+            for j in range(i, min(i + k + 1, n)):
+                cur = row[j]
+                row[j] = term = scale * (cur * shifted[j] + prev)
+                total[j] += term
+                prev = cur
+        rows.append(total)
+    e = np.array(rows)
+    for _ in range(squarings - 1):
+        e = e @ e
+    first = e[0] @ e if squarings else e[0]
+    return np.exp(c * mid) * first
 
 
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:

@@ -111,8 +111,7 @@ draws = arrays(np.float64, (MAX_DIM,), elements=st.floats(-1, 1))
 def bitwise_cases(a_re, a_im, b):
     """(tensors, a, b) for N = 2..8, with a real and with a complex.
 
-    Complex first arguments are what ``power_table`` (powers of m times
-    the real m) and the product rule pass.
+    Complex first arguments are what the product rule passes.
     """
     for n in range(2, 9):
         _, t = cached_algebra(n)

@@ -106,6 +106,32 @@ def test_compose_against_scipy_product(algebra3):
         assert np.max(np.abs(dense_exp(basis, r) - product)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_compose_wide_exponent_matches_direct(n):
+    """Exponents of size ~1e3 wrap many turns; both routes agree.
+
+    The coordinate route sums its divided differences by scaling and
+    squaring here.  An eigenvalue of size 1e3 carries ~1e-13 of rounding,
+    and the phase it sets is only that accurate in either route.
+    """
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(101 + n)
+    for _ in range(10):
+        m = rng.uniform(-1e3, 1e3, t.dim)
+        nvec = rng.uniform(-1.0, 1.0, t.dim)
+        r = compose(t, basis, m, nvec)
+        assert np.max(np.abs(r - compose_direct(basis, m, nvec))) < 1e-10
+        s = similarity(t, basis, m, nvec)
+        assert np.max(np.abs(s - similarity_direct(basis, m, nvec))) < 1e-10
+
+
+def test_compose_n2_three_thousand_turn():
+    """exp(-3000 i s1) is exp(-i (3000 - 954 pi) s1)."""
+    basis, t = cached_algebra(2)
+    r = compose(t, basis, xyz(3000.0, 0.0, 0.0), np.zeros(3))
+    np.testing.assert_allclose(r, [3000.0 - 954.0 * np.pi, 0.0, 0.0], atol=1e-11)
+
+
 def test_su2_closed_form_single_rotation():
     alpha = np.array([0.0, 1.2, 0.0])
     g0, gvec = su2_compose_closed_form(alpha, np.zeros(3))

@@ -420,16 +420,37 @@ def bidiagonal(points):
 @pytest.mark.parametrize("c", [-1j, 1j])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_exp_divided_differences_match_scipy(n, c):
-    """The first row of exp(c B) for the Opitz bidiagonal B, against expm."""
+    """The first row of exp(c B) for the Opitz bidiagonal B, against expm.
+
+    Scales past pi take the scaling-and-squaring path.  There the phase
+    c x of a point carries about |x| roundoffs, in expm as here, so the
+    bound grows with the scale.
+    """
     rng = np.random.default_rng(89 + n)
-    for scale in (1e-8, 1e-4, 1e-2, 1.0, 2.0 * np.pi):
+    for scale in (1e-8, 1e-4, 1e-2, 1.0, 2.0 * np.pi, 20.0, 1e3):
         for _ in range(5):
             points = np.sort(rng.uniform(-scale, scale, n))
             got = exp_divided_differences(points, c)
             ref = scipy.linalg.expm(c * bidiagonal(points))[0]
             # Entry k is at most 1/k! in size, |f^(k)| being 1 on the reals.
             weights = [1.0 / math.factorial(k) for k in range(n)]
-            assert np.max(np.abs(got - ref) / weights) < 1e-13
+            assert np.max(np.abs(got - ref) / weights) < max(1e-13, 1e-15 * scale)
+
+
+@pytest.mark.parametrize("c", [-1j, 1j])
+def test_exp_divided_differences_two_wide_points(c):
+    """f[a, b] = (f(a) - f(b)) / (a - b) for points about 2e3 apart."""
+    for a, b in ((-1e3, 1e3), (-812.5, 1377.25), (3000.0, 0.0)):
+        got = exp_divided_differences([a, b], c)
+        assert got[0] == pytest.approx(np.exp(c * a), abs=1e-12)
+        expected = (np.exp(c * a) - np.exp(c * b)) / (a - b)
+        assert abs(got[1] - expected) < 1e-15
+
+
+def test_exp_divided_differences_rejects_nonfinite():
+    for points in ([0.0, np.inf], [np.nan, 1.0], [-1e308, 1e308]):
+        with pytest.raises(ValueError):
+            exp_divided_differences(points, -1j)
 
 
 @pytest.mark.parametrize("c", [-1j, 1j])
