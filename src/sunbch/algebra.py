@@ -24,17 +24,17 @@ conjugation).  The product of two algebra elements then reduces to
 
     (a . L)(b . L) = (2/N)(a . b) I + ((a (.) b) + i (a (x) b)) . L
 
-Under 1% of the dim**3 tensor slots are nonzero at N = 8, so the two
-products run over index arrays of the nonzero entries only, one term per
-unordered pair k <= l.  The dense f and d stay for the tensor identities
-and the adjoint kernel.
+Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
+is stored once, as index arrays of its nonzero entries, one term per
+unordered pair k <= l, which the two products run over.  The dense f and
+d that the tensor identities and the adjoint kernel read are built from
+those arrays on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,29 +64,30 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class StructureTensors:
-    """Dense and sparse structure constants for one N.
+    """Structure constants for one N, stored as index arrays.
 
-    ``f`` and ``d`` are dense rank-3 arrays rebuilt from the canonical
-    entries, so antisymmetry of f and symmetry of d hold exactly, not just
-    to rounding.  ``f_entries`` holds 1-based triples with j < k < l;
-    ``d_entries`` holds 1-based triples with j <= k <= l.  ``f_coo`` and
-    ``d_coo`` are the 0-based (row, k, l, value) arrays of the nonzero dense
-    entries with k <= l that ``cross`` and ``dot_sym`` contract; a value
-    with k == l is halved, because the term a_k b_l + a_l b_k counts that
-    slot twice.
+    ``f_coo`` and ``d_coo`` are the 0-based (row, k, l, value) arrays of
+    the nonzero dense entries with k <= l, in lexicographic order, that
+    ``cross`` and ``dot_sym`` contract; a value with k == l is halved,
+    because the term a_k b_l + a_l b_k counts that slot twice.  The rest
+    is derived from them: the dense rank-3 ``f`` and ``d``, built on first
+    read and then kept, and the canonical 1-based triples ``f_entries``
+    (j < k < l) and ``d_entries`` (j <= k <= l).
     """
 
     n: int
-    f: np.ndarray
-    d: np.ndarray
-    f_entries: tuple[tuple[int, int, int, float], ...]
-    d_entries: tuple[tuple[int, int, int, float], ...]
     f_coo: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     d_coo: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def dim(self) -> int:
         return self.n * self.n - 1
+
+    # Derived on read; the dense pair is then kept on the instance.
+    f = cached_property(lambda self: _dense(self.dim, self.f_coo, -1.0))
+    d = cached_property(lambda self: _dense(self.dim, self.d_coo, 1.0))
+    f_entries = property(lambda self: _canonical(self.f_coo))
+    d_entries = property(lambda self: _canonical(self.d_coo))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -119,17 +120,41 @@ def build_basis(n: int) -> GeneratorBasis:
     return GeneratorBasis(n, _freeze(np.stack(mats)))
 
 
-def _coo(tensor: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(row, k, l, value) of the nonzero entries with k <= l, diagonal halved."""
-    rows, k, l = np.nonzero(tensor)
-    keep = k <= l
-    rows, k, l = rows[keep], k[keep], l[keep]
-    value = tensor[rows, k, l] * np.where(k == l, 0.5, 1.0)
+def _dense(dim: int, coo, sign: float) -> np.ndarray:
+    """Dense tensor of an index array: t[row, k, l] = sign * t[row, l, k]."""
+    rows, k, l, value = coo
+    full = value * np.where(k == l, 2.0, 1.0)
+    t = np.zeros((dim, dim, dim))
+    t[rows, k, l] = full
+    t[rows, l, k] = sign * full
+    return _freeze(t)
+
+
+def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:
+    """1-based (j, k, l, value) triples with j <= k <= l of an index array."""
+    rows, k, l, value = coo
+    keep = rows <= k
+    full = (value * np.where(k == l, 2.0, 1.0))[keep]
+    columns = (rows[keep] + 1, k[keep] + 1, l[keep] + 1, full)
+    return tuple(zip(*(col.tolist() for col in columns)))
+
+
+def _coo(j, k, l, value, sign: float) -> tuple[np.ndarray, ...]:
+    """Sorted index arrays of a tensor from its canonical triples (j, k, l).
+
+    A triple's permutations with k <= l are (j, k, l), (k, j, l) and
+    (l, j, k), the odd one times ``sign``; repeats drop, k == l is halved.
+    """
+    triples = [np.concatenate(col) for col in ((j, k, l), (k, j, j), (l, l, k))]
+    value = np.concatenate((value, sign * value, value))
+    _, first = np.unique(np.stack(triples, axis=1), axis=0, return_index=True)
+    rows, k, l, value = (x[first] for x in (*triples, value))
+    value = value * np.where(k == l, 0.5, 1.0)
     return tuple(_freeze(x) for x in (rows, k, l, value))
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureTensors:
-    """Compute f and d by the trace formulas, canonicalize, and densify."""
+    """Compute f and d by the trace formulas, canonicalize, and index."""
     g = basis.matrices
     dim = basis.dim
     prod = np.einsum("jab,kbc->jkac", g, g)
@@ -143,28 +168,7 @@ def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     dj, dk, dl = np.nonzero((j <= k) & (k <= l) & (np.abs(d_raw) >= SPARSE_THRESHOLD))
     fv, dv = f_raw[fj, fk, fl], d_raw[dj, dk, dl]
 
-    # Rebuild dense tensors from the canonical store so the symmetry
-    # properties are exact by construction.
-    f = np.zeros((dim, dim, dim))
-    for a, b, c in ((fj, fk, fl), (fk, fl, fj), (fl, fj, fk)):
-        f[a, b, c] = fv
-        f[b, a, c] = -fv
-    d = np.zeros((dim, dim, dim))
-    for a, b, c in itertools.permutations((dj, dk, dl)):
-        d[a, b, c] = dv
-
-    def entries(*columns):
-        return tuple(zip(*(col.tolist() for col in columns)))
-
-    return StructureTensors(
-        basis.n,
-        _freeze(f),
-        _freeze(d),
-        entries(fj + 1, fk + 1, fl + 1, fv),
-        entries(dj + 1, dk + 1, dl + 1, dv),
-        _coo(f),
-        _coo(d),
-    )
+    return StructureTensors(basis.n, _coo(fj, fk, fl, fv, -1.0), _coo(dj, dk, dl, dv, 1.0))
 
 
 @lru_cache(maxsize=None)

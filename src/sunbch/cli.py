@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .bch import _conjugate, compose_linear
 from .errors import NumericalDomainError
 from .linearize import delinearize_exp, exp_matrix
 from .sampling import DEFAULT_SPECTRAL_CAP
-from .verify import RunConfig, run_suite
+from .verify import RunConfig, _jacobi_ff, _orthonormality, run_suite
 
 MAX_N = 8
 
@@ -116,18 +117,11 @@ def cmd_basis(args) -> dict:
     n = _checked_n(args.n)
     basis, tensors = cached_algebra(n)
     doc = serialize_algebra(basis, tensors)
-    f = tensors.f
-    jacobi = (
-        np.einsum("klm,mpq->klpq", f, f)
-        + np.einsum("lpm,mkq->klpq", f, f)
-        + np.einsum("pkm,mlq->klpq", f, f)
-    )
-    gram = np.einsum("jab,kba->jk", basis.matrices, basis.matrices)
+    # The suite's own exhaustive checks; neither draws from its rng.
+    ctx = SimpleNamespace(basis=basis, tensors=tensors)
     checks = {
-        "max_jacobi_residual": float(np.max(np.abs(jacobi))),
-        "max_orthonormality_defect": float(
-            np.max(np.abs(gram - 2.0 * np.eye(basis.dim)))
-        ),
+        "max_jacobi_residual": float(np.max(_jacobi_ff(ctx, None))),
+        "max_orthonormality_defect": float(np.max(_orthonormality(ctx, None))),
     }
     out = {"n": doc["n"]}
     if args.emit in ("f", "all"):

@@ -51,6 +51,7 @@ from .algebra import (
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
+    UNITARY_TOL,
     _require_simple_spectrum,
     apply_spectral,
     eig_hermitian,
@@ -58,11 +59,9 @@ from .spectral import (
     eigvals_hermitian,
     exp_divided_differences,
 )
-from . import linsolve
 
 CROSS_RESIDUAL_TOL = 1e-10
 BRANCH_GAP = 1e-9
-UNIT_GROUP_TOL = 1e-8
 REALITY_TOL = 1e-9
 
 
@@ -191,19 +190,25 @@ def exp_matrix(basis: GeneratorBasis, m: np.ndarray) -> np.ndarray:
 def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     """Coordinates m with exp(-i m . L) = u, for unitary u with det 1.
 
-    Eigenphases are taken in (-pi, pi].  Their sum is 2 pi s for an
-    integer s; tracelessness is restored by shifting 2 pi off the s
-    largest phases (s > 0) or onto the |s| smallest (s < 0), ties broken
-    by eigenvalue index.  Phases within BRANCH_GAP of the cut at pi, or a
-    shift boundary falling inside a phase tie, are refused as ambiguous.
+    Both group-element guards live here: ``eig_unitary`` refuses a u that
+    is not unitary within UNITARY_TOL, and a phase sum farther than that
+    from 2 pi s (det u != 1) raises ValueError.  Eigenphases are taken in
+    (-pi, pi].  Their sum is 2 pi s for an integer s; tracelessness is
+    restored by shifting 2 pi off the s largest phases (s > 0) or onto the
+    |s| smallest (s < 0), ties broken by eigenvalue index.  Phases within
+    BRANCH_GAP of the cut at pi, or a shift boundary falling inside a
+    phase tie, are refused as ambiguous.
     """
     spec = eig_unitary(u)
     theta = np.angle(spec.eigenvalues)
+    shift = int(np.round(theta.sum() / (2.0 * np.pi)))
+    det_phase = abs(theta.sum() - 2.0 * np.pi * shift)
+    if det_phase >= UNITARY_TOL:
+        raise ValueError(f"det u is not 1: its phase is {det_phase:.3e}")
     if np.any(np.pi - np.abs(theta) < BRANCH_GAP):
         raise BranchCutError(
             "an eigenphase lies within 1e-9 of the branch cut at pi"
         )
-    shift = int(np.round(theta.sum() / (2.0 * np.pi)))
     if shift > 0:
         order = np.argsort(-theta, kind="stable")
         if theta[order[shift - 1]] - theta[order[shift]] < BRANCH_GAP:
@@ -230,11 +235,8 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
 
 
 def delinearize_exp(basis: GeneratorBasis, g: LinearElement) -> np.ndarray:
-    """Invert g = (g0, gvec) with g0 I + gvec . L = exp(-i m . L) for m."""
-    u = to_matrix(basis, g)
-    n = basis.n
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) >= UNIT_GROUP_TOL:
-        raise ValueError("element is not unitary within 1e-8")
-    if abs(linsolve.determinant(u) - 1.0) >= UNIT_GROUP_TOL:
-        raise ValueError("element does not have unit determinant within 1e-8")
-    return log_coords(basis, u)
+    """Invert g = (g0, gvec) with g0 I + gvec . L = exp(-i m . L) for m.
+
+    ``log_coords`` checks that the matrix is unitary with unit determinant.
+    """
+    return log_coords(basis, to_matrix(basis, g))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,11 +12,14 @@ from sunbch import (
     algebra_matrix,
     build_basis,
     cached_algebra,
+    compose,
     cross,
     dot_sym,
     from_matrix,
     product_reduce,
+    random_coords,
     serialize_algebra,
+    similarity,
     structure_constants,
     to_matrix,
 )
@@ -251,14 +255,40 @@ def loop_canonicalization(basis):
     return f, d, tuple(f_entries), tuple(d_entries)
 
 
+def dense_coo(tensor):
+    """Oracle for the stored index arrays: the (row, k, l, value) of a dense
+    tensor's nonzero entries with k <= l, in lexicographic order, diagonal halved."""
+    rows, k, l = np.nonzero(tensor)
+    keep = k <= l
+    rows, k, l = rows[keep], k[keep], l[keep]
+    return rows, k, l, tensor[rows, k, l] * np.where(k == l, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_structure_constants_match_loop_canonicalization(n):
     """The vectorized build is bitwise the loop build, entry types included."""
     basis = build_basis(n)
     t = structure_constants(basis)
     f, d, f_entries, d_entries = loop_canonicalization(basis)
+    for ours, dense in ((t.f_coo, f), (t.d_coo, d)):
+        for column, expected in zip(ours, dense_coo(dense), strict=True):
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes()
     assert np.array_equal(t.f, f) and np.array_equal(t.d, d)
     assert t.f_entries == f_entries and t.d_entries == d_entries
     for ours, theirs in ((t.f_entries, f_entries), (t.d_entries, d_entries)):
         for row, expected in zip(ours, theirs):
             assert [type(x) for x in row] == [type(x) for x in expected]
+
+
+def test_compose_and_similarity_build_no_dense_tensor():
+    """The contractions read the index arrays only; f and d are derived on demand."""
+    basis = build_basis(8)
+    t = structure_constants(basis)
+    assert [field.name for field in dataclasses.fields(t)] == ["n", "f_coo", "d_coo"]
+    rng = np.random.default_rng(8)
+    m, nvec = (random_coords(basis, rng) for _ in range(2))
+    compose(t, basis, m, nvec)
+    similarity(t, basis, m, nvec)
+    assert "f" not in vars(t) and "d" not in vars(t)
+    assert t.f is t.f and "f" in vars(t)

@@ -167,6 +167,19 @@ def test_det_correction_balances_phases(algebra3):
     assert np.max(np.abs(vals)) > np.pi
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_det_not_one_refused(n):
+    """A unitary with det u = exp(0.1 i N) has no coordinates; both entries refuse it."""
+    basis, _ = cached_algebra(n)
+    (coords,) = seeded_samples(basis, 40 + n, 1)
+    u = np.exp(0.1j) * exp_matrix(basis, coords)
+    with pytest.raises(ValueError, match="det u is not 1"):
+        log_coords(basis, u)
+    g = LinearElement(np.exp(0.1j), np.zeros(basis.dim, dtype=complex))
+    with pytest.raises(ValueError, match="det u is not 1"):
+        delinearize_exp(basis, g)
+
+
 def test_delinearize_rejects_nonunitary(algebra2):
     basis, _ = algebra2
     g = LinearElement(0.5, np.zeros(3, dtype=complex))
