@@ -24,7 +24,8 @@ The cross-product term of the full product rule drops out identically
 and that vanishing is asserted at each step.  ``power_table`` tabulates
 the plain powers of M with the same routine, every shift 0; it and the
 monomial coefficients of ``spectral.expansion_coeffs`` remain as
-cross-checks.
+cross-checks.  ``exp_minus_i`` and ``exp_plus_i`` live in ``spectral``
+and are importable from here.
 
 ``delinearize_exp`` inverts the exponential case: given group-element
 coordinates it recovers m with exp(-i m . L) equal to the input, choosing
@@ -52,27 +53,20 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
+    _exponent,
     _require_simple_spectrum,
     apply_spectral,
     eig_hermitian,
     eig_unitary,
     eigvals_hermitian,
     exp_divided_differences,
+    exp_minus_i,
+    exp_plus_i,
 )
 
 CROSS_RESIDUAL_TOL = 1e-10
 BRANCH_GAP = 1e-9
 REALITY_TOL = 1e-9
-
-
-def exp_minus_i(x):
-    """exp(-i x), the group-element function used throughout."""
-    return np.exp(-1j * x)
-
-
-def exp_plus_i(x):
-    """exp(+i x), the conjugate exponential used by the adjoint kernel."""
-    return np.exp(1j * x)
 
 
 @dataclass(frozen=True)
@@ -135,10 +129,6 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> PowerTabl
     )
 
 
-# The two functions linearize_fn evaluates, with the c of exp(c x) each is.
-_EXPONENTS = {exp_minus_i: -1j, exp_plus_i: 1j}
-
-
 def linearize_fn(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, fn
 ) -> LinearElement:
@@ -161,9 +151,7 @@ def linearize_fn(
     from_matrix) reproduces the same element and serves as the oracle in
     the test suite.
     """
-    c = _EXPONENTS.get(fn)
-    if c is None:
-        raise ValueError("linearize_fn evaluates exp_minus_i or exp_plus_i only")
+    c = _exponent(fn, "linearize_fn")
     (m,) = _check_coords(t.dim, m)
     if not np.any(m):
         # The zero element is exact: f(0 . L) = f(0) I.

@@ -1,45 +1,43 @@
 """Spectral machinery for the small dense matrices the package works with.
 
-Everything here is self-contained: eigendecompositions use cyclic Jacobi
-rotations, characteristic polynomials come from the Faddeev-LeVerrier
-recurrence, divided differences of the exponential come from a Taylor
-series of Opitz's bidiagonal matrix (scaled and squared for widely spread
-points), and linear solves go through the in-package LU kernel.
+Everything here is self-contained: Hermitian eigenproblems are reduced to
+real tridiagonal form by Householder reflectors and solved by implicit QL,
+characteristic polynomials come from the Faddeev-LeVerrier recurrence,
+and divided differences of the exponential come from a Taylor series of
+Opitz's bidiagonal matrix (scaled and squared for widely spread points).
 
-The matrices are desk scale (N <= 8).  A Jacobi rotation there touches a
-few dozen numbers, so a numpy call per step costs more in dispatch than
-in arithmetic.  The Jacobi sweeps therefore run over Python ``complex``
-and ``float`` scalars held in nested lists and convert to numpy arrays
-only at the end; at N = 8 that is about 4x faster than the same rotations
-written as numpy slice updates, and faster still at N = 3.  One sweep
-routine serves both entries: ``eig_hermitian`` carries the eigenvector
-columns along, ``eigvals_hermitian`` leaves them out and returns the same
-eigenvalues bit for bit.  The same reasoning puts the divided-difference
-series on Python scalars.
+The Hermitian kernel is the classical pair: the Householder
+tridiagonalization of Martin, Reinsch & Wilkinson (Numer. Math. 11, 1968,
+181), here for complex input with diagonal phases that make the
+off-diagonal real, and the implicit QL algorithm with a Wilkinson shift of
+Bowdler, Martin, Reinsch & Wilkinson (Numer. Math. 11, 1968, 293).  The
+matrices are desk scale (N <= 8), where a numpy call costs more in
+dispatch than its few dozen flops, so both stages run over Python
+``complex`` and ``float`` scalars held in nested lists; only the final
+back-transformation of the eigenvectors is a numpy product.  One routine
+serves both entries: ``eig_hermitian`` accumulates the rotations and
+applies the reflectors, ``eigvals_hermitian`` does neither and returns
+the same eigenvalues bit for bit, since the vectors never feed back into
+them.  The same reasoning puts the divided-difference series on Python
+scalars.  The monomial coefficients of exp(-/+ iM) expand that series'
+Newton form, so no Vandermonde system is solved anywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linsolve
-from .errors import (
-    ConvergenceError,
-    DegenerateSpectrumError,
-    IllConditionedError,
-    SingularMatrixError,
-)
+from .errors import ConvergenceError, DegenerateSpectrumError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
+# Implicit QL steps allowed per eigenvalue; with the Wilkinson shift it
+# converges cubically and rarely needs more than three.
+QL_MAX_ITERATIONS = 30
 GAP_TOL = 1e-9
-VANDERMONDE_COND_LIMIT = 1e12
 # Eigenvalues of (u + u')/2 closer than this share an eigenspace and are
 # split by the skew part instead.
 COS_CLUSTER_TOL = 1e-6
@@ -80,115 +78,184 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=16)
-def _pivot_order(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Row-cyclic (p, q) pivots, each with the indices k outside the pair."""
-    return tuple(
-        (p, q, tuple(k for k in range(n) if k != p and k != q))
-        for p in range(n - 1)
-        for q in range(p + 1, n)
-    )
+def _tridiagonal_ql(
+    m: np.ndarray, vectors: bool
+) -> tuple[list[float], np.ndarray | None]:
+    """Eigenvalues of the square complex ``m``, unsorted, and with
+    ``vectors`` the matrix of their eigenvector columns (else None).
 
-
-def _jacobi_diagonal(m: np.ndarray, cols: list[list[complex]] | None) -> list[float]:
-    """Run the cyclic Jacobi sweeps on the square complex ``m``; return its
-    final diagonal.
-
-    ``eig_hermitian`` passes the identity's columns in ``cols`` and each
-    rotation is applied to them too; ``eigvals_hermitian`` passes None and
-    skips that work.  The columns never feed back into a rotation, so the
-    diagonal comes out bitwise the same either way.
+    Reflectors H = I - w w'/h bring m = Q T' Q' to tridiagonal form, the
+    phases D make T = D' T' D real, and QL gives T = Z diag(d) Z'; the
+    eigenvectors are Q D Z.  Q and Z never feed back into d or e.
     """
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
     # fails the guard.
     with np.errstate(invalid="ignore"):
-        hermitian = np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL
+        hermitian = np.abs(m - m.conj().T).max() < HERMITIAN_TOL
     if not hermitian:
         raise ValueError("matrix is not finite and Hermitian within 1e-10")
     n = m.shape[0]
-    tol = JACOBI_OFF_TOL * float(np.sqrt((np.abs(m) ** 2).sum()))
-    skip = tol / (4.0 * n * n)
+    # One roundoff of ||m||_F: an off-diagonal this small is negligible
+    # even between two zero diagonal entries.
+    floor = _ROUNDOFF * math.sqrt(np.vdot(m, m).real)
     a = m.tolist()
-    # The real diagonal lives in `diag`; the diagonal entries of `a` are
-    # never read again.
-    diag = [a[k][k].real for k in range(n)]
-    pivots = _pivot_order(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Sum off-diagonal squares directly: subtracting the diagonal part
-        # from the total Frobenius norm cancels catastrophically near
-        # convergence.  The lower triangle mirrors the upper one exactly.
-        upper = sum(z.real * z.real + z.imag * z.imag
-                    for p in range(n - 1) for z in a[p][p + 1:])
-        off = math.sqrt(2.0 * upper)
-        if off <= tol:
-            return diag
-        for p, q, others in pivots:
-            row_p, row_q = a[p], a[q]
-            g = row_p[q]
-            absg = abs(g)
-            if absg <= skip:
-                continue
-            phase = complex(g.real / absg, g.imag / absg)
-            zeta = (diag[q] - diag[p]) / (2.0 * absg)
-            sgn = 1.0 if zeta >= 0.0 else -1.0
-            t = sgn / (abs(zeta) + math.hypot(1.0, zeta))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            # The rotation [[c phase, s phase], [-s, c]] on columns p, q.
-            c_phase, s_phase = c * phase, s * phase
-            for k in others:
-                row = a[k]
-                x, y = row[p], row[q]
-                x, y = c_phase * x - s * y, s_phase * x + c * y
-                row[p], row[q] = x, y
-                row_p[k], row_q[k] = x.conjugate(), y.conjugate()
-            shift = t * absg
-            diag[p] -= shift
-            diag[q] += shift
-            row_p[q] = row_q[p] = 0j
-            if cols is not None:
-                col_p, col_q = cols[p], cols[q]
-                cols[p] = [c_phase * x - s * y for x, y in zip(col_p, col_q)]
-                cols[q] = [s_phase * x + c * y for x, y in zip(col_p, col_q)]
-    raise ConvergenceError(
-        f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted, off-norm {off:.3e}"
-    )
+    for i, row in enumerate(a):
+        row[i] = complex(row[i].real)
+    d, sub, reflectors = [], [], []
+    for k in range(n - 1):
+        lo = k + 1
+        d.append(a[k][k].real)
+        w = [row[k] for row in a[lo:]]
+        alpha = w[0]
+        tail = sum([z.real * z.real + z.imag * z.imag for z in w[1:]])
+        if tail == 0.0:
+            # Already tridiagonal in this column: no reflector.
+            sub.append(alpha)
+            continue
+        size = abs(alpha)
+        norm = math.sqrt(size * size + tail)
+        phase = alpha / size if size else 1.0
+        # H x = -phase norm e1 for the column x; w = x + phase norm e1
+        # adds like signs.  h = w'w / 2 is summed from the w actually
+        # stored, so H is unitary to rounding.
+        w[0] = alpha + phase * norm
+        h = 0.5 * (w[0].real * w[0].real + w[0].imag * w[0].imag + tail)
+        # The block B <- H B H = B - w q' - q w', q = p - (w'p / 2h) w,
+        # p = B w / h.  The diagonal stays real: its two terms are
+        # conjugates.
+        rows = a[lo:]
+        p = [sum([b * x for b, x in zip(row[lo:], w)]) / h for row in rows]
+        half = sum([(x.conjugate() * y).real for x, y in zip(w, p)]) / (2.0 * h)
+        q = [y - half * x for x, y in zip(w, p)]
+        wc = [x.conjugate() for x in w]
+        qc = [y.conjugate() for y in q]
+        for wi, qi, row in zip(w, q, rows):
+            row[lo:] = [b - wi * y - qi * x for b, x, y in zip(row[lo:], wc, qc)]
+        sub.append(-phase * norm)
+        reflectors.append((lo, w, wc, h))
+    d.append(a[n - 1][n - 1].real)
+    e = [abs(z) for z in sub] + [0.0]
+    # Rows of the real orthogonal Z that the QL rotations accumulate.
+    z_rows = [[float(i == k) for i in range(n)] for k in range(n)] if vectors else None
+    for lo in range(n - 1):
+        for step in range(QL_MAX_ITERATIONS + 1):
+            # The first negligible off-diagonal at or after lo splits T.
+            hi = lo
+            while hi < n - 1:
+                off = abs(e[hi])
+                if off <= floor or off <= _ROUNDOFF * (abs(d[hi]) + abs(d[hi + 1])):
+                    break
+                hi += 1
+            if hi == lo:
+                break
+            if step == QL_MAX_ITERATIONS:
+                limit = max(_ROUNDOFF * (abs(d[lo]) + abs(d[lo + 1])), floor)
+                raise ConvergenceError(
+                    f"QL iteration budget ({QL_MAX_ITERATIONS}) exhausted: "
+                    f"off-diagonal {abs(e[lo]):.3e} above its limit {limit:.3e}"
+                )
+            # Wilkinson shift from the leading 2 x 2 block, then the bulge
+            # is chased from hi up to lo by plane rotations.
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = math.hypot(g, 1.0)
+            g = d[hi] - d[lo] + e[lo] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(hi - 1, lo - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # Underflow split: T is reduced at i + 1 already.
+                    d[i + 1] -= p
+                    e[hi] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if z_rows is not None:
+                    for row in z_rows:
+                        x, y = row[i], row[i + 1]
+                        row[i], row[i + 1] = c * x - s * y, s * x + c * y
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[hi] = 0.0
+    if not vectors:
+        return d, None
+    # Row k + 1 of D Z takes the phase that makes T's entry (k + 1, k)
+    # real, renormalized so that the product keeps unit modulus.
+    phases = [1.0 + 0j]
+    for z in sub:
+        z = phases[-1] * z if z else phases[-1]
+        phases.append(z / abs(z))
+    vecs = np.array(z_rows) * np.array(phases)[:, None]
+    # Q D Z = H_0 (H_1 (... (D Z))).
+    for lo, w, wc, h in reversed(reflectors):
+        vecs[lo:] -= np.array(w)[:, None] * (np.array(wc) @ vecs[lo:] / h)
+    return d, vecs
 
 
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix: Householder tridiagonalization, then
+    implicit QL with a Wilkinson shift.
 
-    Each (p, q) pivot, taken in row-cyclic order, applies the unitary plane
-    rotation that annihilates the off-diagonal pair; sweeps repeat until
-    the off-diagonal Frobenius norm falls below JACOBI_OFF_TOL * ||m||_F.
-    The stop is relative, so a small matrix is diagonalized to the same
-    relative accuracy as a large one (Demmel & Veselic, SIAM J. Matrix
-    Anal. Appl. 13, 1992), and a zero matrix stops before any rotation.
-    The update is symmetric: a rotation computes the entries (k, p) and
-    (k, q) for k outside the pivot pair, mirrors their conjugates into
-    rows p and q, moves the diagonal by -/+ t|a_pq| and sets the pivot
-    pair to exactly 0, so the working matrix stays exactly Hermitian with
-    a real diagonal.  A non-finite or non-Hermitian input raises
-    ValueError.  Eigenvalues are returned real, ascending (stable order
-    for ties).
+    The reduction is that of Martin, Reinsch & Wilkinson (Numer. Math. 11,
+    1968, 181), for complex Hermitian input: reflectors from the lower
+    triangle reach a tridiagonal T, and diagonal phases make its
+    off-diagonal real, so QL (Bowdler, Martin, Reinsch & Wilkinson, Numer.
+    Math. 11, 1968, 293) runs on Python floats.  An off-diagonal is
+    negligible once it is at most one unit roundoff of its two diagonal
+    neighbours' magnitudes, or of ||m||_F.  The stop is thus relative: a
+    small matrix is diagonalized to the same relative accuracy as a large
+    one, and a diagonal or zero matrix is returned as it stands, with
+    eigenvectors exactly I.  Each eigenvalue may take QL_MAX_ITERATIONS
+    QL steps; past that ConvergenceError gives the off-diagonal left and
+    its limit.  A non-finite or non-Hermitian input raises ValueError.
+    Eigenvalues are returned real, ascending (stable order for ties);
+    ``eigvals_hermitian`` returns the same ones bit for bit.
     """
-    m = _square(m)
-    n = m.shape[0]
-    # Eigenvector columns, one list each: a rotation rewrites two of them.
-    cols = [[1.0 + 0j if j == k else 0j for j in range(n)] for k in range(n)]
-    vals = np.array(_jacobi_diagonal(m, cols))
+    vals, vecs = _tridiagonal_ql(_square(m), vectors=True)
+    vals = np.array(vals)
     order = np.argsort(vals, kind="stable")
-    vecs = np.array([cols[k] for k in order], dtype=complex).T.copy()
-    return SpectralDecomposition(vals[order], vecs)
+    return SpectralDecomposition(vals[order], vecs[:, order])
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     """The eigenvalues of ``eig_hermitian(m)``, bitwise, without the vectors.
 
-    Runs the same sweeps but accumulates no eigenvector columns, which is
-    all that ``linearize_fn``, ``f0_trace`` and the sampler need.
+    Runs the same reduction and QL steps but accumulates no rotations and
+    applies no reflector to vectors, which is all that ``linearize_fn``,
+    ``f0_trace`` and the sampler need.
     """
-    return np.sort(np.array(_jacobi_diagonal(_square(m), None)), kind="stable")
+    vals, _ = _tridiagonal_ql(_square(m), vectors=False)
+    return np.sort(np.array(vals), kind="stable")
+
+
+def exp_minus_i(x):
+    """exp(-i x), the group-element function used throughout."""
+    return np.exp(-1j * x)
+
+
+def exp_plus_i(x):
+    """exp(+i x), the conjugate exponential used by the adjoint kernel."""
+    return np.exp(1j * x)
+
+
+# The two functions the Newton-form routes evaluate, with the c of
+# exp(c x) each is.
+_EXPONENTS = {exp_minus_i: -1j, exp_plus_i: 1j}
+
+
+def _exponent(fn, caller: str) -> complex:
+    """The c of ``fn`` = exp(c x); ValueError for any other function."""
+    c = _EXPONENTS.get(fn)
+    if c is None:
+        raise ValueError(f"{caller} evaluates exp_minus_i or exp_plus_i only")
+    return c
 
 
 def exp_divided_differences(values, c: complex) -> np.ndarray:
@@ -351,56 +418,73 @@ def apply_spectral(spec: SpectralDecomposition, fn) -> np.ndarray:
 def expansion_coeffs(spec: SpectralDecomposition, fn) -> np.ndarray:
     """Coefficients f_n with f(M) = sum_n f_n M**n, n = 0..N-1.
 
-    Solves the Vandermonde system sum_n f_n m_k**n = f(m_k) over the
-    eigenvalues.  Requires a simple spectrum and a usable condition
-    number; both guards signal clustered eigenvalues.
+    ``fn`` is ``exp_minus_i`` or ``exp_plus_i``; any other raises
+    ValueError.  The Newton form over the eigenvalues l1..lN,
+
+        f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
+
+    takes its divided differences from ``exp_divided_differences`` and is
+    expanded to monomials by Horner's rule: from p = f[l1..lN],
+    p <- p (x - lk) + f[l1..lk] for k = N - 1 down to 1.  No Vandermonde
+    system is solved, so a small spectral radius costs no accuracy.  A
+    spectrum with eigenvalues closer than GAP_TOL times its radius is
+    refused as degenerate.
     """
-    vals = np.asarray(spec.eigenvalues, dtype=complex)
+    c = _exponent(fn, "expansion_coeffs")
+    vals = np.asarray(spec.eigenvalues)
     _require_simple_spectrum(vals)
-    vander = np.vander(vals, increasing=True)
-    fvals = np.asarray([fn(v) for v in spec.eigenvalues], dtype=complex)
-    # One factorization serves both the condition guard and the solve.
-    try:
-        factors = linsolve.lu_factor(vander)
-    except SingularMatrixError:
-        cond = np.inf
-    else:
-        cond = linsolve.factored_condition(vander, factors)
-    if cond > VANDERMONDE_COND_LIMIT:
-        raise IllConditionedError(
-            "Vandermonde condition number exceeds 1e12 (clustered eigenvalues)"
+    lam = vals.tolist()
+    newton = exp_divided_differences(lam, c).tolist()
+    coeffs = [newton[-1]]
+    for shift, top in zip(lam[-2::-1], newton[-2::-1]):
+        coeffs = (
+            [top - shift * coeffs[0]]
+            + [lower - shift * upper for lower, upper in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
         )
-    return linsolve.lu_solve(factors, fvals)
+    return np.array(coeffs)
 
 
 def expansion_coeffs_derivative(
     spec: SpectralDecomposition, char: CharPoly, fn
 ) -> np.ndarray:
-    """Same coefficients by a second, independent route.
+    """Same coefficients by a second route: the paper's moments, folded in
+    through the characteristic polynomial.
 
-    Uses the inverse eigenvalue-gap weights
+    ``fn`` is ``exp_minus_i`` or ``exp_plus_i``; any other raises
+    ValueError.  The moments are the divided differences
 
-        delta_n = prod_{k != n} (m_n - m_k)**-1
+        D_q = [m_1..m_N](x**q f(x)) = sum_n delta_n m_n**q f(m_n),
+        delta_n = prod_{k != n} (m_n - m_k)**-1,
 
-    to form the moments D_q = sum_n delta_n m_n**q f(m_n) (the weighted
-    divided differences of x**q f(x)), then folds in the characteristic
-    polynomial by synthetic division:
+    read without dividing by any gap: by Opitz's theorem D_q is the last
+    entry of the first row of B**q f(B) for the bidiagonal B of the
+    eigenvalues, that is of (first row of exp(c B)) B**q, one bidiagonal
+    step per power of B.  Synthetic division by the characteristic
+    polynomial then gives
 
         f_n = sum_{q=0}^{N-1-n} a_{n+1+q} D_q.
 
-    Shares no solver with expansion_coeffs, which makes the pairwise
-    agreement of the two routes a meaningful check.
+    It shares the first row of exp(c B) with expansion_coeffs but not the
+    expansion: Horner over the points there, the characteristic
+    polynomial of M here.
     """
-    vals = np.asarray(spec.eigenvalues, dtype=complex)
+    c = _exponent(fn, "expansion_coeffs_derivative")
+    vals = np.asarray(spec.eigenvalues)
     n = vals.shape[0]
     if char.degree != n:
         raise ValueError(f"characteristic polynomial degree {char.degree} != {n}")
     _require_simple_spectrum(vals)
-    delta = np.array(
-        [1.0 / np.prod(vals[k] - np.delete(vals, k)) for k in range(n)]
-    )
-    fvals = np.asarray([fn(v) for v in spec.eigenvalues], dtype=complex)
-    moments = np.array([np.sum(delta * vals**q * fvals) for q in range(n)])
+    lam = vals.tolist()
+    row = exp_divided_differences(lam, c).tolist()
+    moments = [row[-1]]
+    for _ in range(n - 1):
+        # (row B)_j = row_j m_j + row_{j-1}.
+        row = [row[0] * lam[0]] + [
+            x * shift + prev for x, shift, prev in zip(row[1:], lam[1:], row)
+        ]
+        moments.append(row[-1])
+    moments = np.array(moments)
     a = char.coefficients
     return np.array(
         [np.sum(a[k + 1: n + 1] * moments[: n - k]) for k in range(n)]

@@ -230,6 +230,15 @@ def _projector_identities(ctx, rng):
 
 
 def _coeff_route_agreement(ctx, rng):
+    """The monomial coefficients of exp(-iM) by Horner over the Newton form
+    against the paper's moments folded through the characteristic
+    polynomial.
+
+    Both routes read Opitz's matrix (the first row of exp(cB) from
+    ``exp_divided_differences``), so a fault there would move both alike;
+    ``linearize_vs_dense`` still catches it, since it holds the Newton form
+    against the dense oracle.
+    """
     out = np.empty(ctx.trials)
     for i in range(ctx.trials):
         m = algebra_matrix(ctx.basis, ctx.sample(rng))

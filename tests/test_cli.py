@@ -203,10 +203,12 @@ def test_verify_n4_two_hundred_trials(capsys):
     assert parse(out)["pass"] is True
 
 
-@pytest.mark.parametrize("n, seed", [(6, 2), (8, 4)])
+@pytest.mark.parametrize("n, seed", [(6, 2), (8, 4), (8, 8)])
 def test_verify_large_n_ends_in_report(capsys, n, seed):
-    # Both configurations once stopped with exit 3 (an ill-conditioned
-    # Vandermonde solve inside linearize_fn) before writing any report.
+    # Each configuration once stopped with exit 3 (an ill-conditioned
+    # Vandermonde solve, inside linearize_fn for the first two and inside
+    # the expansion_coeffs cross-check for N = 8, seed 8) before writing
+    # any report.
     code, out, _ = run_cli(
         capsys, "verify", "--n", str(n), "--trials", "10", "--seed", str(seed)
     )
@@ -214,6 +216,18 @@ def test_verify_large_n_ends_in_report(capsys, n, seed):
     report = parse(out)
     assert report["pass"] is True
     assert report["n"] == n
+
+
+@pytest.mark.parametrize("seed", [16, 32, 48])
+def test_verify_n4_benchmark_seeds_pass(capsys, seed):
+    # The first `sunbch verify` seeds the verify-n4 benchmark workload runs;
+    # each property, not only the route agreements, has to pass on them.
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "4", "--trials", "50", "--seed", str(seed)
+    )
+    report = parse(out)
+    assert report["failed"] == []
+    assert code == 0
 
 
 def test_verify_unreachable_tolerance_exits_1(capsys):

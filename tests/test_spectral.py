@@ -16,8 +16,8 @@ from sunbch import (
     lagrange_projectors,
     spectral,
 )
-from sunbch.errors import ConvergenceError, DegenerateSpectrumError, IllConditionedError
-from sunbch.linearize import exp_minus_i
+from sunbch.errors import ConvergenceError, DegenerateSpectrumError
+from sunbch.linearize import exp_minus_i, exp_plus_i
 from sunbch.spectral import eigvals_hermitian, exp_divided_differences
 
 from conftest import dense_exp, seeded_samples
@@ -125,9 +125,9 @@ def test_eig_hermitian_lambda8_double_eigenvalue():
 
 
 def test_eig_hermitian_small_scale_relative_tolerance():
-    # The stopping test is relative (JACOBI_OFF_TOL * ||m||_F), so a matrix
-    # of norm ~1e-8 is diagonalized to the same relative accuracy as one of
-    # unit norm.
+    # The splitting test is relative (a roundoff of the neighbouring
+    # diagonal entries, or of ||m||_F), so a matrix of norm ~1e-8 is
+    # diagonalized to the same relative accuracy as one of unit norm.
     rng = np.random.default_rng(67)
     m = 1e-8 * random_hermitian(rng, 8)
     spec = eig_hermitian(m)
@@ -142,7 +142,9 @@ def test_eig_hermitian_small_scale_relative_tolerance():
 
 def values_only_inputs():
     """Random Hermitian matrices for N = 1..8, zero matrices, lambda_8
-    plain and rotated, and a diagonal with ties."""
+    plain and rotated, a diagonal with ties, a complex tridiagonal matrix
+    that splits at a zero subdiagonal, and a real tridiagonal one that
+    needs no reflector."""
     rng = np.random.default_rng(83)
     cases = [random_hermitian(rng, n) for n in range(1, 9)]
     cases += [1e-7 * random_hermitian(rng, n) for n in (3, 8)]
@@ -155,6 +157,13 @@ def values_only_inputs():
     rotated = u @ lam8 @ u.conj().T
     cases += [lam8, (rotated + rotated.conj().T) / 2.0]
     cases.append(np.diag([0.75, -1.5, 0.75, 1.0 / 3.0, -1.5, 0.0, 0.75]))
+    sub = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    sub[2] = 0.0
+    split = np.diag(rng.standard_normal(6)).astype(complex) + np.diag(sub, -1)
+    cases.append(split + np.tril(split, -1).conj().T)
+    real_sub = rng.standard_normal(4)
+    tridiagonal = np.diag(real_sub, -1) + np.diag(real_sub, 1)
+    cases.append(np.diag(rng.standard_normal(5)) + tridiagonal)
     return cases
 
 
@@ -164,6 +173,16 @@ def test_eigvals_hermitian_bitwise_equal(index):
     got = eigvals_hermitian(m)
     assert got.dtype == np.float64
     assert got.tobytes() == eig_hermitian(m).eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_eigvals_hermitian_matches_lapack_on_sampler_draws(n):
+    basis, _ = cached_algebra(n)
+    for coords in seeded_samples(basis, 97 + n, 20):
+        m = algebra_matrix(basis, coords)
+        reference = np.linalg.eigvalsh(m)
+        radius = np.max(np.abs(reference))
+        assert np.max(np.abs(eigvals_hermitian(m) - reference)) < 1e-14 * radius
 
 
 def test_eigvals_hermitian_rejects_nonfinite():
@@ -178,20 +197,29 @@ def test_eig_hermitian_imaginary_offdiagonal(n):
     m = np.diag(rng.standard_normal(n)) + 1j * (skew - skew.T)
     assert np.all(m[~np.eye(n, dtype=bool)].real == 0.0)
     assert_eigh_consistent(m, eig_hermitian(m), atol=1e-12)
-    # Zero diagonal: every pivot starts from zeta = 0.
+    # Zero diagonal: the tridiagonal form and its shifts start from zeros.
     m0 = 1j * (skew - skew.T)
     assert_eigh_consistent(m0, eig_hermitian(m0), atol=1e-12)
 
 
 def test_eig_hermitian_sweep_budget_exhausted(monkeypatch):
-    rng = np.random.default_rng(73)
-    m = random_hermitian(rng, 8)
-    off = np.sqrt(np.sum(np.abs(m[~np.eye(8, dtype=bool)]) ** 2))
-    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError, match=r"budget \(1\) exhausted") as info:
+    # A real tridiagonal input with a positive off-diagonal needs no
+    # reflector and no phase, so with no QL step allowed the first
+    # off-diagonal is reported as given, against the larger of one
+    # roundoff of its two diagonal neighbours and of ||m||_F.
+    d = np.array([0.5, -2.0, 1.25, 3.0])
+    e = np.array([0.75, 0.5, 0.25])
+    m = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+    monkeypatch.setattr(spectral, "QL_MAX_ITERATIONS", 0)
+    with pytest.raises(ConvergenceError, match=r"budget \(0\) exhausted") as info:
         eig_hermitian(m)
-    # One sweep ran, so the reported off-norm is that of the input.
-    assert f"off-norm {off:.3e}" in str(info.value)
+    roundoff = 2.0 ** -53
+    limit = max(roundoff * (0.5 + 2.0), roundoff * np.sqrt(np.sum(m**2)))
+    assert f"off-diagonal {0.75:.3e} above its limit {limit:.3e}" in str(info.value)
+    with pytest.raises(ConvergenceError, match=r"budget \(0\) exhausted"):
+        eigvals_hermitian(m)
+    # A diagonal input needs no QL step at all.
+    assert np.array_equal(eigvals_hermitian(np.diag(d)), np.sort(d))
 
 
 def test_eig_hermitian_deterministic():
@@ -326,10 +354,14 @@ def test_expansion_coeffs_sigma3():
 
 
 def test_expansion_coeffs_constant_fn():
+    # Both routes evaluate exp(-/+ i x) only, as linearize_fn does.
     rng = np.random.default_rng(43)
-    spec = eig_hermitian(random_hermitian(rng, 3))
-    coeffs = expansion_coeffs(spec, lambda x: 1.0)
-    np.testing.assert_allclose(coeffs, [1.0, 0.0, 0.0], atol=1e-12)
+    m = random_hermitian(rng, 3)
+    spec = eig_hermitian(m)
+    with pytest.raises(ValueError, match="exp_minus_i or exp_plus_i"):
+        expansion_coeffs(spec, lambda x: 1.0)
+    with pytest.raises(ValueError, match="exp_minus_i or exp_plus_i"):
+        expansion_coeffs_derivative(spec, char_poly(m), lambda x: 1.0)
 
 
 def test_expansion_residual_n4():
@@ -344,40 +376,6 @@ def test_expansion_residual_n4():
             total = total + c * power
             power = power @ m
         assert np.max(np.abs(total - dense_exp(basis, coords))) < 1e-9
-
-
-def test_expansion_coeffs_factor_once(monkeypatch):
-    """One LU factorization per call; the coefficients and the condition
-    guard are bitwise those of a separate condition_number and solve."""
-    basis, _ = cached_algebra(4)
-    calls = []
-    factor = spectral.linsolve.lu_factor
-
-    def counted(a):
-        calls.append(1)
-        return factor(a)
-
-    for coords in seeded_samples(basis, 59, 10):
-        spec = eig_hermitian(algebra_matrix(basis, coords))
-        vander = np.vander(spec.eigenvalues.astype(complex), increasing=True)
-        fvals = exp_minus_i(spec.eigenvalues).astype(complex)
-        assert spectral.linsolve.condition_number(vander) <= spectral.VANDERMONDE_COND_LIMIT
-        reference = spectral.linsolve.solve(vander, fvals)
-        monkeypatch.setattr(spectral.linsolve, "lu_factor", counted)
-        calls.clear()
-        got = expansion_coeffs(spec, exp_minus_i)
-        monkeypatch.setattr(spectral.linsolve, "lu_factor", factor)
-        assert len(calls) == 1
-        assert got.tobytes() == reference.tobytes()
-
-
-def test_expansion_coeffs_ill_conditioned_message():
-    # Eigenvalues 1e-6 apart pass the gap guard but not the condition guard.
-    spec = spectral.SpectralDecomposition(
-        np.array([-1e-6, 0.0, 1e-6, 2e-6]), np.eye(4, dtype=complex)
-    )
-    with pytest.raises(IllConditionedError, match=r"exceeds 1e12 \(clustered eigenvalues\)"):
-        expansion_coeffs(spec, exp_minus_i)
 
 
 def test_expansion_coeffs_degenerate_rejected():
@@ -404,6 +402,37 @@ def test_derivative_route_agreement_n3():
         direct = expansion_coeffs(spec, exp_minus_i)
         derived = expansion_coeffs_derivative(spec, char_poly(m), exp_minus_i)
         assert np.max(np.abs(direct - derived)) < 1e-8
+
+
+def mp_monomial_coeffs(points, c):
+    """Monomial coefficients of the interpolant of exp(c x) on ``points``,
+    correct to 50 digits: the Vandermonde system is solved by mpmath at
+    150 digits, which covers the at most 48 its condition costs here."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(150):
+        xs = [mpmath.mpf(float(x)) for x in points]
+        vander = mpmath.matrix([[x**k for k in range(len(xs))] for x in xs])
+        fvals = mpmath.matrix([mpmath.expj(c.imag * x) for x in xs])
+        return np.array([complex(z) for z in mpmath.lu_solve(vander, fvals)])
+
+
+@pytest.mark.parametrize("fn, c", [(exp_minus_i, -1j), (exp_plus_i, 1j)])
+@pytest.mark.parametrize("n", [4, 8])
+def test_expansion_coeffs_small_radius_against_mpmath(n, fn, c):
+    """Both routes stay at rounding level on spectra of radius 1e-3..1e-6,
+    where a Vandermonde solve in double precision loses up to 42 digits."""
+    rng = np.random.default_rng(101 + n)
+    weights = np.array([math.factorial(k) for k in range(n)])
+    for radius in (1e-3, 1e-4, 1e-5, 1e-6):
+        for _ in range(3):
+            points = np.sort(rng.uniform(-radius, radius, n))
+            spec = spectral.SpectralDecomposition(points, np.eye(n, dtype=complex))
+            reference = mp_monomial_coeffs(points, c)
+            direct = expansion_coeffs(spec, fn)
+            derived = expansion_coeffs_derivative(spec, char_poly(np.diag(points)), fn)
+            # Coefficient k is about 1/k! in size.
+            assert np.max(np.abs(direct - reference) * weights) < 1e-14
+            assert np.max(np.abs(derived - reference) * weights) < 1e-14
 
 
 def test_derivative_route_degree_mismatch():
