@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -117,11 +116,10 @@ def cmd_basis(args) -> dict:
     n = _checked_n(args.n)
     basis, tensors = cached_algebra(n)
     doc = serialize_algebra(basis, tensors)
-    # The suite's own exhaustive checks; neither draws from its rng.
-    ctx = SimpleNamespace(basis=basis, tensors=tensors)
+    # The suite's own exhaustive checks.
     checks = {
-        "max_jacobi_residual": float(np.max(_jacobi_ff(ctx, None))),
-        "max_orthonormality_defect": float(np.max(_orthonormality(ctx, None))),
+        "max_jacobi_residual": float(np.max(_jacobi_ff(basis, tensors))),
+        "max_orthonormality_defect": float(np.max(_orthonormality(basis, tensors))),
     }
     out = {"n": doc["n"]}
     if args.emit in ("f", "all"):

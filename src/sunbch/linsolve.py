@@ -11,10 +11,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-__all__ = [
-    "lu_factor", "lu_solve", "solve", "inverse", "determinant",
-    "factored_condition", "condition_number",
-]
+__all__ = ["lu_factor", "solve", "inverse", "determinant", "condition_number"]
 
 
 def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -48,9 +45,9 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return a, perm, sign
 
 
-def lu_solve(factors: tuple[np.ndarray, np.ndarray, int], b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by substitution, given ``factors = lu_factor(a)``."""
-    lu, perm, _ = factors
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for one right-hand side or a stack of columns."""
+    lu, perm, _ = lu_factor(a)
     n = lu.shape[0]
     b = np.asarray(b, dtype=complex)
     single = b.ndim == 1
@@ -62,11 +59,6 @@ def lu_solve(factors: tuple[np.ndarray, np.ndarray, int], b: np.ndarray) -> np.n
         if col:
             x[:col] -= np.outer(lu[:col, col], x[col])
     return x[:, 0] if single else x
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for one right-hand side or a stack of columns."""
-    return lu_solve(lu_factor(a), b)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -82,18 +74,11 @@ def determinant(a: np.ndarray) -> complex:
     return sign * complex(np.prod(np.diag(lu)))
 
 
-def factored_condition(a: np.ndarray, factors: tuple[np.ndarray, np.ndarray, int]) -> float:
-    """1-norm condition number of ``a`` via its explicit inverse from ``factors``."""
-    a = np.asarray(a)
-    norm1 = np.max(np.abs(a).sum(axis=0))
-    inv = lu_solve(factors, np.eye(a.shape[0], dtype=complex))
-    return float(norm1 * np.max(np.abs(inv).sum(axis=0)))
-
-
 def condition_number(a: np.ndarray) -> float:
     """1-norm condition estimate via the explicit inverse; inf if singular."""
+    a = np.asarray(a)
     try:
-        factors = lu_factor(a)
+        inv = inverse(a)
     except SingularMatrixError:
         return np.inf
-    return factored_condition(a, factors)
+    return float(np.max(np.abs(a).sum(axis=0)) * np.max(np.abs(inv).sum(axis=0)))

@@ -3,8 +3,9 @@
 Components are drawn uniformly from [-1, 1] and the vector is rescaled so
 the spectral radius of m . L equals a uniform draw from (0, cap].  Draws
 whose scaled eigenvalue gaps fall below ``min_gap`` are rejected, honoring
-the nondegeneracy assumption the analytic formulas rest on.  Everything is
-a pure function of the generator state, so seeded runs are reproducible.
+the nondegeneracy assumption the analytic formulas rest on; a cap too small
+for any draw to meet ``min_gap`` is a ValueError.  Everything is a pure
+function of the generator state, so seeded runs are reproducible.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ def random_coords(
     spectral_cap: float = DEFAULT_SPECTRAL_CAP,
     min_gap: float = DEFAULT_MIN_GAP,
 ) -> np.ndarray:
-    if spectral_cap <= 0:
-        raise ValueError(f"spectral_cap must be positive, got {spectral_cap}")
+    if not 0 < spectral_cap < np.inf:
+        raise ValueError(f"spectral_cap must be positive and finite, got {spectral_cap}")
     for _ in range(_MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, basis.dim)
         target = spectral_cap * (1.0 - rng.uniform())  # lands in (0, cap]
@@ -37,4 +38,7 @@ def random_coords(
         scale = target / radius
         if _min_gap(vals * scale) >= min_gap:
             return raw * scale
-    raise RuntimeError(f"no acceptable draw within {_MAX_TRIES} tries")
+    raise ValueError(
+        f"no draw within {_MAX_TRIES} tries kept its eigenvalue gaps at least "
+        f"min_gap {min_gap} under spectral_cap {spectral_cap}"
+    )

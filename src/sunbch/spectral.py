@@ -46,6 +46,11 @@ COS_CLUSTER_TOL = 1e-6
 # spectrum the sampler draws (radius <= 0.9 pi) stays within it.
 TAYLOR_REACH = math.pi
 _ROUNDOFF = 2.0 ** -53
+# ||m||_F^2 range in which the QL kernel runs on m unscaled.  Its entries
+# then lie within about 2**+-300, so no squared norm, reflector product or
+# reciprocal leaves the normal range; unscaled, the reflectors' squared
+# norms underflow for entries below about 1e-154 and overflow above 1e154.
+_SAFE_NORM2 = (2.0 ** -600, 2.0 ** 600)
 
 
 @dataclass(frozen=True)
@@ -78,22 +83,42 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _tridiagonal_ql(
-    m: np.ndarray, vectors: bool
-) -> tuple[list[float], np.ndarray | None]:
-    """Eigenvalues of the square complex ``m``, unsorted, and with
-    ``vectors`` the matrix of their eigenvector columns (else None).
-
-    Reflectors H = I - w w'/h bring m = Q T' Q' to tridiagonal form, the
-    phases D make T = D' T' D real, and QL gives T = Z diag(d) Z'; the
-    eigenvectors are Q D Z.  Q and Z never feed back into d or e.
+def _hermitian_ql(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_tridiagonal_ql`` of the Hermitian ``m``.  Outside ``_SAFE_NORM2``
+    the kernel runs on m times 2**-e, with 2**e the power of two just above
+    m's largest real or imaginary part, and the eigenvalues are scaled
+    back.  That is exact and every step of the kernel commutes with it, so
+    the results are those of the unscaled kernel wherever that neither
+    underflows nor overflows.
     """
+    m = _square(m)
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
     # fails the guard.
     with np.errstate(invalid="ignore"):
         hermitian = np.abs(m - m.conj().T).max() < HERMITIAN_TOL
     if not hermitian:
         raise ValueError("matrix is not finite and Hermitian within 1e-10")
+    e = 0
+    if not _SAFE_NORM2[0] < np.vdot(m, m).real < _SAFE_NORM2[1]:
+        parts = np.ascontiguousarray(m).view(float)
+        _, e = math.frexp(np.abs(parts).max())
+        m = np.ldexp(parts, -e).view(complex)
+    vals, vecs = _tridiagonal_ql(m, vectors, e)
+    return np.array([math.ldexp(x, e) for x in vals]), vecs
+
+
+def _tridiagonal_ql(
+    m: np.ndarray, vectors: bool, exponent: int = 0
+) -> tuple[list[float], np.ndarray | None]:
+    """Eigenvalues of the square complex Hermitian ``m``, unsorted, and
+    with ``vectors`` the matrix of their eigenvector columns (else None).
+
+    Reflectors H = I - w w'/h bring m = Q T' Q' to tridiagonal form, the
+    phases D make T = D' T' D real, and QL gives T = Z diag(d) Z'; the
+    eigenvectors are Q D Z.  Q and Z never feed back into d or e.  ``m`` is
+    the caller's matrix times 2**-exponent; an error reports the caller's
+    figures.
+    """
     n = m.shape[0]
     # One roundoff of ||m||_F: an off-diagonal this small is negligible
     # even between two zero diagonal entries.
@@ -149,10 +174,13 @@ def _tridiagonal_ql(
             if hi == lo:
                 break
             if step == QL_MAX_ITERATIONS:
-                limit = max(_ROUNDOFF * (abs(d[lo]) + abs(d[lo + 1])), floor)
+                off = math.ldexp(abs(e[lo]), exponent)
+                limit = math.ldexp(
+                    max(_ROUNDOFF * (abs(d[lo]) + abs(d[lo + 1])), floor), exponent
+                )
                 raise ConvergenceError(
                     f"QL iteration budget ({QL_MAX_ITERATIONS}) exhausted: "
-                    f"off-diagonal {abs(e[lo]):.3e} above its limit {limit:.3e}"
+                    f"off-diagonal {off:.3e} above its limit {limit:.3e}"
                 )
             # Wilkinson shift from the leading 2 x 2 block, then the bulge
             # is chased from hi up to lo by plane rotations.
@@ -212,14 +240,16 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     neighbours' magnitudes, or of ||m||_F.  The stop is thus relative: a
     small matrix is diagonalized to the same relative accuracy as a large
     one, and a diagonal or zero matrix is returned as it stands, with
-    eigenvectors exactly I.  Each eigenvalue may take QL_MAX_ITERATIONS
-    QL steps; past that ConvergenceError gives the off-diagonal left and
-    its limit.  A non-finite or non-Hermitian input raises ValueError.
-    Eigenvalues are returned real, ascending (stable order for ties);
-    ``eigvals_hermitian`` returns the same ones bit for bit.
+    eigenvectors exactly I.  A matrix of extreme norm (entries beyond about
+    2**+-300) is first scaled by a power of two, which is exact, so any
+    finite scale is diagonalized as accurately.  Each eigenvalue may take
+    QL_MAX_ITERATIONS QL steps; past that ConvergenceError gives the
+    off-diagonal left and its limit.  A non-finite or non-Hermitian input
+    raises ValueError.  Eigenvalues are returned real, ascending (stable
+    order for ties); ``eigvals_hermitian`` returns the same ones bit for
+    bit.
     """
-    vals, vecs = _tridiagonal_ql(_square(m), vectors=True)
-    vals = np.array(vals)
+    vals, vecs = _hermitian_ql(m, vectors=True)
     order = np.argsort(vals, kind="stable")
     return SpectralDecomposition(vals[order], vecs[:, order])
 
@@ -231,8 +261,8 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     applies no reflector to vectors, which is all that ``linearize_fn``,
     ``f0_trace`` and the sampler need.
     """
-    vals, _ = _tridiagonal_ql(_square(m), vectors=False)
-    return np.sort(np.array(vals), kind="stable")
+    vals, _ = _hermitian_ql(m, vectors=False)
+    return np.sort(vals, kind="stable")
 
 
 def exp_minus_i(x):

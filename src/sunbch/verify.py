@@ -3,11 +3,17 @@
 Each property reduces to a residual that should sit at rounding level;
 ``run_suite`` evaluates all of them for one (n, seed, trials) choice and
 reports the worst residual and the offending instance index per property.
-Exhaustive properties (tensor identities) ignore the trial count and
-check every index combination instead.
 
-Instance streams are derived per property from (seed, property index), so
-reports for identical configurations are reproducible byte for byte.
+There are two kinds of property.  An exhaustive one (a tensor identity)
+takes the basis and tensors and returns the residual of every index
+combination, whatever the trial count.  A trial property takes the suite
+context and a generator, draws its own inputs and returns one trial's
+residual; ``run_suite`` owns the trial loop and calls it ``trials`` times.
+
+Each row of ``_PROPERTIES`` carries the N it is restricted to, if any, and
+its position fixes its instance stream, ``default_rng([seed, position])``:
+one stream per property, so reports for identical configurations are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .linearize import (
 )
 from .sampling import DEFAULT_SPECTRAL_CAP, random_coords
 from .spectral import (
-    apply_spectral,
     char_poly,
     eig_hermitian,
     expansion_coeffs,
@@ -75,8 +80,10 @@ class RunConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.spectral_cap > 0:
-            raise ValueError(f"spectral_cap must be positive, got {self.spectral_cap}")
+        if not 0 < self.spectral_cap < np.inf:
+            raise ValueError(
+                f"spectral_cap must be positive and finite, got {self.spectral_cap}"
+            )
 
 
 def _maxabs(x) -> float:
@@ -86,33 +93,33 @@ def _maxabs(x) -> float:
 # ---- exhaustive tensor properties -------------------------------------------
 
 
-def _orthonormality(ctx, rng):
-    g = ctx.basis.matrices
+def _orthonormality(basis, tensors):
+    g = basis.matrices
     gram = np.einsum("jab,kba->jk", g, g)
-    return np.abs(gram - 2.0 * np.eye(ctx.basis.dim)).ravel()
+    return np.abs(gram - 2.0 * np.eye(basis.dim)).ravel()
 
 
-def _commutator_closure(ctx, rng):
-    g = ctx.basis.matrices
+def _commutator_closure(basis, tensors):
+    g = basis.matrices
     prod = np.einsum("jab,kbc->jkac", g, g)
     comm = prod - prod.transpose(1, 0, 2, 3)
-    recon = 2j * np.einsum("jkl,lab->jkab", ctx.tensors.f, g)
-    return np.abs(comm - recon).reshape(ctx.basis.dim**2, -1).max(axis=1)
+    recon = 2j * np.einsum("jkl,lab->jkab", tensors.f, g)
+    return np.abs(comm - recon).reshape(basis.dim**2, -1).max(axis=1)
 
 
-def _anticommutator_closure(ctx, rng):
-    g = ctx.basis.matrices
-    n, dim = ctx.basis.n, ctx.basis.dim
+def _anticommutator_closure(basis, tensors):
+    g = basis.matrices
+    n, dim = basis.n, basis.dim
     prod = np.einsum("jab,kbc->jkac", g, g)
     anti = prod + prod.transpose(1, 0, 2, 3)
-    recon = 2.0 * np.einsum("jkl,lab->jkab", ctx.tensors.d, g).astype(complex)
+    recon = 2.0 * np.einsum("jkl,lab->jkab", tensors.d, g).astype(complex)
     recon += (4.0 / n) * np.einsum("jk,ab->jkab", np.eye(dim), np.eye(n))
     return np.abs(anti - recon).reshape(dim**2, -1).max(axis=1)
 
 
-def _jacobi_ff(ctx, rng):
+def _jacobi_ff(basis, tensors):
     # cyclic in (k, l, p): f_klm f_mpq + f_lpm f_mkq + f_pkm f_mlq = 0
-    f = ctx.tensors.f
+    f = tensors.f
     total = (
         np.einsum("klm,mpq->klpq", f, f)
         + np.einsum("lpm,mkq->klpq", f, f)
@@ -121,8 +128,8 @@ def _jacobi_ff(ctx, rng):
     return np.abs(total).ravel()
 
 
-def _jacobi_fd(ctx, rng):
-    f, d = ctx.tensors.f, ctx.tensors.d
+def _jacobi_fd(basis, tensors):
+    f, d = tensors.f, tensors.d
     total = (
         np.einsum("klm,mpq->klpq", f, d)
         + np.einsum("kqm,mpl->klpq", f, d)
@@ -140,93 +147,69 @@ def _vectors(ctx, rng, count):
 
 def _cross_jacobi(ctx, rng):
     t = ctx.tensors
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        a, b, c, dd = _vectors(ctx, rng, 4)
-        out[i] = abs(
-            np.dot(cross(t, a, b), cross(t, c, dd))
-            + np.dot(cross(t, b, c), cross(t, a, dd))
-            + np.dot(cross(t, c, a), cross(t, b, dd))
-        )
-    return out
+    a, b, c, dd = _vectors(ctx, rng, 4)
+    return abs(
+        np.dot(cross(t, a, b), cross(t, c, dd))
+        + np.dot(cross(t, b, c), cross(t, a, dd))
+        + np.dot(cross(t, c, a), cross(t, b, dd))
+    )
 
 
 def _mixed_jacobi(ctx, rng):
     t = ctx.tensors
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        a, b, c, dd = _vectors(ctx, rng, 4)
-        out[i] = abs(
-            np.dot(cross(t, a, b), dot_sym(t, c, dd))
-            + np.dot(cross(t, a, dd), dot_sym(t, c, b))
-            + np.dot(cross(t, a, c), dot_sym(t, b, dd))
-        )
-    return out
+    a, b, c, dd = _vectors(ctx, rng, 4)
+    return abs(
+        np.dot(cross(t, a, b), dot_sym(t, c, dd))
+        + np.dot(cross(t, a, dd), dot_sym(t, c, b))
+        + np.dot(cross(t, a, c), dot_sym(t, b, dd))
+    )
 
 
 def _cross_derivation(ctx, rng):
     t = ctx.tensors
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        a, b, c = _vectors(ctx, rng, 3)
-        lhs = cross(t, a, dot_sym(t, b, c))
-        rhs = dot_sym(t, cross(t, a, b), c) + dot_sym(t, b, cross(t, a, c))
-        out[i] = _maxabs(lhs - rhs)
-    return out
+    a, b, c = _vectors(ctx, rng, 3)
+    lhs = cross(t, a, dot_sym(t, b, c))
+    rhs = dot_sym(t, cross(t, a, b), c) + dot_sym(t, b, cross(t, a, c))
+    return _maxabs(lhs - rhs)
 
 
 def _trace_pairing(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        a, b = _vectors(ctx, rng, 2)
-        lhs = np.trace(algebra_matrix(ctx.basis, a) @ algebra_matrix(ctx.basis, b))
-        out[i] = abs(lhs - 2.0 * np.dot(a, b))
-    return out
+    a, b = _vectors(ctx, rng, 2)
+    lhs = np.trace(algebra_matrix(ctx.basis, a) @ algebra_matrix(ctx.basis, b))
+    return abs(lhs - 2.0 * np.dot(a, b))
 
 
 # ---- spectral properties -------------------------------------------------------
 
 
 def _cayley_hamilton(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = algebra_matrix(ctx.basis, ctx.sample(rng))
-        coeff = char_poly(m).coefficients
-        total = np.zeros_like(m)
-        power = np.eye(ctx.basis.n, dtype=complex)
-        for a_k in coeff:
-            total = total + a_k * power
-            power = power @ m
-        out[i] = _maxabs(total)
-    return out
+    m = algebra_matrix(ctx.basis, ctx.sample(rng))
+    total = np.zeros_like(m)
+    power = np.eye(ctx.basis.n, dtype=complex)
+    for a_k in char_poly(m).coefficients:
+        total = total + a_k * power
+        power = power @ m
+    return _maxabs(total)
 
 
 def _spectral_exp_unitary(ctx, rng):
-    out = np.empty(ctx.trials)
-    eye = np.eye(ctx.basis.n)
-    for i in range(ctx.trials):
-        u = exp_matrix(ctx.basis, ctx.sample(rng))
-        out[i] = max(
-            _maxabs(u.conj().T @ u - eye),
-            abs(linsolve.determinant(u) - 1.0),
-        )
-    return out
+    u = exp_matrix(ctx.basis, ctx.sample(rng))
+    return max(
+        _maxabs(u.conj().T @ u - np.eye(ctx.basis.n)),
+        abs(linsolve.determinant(u) - 1.0),
+    )
 
 
 def _projector_identities(ctx, rng):
-    out = np.empty(ctx.trials)
-    eye = np.eye(ctx.basis.n)
-    for i in range(ctx.trials):
-        m = algebra_matrix(ctx.basis, ctx.sample(rng))
-        spec = eig_hermitian(m)
-        projectors = lagrange_projectors(m, spec)
-        v = spec.eigenvectors
-        worst = _maxabs(sum(projectors) - eye)
-        for k, p in enumerate(projectors):
-            worst = max(worst, _maxabs(p @ p - p))
-            worst = max(worst, _maxabs(p - np.outer(v[:, k], v[:, k].conj())))
-        out[i] = worst
-    return out
+    m = algebra_matrix(ctx.basis, ctx.sample(rng))
+    spec = eig_hermitian(m)
+    projectors = lagrange_projectors(m, spec)
+    v = spec.eigenvectors
+    worst = _maxabs(sum(projectors) - np.eye(ctx.basis.n))
+    for k, p in enumerate(projectors):
+        worst = max(worst, _maxabs(p @ p - p))
+        worst = max(worst, _maxabs(p - np.outer(v[:, k], v[:, k].conj())))
+    return worst
 
 
 def _coeff_route_agreement(ctx, rng):
@@ -239,217 +222,168 @@ def _coeff_route_agreement(ctx, rng):
     ``linearize_vs_dense`` still catches it, since it holds the Newton form
     against the dense oracle.
     """
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = algebra_matrix(ctx.basis, ctx.sample(rng))
-        spec = eig_hermitian(m)
-        direct = expansion_coeffs(spec, exp_minus_i)
-        derived = expansion_coeffs_derivative(spec, char_poly(m), exp_minus_i)
-        out[i] = _maxabs(direct - derived)
-    return out
+    m = algebra_matrix(ctx.basis, ctx.sample(rng))
+    spec = eig_hermitian(m)
+    direct = expansion_coeffs(spec, exp_minus_i)
+    derived = expansion_coeffs_derivative(spec, char_poly(m), exp_minus_i)
+    return _maxabs(direct - derived)
 
 
 # ---- linearization properties ---------------------------------------------------
 
 
 def _linearize_vs_dense(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = ctx.sample(rng)
-        elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
-        oracle = from_matrix(ctx.basis, exp_matrix(ctx.basis, m))
-        out[i] = max(
-            abs(elem.scalar - oracle.scalar), _maxabs(elem.vector - oracle.vector)
-        )
-    return out
+    m = ctx.sample(rng)
+    elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
+    oracle = from_matrix(ctx.basis, exp_matrix(ctx.basis, m))
+    return max(abs(elem.scalar - oracle.scalar), _maxabs(elem.vector - oracle.vector))
 
 
 def _f0_trace_agreement(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = ctx.sample(rng)
-        elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
-        out[i] = abs(elem.scalar - f0_trace(ctx.basis, m, exp_minus_i))
-    return out
+    m = ctx.sample(rng)
+    elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
+    return abs(elem.scalar - f0_trace(ctx.basis, m, exp_minus_i))
 
 
 def _power_table_consistency(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = ctx.sample(rng)
-        table = power_table(ctx.tensors, m, ctx.basis.n)
-        mat = algebra_matrix(ctx.basis, m)
-        power = np.eye(ctx.basis.n, dtype=complex)
-        worst = 0.0
-        for k in range(table.rows):
-            row = to_matrix(
-                ctx.basis, LinearElement(table.scalars[k], table.vectors[k])
-            )
-            worst = max(worst, _maxabs(row - power))
-            power = power @ mat
-        out[i] = worst
-    return out
+    m = ctx.sample(rng)
+    table = power_table(ctx.tensors, m, ctx.basis.n)
+    mat = algebra_matrix(ctx.basis, m)
+    power = np.eye(ctx.basis.n, dtype=complex)
+    worst = 0.0
+    for k in range(table.rows):
+        row = to_matrix(ctx.basis, LinearElement(table.scalars[k], table.vectors[k]))
+        worst = max(worst, _maxabs(row - power))
+        power = power @ mat
+    return worst
 
 
 def _commuting_family(ctx, rng):
     t = ctx.tensors
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        (m,) = _vectors(ctx, rng, 1)
-        mm = dot_sym(t, m, m)
-        mmm = dot_sym(t, mm, m)
-        out[i] = max(
-            _maxabs(cross(t, m, mm)),
-            _maxabs(cross(t, m, mmm)),
-            _maxabs(cross(t, mm, mmm)),
-        )
-    return out
+    (m,) = _vectors(ctx, rng, 1)
+    mm = dot_sym(t, m, m)
+    mmm = dot_sym(t, mm, m)
+    return max(
+        _maxabs(cross(t, m, mm)),
+        _maxabs(cross(t, m, mmm)),
+        _maxabs(cross(t, mm, mmm)),
+    )
 
 
 def _cubic_regroup(ctx, rng):
     # The four-term regrouping of the exponential, specific to N = 4.
     t = ctx.tensors
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = ctx.sample(rng)
-        spec = eig_hermitian(algebra_matrix(ctx.basis, m))
-        e = expansion_coeffs(spec, exp_minus_i)
-        mm = dot_sym(t, m, m)
-        mmm = dot_sym(t, mm, m)
-        msq = np.dot(m, m)
-        scalar = e[0] + e[2] * 0.5 * msq + e[3] * 0.5 * np.dot(mm, m)
-        vector = (e[1] + e[3] * 0.5 * msq) * m + e[2] * mm + e[3] * mmm
-        elem = linearize_fn(t, ctx.basis, m, exp_minus_i)
-        out[i] = max(abs(scalar - elem.scalar), _maxabs(vector - elem.vector))
-    return out
+    m = ctx.sample(rng)
+    spec = eig_hermitian(algebra_matrix(ctx.basis, m))
+    e = expansion_coeffs(spec, exp_minus_i)
+    mm = dot_sym(t, m, m)
+    mmm = dot_sym(t, mm, m)
+    msq = np.dot(m, m)
+    scalar = e[0] + e[2] * 0.5 * msq + e[3] * 0.5 * np.dot(mm, m)
+    vector = (e[1] + e[3] * 0.5 * msq) * m + e[2] * mm + e[3] * mmm
+    elem = linearize_fn(t, ctx.basis, m, exp_minus_i)
+    return max(abs(scalar - elem.scalar), _maxabs(vector - elem.vector))
 
 
 def _exp_log_round_trip(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = ctx.sample(rng)
-        elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
-        out[i] = _maxabs(delinearize_exp(ctx.basis, elem) - m)
-    return out
+    m = ctx.sample(rng)
+    elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
+    return _maxabs(delinearize_exp(ctx.basis, elem) - m)
 
 
 # ---- group-level properties -----------------------------------------------------
 
 
 def _compose_route_agreement(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m, nvec = ctx.sample(rng), ctx.sample(rng)
-        out[i] = _maxabs(
-            compose(ctx.tensors, ctx.basis, m, nvec)
-            - compose_direct(ctx.basis, m, nvec)
-        )
-    return out
+    m, nvec = ctx.sample(rng), ctx.sample(rng)
+    return _maxabs(
+        compose(ctx.tensors, ctx.basis, m, nvec) - compose_direct(ctx.basis, m, nvec)
+    )
 
 
 def _similarity_route_agreement(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m, nvec = ctx.sample(rng), ctx.sample(rng)
-        out[i] = _maxabs(
-            similarity(ctx.tensors, ctx.basis, m, nvec)
-            - similarity_direct(ctx.basis, m, nvec)
-        )
-    return out
+    m, nvec = ctx.sample(rng), ctx.sample(rng)
+    return _maxabs(
+        similarity(ctx.tensors, ctx.basis, m, nvec)
+        - similarity_direct(ctx.basis, m, nvec)
+    )
 
 
 def _adjoint_invariants(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m, nvec = ctx.sample(rng), ctx.sample(rng)
-        nprime = similarity(ctx.tensors, ctx.basis, m, nvec)
-        mu = linearize_fn(ctx.tensors, ctx.basis, m, exp_plus_i)
-        kernel = build_adjoint_kernel(ctx.tensors, mu)
-        out[i] = max(
-            abs(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))),
-            abs(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)),
-            _maxabs(kernel.kplus @ nprime - kernel.kminus @ nvec),
-        )
-    return out
+    m, nvec = ctx.sample(rng), ctx.sample(rng)
+    nprime = similarity(ctx.tensors, ctx.basis, m, nvec)
+    mu = linearize_fn(ctx.tensors, ctx.basis, m, exp_plus_i)
+    kernel = build_adjoint_kernel(ctx.tensors, mu)
+    return max(
+        abs(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))),
+        abs(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)),
+        _maxabs(kernel.kplus @ nprime - kernel.kminus @ nvec),
+    )
 
 
 def _group_closure(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m, nvec = ctx.sample(rng), ctx.sample(rng)
-        r = compose(ctx.tensors, ctx.basis, m, nvec)
-        out[i] = _maxabs(
-            exp_matrix(ctx.basis, r)
-            - exp_matrix(ctx.basis, m) @ exp_matrix(ctx.basis, nvec)
-        )
-    return out
+    m, nvec = ctx.sample(rng), ctx.sample(rng)
+    r = compose(ctx.tensors, ctx.basis, m, nvec)
+    return _maxabs(
+        exp_matrix(ctx.basis, r) - exp_matrix(ctx.basis, m) @ exp_matrix(ctx.basis, nvec)
+    )
 
 
 def _group_associativity(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        a, b, c = (ctx.sample(rng) for _ in range(3))
-        left = compose(ctx.tensors, ctx.basis, compose(ctx.tensors, ctx.basis, a, b), c)
-        right = compose(ctx.tensors, ctx.basis, a, compose(ctx.tensors, ctx.basis, b, c))
-        out[i] = _maxabs(exp_matrix(ctx.basis, left) - exp_matrix(ctx.basis, right))
-    return out
+    a, b, c = (ctx.sample(rng) for _ in range(3))
+    left = compose(ctx.tensors, ctx.basis, compose(ctx.tensors, ctx.basis, a, b), c)
+    right = compose(ctx.tensors, ctx.basis, a, compose(ctx.tensors, ctx.basis, b, c))
+    return _maxabs(exp_matrix(ctx.basis, left) - exp_matrix(ctx.basis, right))
 
 
 def _group_identity_inverse(ctx, rng):
-    zero = np.zeros(ctx.basis.dim)
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        m = ctx.sample(rng)
-        ident = _maxabs(compose(ctx.tensors, ctx.basis, m, zero) - m)
-        minv = log_coords(ctx.basis, exp_matrix(ctx.basis, m).conj().T)
-        resid = _maxabs(
-            exp_matrix(ctx.basis, compose(ctx.tensors, ctx.basis, m, minv))
-            - np.eye(ctx.basis.n)
-        )
-        out[i] = max(ident, resid)
-    return out
+    m = ctx.sample(rng)
+    ident = _maxabs(compose(ctx.tensors, ctx.basis, m, np.zeros(ctx.basis.dim)) - m)
+    minv = log_coords(ctx.basis, exp_matrix(ctx.basis, m).conj().T)
+    resid = _maxabs(
+        exp_matrix(ctx.basis, compose(ctx.tensors, ctx.basis, m, minv))
+        - np.eye(ctx.basis.n)
+    )
+    return max(ident, resid)
 
 
 def _su2_closed_form(ctx, rng):
-    out = np.empty(ctx.trials)
-    for i in range(ctx.trials):
-        alpha = rng.uniform(-np.pi, np.pi, 3)
-        beta = rng.uniform(-np.pi, np.pi, 3)
-        g0, gvec = su2_compose_closed_form(alpha, beta)
-        elem = compose_linear(ctx.tensors, ctx.basis, alpha / 2.0, beta / 2.0)
-        out[i] = max(
-            abs(elem.scalar - g0), _maxabs(elem.vector - (-1j) * gvec)
-        )
-    return out
+    alpha = rng.uniform(-np.pi, np.pi, 3)
+    beta = rng.uniform(-np.pi, np.pi, 3)
+    g0, gvec = su2_compose_closed_form(alpha, beta)
+    elem = compose_linear(ctx.tensors, ctx.basis, alpha / 2.0, beta / 2.0)
+    return max(abs(elem.scalar - g0), _maxabs(elem.vector - (-1j) * gvec))
 
 
+# (name, check, per trial, the only N it runs at or None).  Appending keeps
+# every existing property's stream.
 _PROPERTIES = [
-    ("orthonormality", _orthonormality),
-    ("commutator_closure", _commutator_closure),
-    ("anticommutator_closure", _anticommutator_closure),
-    ("jacobi_ff", _jacobi_ff),
-    ("jacobi_fd", _jacobi_fd),
-    ("cross_jacobi", _cross_jacobi),
-    ("mixed_jacobi", _mixed_jacobi),
-    ("cross_derivation", _cross_derivation),
-    ("trace_pairing", _trace_pairing),
-    ("cayley_hamilton", _cayley_hamilton),
-    ("spectral_exp_unitary", _spectral_exp_unitary),
-    ("projector_identities", _projector_identities),
-    ("coeff_route_agreement", _coeff_route_agreement),
-    ("linearize_vs_dense", _linearize_vs_dense),
-    ("f0_trace_agreement", _f0_trace_agreement),
-    ("power_table_consistency", _power_table_consistency),
-    ("commuting_family", _commuting_family),
-    ("cubic_regroup", _cubic_regroup),
-    ("exp_log_round_trip", _exp_log_round_trip),
-    ("compose_route_agreement", _compose_route_agreement),
-    ("similarity_route_agreement", _similarity_route_agreement),
-    ("adjoint_invariants", _adjoint_invariants),
-    ("group_closure", _group_closure),
-    ("group_associativity", _group_associativity),
-    ("group_identity_inverse", _group_identity_inverse),
-    ("su2_closed_form", _su2_closed_form),
+    ("orthonormality", _orthonormality, False, None),
+    ("commutator_closure", _commutator_closure, False, None),
+    ("anticommutator_closure", _anticommutator_closure, False, None),
+    ("jacobi_ff", _jacobi_ff, False, None),
+    ("jacobi_fd", _jacobi_fd, False, None),
+    ("cross_jacobi", _cross_jacobi, True, None),
+    ("mixed_jacobi", _mixed_jacobi, True, None),
+    ("cross_derivation", _cross_derivation, True, None),
+    ("trace_pairing", _trace_pairing, True, None),
+    ("cayley_hamilton", _cayley_hamilton, True, None),
+    ("spectral_exp_unitary", _spectral_exp_unitary, True, None),
+    ("projector_identities", _projector_identities, True, None),
+    ("coeff_route_agreement", _coeff_route_agreement, True, None),
+    ("linearize_vs_dense", _linearize_vs_dense, True, None),
+    ("f0_trace_agreement", _f0_trace_agreement, True, None),
+    ("power_table_consistency", _power_table_consistency, True, None),
+    ("commuting_family", _commuting_family, True, None),
+    ("cubic_regroup", _cubic_regroup, True, 4),
+    ("exp_log_round_trip", _exp_log_round_trip, True, None),
+    ("compose_route_agreement", _compose_route_agreement, True, None),
+    ("similarity_route_agreement", _similarity_route_agreement, True, None),
+    ("adjoint_invariants", _adjoint_invariants, True, None),
+    ("group_closure", _group_closure, True, None),
+    ("group_associativity", _group_associativity, True, None),
+    ("group_identity_inverse", _group_identity_inverse, True, None),
+    ("su2_closed_form", _su2_closed_form, True, 2),
 ]
 
 
@@ -457,7 +391,6 @@ class _Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.basis, self.tensors = cached_algebra(config.n)
-        self.trials = config.trials
 
     def sample(self, rng):
         return random_coords(self.basis, rng, spectral_cap=self.config.spectral_cap)
@@ -467,28 +400,26 @@ def run_suite(config: RunConfig) -> dict:
     """Run every property at one configuration and build the report."""
     ctx = _Context(config)
     rows = []
-    failed = []
-    for index, (name, prop) in enumerate(_PROPERTIES):
-        if name == "cubic_regroup" and config.n != 4:
+    for index, (name, check, per_trial, only_n) in enumerate(_PROPERTIES):
+        if only_n not in (None, config.n):
             continue
-        if name == "su2_closed_form" and config.n != 2:
-            continue
-        rng = np.random.default_rng([config.seed, index])
-        residuals = np.asarray(prop(ctx, rng), dtype=float)
+        if per_trial:
+            rng = np.random.default_rng([config.seed, index])
+            residuals = np.array([check(ctx, rng) for _ in range(config.trials)])
+        else:
+            residuals = check(ctx.basis, ctx.tensors)
         worst = int(np.argmax(residuals))
         max_residual = float(residuals[worst])
-        ok = max_residual <= config.tol
-        if not ok:
-            failed.append(name)
         rows.append(
             {
                 "name": name,
                 "checks": int(residuals.size),
                 "max_residual": max_residual,
                 "worst_index": worst,
-                "pass": ok,
+                "pass": max_residual <= config.tol,
             }
         )
+    failed = [row["name"] for row in rows if not row["pass"]]
     return {
         "n": config.n,
         "seed": config.seed,

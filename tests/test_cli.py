@@ -179,6 +179,19 @@ def test_basis_n3_checks(capsys):
     assert "f" not in doc
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_basis_checks_are_the_suite_rows(capsys, n):
+    # One definition of each tensor check, read by `basis` and `verify`.
+    _, out, _ = run_cli(capsys, "basis", "--n", str(n), "--emit", "f")
+    checks = parse(out)["checks"]
+    rows = {
+        row["name"]: row["max_residual"]
+        for row in sunbch.run_suite(sunbch.RunConfig(n, 1, 1))["properties"]
+    }
+    assert checks["max_jacobi_residual"] == rows["jacobi_ff"]
+    assert checks["max_orthonormality_defect"] == rows["orthonormality"]
+
+
 def test_basis_emit_selector(capsys):
     code, out, _ = run_cli(capsys, "basis", "--n", "2", "--emit", "d")
     doc = parse(out)
@@ -238,6 +251,19 @@ def test_verify_unreachable_tolerance_exits_1(capsys):
     report = parse(out)
     assert report["pass"] is False
     assert report["failed"]
+
+
+@pytest.mark.parametrize("cap", ["1e-7", "inf"])
+def test_verify_unmeetable_spectral_cap_exits_2(capsys, cap):
+    # 1e-7 leaves no draw with eigenvalue gaps of min_gap; inf is refused
+    # up front.  Either way a usage error, not a failed property.
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "3", "--trials", "1", "--spectral-cap", cap
+    )
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "usage"
+    assert "spectral_cap" in doc["message"]
 
 
 def test_verify_byte_identical_reports(capsys):

@@ -175,6 +175,47 @@ def test_eigvals_hermitian_bitwise_equal(index):
     assert got.tobytes() == eig_hermitian(m).eigenvalues.tobytes()
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e160])
+def test_eig_hermitian_extreme_scales(scale):
+    # Unscaled, the reflectors' squared norms underflow (1e-200: eigenvalues
+    # off by order one) or overflow (1e160: a nan off-diagonal).
+    rng = np.random.default_rng(89)
+    m = scale * random_hermitian(rng, 5)
+    reference = np.linalg.eigvalsh(m)
+    radius = np.max(np.abs(reference))
+    for got in (eigvals_hermitian(m), eig_hermitian(m).eigenvalues):
+        assert np.max(np.abs(got - reference)) < 1e-13 * radius
+    v = eig_hermitian(m).eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(5))) < 1e-12
+
+
+def test_eig_hermitian_scaling_is_bitwise():
+    # Normal-range input runs the kernel as given.  At extreme scales it
+    # runs on the input times a power of two, which is exact, so the
+    # eigenvalues come out as the normal-range ones times that power and
+    # the eigenvectors unchanged, bit for bit.
+    basis, _ = cached_algebra(4)
+    cases = values_only_inputs() + [
+        s * algebra_matrix(basis, coords)
+        for s in (1e-8, 1e-3, 1.0, 1e3)
+        for coords in seeded_samples(basis, 89, 5)
+    ]
+    for m in cases:
+        m = np.asarray(m, dtype=complex)
+        vals, vecs = spectral._tridiagonal_ql(m, True)
+        order = np.argsort(vals, kind="stable")
+        spec = eig_hermitian(m)
+        assert spec.eigenvalues.tobytes() == np.array(vals)[order].tobytes()
+        assert spec.eigenvectors.tobytes() == vecs[:, order].tobytes()
+        for k in (-700, 600):
+            scaled = np.empty_like(m)
+            scaled.real, scaled.imag = np.ldexp(m.real, k), np.ldexp(m.imag, k)
+            far = eig_hermitian(scaled)
+            assert far.eigenvalues.tobytes() == np.ldexp(spec.eigenvalues, k).tobytes()
+            assert far.eigenvectors.tobytes() == spec.eigenvectors.tobytes()
+            assert eigvals_hermitian(scaled).tobytes() == far.eigenvalues.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_eigvals_hermitian_matches_lapack_on_sampler_draws(n):
     basis, _ = cached_algebra(n)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sunbch import RunConfig, run_suite
+from sunbch.verify import _PROPERTIES
 
 
 def test_small_run_passes():
@@ -56,8 +57,9 @@ def test_config_validation():
         RunConfig(n=2, seed=0, trials=0)
     with pytest.raises(ValueError):
         RunConfig(n=2, seed=0, trials=1, tol=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(n=2, seed=0, trials=1, spectral_cap=-1.0)
+    for cap in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="spectral_cap"):
+            RunConfig(n=2, seed=0, trials=1, spectral_cap=cap)
 
 
 def test_report_echoes_config():
@@ -67,3 +69,24 @@ def test_report_echoes_config():
     assert report["trials"] == 4
     assert report["tol"] == 1e-6
     assert report["spectral_cap"] == pytest.approx(0.9 * np.pi)
+
+
+def test_unmeetable_spectral_cap_is_a_value_error():
+    # No draw with spectral radius below 1e-7 has eigenvalue gaps of 1e-6.
+    with pytest.raises(ValueError, match="spectral_cap 1e-07") as info:
+        run_suite(RunConfig(n=3, seed=1, trials=1, spectral_cap=1e-7))
+    assert "min_gap 1e-06" in str(info.value)
+
+
+PER_TRIAL = {name for name, _, per_trial, _ in _PROPERTIES if per_trial}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_checks_count_trials_or_index_combinations(n):
+    one, three = (run_suite(RunConfig(n, 3, trials))["properties"] for trials in (1, 3))
+    assert [row["name"] for row in one] == [row["name"] for row in three]
+    for a, b in zip(one, three):
+        if a["name"] in PER_TRIAL:
+            assert (a["checks"], b["checks"]) == (1, 3)
+        else:
+            assert a["checks"] == b["checks"] > 3
