@@ -20,9 +20,12 @@ and define two bilinear products on coordinate vectors,
     (a (.) b)_j = d_jkl a_k b_l          symmetric product
 
 together with the plain scalar product a . b = sum_k a_k b_k (no
-conjugation).  The product of two algebra elements then reduces to
+conjugation).  The product of two elements a0 I + a . L and b0 I + b . L
+then reduces to
 
-    (a . L)(b . L) = (2/N)(a . b) I + ((a (.) b) + i (a (x) b)) . L
+    (a0 b0 + (2/N) a . b) I + (b0 a + a0 b + a (.) b + i a (x) b) . L,
+
+which ``multiply`` alone writes out.
 
 Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
 is stored once, as index arrays of its nonzero entries, one term per
@@ -220,11 +223,16 @@ def dot_sym(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_sum(t.dim, rows, value * (a[k] * b[l] + a[l] * b[k]))
 
 
-def product_reduce(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> LinearElement:
-    """Coordinates of (a . L)(b . L) as scalar * I + vector . L."""
-    a, b = _check_coords(t.dim, a, b)
-    scalar = (2.0 / t.n) * np.dot(a, b)
-    return LinearElement(scalar, dot_sym(t, a, b) + 1j * cross(t, a, b))
+def multiply(t: StructureTensors, a: LinearElement, b: LinearElement) -> LinearElement:
+    """Coordinates of (a0 I + a . L)(b0 I + b . L): the module's product rule."""
+    scalar = a.scalar * b.scalar + (2.0 / t.n) * np.dot(a.vector, b.vector)
+    vector = (
+        b.scalar * a.vector
+        + a.scalar * b.vector
+        + dot_sym(t, a.vector, b.vector)
+        + 1j * cross(t, a.vector, b.vector)
+    )
+    return LinearElement(scalar, vector)
 
 
 def to_matrix(basis: GeneratorBasis, elem: LinearElement) -> np.ndarray:

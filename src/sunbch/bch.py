@@ -2,7 +2,7 @@
 
 ``compose`` multiplies two group elements exp(-i m . L) exp(-i n . L)
 without ever leaving coordinate space: both factors are linearized, the
-product reduces through the structure tensors,
+product reduces through the structure tensors by ``algebra.multiply``,
 
     r0 = mu0 nu0 + (2/N) mu . nu
     r  = nu0 mu + mu0 nu + mu (.) nu + i mu (x) nu,
@@ -24,9 +24,8 @@ from .algebra import (
     StructureTensors,
     _check_coords,
     algebra_matrix,
-    cross,
-    dot_sym,
     from_matrix,
+    multiply,
 )
 from .errors import ConstraintViolationError
 from .linearize import delinearize_exp, exp_matrix, exp_minus_i, exp_plus_i, linearize_fn, log_coords
@@ -47,32 +46,32 @@ class AdjointKernel:
     kminus: np.ndarray
 
 
-def _multiply(t: StructureTensors, a: LinearElement, b: LinearElement) -> LinearElement:
-    """Coordinates of (a0 I + a . L)(b0 I + b . L)."""
-    scalar = a.scalar * b.scalar + (2.0 / t.n) * np.dot(a.vector, b.vector)
-    vector = (
-        b.scalar * a.vector
-        + a.scalar * b.vector
-        + dot_sym(t, a.vector, b.vector)
-        + 1j * cross(t, a.vector, b.vector)
-    )
-    return LinearElement(scalar, vector)
-
-
 def compose_linear(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> LinearElement:
     """Product coordinates of exp(-i m . L) exp(-i n . L), not yet delinearized."""
     mu = linearize_fn(t, basis, m, exp_minus_i)
     nu = linearize_fn(t, basis, nvec, exp_minus_i)
-    return _multiply(t, mu, nu)
+    return multiply(t, mu, nu)
+
+
+def _compose(
+    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
+) -> tuple[np.ndarray, LinearElement]:
+    """``compose``'s r and product; a product that rounding pushed out of
+    SU(N) is refused as ConstraintViolationError, not as invalid input."""
+    product = compose_linear(t, basis, m, nvec)
+    try:
+        return delinearize_exp(basis, product), product
+    except ValueError as exc:
+        raise ConstraintViolationError(f"the composed product is not in SU(N): {exc}") from exc
 
 
 def compose(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> np.ndarray:
     """Coordinates r with exp(-i r . L) = exp(-i m . L) exp(-i n . L)."""
-    return delinearize_exp(basis, compose_linear(t, basis, m, nvec))
+    return _compose(t, basis, m, nvec)[0]
 
 
 def compose_direct(
@@ -136,7 +135,7 @@ def _conjugate(
     (m, nvec) = _check_coords(t.dim, m, nvec)
     mu = linearize_fn(t, basis, m, exp_plus_i)
     mu_bar = LinearElement(np.conj(mu.scalar), np.conj(mu.vector))
-    product = _multiply(t, _multiply(t, mu_bar, LinearElement(0.0, nvec)), mu)
+    product = multiply(t, multiply(t, mu_bar, LinearElement(0.0, nvec)), mu)
     residue = max(abs(product.scalar), float(np.max(np.abs(product.vector.imag))))
     if residue > CONSTRAINT_TOL:
         raise ConstraintViolationError(f"conjugation left a scalar or imaginary part {residue:.3e}")

@@ -5,7 +5,8 @@ is JSON with numbers rendered at 17 significant digits and complex values
 as [re, im] pairs, so identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 1 a verification property failed, 2 usage or parse
-error, 3 numerical-domain error (the reason is reported as JSON on stderr).
+error (or an unwritable ``--output``), 3 numerical-domain error (the
+reason is reported as JSON on stderr).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import sys
 import numpy as np
 
 from .algebra import cached_algebra, serialize_algebra
-from .bch import _conjugate, compose_linear
+from .bch import _compose, _conjugate
 from .errors import NumericalDomainError
-from .linearize import delinearize_exp, exp_matrix
+from .linearize import exp_matrix
 from .sampling import DEFAULT_SPECTRAL_CAP
 from .verify import RunConfig, _jacobi_ff, _orthonormality, run_suite
 
@@ -83,14 +84,9 @@ def cmd_compose(args) -> dict:
     basis, tensors = cached_algebra(n)
     m = _coords_argument(args.m, basis.dim, "--m")
     nvec = _coords_argument(args.nvec, basis.dim, "--nvec")
-    product = compose_linear(tensors, basis, m, nvec)
-    result = delinearize_exp(basis, product)
-    residual = np.max(
-        np.abs(
-            exp_matrix(basis, result)
-            - exp_matrix(basis, m) @ exp_matrix(basis, nvec)
-        )
-    )
+    result, product = _compose(tensors, basis, m, nvec)
+    u = exp_matrix(basis, result)
+    residual = np.max(np.abs(u - exp_matrix(basis, m) @ exp_matrix(basis, nvec)))
     return {
         "r": [float(x) for x in result],
         "rho0": _pair(product.scalar),
@@ -197,13 +193,13 @@ def main(argv=None) -> int:
             doc, code = cmd_basis(args), 0
         else:
             doc, code = cmd_verify(args)
+        _emit(_render(doc), args.output)
     except NumericalDomainError as exc:
         sys.stderr.write(_render({"error": exc.code, "message": str(exc)}) + "\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(_render({"error": "usage", "message": str(exc)}) + "\n")
         return 2
-    _emit(_render(doc), args.output)
     return code
 
 

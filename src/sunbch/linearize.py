@@ -19,13 +19,13 @@ P = s I + v . L,
 
     P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L.
 
-The cross-product term of the full product rule drops out identically
-(every product lies in the commutative family generated by m under (.)),
-and that vanishing is asserted at each step.  ``power_table`` tabulates
-the plain powers of M with the same routine, every shift 0; it and the
-monomial coefficients of ``spectral.expansion_coeffs`` remain as
-cross-checks.  ``exp_minus_i`` and ``exp_plus_i`` live in ``spectral``
-and are importable from here.
+The cross-product term of the full product rule (``algebra.multiply``)
+drops out identically (every product lies in the commutative family
+generated by m under (.)), and that vanishing is asserted at each step.
+``power_table`` lists the plain powers of M as ``LinearElement``s from
+the same routine, every shift 0; it and the monomial coefficients of
+``spectral.expansion_coeffs`` remain as cross-checks.  ``exp_minus_i``
+and ``exp_plus_i`` live in ``spectral`` and are importable from here.
 
 ``delinearize_exp`` inverts the exponential case: given group-element
 coordinates it recovers m with exp(-i m . L) equal to the input, choosing
@@ -34,8 +34,6 @@ eigenphases on the principal branch and restoring tracelessness by the
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,22 +67,6 @@ BRANCH_GAP = 1e-9
 REALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PowerTable:
-    """Coordinates of (m . L)**k for k = 0 .. max_power.
-
-    scalars[k] and vectors[k] satisfy
-    (m . L)**k = scalars[k] I + vectors[k] . L.
-    """
-
-    scalars: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.scalars.shape[0]
-
-
 def _newton_products(
     t: StructureTensors, m: np.ndarray, shifts
 ) -> tuple[list, list]:
@@ -113,8 +95,8 @@ def _newton_products(
     return scalars, vectors
 
 
-def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> PowerTable:
-    """Tabulate reduced powers of m . L up to ``max_power`` (<= N).
+def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[LinearElement]:
+    """The reduced powers (m . L)**k for k = 0 .. ``max_power`` (<= N).
 
     The powers are the Newton products with every shift 0.
     """
@@ -123,10 +105,7 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> PowerTabl
         raise ValueError(
             f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
         )
-    scalars, vectors = _newton_products(t, m, [0.0] * max_power)
-    return PowerTable(
-        np.array(scalars, dtype=complex), np.array(vectors, dtype=complex)
-    )
+    return list(map(LinearElement, *_newton_products(t, m, [0.0] * max_power)))
 
 
 def linearize_fn(
@@ -182,8 +161,9 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     is not unitary within UNITARY_TOL, and a phase sum farther than that
     from 2 pi s (det u != 1) raises ValueError.  Eigenphases are taken in
     (-pi, pi].  Their sum is 2 pi s for an integer s; tracelessness is
-    restored by shifting 2 pi off the s largest phases (s > 0) or onto the
-    |s| smallest (s < 0), ties broken by eigenvalue index.  Phases within
+    restored by one rule for either sign: sign(s) 2 pi comes off the |s|
+    phases largest in sign(s) theta (the s largest for s > 0, the |s|
+    smallest for s < 0), ties broken by eigenvalue index.  Phases within
     BRANCH_GAP of the cut at pi, or a shift boundary falling inside a
     phase tie, are refused as ambiguous.
     """
@@ -197,20 +177,14 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
         raise BranchCutError(
             "an eigenphase lies within 1e-9 of the branch cut at pi"
         )
-    if shift > 0:
-        order = np.argsort(-theta, kind="stable")
-        if theta[order[shift - 1]] - theta[order[shift]] < BRANCH_GAP:
+    if shift:
+        sign, k = np.sign(shift), abs(shift)
+        order = np.argsort(-sign * theta, kind="stable")
+        if sign * (theta[order[k - 1]] - theta[order[k]]) < BRANCH_GAP:
             raise DegenerateSpectrumError(
                 "the 2 pi shift boundary falls inside an eigenphase tie"
             )
-        theta[order[:shift]] -= 2.0 * np.pi
-    elif shift < 0:
-        order = np.argsort(theta, kind="stable")
-        if theta[order[-shift]] - theta[order[-shift - 1]] < BRANCH_GAP:
-            raise DegenerateSpectrumError(
-                "the 2 pi shift boundary falls inside an eigenphase tie"
-            )
-        theta[order[:-shift]] += 2.0 * np.pi
+        theta[order[:k]] -= sign * 2.0 * np.pi
     v = spec.eigenvectors
     log_m = np.einsum("k,ak,bk->ab", -theta.astype(complex), v, v.conj())
     elem = from_matrix(basis, log_m)

@@ -361,8 +361,9 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """
     u = _square(u)
     n = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) >= UNITARY_TOL:
-        raise ValueError("matrix is not unitary within 1e-8")
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    if defect >= UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary within 1e-8: u'u - I reached {defect:.3e}")
     cos_part = (u + u.conj().T) / 2.0
     sin_part = (u - u.conj().T) / 2j
     base = eig_hermitian(cos_part)
@@ -407,11 +408,8 @@ def char_poly(m: np.ndarray) -> CharPoly:
 
 
 def _min_gap(values: np.ndarray) -> float:
-    values = np.asarray(values)
-    gap = np.inf
-    for i in range(values.shape[0] - 1):
-        gap = min(gap, float(np.min(np.abs(values[i + 1:] - values[i]))))
-    return gap
+    """Least pairwise distance of real values: the least step once sorted."""
+    return float(np.min(np.diff(np.sort(values)), initial=np.inf))
 
 
 def _require_simple_spectrum(eigenvalues: np.ndarray) -> None:

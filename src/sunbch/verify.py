@@ -29,7 +29,6 @@ from .algebra import (
     dot_sym,
     from_matrix,
     to_matrix,
-    LinearElement,
 )
 from .bch import (
     build_adjoint_kernel,
@@ -78,8 +77,8 @@ class RunConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not 0 < self.spectral_cap < np.inf:
             raise ValueError(
                 f"spectral_cap must be positive and finite, got {self.spectral_cap}"
@@ -118,24 +117,17 @@ def _anticommutator_closure(basis, tensors):
 
 
 def _jacobi_ff(basis, tensors):
-    # cyclic in (k, l, p): f_klm f_mpq + f_lpm f_mkq + f_pkm f_mlq = 0
+    # cyclic in (k, l, p): f_klm f_mpq + f_lpm f_mkq + f_pkm f_mlq = 0; the
+    # last two terms are index permutations of the first contraction.
     f = tensors.f
-    total = (
-        np.einsum("klm,mpq->klpq", f, f)
-        + np.einsum("lpm,mkq->klpq", f, f)
-        + np.einsum("pkm,mlq->klpq", f, f)
-    )
-    return np.abs(total).ravel()
+    ff = np.einsum("klm,mpq->klpq", f, f)
+    return np.abs(ff + ff.transpose(2, 0, 1, 3) + ff.transpose(1, 2, 0, 3)).ravel()
 
 
 def _jacobi_fd(basis, tensors):
-    f, d = tensors.f, tensors.d
-    total = (
-        np.einsum("klm,mpq->klpq", f, d)
-        + np.einsum("kqm,mpl->klpq", f, d)
-        + np.einsum("kpm,mlq->klpq", f, d)
-    )
-    return np.abs(total).ravel()
+    # f_klm d_mpq + f_kqm d_mpl + f_kpm d_mlq = 0, likewise from one contraction.
+    fd = np.einsum("klm,mpq->klpq", tensors.f, tensors.d)
+    return np.abs(fd + fd.transpose(0, 3, 2, 1) + fd.transpose(0, 2, 1, 3)).ravel()
 
 
 # ---- random-vector identities ------------------------------------------------
@@ -247,13 +239,11 @@ def _f0_trace_agreement(ctx, rng):
 
 def _power_table_consistency(ctx, rng):
     m = ctx.sample(rng)
-    table = power_table(ctx.tensors, m, ctx.basis.n)
     mat = algebra_matrix(ctx.basis, m)
     power = np.eye(ctx.basis.n, dtype=complex)
     worst = 0.0
-    for k in range(table.rows):
-        row = to_matrix(ctx.basis, LinearElement(table.scalars[k], table.vectors[k]))
-        worst = max(worst, _maxabs(row - power))
+    for elem in power_table(ctx.tensors, m, ctx.basis.n):
+        worst = max(worst, _maxabs(to_matrix(ctx.basis, elem) - power))
         power = power @ mat
     return worst
 

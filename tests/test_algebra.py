@@ -16,7 +16,7 @@ from sunbch import (
     cross,
     dot_sym,
     from_matrix,
-    product_reduce,
+    multiply,
     random_coords,
     serialize_algebra,
     similarity,
@@ -94,11 +94,11 @@ def test_dot_sym_diagonal_generator():
     )
 
 
-def test_product_reduce_diagonal_generator():
+def test_multiply_diagonal_generator():
     """L8 L8 = (2/3) I - (1/sqrt 3) L8 at n = 3."""
     basis, t = cached_algebra(3)
     e8 = unit(8, 8)
-    elem = product_reduce(t, e8, e8)
+    elem = multiply(t, LinearElement(0.0, e8), LinearElement(0.0, e8))
     assert elem.scalar == pytest.approx(2.0 / 3.0, abs=1e-14)
     np.testing.assert_allclose(elem.vector, -e8 / np.sqrt(3.0), atol=1e-14)
     recon = to_matrix(basis, elem)
@@ -159,15 +159,24 @@ def test_contractions_match_dense_reference(n):
             assert cross(t, a, b).dtype == dense(t.f, a, b, -1.0).dtype
 
 
-def test_product_reduce_matches_matrix_product(any_algebra):
+def test_multiply_matches_matrix_product(any_algebra):
+    """The product rule against the dense product, for pure algebra elements
+    and for complex scalar and vector parts."""
     basis, t = any_algebra
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = rng.uniform(-1, 1, basis.dim)
-        b = rng.uniform(-1, 1, basis.dim)
-        lhs = algebra_matrix(basis, a) @ algebra_matrix(basis, b)
-        rhs = to_matrix(basis, product_reduce(t, a, b))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+    def draw(complex_parts):
+        re, im = rng.uniform(-1, 1, (2, basis.dim + 1))
+        if not complex_parts:
+            return LinearElement(0.0, re[1:])
+        return LinearElement(complex(re[0], im[0]), re[1:] + 1j * im[1:])
+
+    for complex_parts in (False, True):
+        for _ in range(10):
+            a, b = draw(complex_parts), draw(complex_parts)
+            lhs = to_matrix(basis, a) @ to_matrix(basis, b)
+            rhs = to_matrix(basis, multiply(t, a, b))
+            np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 def test_from_matrix_round_trip(algebra3):

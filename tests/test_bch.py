@@ -14,7 +14,7 @@ from sunbch import (
     similarity_direct,
     su2_compose_closed_form,
 )
-from sunbch.errors import DegenerateSpectrumError
+from sunbch.errors import ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_plus_i
 
 from conftest import dense_conjugate, dense_exp, seeded_samples
@@ -271,3 +271,16 @@ def test_group_inverse_via_compose(algebra3):
     for coords in seeded_samples(basis, 137, 5):
         r = compose(t, basis, coords, -coords)
         assert np.max(np.abs(exp_matrix(basis, r) - np.eye(3))) < 1e-9
+
+
+@pytest.mark.parametrize("n, scale", [(2, 1e10), (3, 1e8)])
+def test_compose_rounding_out_of_group_is_a_domain_error(n, scale):
+    """At these scales the linearized product drifts out of SU(N) by rounding;
+    that is a ConstraintViolationError, not the ValueError of bad input."""
+    basis, t = cached_algebra(n)
+    m = np.zeros(basis.dim)
+    m[0] = scale
+    nvec = np.zeros(basis.dim)
+    nvec[1] = 0.2
+    with pytest.raises(ConstraintViolationError, match="not in SU"):
+        compose(t, basis, m, nvec)

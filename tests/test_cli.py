@@ -332,6 +332,32 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
+def test_output_unwritable_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "basis", "--n", "2", "--output", str(target))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "usage"
+    assert "x.json" in doc["message"]
+
+
+def test_verify_nonfinite_tol_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--trials", "1", "--tol", "inf")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and "tol" in doc["message"]
+
+
+@pytest.mark.parametrize("n, scale", [(2, "1e10"), (3, "1e8")])
+def test_compose_rounding_out_of_group_exits_3(capsys, n, scale):
+    dim = n * n - 1
+    m = json.dumps([float(scale)] + [0.0] * (dim - 1))
+    nvec = json.dumps([0.0, 0.2] + [0.0] * (dim - 2))
+    code, out, err = run_cli(capsys, "compose", "--n", str(n), "--m", m, "--nvec", nvec)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "constraint-violation"
+
+
 def run_console_script(*argv):
     """Run the `sunbch` script declared in pyproject.toml as its own process.
 

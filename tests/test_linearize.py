@@ -31,10 +31,11 @@ def test_power_table_first_rows(algebra3):
     rng = np.random.default_rng(2)
     m = rng.uniform(-1, 1, 8)
     table = power_table(t, m, 2)
-    assert table.rows == 3
-    assert table.scalars[0] == 1.0
-    np.testing.assert_array_equal(table.vectors[0], np.zeros(8))
-    np.testing.assert_array_equal(table.vectors[1], m)
+    assert len(table) == 3
+    assert all(isinstance(elem, LinearElement) for elem in table)
+    assert table[0].scalar == 1.0 and table[1].scalar == 0.0
+    np.testing.assert_array_equal(table[0].vector, np.zeros(8))
+    np.testing.assert_array_equal(table[1].vector, m)
 
 
 def test_power_table_diagonal_generator(algebra3):
@@ -42,9 +43,9 @@ def test_power_table_diagonal_generator(algebra3):
     _, t = algebra3
     e8 = np.zeros(8)
     e8[7] = 1.0
-    table = power_table(t, e8, 2)
-    assert table.scalars[2] == pytest.approx(2.0 / 3.0, abs=1e-14)
-    np.testing.assert_allclose(table.vectors[2], -e8 / np.sqrt(3.0), atol=1e-14)
+    scalar, vector = power_table(t, e8, 2)[2]
+    assert scalar == pytest.approx(2.0 / 3.0, abs=1e-14)
+    np.testing.assert_allclose(vector, -e8 / np.sqrt(3.0), atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -52,11 +53,11 @@ def test_power_table_matches_dense_powers(n):
     basis, t = cached_algebra(n)
     for coords in seeded_samples(basis, 300 + n, 5):
         table = power_table(t, coords, basis.n)
+        assert len(table) == n + 1
         mat = algebra_matrix(basis, coords)
         power = np.eye(n, dtype=complex)
-        for k in range(table.rows):
-            row = to_matrix(basis, LinearElement(table.scalars[k], table.vectors[k]))
-            assert np.max(np.abs(row - power)) < 1e-10
+        for elem in table:
+            assert np.max(np.abs(to_matrix(basis, elem) - power)) < 1e-10
             power = power @ mat
 
 
@@ -165,6 +166,35 @@ def test_det_correction_balances_phases(algebra3):
     # the largest phase went to 2.9 - 2 pi, outside the principal band
     vals = eig_hermitian(algebra_matrix(basis, coords)).eigenvalues
     assert np.max(np.abs(vals)) > np.pi
+
+
+@pytest.mark.parametrize(
+    "theta, shifted",
+    [
+        # s = -1: the smallest phase goes up a sheet.
+        ([-2.5, -2.2, 4.7 - 2.0 * np.pi], [0]),
+        # s = +2: the two largest phases go down a sheet, ties by index.
+        ([2.9, 2.6, 2.8, 2.7, 4.0 * np.pi - 11.0], [0, 2]),
+        # s = -2: the mirror image, the two smallest go up.
+        ([-2.9, -2.6, -2.8, -2.7, 11.0 - 4.0 * np.pi], [0, 2]),
+    ],
+)
+def test_det_correction_both_signs(theta, shifted):
+    """log_coords shifts sign(s) 2 pi off the |s| phases largest in sign(s) theta."""
+    theta = np.array(theta)
+    n = theta.size
+    basis, _ = cached_algebra(n)
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q @ np.diag(np.exp(1j * theta)) @ q.conj().T
+    coords = log_coords(basis, u)
+    np.testing.assert_allclose(exp_matrix(basis, coords), u, atol=1e-10)
+    sign = np.sign(theta.sum())
+    expected = theta.copy()
+    expected[shifted] -= sign * 2.0 * np.pi
+    assert abs(expected.sum()) < 1e-12
+    vals = eig_hermitian(algebra_matrix(basis, coords)).eigenvalues
+    np.testing.assert_allclose(vals, np.sort(-expected), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

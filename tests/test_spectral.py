@@ -300,8 +300,19 @@ def test_eig_unitary_degenerate_block():
 
 
 def test_eig_unitary_rejects_nonunitary():
-    with pytest.raises(ValueError, match="unitary"):
+    # The message carries the measured defect max |u'u - I| = 3.
+    with pytest.raises(ValueError, match=r"unitary.*3\.000e\+00"):
         eig_unitary(2.0 * np.eye(3))
+
+
+def test_min_gap_is_least_pairwise_distance():
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        for _ in range(20):
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 2)
+            pairwise = min(abs(values[i] - values[j]) for i in range(n) for j in range(i))
+            assert spectral._min_gap(values) == pairwise
+    assert spectral._min_gap(np.array([3.0, -1.0, 3.0])) == 0.0
 
 
 def test_char_poly_sigma3():

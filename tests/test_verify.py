@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sunbch import RunConfig, run_suite
-from sunbch.verify import _PROPERTIES
+from sunbch import cached_algebra
+from sunbch.verify import _PROPERTIES, _jacobi_fd, _jacobi_ff
 
 
 def test_small_run_passes():
@@ -55,8 +56,9 @@ def test_config_validation():
         RunConfig(n=2, seed=-1, trials=1)
     with pytest.raises(ValueError):
         RunConfig(n=2, seed=0, trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(n=2, seed=0, trials=1, tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            RunConfig(n=2, seed=0, trials=1, tol=tol)
     for cap in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="spectral_cap"):
             RunConfig(n=2, seed=0, trials=1, spectral_cap=cap)
@@ -90,3 +92,23 @@ def test_checks_count_trials_or_index_combinations(n):
             assert (a["checks"], b["checks"]) == (1, 3)
         else:
             assert a["checks"] == b["checks"] > 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_jacobi_residuals_match_three_contractions(n):
+    """One contraction and two transposes give, bit for bit, the sum of the
+    three cyclic contractions written out."""
+    basis, t = cached_algebra(n)
+    f, d = t.f, t.d
+    ff = (
+        np.einsum("klm,mpq->klpq", f, f)
+        + np.einsum("lpm,mkq->klpq", f, f)
+        + np.einsum("pkm,mlq->klpq", f, f)
+    )
+    fd = (
+        np.einsum("klm,mpq->klpq", f, d)
+        + np.einsum("kqm,mpl->klpq", f, d)
+        + np.einsum("kpm,mlq->klpq", f, d)
+    )
+    assert np.array_equal(_jacobi_ff(basis, t), np.abs(ff).ravel())
+    assert np.array_equal(_jacobi_fd(basis, t), np.abs(fd).ravel())
