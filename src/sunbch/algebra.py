@@ -27,10 +27,19 @@ then reduces to
 
 which ``multiply`` alone writes out.
 
+With one argument fixed, each product is linear in the other:
+``product_matrix`` builds the dim x dim matrices D(a) and F(a) with
+
+    D(a) v = v (.) a,   F(a) v = v (x) a,
+
+so a loop that multiplies by the same a many times (the Newton products
+of ``linearize``, the adjoint kernel of ``bch``) pays one matrix-vector
+product per step.
+
 Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
 is stored once, as index arrays of its nonzero entries, one term per
-unordered pair k <= l, which the two products run over.  The dense f and
-d that the tensor identities and the adjoint kernel read are built from
+unordered pair k <= l, which the two products and ``product_matrix`` run
+over.  The dense f and d that the tensor identities read are built from
 those arrays on first use.
 """
 
@@ -73,9 +82,10 @@ class StructureTensors:
     the nonzero dense entries with k <= l, in lexicographic order, that
     ``cross`` and ``dot_sym`` contract; a value with k == l is halved,
     because the term a_k b_l + a_l b_k counts that slot twice.  The rest
-    is derived from them: the dense rank-3 ``f`` and ``d``, built on first
-    read and then kept, and the canonical 1-based triples ``f_entries``
-    (j < k < l) and ``d_entries`` (j <= k <= l).
+    is derived from them: the dense rank-3 ``f`` and ``d`` and the scatter
+    arrays of ``product_matrix``, built on first read and then kept, and
+    the canonical 1-based triples ``f_entries`` (j < k < l) and
+    ``d_entries`` (j <= k <= l).
     """
 
     n: int
@@ -91,6 +101,9 @@ class StructureTensors:
     d = cached_property(lambda self: _dense(self.dim, self.d_coo, 1.0))
     f_entries = property(lambda self: _canonical(self.f_coo))
     d_entries = property(lambda self: _canonical(self.d_coo))
+    scatter = cached_property(
+        lambda self: {"d": _scatter(self.dim, self.d_coo, 1.0), "f": _scatter(self.dim, self.f_coo, -1.0)}
+    )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -131,6 +144,21 @@ def _dense(dim: int, coo, sign: float) -> np.ndarray:
     t[rows, k, l] = full
     t[rows, l, k] = sign * full
     return _freeze(t)
+
+
+def _scatter(dim: int, coo, sign: float) -> tuple[np.ndarray, ...]:
+    """Flat (row, column) slots, gathered coordinate and coefficient of
+    each term of a matrix t[row, k, l] a_l, for ``product_matrix``.
+
+    An entry (row, k, l, value) holds t[row, k, l] = value and
+    t[row, l, k] = sign * value, so it adds value * a_l at (row, k) and
+    sign * value * a_k at (row, l); halving k == l keeps that sum right.
+    """
+    rows, k, l, value = coo
+    slots = np.concatenate((rows * dim + k, rows * dim + l))
+    gather = np.concatenate((l, k))
+    coef = np.concatenate((value, sign * value))
+    return _freeze(slots), _freeze(gather), _freeze(coef)
 
 
 def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:
@@ -221,6 +249,22 @@ def dot_sym(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = _check_coords(t.dim, a, b)
     rows, k, l, value = t.d_coo
     return _row_sum(t.dim, rows, value * (a[k] * b[l] + a[l] * b[k]))
+
+
+def product_matrix(t: StructureTensors, tensor: str, a: np.ndarray) -> np.ndarray:
+    """D(a) for ``tensor`` "d", F(a) for "f", at a real coordinate vector a.
+
+    D(a)_jk = d_jkl a_l and F(a)_jk = f_jkl a_l, so D(a) v = v (.) a and
+    F(a) v = v (x) a for every v.  One ``np.bincount`` over the index
+    arrays builds the matrix in O(nonzeros); no dense tensor is read.  A
+    complex a raises TypeError; it splits as D(a) = D(Re a) + i D(Im a),
+    and F likewise.
+    """
+    (a,) = _check_coords(t.dim, a)
+    slots, gather, coef = t.scatter[tensor]
+    # Without terms (d at N = 2) bincount returns integers.
+    out = np.bincount(slots, coef * a[gather], minlength=t.dim * t.dim).astype(float, copy=False)
+    return out.reshape(t.dim, t.dim)
 
 
 def multiply(t: StructureTensors, a: LinearElement, b: LinearElement) -> LinearElement:

@@ -14,6 +14,7 @@ Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_dir
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .algebra import (
     algebra_matrix,
     from_matrix,
     multiply,
+    product_matrix,
 )
 from .errors import ConstraintViolationError
 from .linearize import delinearize_exp, exp_matrix, exp_minus_i, exp_plus_i, linearize_fn, log_coords
@@ -38,8 +40,9 @@ DIRECT_SCALAR_TOL = 1e-10
 class AdjointKernel:
     """The (N**2-1)-dimensional operators of the conjugation equation.
 
-    K+- = mu0 I + D(mu) +- i F(mu) with D(mu)_jl = d_jkl mu_k and
-    F(mu)_jl = f_jkl mu_k; ``similarity``'s n' satisfies K- n = K+ n'.
+    K+- = mu0 I + D(mu) -+ i F(mu) with ``algebra.product_matrix``'s
+    D(mu) v = v (.) mu and F(mu) v = v (x) mu; ``similarity``'s n'
+    satisfies K- n = K+ n'.
     """
 
     kplus: np.ndarray
@@ -117,34 +120,52 @@ def su2_compose_closed_form(
 
 
 def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> AdjointKernel:
-    """Assemble K+- from the linearized coordinates of exp(+i m . L)."""
+    """Assemble K+- from the linearized coordinates of exp(+i m . L).
+
+    D(mu) and F(mu) come from ``algebra.product_matrix``, which reads only
+    the index arrays of f and d, never a dense tensor; the complex mu is
+    split as D(mu) = D(Re mu) + i D(Im mu), and F likewise.
+    """
     (vector,) = _check_coords(t.dim, mu.vector)
-    sym = np.einsum("jkl,k->jl", t.d, vector)
-    skew = np.einsum("jkl,k->jl", t.f, vector)
+    sym, skew = (
+        product_matrix(t, tensor, vector.real) + 1j * product_matrix(t, tensor, vector.imag)
+        for tensor in ("d", "f")
+    )
     eye = np.eye(t.dim)
     return AdjointKernel(
-        kplus=mu.scalar * eye + sym + 1j * skew,
-        kminus=mu.scalar * eye + sym - 1j * skew,
+        kplus=mu.scalar * eye + sym - 1j * skew,
+        kminus=mu.scalar * eye + sym + 1j * skew,
     )
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm without overflow or underflow in the squares."""
+    return math.hypot(*v.tolist())
 
 
 def _conjugate(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
-    """``similarity``'s n' with its norm drift and mu . n defect."""
+    """``similarity``'s n' with its norm drift and mu . n defect.
+
+    n' is linear in n, so its rounding scales with |n|: each guard is
+    CONSTRAINT_TOL times max(1, |n|).  A NaN fails every guard.
+    """
     (m, nvec) = _check_coords(t.dim, m, nvec)
     mu = linearize_fn(t, basis, m, exp_plus_i)
     mu_bar = LinearElement(np.conj(mu.scalar), np.conj(mu.vector))
     product = multiply(t, multiply(t, mu_bar, LinearElement(0.0, nvec)), mu)
-    residue = max(abs(product.scalar), float(np.max(np.abs(product.vector.imag))))
-    if residue > CONSTRAINT_TOL:
+    norm = _norm(nvec)
+    tol = CONSTRAINT_TOL * max(1.0, norm)
+    residue = float(np.max(np.abs(product.vector.imag), initial=abs(product.scalar)))
+    if not residue <= tol:
         raise ConstraintViolationError(f"conjugation left a scalar or imaginary part {residue:.3e}")
     nprime = product.vector.real
-    drift = abs(float(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))))
-    if drift > CONSTRAINT_TOL:
+    drift = abs(_norm(nprime) - norm)
+    if not drift <= tol:
         raise ConstraintViolationError(f"conjugation changed the norm by {drift:.3e}")
     scalar_defect = abs(complex(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)))
-    if scalar_defect > CONSTRAINT_TOL:
+    if not scalar_defect <= tol:
         raise ConstraintViolationError(
             f"scalar invariant mu . n drifted by {scalar_defect:.3e}"
         )
@@ -158,7 +179,8 @@ def similarity(
 
     Multiplies out conj(mu0, mu) (0, n) (mu0, mu), with exp(i m . L) = mu0 I + mu . L
     (the generators are Hermitian).  The product must be real with no scalar part,
-    keep the norm of n and the invariant mu . n = mu . n', each within 1e-9.
+    keep the norm of n and the invariant mu . n = mu . n', each within 1e-9
+    times max(1, |n|).
     """
     return _conjugate(t, basis, m, nvec)[0]
 
@@ -166,15 +188,19 @@ def similarity(
 def similarity_direct(
     basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> np.ndarray:
-    """Dense oracle for ``similarity``: conjugate n . L by exp(-i m . L)."""
+    """Dense oracle for ``similarity``: conjugate n . L by exp(-i m . L).
+
+    Its guards scale with max(1, |n|) as ``similarity``'s do.
+    """
     u = exp_matrix(basis, m)
     elem = from_matrix(basis, u @ algebra_matrix(basis, nvec) @ u.conj().T)
-    if abs(elem.scalar) >= DIRECT_SCALAR_TOL:
+    scale = max(1.0, _norm(np.asarray(nvec)))
+    if not abs(elem.scalar) < DIRECT_SCALAR_TOL * scale:
         raise ConstraintViolationError(
             f"conjugation produced a scalar part of {abs(elem.scalar):.3e}"
         )
     residue = float(np.max(np.abs(elem.vector.imag)))
-    if residue > CONSTRAINT_TOL:
+    if not residue <= CONSTRAINT_TOL * scale:
         raise ConstraintViolationError(
             f"conjugated coordinates have imaginary residue {residue:.3e}"
         )

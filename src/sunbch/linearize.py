@@ -14,14 +14,19 @@ which is exact on a simple spectrum.  Its divided differences are the
 first row of exp(c B) for the bidiagonal matrix B of the eigenvalues and
 ones (Opitz), so the eigenvalues are all the spectral input it needs: no
 eigenvectors, and no Vandermonde system to solve.  The Newton products
-are real and built in coordinates, one symmetric product per step; with
-P = s I + v . L,
+are real and built in coordinates; with P = s I + v . L,
 
-    P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L.
+    P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
 
+and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrix``,
+built once per linearization, so each step is one matrix-vector product.
 The cross-product term of the full product rule (``algebra.multiply``)
 drops out identically (every product lies in the commutative family
-generated by m under (.)), and that vanishing is asserted at each step.
+generated by m under (.)), and that vanishing, v (x) m = F(m) v = 0, is
+asserted at each step from the third on.  At the second step v = m,
+whose cross term m (x) m is exactly zero in floating point (each term is
+f (m_k m_l - m_l m_k)), while F(m) m rounds to about eps |m|**2, so
+checking it there would test only rounding.
 ``power_table`` lists the plain powers of M as ``LinearElement``s from
 the same routine, every shift 0; it and the monomial coefficients of
 ``spectral.expansion_coeffs`` remain as cross-checks.  ``exp_minus_i``
@@ -43,9 +48,8 @@ from .algebra import (
     StructureTensors,
     _check_coords,
     algebra_matrix,
-    cross,
-    dot_sym,
     from_matrix,
+    product_matrix,
     to_matrix,
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
@@ -73,25 +77,32 @@ def _newton_products(
     """Coordinates of P_k = (M - x1 I) ... (M - xk I) for k = 0 .. len(shifts).
 
     Returns the lists scalars[k] and vectors[k] with
-    P_k = scalars[k] I + vectors[k] . L, each step one ``dot_sym`` by the
-    rule in the module docstring.  The cross term of every step must
-    vanish; a residual at or above CROSS_RESIDUAL_TOL raises
-    ConstraintViolationError.
+    P_k = scalars[k] I + vectors[k] . L by the rule in the module
+    docstring.  D(m) is built once when there is a step (k >= 2), and each
+    step is one product with it.  F(m) is built once when there is a step
+    k >= 3, whose cross term F(m) v must vanish; a residual at or above
+    CROSS_RESIDUAL_TOL raises ConstraintViolationError.  Step 2 is not
+    checked: its v is m, and m (x) m is zero exactly (module docstring).
     """
     scalars, vectors = [1.0], [np.zeros_like(m)]
     if shifts:
         scalars.append(-shifts[0])
         vectors.append(m)
+    if len(shifts) >= 2:
+        sym = product_matrix(t, "d", m)
+    if len(shifts) >= 3:
+        skew = product_matrix(t, "f", m)
     for k in range(2, len(shifts) + 1):
         v, s, shift = vectors[-1], scalars[-1], shifts[k - 1]
-        residual = np.max(np.abs(cross(t, v, m)))
-        if residual >= CROSS_RESIDUAL_TOL:
-            raise ConstraintViolationError(
-                f"cross term of product {k} reached {residual:.3e}; "
-                "the commutative-family reduction no longer holds"
-            )
+        if k >= 3:
+            residual = np.max(np.abs(skew @ v))
+            if residual >= CROSS_RESIDUAL_TOL:
+                raise ConstraintViolationError(
+                    f"cross term of product {k} reached {residual:.3e}; "
+                    "the commutative-family reduction no longer holds"
+                )
         scalars.append(-shift * s + (2.0 / t.n) * np.dot(v, m))
-        vectors.append(s * m - shift * v + dot_sym(t, v, m))
+        vectors.append(s * m - shift * v + sym @ v)
     return scalars, vectors
 
 
@@ -124,7 +135,8 @@ def linearize_fn(
     ``exp_divided_differences`` (Opitz's bidiagonal exponential), so only
     the eigenvalues are needed, never the eigenvectors.  The products P_k
     are real and built in coordinates by ``_newton_products``, one
-    ``dot_sym`` per step, with the cross term of each step checked.  A
+    matrix-vector product with D(m) per step, D(m) built once, with the
+    cross term of each step from the third on checked.  A
     spectrum with eigenvalues closer than GAP_TOL times its radius is
     refused as degenerate.  The all-matrix route (apply_spectral then
     from_matrix) reproduces the same element and serves as the oracle in

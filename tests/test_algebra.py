@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sunbch import (
     LinearElement,
     algebra_matrix,
+    build_adjoint_kernel,
     build_basis,
     cached_algebra,
     compose,
@@ -17,6 +18,7 @@ from sunbch import (
     dot_sym,
     from_matrix,
     multiply,
+    product_matrix,
     random_coords,
     serialize_algebra,
     similarity,
@@ -24,6 +26,7 @@ from sunbch import (
     to_matrix,
 )
 from sunbch.algebra import SPARSE_THRESHOLD
+from sunbch.linearize import exp_plus_i, linearize_fn
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -159,6 +162,34 @@ def test_contractions_match_dense_reference(n):
             assert cross(t, a, b).dtype == dense(t.f, a, b, -1.0).dtype
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_product_matrix_matches_dense_tensors(n):
+    """D(a) and F(a) from the index arrays against contracting the dense
+    tensors; D(a) v and F(a) v are the products v (.) a and v (x) a."""
+    _, t = cached_algebra(n)
+    rng = np.random.default_rng(200 + n)
+    for _ in range(5):
+        a, v = rng.uniform(-1, 1, (2, t.dim))
+        sym, skew = product_matrix(t, "d", a), product_matrix(t, "f", a)
+        assert sym.dtype == skew.dtype == np.float64
+        np.testing.assert_allclose(sym, np.einsum("jkl,l->jk", t.d, a), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(skew, np.einsum("jkl,l->jk", t.f, a), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sym @ v, dot_sym(t, v, a), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(skew @ v, cross(t, v, a), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cross_with_itself_is_exactly_zero(n):
+    """m (x) m is bitwise zero for real m: each term is f (m_k m_l - m_l m_k).
+    The Newton products skip their step-2 check, whose v is m, on this."""
+    _, t = cached_algebra(n)
+    rng = np.random.default_rng(300 + n)
+    for scale in (1e-8, 1.0, 1e3):
+        for _ in range(20):
+            m = scale * rng.uniform(-1, 1, t.dim)
+            assert not np.any(cross(t, m, m))
+
+
 def test_multiply_matches_matrix_product(any_algebra):
     """The product rule against the dense product, for pure algebra elements
     and for complex scalar and vector parts."""
@@ -291,7 +322,8 @@ def test_structure_constants_match_loop_canonicalization(n):
 
 
 def test_compose_and_similarity_build_no_dense_tensor():
-    """The contractions read the index arrays only; f and d are derived on demand."""
+    """The contractions and the adjoint kernel read the index arrays only;
+    f and d are derived on demand."""
     basis = build_basis(8)
     t = structure_constants(basis)
     assert [field.name for field in dataclasses.fields(t)] == ["n", "f_coo", "d_coo"]
@@ -299,5 +331,6 @@ def test_compose_and_similarity_build_no_dense_tensor():
     m, nvec = (random_coords(basis, rng) for _ in range(2))
     compose(t, basis, m, nvec)
     similarity(t, basis, m, nvec)
+    build_adjoint_kernel(t, linearize_fn(t, basis, m, exp_plus_i))
     assert "f" not in vars(t) and "d" not in vars(t)
     assert t.f is t.f and "f" in vars(t)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sunbch import (
     cross,
     exp_matrix,
     linearize_fn,
+    random_coords,
     similarity,
     similarity_direct,
     su2_compose_closed_form,
@@ -264,6 +267,45 @@ def test_adjoint_kernel_shapes(algebra3):
         kernel.kplus.T + kernel.kminus.T,
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_adjoint_kernel_matches_dense_contraction(n):
+    """K+- from the index-array matrices against contracting the dense
+    tensors with the complex mu, K+- = mu0 I + d.mu +- i f.mu (f.mu_jl =
+    f_jkl mu_k)."""
+    basis, t = cached_algebra(n)
+    eye = np.eye(t.dim)
+    for m in seeded_samples(basis, 140 + n, 5):
+        mu = linearize_fn(t, basis, m, exp_plus_i)
+        kernel = build_adjoint_kernel(t, mu)
+        sym = np.einsum("jkl,k->jl", t.d, mu.vector)
+        skew = np.einsum("jkl,k->jl", t.f, mu.vector)
+        np.testing.assert_allclose(kernel.kplus, mu.scalar * eye + sym + 1j * skew, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kernel.kminus, mu.scalar * eye + sym - 1j * skew, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_similarity_large_observable(n):
+    """n' is linear in n, so the guards scale with |n|: an observable of
+    norm 1e8 is conjugated, and agrees with the oracle relative to |n|."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(5)
+    m, nvec = random_coords(basis, rng), random_coords(basis, rng)
+    nvec *= 1e8 / np.linalg.norm(nvec)
+    got = similarity(t, basis, m, nvec)
+    assert np.max(np.abs(got - similarity_direct(basis, m, nvec))) <= 1e-13 * 1e8
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_similarity_huge_observable_without_overflow(n):
+    """With m = 0 an observable of norm ~1e300 comes back unchanged; the
+    norms are taken without squaring, so nothing overflows or warns."""
+    basis, t = cached_algebra(n)
+    nvec = np.random.default_rng(6).uniform(-1.0, 1.0, t.dim) * 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(similarity(t, basis, np.zeros(t.dim), nvec), nvec)
 
 
 def test_group_inverse_via_compose(algebra3):

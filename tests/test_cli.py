@@ -145,6 +145,26 @@ def test_similarity_linearizes_once(capsys, monkeypatch):
         assert out == _render(expected) + "\n"
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_similarity_large_observables_exit_0(capsys, n):
+    """An observable of norm 1e8, and one of norm 1e300 under m = 0, are
+    conjugated with a finite report (the guards scale with |n|)."""
+    from sunbch import cached_algebra, random_coords
+
+    basis, _ = cached_algebra(n)
+    rng = np.random.default_rng(5)
+    m, nvec = random_coords(basis, rng), random_coords(basis, rng)
+    for m, nvec in ((m, nvec * 1e8 / np.linalg.norm(nvec)), (np.zeros(basis.dim), nvec * 1e300)):
+        code, out, err = run_cli(
+            capsys,
+            "similarity", "--n", str(n),
+            "--m", json.dumps(m.tolist()),
+            "--nvec", json.dumps(nvec.tolist()),
+        )
+        assert code == 0 and err == ""
+        assert len(parse(out)["nprime"]) == basis.dim
+
+
 def test_similarity_degenerate_exponent_exits_3(capsys):
     e8 = [0, 0, 0, 0, 0, 0, 0, 1]
     code, out, err = run_cli(

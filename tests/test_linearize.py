@@ -14,7 +14,7 @@ from sunbch import (
     to_matrix,
 )
 from sunbch.algebra import algebra_matrix
-from sunbch.errors import BranchCutError
+from sunbch.errors import BranchCutError, ConstraintViolationError
 from sunbch.linearize import exp_minus_i, exp_plus_i
 
 from conftest import dense_exp, seeded_samples
@@ -87,6 +87,17 @@ def test_linearize_exp_matches_scipy(n):
         elem = linearize_fn(t, basis, coords, exp_plus_i)
         recon = to_matrix(basis, elem)
         assert np.max(np.abs(recon - dense_exp(basis, coords).conj().T)) < 1e-9
+
+
+def test_newton_cross_guard_fires_on_wide_spectra(algebra4):
+    """Coordinates uniform in +-100 at N = 4 trip the checked cross term
+    (steps 3 and on) on every draw; the guard must not go quiet."""
+    basis, t = algebra4
+    rng = np.random.default_rng(100)
+    for _ in range(10):
+        m = rng.uniform(-100.0, 100.0, t.dim)
+        with pytest.raises(ConstraintViolationError, match="cross term"):
+            linearize_fn(t, basis, m, exp_minus_i)
 
 
 def test_linearize_rejects_other_functions(algebra3):
