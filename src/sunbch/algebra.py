@@ -61,6 +61,10 @@ class LinearElement(NamedTuple):
     scalar: complex
     vector: np.ndarray
 
+    def conj(self) -> "LinearElement":
+        """The adjoint element (the generators are Hermitian)."""
+        return LinearElement(np.conj(self.scalar), np.conj(self.vector))
+
 
 @dataclass(frozen=True)
 class GeneratorBasis:

@@ -8,7 +8,8 @@ product reduces through the structure tensors by ``algebra.multiply``,
     r  = nu0 mu + mu0 nu + mu (.) nu + i mu (x) nu,
 
 and the result is delinearized back to an algebra element.  ``similarity``
-forms exp(-i m . L) (n . L) exp(i m . L) = n' . L with the same product, twice.
+forms exp(-i m . L) (n . L) exp(i m . L) = n' . L with the same product,
+twice, from one linearization and its conjugate.
 Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_direct``).
 """
 
@@ -30,7 +31,7 @@ from .algebra import (
     product_matrix,
 )
 from .errors import ConstraintViolationError
-from .linearize import delinearize_exp, exp_matrix, exp_minus_i, exp_plus_i, linearize_fn, log_coords
+from .linearize import delinearize_exp, exp_matrix, linearize_fn, log_coords
 
 CONSTRAINT_TOL = 1e-9
 DIRECT_SCALAR_TOL = 1e-10
@@ -53,9 +54,7 @@ def compose_linear(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> LinearElement:
     """Product coordinates of exp(-i m . L) exp(-i n . L), not yet delinearized."""
-    mu = linearize_fn(t, basis, m, exp_minus_i)
-    nu = linearize_fn(t, basis, nvec, exp_minus_i)
-    return multiply(t, mu, nu)
+    return multiply(t, linearize_fn(t, basis, m), linearize_fn(t, basis, nvec))
 
 
 def _compose(
@@ -120,7 +119,7 @@ def su2_compose_closed_form(
 
 
 def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> AdjointKernel:
-    """Assemble K+- from the linearized coordinates of exp(+i m . L).
+    """Assemble K+- from the linearized exp(+i m . L), ``linearize_fn(...).conj()``.
 
     D(mu) and F(mu) come from ``algebra.product_matrix``, which reads only
     the index arrays of f and d, never a dense tensor; the complex mu is
@@ -152,9 +151,9 @@ def _conjugate(
     CONSTRAINT_TOL times max(1, |n|).  A NaN fails every guard.
     """
     (m, nvec) = _check_coords(t.dim, m, nvec)
-    mu = linearize_fn(t, basis, m, exp_plus_i)
-    mu_bar = LinearElement(np.conj(mu.scalar), np.conj(mu.vector))
-    product = multiply(t, multiply(t, mu_bar, LinearElement(0.0, nvec)), mu)
+    nu = linearize_fn(t, basis, m)
+    mu = nu.conj()
+    product = multiply(t, multiply(t, nu, LinearElement(0.0, nvec)), mu)
     norm = _norm(nvec)
     tol = CONSTRAINT_TOL * max(1.0, norm)
     residue = float(np.max(np.abs(product.vector.imag), initial=abs(product.scalar)))
@@ -177,10 +176,10 @@ def similarity(
 ) -> np.ndarray:
     """Coordinates n' with exp(-i m . L)(n . L) exp(i m . L) = n' . L.
 
-    Multiplies out conj(mu0, mu) (0, n) (mu0, mu), with exp(i m . L) = mu0 I + mu . L
-    (the generators are Hermitian).  The product must be real with no scalar part,
-    keep the norm of n and the invariant mu . n = mu . n', each within 1e-9
-    times max(1, |n|).
+    Multiplies out (nu0, nu) (0, n) (mu0, mu), with exp(-i m . L) = nu0 I + nu . L
+    and exp(i m . L) = mu0 I + mu . L its conjugate (the generators are Hermitian).
+    The product must be real with no scalar part, keep the norm of n and the
+    invariant mu . n = mu . n', each within 1e-9 times max(1, |n|).
     """
     return _conjugate(t, basis, m, nvec)[0]
 

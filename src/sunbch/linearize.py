@@ -5,7 +5,7 @@ Any smooth function of an algebra element collapses to an affine form,
     f(m . L) = f0 I + fvec . L,
 
 because every polynomial in M = m . L reduces through the product rule.
-``linearize_fn`` writes exp(-/+ i M) in the Newton form over the
+``linearize_fn`` writes exp(-i M) in the Newton form over the
 eigenvalues l1 < ... < lN of M,
 
     f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
@@ -29,8 +29,8 @@ f (m_k m_l - m_l m_k)), while F(m) m rounds to about eps |m|**2, so
 checking it there would test only rounding.
 ``power_table`` lists the plain powers of M as ``LinearElement``s from
 the same routine, every shift 0; it and the monomial coefficients of
-``spectral.expansion_coeffs`` remain as cross-checks.  ``exp_minus_i``
-and ``exp_plus_i`` live in ``spectral`` and are importable from here.
+``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
+exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
 
 ``delinearize_exp`` inverts the exponential case: given group-element
 coordinates it recovers m with exp(-i m . L) equal to the input, choosing
@@ -55,15 +55,12 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
-    _exponent,
-    _require_simple_spectrum,
+    _exp_newton,
     apply_spectral,
     eig_hermitian,
     eig_unitary,
     eigvals_hermitian,
-    exp_divided_differences,
     exp_minus_i,
-    exp_plus_i,
 )
 
 CROSS_RESIDUAL_TOL = 1e-10
@@ -119,14 +116,11 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
     return list(map(LinearElement, *_newton_products(t, m, [0.0] * max_power)))
 
 
-def linearize_fn(
-    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, fn
-) -> LinearElement:
-    """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L.
+def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
+    """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
-    ``fn`` is ``exp_minus_i`` or ``exp_plus_i``; any other raises
-    ValueError.  With the eigenvalues l1 <= ... <= lN of M = m . L, the
-    Newton form of the interpolating polynomial gives
+    With the eigenvalues l1 <= ... <= lN of M = m . L, the Newton form of
+    the interpolating polynomial gives
 
         f(M) = sum_k f[l1..l(k+1)] P_k,   P_k = (M - l1 I) ... (M - lk I),
 
@@ -142,15 +136,11 @@ def linearize_fn(
     from_matrix) reproduces the same element and serves as the oracle in
     the test suite.
     """
-    c = _exponent(fn, "linearize_fn")
     (m,) = _check_coords(t.dim, m)
     if not np.any(m):
-        # The zero element is exact: f(0 . L) = f(0) I.
-        return LinearElement(complex(fn(0.0)), np.zeros(t.dim, dtype=complex))
-    vals = eigvals_hermitian(algebra_matrix(basis, m))
-    _require_simple_spectrum(vals)
-    lam = vals.tolist()
-    coeffs = exp_divided_differences(lam, c)
+        # The zero element is exact: exp(-i 0 . L) = I.
+        return LinearElement(complex(exp_minus_i(0.0)), np.zeros(t.dim, dtype=complex))
+    lam, coeffs = _exp_newton(eigvals_hermitian(algebra_matrix(basis, m)))
     scalars, vectors = _newton_products(t, m, lam[:-1])
     return LinearElement(complex(np.dot(coeffs, scalars)), coeffs @ np.array(vectors))
 

@@ -2,9 +2,9 @@
 
 Components are drawn uniformly from [-1, 1] and the vector is rescaled so
 the spectral radius of m . L equals a uniform draw from (0, cap].  Draws
-whose scaled eigenvalue gaps fall below ``min_gap`` are rejected, honoring
+whose scaled eigenvalue gaps fall below ``MIN_GAP`` are rejected, honoring
 the nondegeneracy assumption the analytic formulas rest on; a cap too small
-for any draw to meet ``min_gap`` is a ValueError.  Everything is a pure
+for any draw to meet ``MIN_GAP`` is a ValueError.  Everything is a pure
 function of the generator state, so seeded runs are reproducible.
 """
 
@@ -16,7 +16,7 @@ from .algebra import GeneratorBasis, algebra_matrix
 from .spectral import _min_gap, eigvals_hermitian
 
 DEFAULT_SPECTRAL_CAP = 0.9 * np.pi
-DEFAULT_MIN_GAP = 1e-6
+MIN_GAP = 1e-6
 _MAX_TRIES = 128
 
 
@@ -24,7 +24,6 @@ def random_coords(
     basis: GeneratorBasis,
     rng: np.random.Generator,
     spectral_cap: float = DEFAULT_SPECTRAL_CAP,
-    min_gap: float = DEFAULT_MIN_GAP,
 ) -> np.ndarray:
     if not 0 < spectral_cap < np.inf:
         raise ValueError(f"spectral_cap must be positive and finite, got {spectral_cap}")
@@ -36,9 +35,9 @@ def random_coords(
         if radius == 0.0:
             continue
         scale = target / radius
-        if _min_gap(vals * scale) >= min_gap:
+        if _min_gap(vals * scale) >= MIN_GAP:
             return raw * scale
     raise ValueError(
         f"no draw within {_MAX_TRIES} tries kept its eigenvalue gaps at least "
-        f"min_gap {min_gap} under spectral_cap {spectral_cap}"
+        f"min_gap {MIN_GAP} under spectral_cap {spectral_cap}"
     )

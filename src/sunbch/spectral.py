@@ -19,7 +19,7 @@ serves both entries: ``eig_hermitian`` accumulates the rotations and
 applies the reflectors, ``eigvals_hermitian`` does neither and returns
 the same eigenvalues bit for bit, since the vectors never feed back into
 them.  The same reasoning puts the divided-difference series on Python
-scalars.  The monomial coefficients of exp(-/+ iM) expand that series'
+scalars.  The monomial coefficients of exp(-iM) expand that series'
 Newton form, so no Vandermonde system is solved anywhere.
 """
 
@@ -270,24 +270,6 @@ def exp_minus_i(x):
     return np.exp(-1j * x)
 
 
-def exp_plus_i(x):
-    """exp(+i x), the conjugate exponential used by the adjoint kernel."""
-    return np.exp(1j * x)
-
-
-# The two functions the Newton-form routes evaluate, with the c of
-# exp(c x) each is.
-_EXPONENTS = {exp_minus_i: -1j, exp_plus_i: 1j}
-
-
-def _exponent(fn, caller: str) -> complex:
-    """The c of ``fn`` = exp(c x); ValueError for any other function."""
-    c = _EXPONENTS.get(fn)
-    if c is None:
-        raise ValueError(f"{caller} evaluates exp_minus_i or exp_plus_i only")
-    return c
-
-
 def exp_divided_differences(values, c: complex) -> np.ndarray:
     """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(c x).
 
@@ -355,6 +337,8 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     (u + u')/2 and (u - u')/2i are simultaneously diagonalizable; the
     first is diagonalized outright and each of its near-degenerate
     eigenvalue clusters is then split by the second on that subspace.
+    Each phase is atan2(v'Sv, v'Cv) over those parts C and S: next to I,
+    the angle of v'uv would lose a small phase against u's unit real part.
     Eigenvalues come back on the unit circle, ordered by principal phase.
     Repeated eigenvalues are fine: any orthonormal basis of the shared
     eigenspace gives a valid decomposition.
@@ -381,10 +365,10 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
             split = eig_hermitian(sub)
             vecs[:, start:stop] = block @ split.eigenvectors
         start = stop
-    vals = np.einsum("ak,ab,bk->k", vecs.conj(), u, vecs)
-    vals = vals / np.abs(vals)
-    order = np.argsort(np.angle(vals), kind="stable")
-    return SpectralDecomposition(vals[order], vecs[:, order])
+    cos_k, sin_k = np.einsum("ak,pab,bk->pk", vecs.conj(), [cos_part, sin_part], vecs).real
+    phases = np.arctan2(sin_k, cos_k)
+    order = np.argsort(phases, kind="stable")
+    return SpectralDecomposition(np.exp(1j * phases[order]), vecs[:, order])
 
 
 def char_poly(m: np.ndarray) -> CharPoly:
@@ -443,11 +427,21 @@ def apply_spectral(spec: SpectralDecomposition, fn) -> np.ndarray:
     return np.einsum("k,ak,bk->ab", fvals, v, v.conj())
 
 
-def expansion_coeffs(spec: SpectralDecomposition, fn) -> np.ndarray:
-    """Coefficients f_n with f(M) = sum_n f_n M**n, n = 0..N-1.
+def _exp_newton(eigenvalues) -> tuple[list[float], list[complex]]:
+    """The points of a simple spectrum and the divided differences of
+    exp(-ix) over them, as Python lists.  exp(-ix) is the one function the
+    Newton-form routes evaluate: on real points those of exp(+ix) are the
+    complex conjugates, bit for bit."""
+    vals = np.asarray(eigenvalues)
+    _require_simple_spectrum(vals)
+    lam = vals.tolist()
+    return lam, exp_divided_differences(lam, -1j).tolist()
 
-    ``fn`` is ``exp_minus_i`` or ``exp_plus_i``; any other raises
-    ValueError.  The Newton form over the eigenvalues l1..lN,
+
+def expansion_coeffs(spec: SpectralDecomposition) -> np.ndarray:
+    """Coefficients f_n with exp(-iM) = sum_n f_n M**n, n = 0..N-1.
+
+    The Newton form of f(x) = exp(-ix) over the eigenvalues l1..lN,
 
         f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
 
@@ -458,11 +452,7 @@ def expansion_coeffs(spec: SpectralDecomposition, fn) -> np.ndarray:
     spectrum with eigenvalues closer than GAP_TOL times its radius is
     refused as degenerate.
     """
-    c = _exponent(fn, "expansion_coeffs")
-    vals = np.asarray(spec.eigenvalues)
-    _require_simple_spectrum(vals)
-    lam = vals.tolist()
-    newton = exp_divided_differences(lam, c).tolist()
+    lam, newton = _exp_newton(spec.eigenvalues)
     coeffs = [newton[-1]]
     for shift, top in zip(lam[-2::-1], newton[-2::-1]):
         coeffs = (
@@ -473,38 +463,31 @@ def expansion_coeffs(spec: SpectralDecomposition, fn) -> np.ndarray:
     return np.array(coeffs)
 
 
-def expansion_coeffs_derivative(
-    spec: SpectralDecomposition, char: CharPoly, fn
-) -> np.ndarray:
+def expansion_coeffs_derivative(spec: SpectralDecomposition, char: CharPoly) -> np.ndarray:
     """Same coefficients by a second route: the paper's moments, folded in
     through the characteristic polynomial.
 
-    ``fn`` is ``exp_minus_i`` or ``exp_plus_i``; any other raises
-    ValueError.  The moments are the divided differences
+    With f(x) = exp(-ix), the moments are the divided differences
 
         D_q = [m_1..m_N](x**q f(x)) = sum_n delta_n m_n**q f(m_n),
         delta_n = prod_{k != n} (m_n - m_k)**-1,
 
     read without dividing by any gap: by Opitz's theorem D_q is the last
     entry of the first row of B**q f(B) for the bidiagonal B of the
-    eigenvalues, that is of (first row of exp(c B)) B**q, one bidiagonal
+    eigenvalues, that is of (first row of exp(-iB)) B**q, one bidiagonal
     step per power of B.  Synthetic division by the characteristic
     polynomial then gives
 
         f_n = sum_{q=0}^{N-1-n} a_{n+1+q} D_q.
 
-    It shares the first row of exp(c B) with expansion_coeffs but not the
+    It shares the first row of exp(-iB) with expansion_coeffs but not the
     expansion: Horner over the points there, the characteristic
     polynomial of M here.
     """
-    c = _exponent(fn, "expansion_coeffs_derivative")
-    vals = np.asarray(spec.eigenvalues)
-    n = vals.shape[0]
+    n = spec.n
     if char.degree != n:
         raise ValueError(f"characteristic polynomial degree {char.degree} != {n}")
-    _require_simple_spectrum(vals)
-    lam = vals.tolist()
-    row = exp_divided_differences(lam, c).tolist()
+    lam, row = _exp_newton(spec.eigenvalues)
     moments = [row[-1]]
     for _ in range(n - 1):
         # (row B)_j = row_j m_j + row_{j-1}.

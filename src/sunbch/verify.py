@@ -43,7 +43,6 @@ from .linearize import (
     delinearize_exp,
     exp_matrix,
     exp_minus_i,
-    exp_plus_i,
     f0_trace,
     linearize_fn,
     log_coords,
@@ -209,15 +208,15 @@ def _coeff_route_agreement(ctx, rng):
     against the paper's moments folded through the characteristic
     polynomial.
 
-    Both routes read Opitz's matrix (the first row of exp(cB) from
+    Both routes read Opitz's matrix (the first row of exp(-iB) from
     ``exp_divided_differences``), so a fault there would move both alike;
     ``linearize_vs_dense`` still catches it, since it holds the Newton form
     against the dense oracle.
     """
     m = algebra_matrix(ctx.basis, ctx.sample(rng))
     spec = eig_hermitian(m)
-    direct = expansion_coeffs(spec, exp_minus_i)
-    derived = expansion_coeffs_derivative(spec, char_poly(m), exp_minus_i)
+    direct = expansion_coeffs(spec)
+    derived = expansion_coeffs_derivative(spec, char_poly(m))
     return _maxabs(direct - derived)
 
 
@@ -226,14 +225,14 @@ def _coeff_route_agreement(ctx, rng):
 
 def _linearize_vs_dense(ctx, rng):
     m = ctx.sample(rng)
-    elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
+    elem = linearize_fn(ctx.tensors, ctx.basis, m)
     oracle = from_matrix(ctx.basis, exp_matrix(ctx.basis, m))
     return max(abs(elem.scalar - oracle.scalar), _maxabs(elem.vector - oracle.vector))
 
 
 def _f0_trace_agreement(ctx, rng):
     m = ctx.sample(rng)
-    elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
+    elem = linearize_fn(ctx.tensors, ctx.basis, m)
     return abs(elem.scalar - f0_trace(ctx.basis, m, exp_minus_i))
 
 
@@ -265,19 +264,19 @@ def _cubic_regroup(ctx, rng):
     t = ctx.tensors
     m = ctx.sample(rng)
     spec = eig_hermitian(algebra_matrix(ctx.basis, m))
-    e = expansion_coeffs(spec, exp_minus_i)
+    e = expansion_coeffs(spec)
     mm = dot_sym(t, m, m)
     mmm = dot_sym(t, mm, m)
     msq = np.dot(m, m)
     scalar = e[0] + e[2] * 0.5 * msq + e[3] * 0.5 * np.dot(mm, m)
     vector = (e[1] + e[3] * 0.5 * msq) * m + e[2] * mm + e[3] * mmm
-    elem = linearize_fn(t, ctx.basis, m, exp_minus_i)
+    elem = linearize_fn(t, ctx.basis, m)
     return max(abs(scalar - elem.scalar), _maxabs(vector - elem.vector))
 
 
 def _exp_log_round_trip(ctx, rng):
     m = ctx.sample(rng)
-    elem = linearize_fn(ctx.tensors, ctx.basis, m, exp_minus_i)
+    elem = linearize_fn(ctx.tensors, ctx.basis, m)
     return _maxabs(delinearize_exp(ctx.basis, elem) - m)
 
 
@@ -302,7 +301,7 @@ def _similarity_route_agreement(ctx, rng):
 def _adjoint_invariants(ctx, rng):
     m, nvec = ctx.sample(rng), ctx.sample(rng)
     nprime = similarity(ctx.tensors, ctx.basis, m, nvec)
-    mu = linearize_fn(ctx.tensors, ctx.basis, m, exp_plus_i)
+    mu = linearize_fn(ctx.tensors, ctx.basis, m).conj()
     kernel = build_adjoint_kernel(ctx.tensors, mu)
     return max(
         abs(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))),

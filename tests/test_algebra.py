@@ -26,7 +26,7 @@ from sunbch import (
     to_matrix,
 )
 from sunbch.algebra import SPARSE_THRESHOLD
-from sunbch.linearize import exp_plus_i, linearize_fn
+from sunbch.linearize import linearize_fn
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -331,6 +331,6 @@ def test_compose_and_similarity_build_no_dense_tensor():
     m, nvec = (random_coords(basis, rng) for _ in range(2))
     compose(t, basis, m, nvec)
     similarity(t, basis, m, nvec)
-    build_adjoint_kernel(t, linearize_fn(t, basis, m, exp_plus_i))
+    build_adjoint_kernel(t, linearize_fn(t, basis, m).conj())
     assert "f" not in vars(t) and "d" not in vars(t)
     assert t.f is t.f and "f" in vars(t)

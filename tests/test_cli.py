@@ -112,7 +112,6 @@ def test_similarity_linearizes_once(capsys, monkeypatch):
     front end produced, byte for byte."""
     from sunbch import cached_algebra, linearize_fn, similarity
     from sunbch.cli import _render
-    from sunbch.linearize import exp_plus_i
 
     calls = []
 
@@ -136,7 +135,7 @@ def test_similarity_linearizes_once(capsys, monkeypatch):
         basis, tensors = cached_algebra(2)
         m, nvec = np.asarray(m, dtype=float), np.asarray(nvec, dtype=float)
         nprime = similarity(tensors, basis, m, nvec)
-        mu = linearize_fn(tensors, basis, m, exp_plus_i)
+        mu = linearize_fn(tensors, basis, m).conj()
         expected = {
             "nprime": [float(x) for x in nprime],
             "norm_drift": abs(float(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec)))),

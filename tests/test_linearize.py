@@ -15,7 +15,7 @@ from sunbch import (
 )
 from sunbch.algebra import algebra_matrix
 from sunbch.errors import BranchCutError, ConstraintViolationError
-from sunbch.linearize import exp_minus_i, exp_plus_i
+from sunbch.linearize import exp_minus_i
 
 from conftest import dense_exp, seeded_samples
 
@@ -23,7 +23,6 @@ from conftest import dense_exp, seeded_samples
 def test_exp_helpers():
     assert exp_minus_i(0.0) == 1.0
     assert exp_minus_i(np.pi / 2) == pytest.approx(-1j, abs=1e-15)
-    assert exp_plus_i(np.pi / 2) == pytest.approx(1j, abs=1e-15)
 
 
 def test_power_table_first_rows(algebra3):
@@ -71,7 +70,7 @@ def test_power_table_range_check(algebra3):
 
 def test_linearize_zero_coords(algebra4):
     basis, t = algebra4
-    elem = linearize_fn(t, basis, np.zeros(15), exp_minus_i)
+    elem = linearize_fn(t, basis, np.zeros(15))
     assert elem.scalar == 1.0
     np.testing.assert_array_equal(elem.vector, np.zeros(15))
 
@@ -81,10 +80,10 @@ def test_linearize_exp_matches_scipy(n):
     """f0 I + fvec . L reproduces the dense matrix exponential."""
     basis, t = cached_algebra(n)
     for coords in seeded_samples(basis, 400 + n, 10):
-        elem = linearize_fn(t, basis, coords, exp_minus_i)
+        elem = linearize_fn(t, basis, coords)
         recon = to_matrix(basis, elem)
         assert np.max(np.abs(recon - dense_exp(basis, coords))) < 1e-9
-        elem = linearize_fn(t, basis, coords, exp_plus_i)
+        elem = linearize_fn(t, basis, coords).conj()
         recon = to_matrix(basis, elem)
         assert np.max(np.abs(recon - dense_exp(basis, coords).conj().T)) < 1e-9
 
@@ -97,16 +96,7 @@ def test_newton_cross_guard_fires_on_wide_spectra(algebra4):
     for _ in range(10):
         m = rng.uniform(-100.0, 100.0, t.dim)
         with pytest.raises(ConstraintViolationError, match="cross term"):
-            linearize_fn(t, basis, m, exp_minus_i)
-
-
-def test_linearize_rejects_other_functions(algebra3):
-    basis, t = algebra3
-    coords = seeded_samples(basis, 13, 1)[0]
-    for fn in (np.exp, np.cos, lambda x: np.exp(-1j * x)):
-        for m in (coords, np.zeros(8)):
-            with pytest.raises(ValueError, match="exp_minus_i or exp_plus_i"):
-                linearize_fn(t, basis, m, fn)
+            linearize_fn(t, basis, m)
 
 
 def test_exp_matrix_matches_scipy(algebra3):
@@ -123,7 +113,7 @@ def test_f0_trace_zero(algebra3):
 def test_f0_trace_agrees_with_linearize(algebra3):
     basis, t = algebra3
     for coords in seeded_samples(basis, 23, 10):
-        elem = linearize_fn(t, basis, coords, exp_minus_i)
+        elem = linearize_fn(t, basis, coords)
         assert abs(elem.scalar - f0_trace(basis, coords, exp_minus_i)) < 1e-12
 
 
@@ -142,7 +132,7 @@ def test_delinearize_identity_element(algebra3):
 def test_round_trip_inside_principal_region(n):
     basis, t = cached_algebra(n)
     for coords in seeded_samples(basis, 500 + n, 20):
-        elem = linearize_fn(t, basis, coords, exp_minus_i)
+        elem = linearize_fn(t, basis, coords)
         np.testing.assert_allclose(delinearize_exp(basis, elem), coords, atol=1e-9)
 
 

@@ -17,7 +17,7 @@ from sunbch import (
     spectral,
 )
 from sunbch.errors import ConvergenceError, DegenerateSpectrumError
-from sunbch.linearize import exp_minus_i, exp_plus_i
+from sunbch.linearize import exp_minus_i
 from sunbch.spectral import eigvals_hermitian, exp_divided_differences
 
 from conftest import dense_exp, seeded_samples
@@ -399,21 +399,10 @@ def test_apply_spectral_exp_is_unitary():
 def test_expansion_coeffs_sigma3():
     """exp(-i s3) = cos(1) I - i sin(1) s3."""
     spec = eig_hermitian(SIGMA3)
-    coeffs = expansion_coeffs(spec, exp_minus_i)
+    coeffs = expansion_coeffs(spec)
     np.testing.assert_allclose(
         coeffs, [np.cos(1.0), -1j * np.sin(1.0)], atol=1e-14
     )
-
-
-def test_expansion_coeffs_constant_fn():
-    # Both routes evaluate exp(-/+ i x) only, as linearize_fn does.
-    rng = np.random.default_rng(43)
-    m = random_hermitian(rng, 3)
-    spec = eig_hermitian(m)
-    with pytest.raises(ValueError, match="exp_minus_i or exp_plus_i"):
-        expansion_coeffs(spec, lambda x: 1.0)
-    with pytest.raises(ValueError, match="exp_minus_i or exp_plus_i"):
-        expansion_coeffs_derivative(spec, char_poly(m), lambda x: 1.0)
 
 
 def test_expansion_residual_n4():
@@ -421,7 +410,7 @@ def test_expansion_residual_n4():
     for coords in seeded_samples(basis, 47, 10):
         m = algebra_matrix(basis, coords)
         spec = eig_hermitian(m)
-        coeffs = expansion_coeffs(spec, exp_minus_i)
+        coeffs = expansion_coeffs(spec)
         total = np.zeros((4, 4), dtype=complex)
         power = np.eye(4, dtype=complex)
         for c in coeffs:
@@ -436,13 +425,13 @@ def test_expansion_coeffs_degenerate_rejected():
     e8[7] = 1.0
     spec = eig_hermitian(algebra_matrix(basis, e8))
     with pytest.raises(DegenerateSpectrumError):
-        expansion_coeffs(spec, exp_minus_i)
+        expansion_coeffs(spec)
 
 
 def test_derivative_route_sigma3():
     spec = eig_hermitian(SIGMA3)
-    direct = expansion_coeffs(spec, exp_minus_i)
-    derived = expansion_coeffs_derivative(spec, char_poly(SIGMA3), exp_minus_i)
+    direct = expansion_coeffs(spec)
+    derived = expansion_coeffs_derivative(spec, char_poly(SIGMA3))
     np.testing.assert_allclose(derived, direct, atol=1e-14)
 
 
@@ -451,8 +440,8 @@ def test_derivative_route_agreement_n3():
     for coords in seeded_samples(basis, 53, 100):
         m = algebra_matrix(basis, coords)
         spec = eig_hermitian(m)
-        direct = expansion_coeffs(spec, exp_minus_i)
-        derived = expansion_coeffs_derivative(spec, char_poly(m), exp_minus_i)
+        direct = expansion_coeffs(spec)
+        derived = expansion_coeffs_derivative(spec, char_poly(m))
         assert np.max(np.abs(direct - derived)) < 1e-8
 
 
@@ -468,11 +457,14 @@ def mp_monomial_coeffs(points, c):
         return np.array([complex(z) for z in mpmath.lu_solve(vander, fvals)])
 
 
-@pytest.mark.parametrize("fn, c", [(exp_minus_i, -1j), (exp_plus_i, 1j)])
+@pytest.mark.parametrize("fn, c", [("exp_minus_i", -1j), ("exp_plus_i", 1j)])
 @pytest.mark.parametrize("n", [4, 8])
 def test_expansion_coeffs_small_radius_against_mpmath(n, fn, c):
     """Both routes stay at rounding level on spectra of radius 1e-3..1e-6,
-    where a Vandermonde solve in double precision loses up to 42 digits."""
+    where a Vandermonde solve in double precision loses up to 42 digits.
+    The coefficients of exp(+ix) are the complex conjugates of those of
+    exp(-ix) on real points."""
+    part = np.conj if fn == "exp_plus_i" else np.asarray
     rng = np.random.default_rng(101 + n)
     weights = np.array([math.factorial(k) for k in range(n)])
     for radius in (1e-3, 1e-4, 1e-5, 1e-6):
@@ -480,8 +472,8 @@ def test_expansion_coeffs_small_radius_against_mpmath(n, fn, c):
             points = np.sort(rng.uniform(-radius, radius, n))
             spec = spectral.SpectralDecomposition(points, np.eye(n, dtype=complex))
             reference = mp_monomial_coeffs(points, c)
-            direct = expansion_coeffs(spec, fn)
-            derived = expansion_coeffs_derivative(spec, char_poly(np.diag(points)), fn)
+            direct = part(expansion_coeffs(spec))
+            derived = part(expansion_coeffs_derivative(spec, char_poly(np.diag(points))))
             # Coefficient k is about 1/k! in size.
             assert np.max(np.abs(direct - reference) * weights) < 1e-14
             assert np.max(np.abs(derived - reference) * weights) < 1e-14
@@ -490,7 +482,7 @@ def test_expansion_coeffs_small_radius_against_mpmath(n, fn, c):
 def test_derivative_route_degree_mismatch():
     spec = eig_hermitian(SIGMA3)
     with pytest.raises(ValueError):
-        expansion_coeffs_derivative(spec, char_poly(np.eye(3)), exp_minus_i)
+        expansion_coeffs_derivative(spec, char_poly(np.eye(3)))
 
 
 def bidiagonal(points):
@@ -516,6 +508,22 @@ def test_exp_divided_differences_match_scipy(n, c):
             # Entry k is at most 1/k! in size, |f^(k)| being 1 on the reals.
             weights = [1.0 / math.factorial(k) for k in range(n)]
             assert np.max(np.abs(got - ref) / weights) < max(1e-13, 1e-15 * scale)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exp_divided_differences_conjugate_pair(n):
+    """exp(+ix)'s divided differences are the complex conjugates of
+    exp(-ix)'s, bit for bit, on spreads from 1e-8 to 3000 (past pi the
+    squaring path): the Newton-form routes evaluate exp(-ix) only and
+    conjugate for exp(+ix)."""
+    rng = np.random.default_rng(61 + n)
+    for spread in (1e-8, 1e-4, 1e-2, 1.0, np.pi, 20.0, 1e3, 3e3):
+        for _ in range(10):
+            low = rng.uniform(-spread, spread)
+            points = np.sort(low + rng.uniform(0.0, spread, n))
+            plus = exp_divided_differences(points, 1j)
+            minus = exp_divided_differences(points, -1j)
+            assert plus.tobytes() == np.conj(minus).tobytes(), (spread, points)
 
 
 @pytest.mark.parametrize("c", [-1j, 1j])
