@@ -64,7 +64,7 @@ def _compose(
     SU(N) is refused as ConstraintViolationError, not as invalid input."""
     product = compose_linear(t, basis, m, nvec)
     try:
-        return delinearize_exp(basis, product), product
+        return delinearize_exp(t, basis, product), product
     except ValueError as exc:
         raise ConstraintViolationError(f"the composed product is not in SU(N): {exc}") from exc
 

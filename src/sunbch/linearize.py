@@ -6,20 +6,27 @@ Any smooth function of an algebra element collapses to an affine form,
 
 because every polynomial in M = m . L reduces through the product rule.
 ``linearize_fn`` writes exp(-i M) in the Newton form over the
-eigenvalues l1 < ... < lN of M,
+eigenvalues l1 <= ... <= lN of M,
 
     f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
 
-which is exact on a simple spectrum.  Its divided differences are the
-first row of exp(c B) for the bidiagonal matrix B of the eigenvalues and
-ones (Opitz), so the eigenvalues are all the spectral input it needs: no
-eigenvectors, and no Vandermonde system to solve.  The Newton products
-are real and built in coordinates; with P = s I + v . L,
+which is exact on any spectrum of the diagonalizable M: with a repeated
+eigenvalue it is the Hermite interpolant, which agrees with f there too.
+Its divided differences are the first row of exp(c B) for the bidiagonal
+matrix B of the eigenvalues and ones (Opitz), so the eigenvalues are all
+the spectral input it needs: no eigenvectors, and no Vandermonde system to
+solve.  For N <= 4 even those come without iteration: the power sums
+Tr M**2 = 2 m.m, Tr M**3 = 2 (m (.) m).m and
+Tr M**4 = (4/N)(m.m)**2 + 2 (m (.) m).(m (.) m) fix the characteristic
+polynomial, and ``spectral.eigvals_from_power_sums`` solves it in closed
+form, declining close or repeated eigenvalues to the QL kernel.  The
+Newton products are real and built in coordinates; with P = s I + v . L,
 
     P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
 
 and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrix``,
-built once per linearization, so each step is one matrix-vector product.
+built once per linearization (and giving m (.) m = D(m) m for the power
+sums), so each step is one matrix-vector product.
 The cross-product term of the full product rule (``algebra.multiply``)
 drops out identically (every product lies in the commutative family
 generated by m under (.)), and that vanishing, v (x) m = F(m) v = 0, is
@@ -32,13 +39,18 @@ the same routine, every shift 0; it and the monomial coefficients of
 ``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
 exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
 
-``delinearize_exp`` inverts the exponential case: given group-element
-coordinates it recovers m with exp(-i m . L) equal to the input, choosing
-eigenphases on the principal branch and restoring tracelessness by the
-2 pi shift rule documented at ``log_coords``.
+``delinearize_exp`` inverts the exponential case.  Near the identity it
+needs eigenvalues only: the scalar coordinate alone shows that every
+eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then the Newton
+form of arcsin over the eigenvalues of sin R, whose coordinates are the
+imaginary parts of the element's.  Elsewhere ``log_coords`` takes the
+dense matrix, choosing eigenphases on the principal branch and restoring
+tracelessness by the 2 pi shift rule documented there.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,28 +67,44 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
-    _exp_newton,
+    _require_unitary,
     apply_spectral,
+    arcsin_divided_differences,
     eig_hermitian,
     eig_unitary,
+    eigvals_from_power_sums,
     eigvals_hermitian,
+    exp_divided_differences,
     exp_minus_i,
 )
 
 CROSS_RESIDUAL_TOL = 1e-10
 BRANCH_GAP = 1e-9
 REALITY_TOL = 1e-9
+# a . a and its square stay normal floats inside this range, so the power
+# sums of the closed-form spectra (D(a) a and its dot products) neither
+# underflow nor overflow; outside it the QL kernel, which scales its input
+# by a power of two, takes the eigenvalues.
+POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
+# ``delinearize_exp`` takes the values-only logarithm when
+# 2N (1 - Re g0) = sum_k |1 - exp(-i theta_k)|**2 is at most this: each
+# term is then at most 4 sin(pi/8)**2, so every |theta_k| <= pi/4, the
+# phases sum to 0 rather than a nonzero multiple of 2 pi, and the points
+# sin theta_k lie within sin(pi/4) of 0, so the arcsin series of
+# ``arcsin_divided_differences`` converges with ratio at most sin(pi/4).
+LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 
 
 def _newton_products(
-    t: StructureTensors, m: np.ndarray, shifts
+    t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray | None = None
 ) -> tuple[list, list]:
     """Coordinates of P_k = (M - x1 I) ... (M - xk I) for k = 0 .. len(shifts).
 
     Returns the lists scalars[k] and vectors[k] with
     P_k = scalars[k] I + vectors[k] . L by the rule in the module
-    docstring.  D(m) is built once when there is a step (k >= 2), and each
-    step is one product with it.  F(m) is built once when there is a step
+    docstring.  D(m) is ``sym`` when the caller has built it, else it is
+    built once when there is a step (k >= 2), and each step is one product
+    with it.  F(m) is built once when there is a step
     k >= 3, whose cross term F(m) v must vanish; a residual at or above
     CROSS_RESIDUAL_TOL raises ConstraintViolationError.  Step 2 is not
     checked: its v is m, and m (x) m is zero exactly (module docstring).
@@ -85,7 +113,7 @@ def _newton_products(
     if shifts:
         scalars.append(-shifts[0])
         vectors.append(m)
-    if len(shifts) >= 2:
+    if len(shifts) >= 2 and sym is None:
         sym = product_matrix(t, "d", m)
     if len(shifts) >= 3:
         skew = product_matrix(t, "f", m)
@@ -116,6 +144,40 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
     return list(map(LinearElement, *_newton_products(t, m, [0.0] * max_power)))
 
 
+def _eigenvalues(
+    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray | None
+) -> list[float]:
+    """Ascending eigenvalues of M = m . L for the Newton routes.
+
+    For N <= 4 they come in closed form from the power sums of
+    ``eigvals_from_power_sums``, with m (.) m = D(m) m from the caller's
+    D(m) = ``sym`` (None at N = 2, where no power sum past a . a is read),
+    while a . a lies inside POWER_SUM_RANGE.  Outside it, where the closed
+    form declines (close or repeated eigenvalues), and for N > 4 the QL
+    kernel ``eigvals_hermitian`` takes them.
+    """
+    if t.n <= 4:
+        # hypot does not overflow, and a float product overflows to inf
+        # silently: a huge m is refused by the range, not with a warning.
+        norm = math.hypot(*m.tolist())
+        aa = norm * norm
+        if POWER_SUM_RANGE[0] < aa < POWER_SUM_RANGE[1]:
+            p3 = p4 = 0.0
+            if sym is not None:
+                mm = sym @ m
+                p3 = 2.0 * float(np.dot(mm, m))
+                p4 = (4.0 / t.n) * aa * aa + 2.0 * float(np.dot(mm, mm))
+            vals = eigvals_from_power_sums(t.n, 2.0 * aa, p3, p4)
+            if vals is not None:
+                return vals
+    return eigvals_hermitian(algebra_matrix(basis, m)).tolist()
+
+
+def _symmetric_product_matrix(t: StructureTensors, m: np.ndarray) -> np.ndarray | None:
+    """D(m), or None at N = 2, where d vanishes and no Newton step reads it."""
+    return product_matrix(t, "d", m) if t.n > 2 else None
+
+
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
@@ -125,23 +187,26 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
         f(M) = sum_k f[l1..l(k+1)] P_k,   P_k = (M - l1 I) ... (M - lk I),
 
     exactly, because f and its interpolant agree on the spectrum of the
-    diagonalizable M.  The divided differences come from
-    ``exp_divided_differences`` (Opitz's bidiagonal exponential), so only
-    the eigenvalues are needed, never the eigenvectors.  The products P_k
-    are real and built in coordinates by ``_newton_products``, one
-    matrix-vector product with D(m) per step, D(m) built once, with the
-    cross term of each step from the third on checked.  A
-    spectrum with eigenvalues closer than GAP_TOL times its radius is
-    refused as degenerate.  The all-matrix route (apply_spectral then
-    from_matrix) reproduces the same element and serves as the oracle in
-    the test suite.
+    diagonalizable M; a repeated eigenvalue makes that a Hermite
+    interpolant, which agrees there as well.  The divided differences come
+    from ``exp_divided_differences`` (Opitz's bidiagonal exponential),
+    which accepts confluent points, so only the eigenvalues are needed,
+    never the eigenvectors, and a degenerate spectrum is no special case.
+    D(m) is built once: for N <= 4 it gives m (.) m = D(m) m for the
+    closed-form eigenvalues (``_eigenvalues``), and at every N the Newton
+    products P_k, one matrix-vector product with it per step, with the
+    cross term of each step from the third on checked.  The all-matrix
+    route (apply_spectral then from_matrix) reproduces the same element
+    and serves as the oracle in the test suite.
     """
     (m,) = _check_coords(t.dim, m)
     if not np.any(m):
         # The zero element is exact: exp(-i 0 . L) = I.
         return LinearElement(complex(exp_minus_i(0.0)), np.zeros(t.dim, dtype=complex))
-    lam, coeffs = _exp_newton(eigvals_hermitian(algebra_matrix(basis, m)))
-    scalars, vectors = _newton_products(t, m, lam[:-1])
+    sym = _symmetric_product_matrix(t, m)
+    lam = _eigenvalues(t, basis, m, sym)
+    coeffs = exp_divided_differences(lam, -1j).tolist()
+    scalars, vectors = _newton_products(t, m, lam[:-1], sym)
     return LinearElement(complex(np.dot(coeffs, scalars)), coeffs @ np.array(vectors))
 
 
@@ -198,9 +263,43 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     return elem.vector.real
 
 
-def delinearize_exp(basis: GeneratorBasis, g: LinearElement) -> np.ndarray:
+def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement) -> np.ndarray:
     """Invert g = (g0, gvec) with g0 I + gvec . L = exp(-i m . L) for m.
 
-    ``log_coords`` checks that the matrix is unitary with unit determinant.
+    Near the identity from eigenvalues alone.  With R = m . L,
+    2N (1 - Re g0) = sum_k |1 - exp(-i theta_k)|**2 over R's eigenvalues;
+    at or below LOG_GATE every |theta_k| <= pi/4 and the 2 pi shift is 0,
+    so theta_k = arcsin(sin theta_k) on the principal branch and R is that
+    function of sin R = (g' - g) / 2i = -Im g0 I + a . L, a = -Im gvec.
+    With the eigenvalues mu_k of a . L (``_eigenvalues``: closed form for
+    N <= 4, else QL) R is the Newton form over them of
+    arcsin(-Im g0 + x), its divided differences from
+    ``arcsin_divided_differences`` and its products from
+    ``_newton_products`` on a: no eigenvector and no dense logarithm.  The
+    gate runs before any eigenproblem; past it ``log_coords`` takes the
+    dense matrix.  Inside it the matrix is first checked unitary within
+    UNITARY_TOL (ValueError, as in ``log_coords``), and R's scalar part,
+    the phase sum over N, must vanish: a phase sum of UNITARY_TOL or more
+    means det g != 1 and raises ``log_coords``' ValueError.  No other
+    refusal of ``log_coords`` can arise inside the gate: no phase is near
+    the cut and no shift boundary exists.  The coordinates are real by
+    construction.
     """
-    return log_coords(basis, to_matrix(basis, g))
+    u = to_matrix(basis, g)
+    if not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE:
+        return log_coords(basis, u)
+    _require_unitary(u)
+    offset = -g.scalar.imag
+    a = -np.imag(g.vector)
+    if np.any(a):
+        sym = _symmetric_product_matrix(t, a)
+        mu = _eigenvalues(t, basis, a, sym)
+        coeffs = arcsin_divided_differences(mu, offset)
+        scalars, vectors = _newton_products(t, a, mu[:-1], sym)
+        scalar, r = float(np.dot(coeffs, scalars)), coeffs @ np.array(vectors)
+    else:
+        scalar, r = math.asin(offset), np.zeros(t.dim)
+    det_phase = abs(t.n * scalar)
+    if not det_phase < UNITARY_TOL:
+        raise ValueError(f"det u is not 1: its phase is {det_phase:.3e}")
+    return r

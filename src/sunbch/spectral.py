@@ -21,6 +21,18 @@ the same eigenvalues bit for bit, since the vectors never feed back into
 them.  The same reasoning puts the divided-difference series on Python
 scalars.  The monomial coefficients of exp(-iM) expand that series'
 Newton form, so no Vandermonde system is solved anywhere.
+
+For N <= 4 the eigenvalues of a traceless M need no iteration:
+``eigvals_from_power_sums`` reads them off the characteristic polynomial,
+which Tr M**2, Tr M**3 and Tr M**4 fix, by the trigonometric cubic (N = 3)
+and Descartes' resolvent (N = 4), each root polished by Newton steps.  A
+root of a polynomial is only as accurate as the polynomial's slope there
+allows, so a spectrum with a slope below CLOSED_FORM_CUT (close or
+repeated eigenvalues) is declined and goes to the QL kernel, as in Kopp's
+hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
+``arcsin_divided_differences`` sums the divided differences of arcsin by
+the same bidiagonal Taylor rows as those of exp, for the values-only
+logarithm of ``linearize.delinearize_exp``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,16 @@ from .errors import ConvergenceError, DegenerateSpectrumError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
+# ``eigvals_from_power_sums`` hands a spectrum to the QL kernel when some
+# eigenvalue has |p'(l_k)| = prod_{j != k} |l_k - l_j| below this share of
+# radius**(N-1).  An eigenvalue read off the characteristic polynomial p
+# errs by about eps |p|/|p'(l_k)| (Wilkinson): measured, at most 4.3 eps
+# radius**N / |p'(l_k)| on 12,000 N = 3 and 4 spectra with one pair split
+# by 1e-4..1e-1 of the radius, so at this cut every closed-form eigenvalue
+# lies within about 1e-13 of the radius of QL's.  The smallest gap alone
+# does not bound the error at N = 4: a gap of 1e-3 of the radius next to a
+# second small gap left 5e-11.
+CLOSED_FORM_CUT = 1e-2
 # Implicit QL steps allowed per eigenvalue; with the Wilkinson shift it
 # converges cubically and rarely needs more than three.
 QL_MAX_ITERATIONS = 30
@@ -265,6 +287,91 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     return np.sort(vals, kind="stable")
 
 
+def _cubic_roots(p: float, q: float) -> list[float] | None:
+    """The three real roots of z**3 + p z + q by the trigonometric
+    solution (Viete), largest first; None unless p < 0."""
+    if not p < 0.0:
+        return None
+    scale = 2.0 * math.sqrt(-p / 3.0)
+    cos3 = min(1.0, max(-1.0, 3.0 * q / (p * scale)))
+    third = math.acos(cos3) / 3.0
+    return [scale * math.cos(third - 2.0 * math.pi * k / 3.0) for k in range(3)]
+
+
+def eigvals_from_power_sums(n: int, p2: float, p3: float, p4: float) -> list[float] | None:
+    """Ascending eigenvalues of a traceless Hermitian n x n matrix M,
+    n = 2, 3 or 4, in closed form from its power sums p_k = Tr M**k; None
+    where the closed form is not accurate enough.
+
+    For M = a . L the power sums are scalars in coordinates: p2 = 2 a.a,
+    p3 = 2 (a (.) a).a and p4 = (4/N)(a.a)**2 + 2 (a (.) a).(a (.) a).  In
+    units of r = sqrt(p2 / 2) the characteristic polynomial is, with
+    q = p3 / (3 r**3),
+      n = 2: t**2 - 1, so t = +-1;
+      n = 3: t**3 - t - q, solved trigonometrically;
+      n = 4: t**4 - t**2 - q t + R, R = 1/2 - p4 / (4 r**4), by Descartes'
+             resolvent y**3 - 2 y**2 + (1 - 4R) y - q**2, whose roots are
+             the squares (t1 + t2)**2, (t1 + t3)**2, (t1 + t4)**2.  The two
+             larger give s1, s2 >= 0 by square roots, and s3 = q / (s1 s2)
+             keeps its sign and accuracy where a third square root would
+             lose half the digits of a small root; the eigenvalues are
+             (+-s1 +- s2 +- s3) / 2 with an even count of minus signs.
+    Each cubic or quartic root is then polished by Newton steps on its
+    polynomial (one at n = 3, two at n = 4).  The result is None when the
+    slope |p'| at some root is below CLOSED_FORM_CUT times radius**(n-1),
+    which covers every repeated or close eigenvalue: a root of a
+    polynomial is only as accurate as that slope allows, and at a double
+    root the trigonometric and resolvent formulas split it by about
+    sqrt(eps) while Newton's step divides rounding by rounding.
+    p2 must be positive and normal; the caller checks its range.
+    (Kopp, Int. J. Mod. Phys. C 19 (2008) 523, falls back the same way
+    from analytic 3 x 3 eigenvalues to an iterative solver.)
+    """
+    r = math.sqrt(0.5 * p2)
+    if n == 2:
+        return [-r, r]
+    q = p3 / (3.0 * r * r * r)
+    if n == 3:
+        roots = _cubic_roots(-1.0, -q)
+        coeffs, steps = (0.0, -1.0, -q), 1
+    else:
+        quartic = 0.5 - p4 / (4.0 * r ** 4)
+        # The resolvent depressed by y = z + 2/3.
+        cubic = _cubic_roots(
+            -1.0 / 3.0 - 4.0 * quartic,
+            2.0 * (1.0 - 4.0 * quartic) / 3.0 - 16.0 / 27.0 - q * q,
+        )
+        if cubic is None:
+            return None
+        y1, y2 = (max(0.0, z + 2.0 / 3.0) for z in cubic[:2])
+        s1, s2 = math.sqrt(y1), math.sqrt(y2)
+        if not s1 * s2 > 0.0:
+            return None
+        s3 = q / (s1 * s2)
+        roots = [
+            0.5 * (s1 + s2 + s3), 0.5 * (s1 - s2 - s3),
+            0.5 * (s2 - s1 - s3), 0.5 * (s3 - s1 - s2),
+        ]
+        coeffs, steps = (0.0, -1.0, -q, quartic), 2
+    # Newton on t**n + c[0] t**(n-1) + ... + c[n-1], value and slope by
+    # Horner.  A slope below the cut declines before the step: next to a
+    # double root the step would divide rounding by rounding.
+    radius = max(abs(x) for x in roots)
+    floor = CLOSED_FORM_CUT * radius ** (n - 1)
+    polished = []
+    for root in roots:
+        for _ in range(steps):
+            value, slope = 1.0, 0.0
+            for c in coeffs:
+                value, slope = value * root + c, slope * root + value
+            if not abs(slope) >= floor:
+                return None
+            root -= value / slope
+        polished.append(root)
+    polished.sort()
+    return [r * x for x in polished]
+
+
 def exp_minus_i(x):
     """exp(-i x), the group-element function used throughout."""
     return np.exp(-1j * x)
@@ -331,6 +438,70 @@ def exp_divided_differences(values, c: complex) -> np.ndarray:
     return np.exp(c * mid) * first
 
 
+def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:
+    """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of
+    f(x) = arcsin(offset + x).
+
+    As for ``exp_divided_differences``, they are the first row of f(B) for
+    the bidiagonal B of the points and ones, summed as a Taylor series
+    about the midpoint z0 = offset + mid, one bidiagonal step per term, so
+    confluent points are allowed and no gap is divided by.  The
+    coefficients of arcsin' = (1 - z**2)**-1/2 about z0 follow from
+    (1 - z**2) g' = z g:
+
+        b0 = (1 - z0**2)**-1/2,
+        b(k+1) = ((2k + 1) z0 bk + k b(k-1)) / ((1 - z0**2)(k + 1)),
+
+    and arcsin's are a0 = arcsin z0, a(k+1) = bk / (k + 1).  Summed to
+    degree K, the entries are exactly the divided differences of the
+    Taylor polynomial T_K, so the Newton form built from them interpolates
+    T_K and errs at each point by at most the tail sum of |ak| r**k, r the
+    half-spread.  The loop stops once two consecutive terms (one of a pair
+    is zero where z0 = 0) are below one roundoff of arcsin's scale there,
+    |a0| + |a1| r, shrunk by 1 - r / (1 - |z0|), the tail's geometric
+    ratio.  The points must lie within (-1, 1) of -offset, with the
+    series' ratio r / (1 - |z0|) at most 0.75; otherwise ValueError.
+    """
+    xs = [float(x) for x in values]
+    n = len(xs)
+    lo, hi = min(xs), max(xs)
+    mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    z0 = offset + mid
+    ratio = reach / (1.0 - abs(z0))
+    if not (abs(z0) < 1.0 and 0.0 <= ratio <= 0.75):
+        raise ValueError("arcsin divided differences need points well inside (-1, 1)")
+    shifted = [x - mid for x in xs]
+    w = 1.0 - z0 * z0
+    total = [math.asin(z0)] + [0.0] * (n - 1)
+    row = [1.0] + [0.0] * (n - 1)  # e_1' B**k
+    lower, coef = 0.0, 1.0 / math.sqrt(w)  # b(k-1), bk
+    limit = _ROUNDOFF * (abs(total[0]) + coef * reach) * (1.0 - ratio)
+    last, power, k = math.inf, 1.0, 0
+    while True:
+        a = coef / (k + 1)
+        prev = 0.0
+        # (row B)_j = row_j x_j + row_{j-1}; entries past k + 1 are 0.
+        for j in range(min(k + 2, n)):
+            cur = row[j]
+            row[j] = nxt = cur * shifted[j] + prev
+            total[j] += a * nxt
+            prev = cur
+        power *= reach
+        term = abs(a) * power
+        if term + last <= limit:
+            return total
+        last = term
+        lower, coef = coef, ((2 * k + 1) * z0 * coef + k * lower) / (w * (k + 1))
+        k += 1
+
+
+def _require_unitary(u: np.ndarray) -> None:
+    """ValueError unless u'u - I stays below UNITARY_TOL (a NaN fails too)."""
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if not defect < UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary within 1e-8: u'u - I reached {defect:.3e}")
+
+
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a unitary matrix via its commuting Hermitian parts.
 
@@ -345,9 +516,7 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """
     u = _square(u)
     n = u.shape[0]
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect >= UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary within 1e-8: u'u - I reached {defect:.3e}")
+    _require_unitary(u)
     cos_part = (u + u.conj().T) / 2.0
     sin_part = (u - u.conj().T) / 2j
     base = eig_hermitian(cos_part)

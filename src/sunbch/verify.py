@@ -277,7 +277,7 @@ def _cubic_regroup(ctx, rng):
 def _exp_log_round_trip(ctx, rng):
     m = ctx.sample(rng)
     elem = linearize_fn(ctx.tensors, ctx.basis, m)
-    return _maxabs(delinearize_exp(ctx.basis, elem) - m)
+    return _maxabs(delinearize_exp(ctx.tensors, ctx.basis, elem) - m)
 
 
 # ---- group-level properties -----------------------------------------------------

@@ -185,7 +185,7 @@ def test_criterion_5_linearized_spectral_theorem():
                 abs(elem.scalar - oracle.scalar),
                 float(np.max(np.abs(elem.vector - oracle.vector))),
             )
-            recovered = delinearize_exp(basis, elem)
+            recovered = delinearize_exp(t, basis, elem)
             worst_round_trip = max(
                 worst_round_trip, float(np.max(np.abs(recovered - m)))
             )

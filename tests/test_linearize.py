@@ -123,9 +123,9 @@ def test_log_coords_identity(algebra3):
 
 
 def test_delinearize_identity_element(algebra3):
-    basis, _ = algebra3
+    basis, t = algebra3
     g = LinearElement(1.0, np.zeros(8, dtype=complex))
-    np.testing.assert_allclose(delinearize_exp(basis, g), np.zeros(8), atol=1e-12)
+    np.testing.assert_allclose(delinearize_exp(t, basis, g), np.zeros(8), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -133,7 +133,7 @@ def test_round_trip_inside_principal_region(n):
     basis, t = cached_algebra(n)
     for coords in seeded_samples(basis, 500 + n, 20):
         elem = linearize_fn(t, basis, coords)
-        np.testing.assert_allclose(delinearize_exp(basis, elem), coords, atol=1e-9)
+        np.testing.assert_allclose(delinearize_exp(t, basis, elem), coords, atol=1e-9)
 
 
 def test_log_coords_scipy_cross_check(algebra2):
@@ -201,18 +201,18 @@ def test_det_correction_both_signs(theta, shifted):
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_det_not_one_refused(n):
     """A unitary with det u = exp(0.1 i N) has no coordinates; both entries refuse it."""
-    basis, _ = cached_algebra(n)
+    basis, t = cached_algebra(n)
     (coords,) = seeded_samples(basis, 40 + n, 1)
     u = np.exp(0.1j) * exp_matrix(basis, coords)
     with pytest.raises(ValueError, match="det u is not 1"):
         log_coords(basis, u)
     g = LinearElement(np.exp(0.1j), np.zeros(basis.dim, dtype=complex))
     with pytest.raises(ValueError, match="det u is not 1"):
-        delinearize_exp(basis, g)
+        delinearize_exp(t, basis, g)
 
 
 def test_delinearize_rejects_nonunitary(algebra2):
-    basis, _ = algebra2
+    basis, t = algebra2
     g = LinearElement(0.5, np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="unitary"):
-        delinearize_exp(basis, g)
+        delinearize_exp(t, basis, g)
