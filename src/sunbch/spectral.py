@@ -459,17 +459,19 @@ def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:
     half-spread.  The loop stops once two consecutive terms (one of a pair
     is zero where z0 = 0) are below one roundoff of arcsin's scale there,
     |a0| + |a1| r, shrunk by 1 - r / (1 - |z0|), the tail's geometric
-    ratio.  The points must lie within (-1, 1) of -offset, with the
-    series' ratio r / (1 - |z0|) at most 0.75; otherwise ValueError.
+    ratio.  Every offset + x must lie inside (-1, 1), with the series'
+    ratio r / (1 - |z0|) at most 0.75; otherwise ValueError.
     """
     xs = [float(x) for x in values]
     n = len(xs)
     lo, hi = min(xs), max(xs)
     mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z0 = offset + mid
-    ratio = reach / (1.0 - abs(z0))
-    if not (abs(z0) < 1.0 and 0.0 <= ratio <= 0.75):
+    # min and max skip a NaN that is not first, so the sum tests finiteness.
+    finite = math.isfinite(offset + sum(xs))
+    if not (finite and abs(z0) < 1.0 and reach <= 0.75 * (1.0 - abs(z0))):
         raise ValueError("arcsin divided differences need points well inside (-1, 1)")
+    ratio = reach / (1.0 - abs(z0))
     shifted = [x - mid for x in xs]
     w = 1.0 - z0 * z0
     total = [math.asin(z0)] + [0.0] * (n - 1)

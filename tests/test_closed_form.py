@@ -25,7 +25,12 @@ from sunbch import (
 )
 from sunbch import linearize
 from sunbch.linearize import LOG_GATE, POWER_SUM_RANGE, _eigenvalues
-from sunbch.spectral import CLOSED_FORM_CUT, eigvals_from_power_sums, eigvals_hermitian
+from sunbch.spectral import (
+    CLOSED_FORM_CUT,
+    arcsin_divided_differences,
+    eigvals_from_power_sums,
+    eigvals_hermitian,
+)
 
 from conftest import dense_exp
 
@@ -149,6 +154,23 @@ def test_extreme_norms_take_the_fallback(monkeypatch, n, scale):
     monkeypatch.setattr(linearize, "eigvals_from_power_sums", refuse)
     sym = product_matrix(t, "d", m) if n > 2 else None
     assert spectral_error(_eigenvalues(t, basis, m, sym), m, basis) <= 1e-13
+
+
+def test_arcsin_divided_differences_small_cases():
+    """Two points give the difference quotient, a confluent pair the
+    derivative, three confluent points half the second derivative; points
+    at or past the series' reach are refused."""
+    a, b = 0.1, 0.45
+    got = arcsin_divided_differences([a, b], 0.05)
+    assert got[0] == pytest.approx(math.asin(0.15), rel=1e-15)
+    assert got[1] == pytest.approx((math.asin(0.5) - math.asin(0.15)) / (b - a), rel=1e-14)
+    x = -0.3
+    got = arcsin_divided_differences([x, x, x])
+    assert got[1] == pytest.approx(1.0 / math.sqrt(1.0 - x * x), rel=1e-15)
+    assert got[2] == pytest.approx(0.5 * x / (1.0 - x * x) ** 1.5, rel=1e-14)
+    for points in ([0.0, 0.95], [1.0], [0.2, 0.3, float("nan")]):
+        with pytest.raises(ValueError):
+            arcsin_divided_differences(points)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
