@@ -5,8 +5,9 @@ the spectral radius of m . L equals a uniform draw from (0, cap].  Draws
 whose scaled eigenvalue gaps fall below ``MIN_GAP`` are rejected: the
 Lagrange projectors and the monomial expansion coefficients that
 ``verify`` checks need a simple spectrum (``compose`` and ``similarity``
-do not); a cap too small for any draw to meet ``MIN_GAP`` is a ValueError.  Everything is a pure
-function of the generator state, so seeded runs are reproducible.
+do not).  A cap too small for any draw to meet ``MIN_GAP`` is a
+ValueError.  Everything is a pure function of the generator state, so
+seeded runs are reproducible.
 """
 
 from __future__ import annotations

@@ -278,7 +278,8 @@ def test_degenerate_spectra_compose_and_conjugate(n):
     worst = {"inside": 0.0, "outside": 0.0, "routes": 0.0, "similarity": 0.0}
     for m in degenerate_exponents(basis):
         other = random_coords(basis, rng)
-        for left, right in ((m, other), (other, m), (m, np.zeros(t.dim)), (m, 0.5 * m[::-1].copy())):
+        partners = ((m, other), (other, m), (m, np.zeros(t.dim)), (m, 0.5 * m[::-1].copy()))
+        for left, right in partners:
             got = compose(t, basis, left, right)
             product = dense_exp(basis, left) @ dense_exp(basis, right)
             g0 = compose_linear(t, basis, left, right).scalar
