@@ -43,7 +43,8 @@ exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
 needs eigenvalues only: the scalar coordinate alone shows that every
 eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then the Newton
 form of arcsin over the eigenvalues of sin R, whose coordinates are the
-imaginary parts of the element's.  Elsewhere ``log_coords`` takes the
+imaginary parts of the element's; ``_newton_form`` builds it as it
+builds exp.  Elsewhere ``log_coords`` takes the
 dense matrix, choosing eigenphases on the principal branch and restoring
 tracelessness by the 2 pi shift rule documented there.
 """
@@ -96,25 +97,22 @@ LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 
 
 def _newton_products(
-    t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray | None = None
+    t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray
 ) -> tuple[list, list]:
     """Coordinates of P_k = (M - x1 I) ... (M - xk I) for k = 0 .. len(shifts).
 
     Returns the lists scalars[k] and vectors[k] with
     P_k = scalars[k] I + vectors[k] . L by the rule in the module
-    docstring.  D(m) is ``sym`` when the caller has built it, else it is
-    built once when there is a step (k >= 2), and each step is one product
-    with it.  F(m) is built once when there is a step
-    k >= 3, whose cross term F(m) v must vanish; a residual at or above
-    CROSS_RESIDUAL_TOL raises ConstraintViolationError.  Step 2 is not
-    checked: its v is m, and m (x) m is zero exactly (module docstring).
+    docstring, each step one product with the caller's D(m) = ``sym``.
+    F(m) is built once when there is a step k >= 3, whose cross term
+    F(m) v must vanish; a residual at or above CROSS_RESIDUAL_TOL raises
+    ConstraintViolationError.  Step 2 is not checked: its v is m, and
+    m (x) m is zero exactly (module docstring).
     """
     scalars, vectors = [1.0], [np.zeros_like(m)]
     if shifts:
         scalars.append(-shifts[0])
         vectors.append(m)
-    if len(shifts) >= 2 and sym is None:
-        sym = product_matrix(t, "d", m)
     if len(shifts) >= 3:
         skew = product_matrix(t, "f", m)
     for k in range(2, len(shifts) + 1):
@@ -141,20 +139,20 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
         raise ValueError(
             f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
         )
-    return list(map(LinearElement, *_newton_products(t, m, [0.0] * max_power)))
+    sym = product_matrix(t, "d", m)
+    return list(map(LinearElement, *_newton_products(t, m, [0.0] * max_power, sym)))
 
 
 def _eigenvalues(
-    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray | None
+    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray
 ) -> list[float]:
     """Ascending eigenvalues of M = m . L for the Newton routes.
 
     For N <= 4 they come in closed form from the power sums of
     ``eigvals_from_power_sums``, with m (.) m = D(m) m from the caller's
-    D(m) = ``sym`` (None at N = 2, where no power sum past a . a is read),
-    while a . a lies inside POWER_SUM_RANGE.  Outside it, where the closed
-    form declines (close or repeated eigenvalues), and for N > 4 the QL
-    kernel ``eigvals_hermitian`` takes them.
+    D(m) = ``sym``, while a . a lies inside POWER_SUM_RANGE.  Outside it,
+    where the closed form declines (close or repeated eigenvalues), and
+    for N > 4 the QL kernel ``eigvals_hermitian`` takes them.
     """
     if t.n <= 4:
         # hypot does not overflow, and a float product overflows to inf
@@ -162,52 +160,45 @@ def _eigenvalues(
         norm = math.hypot(*m.tolist())
         aa = norm * norm
         if POWER_SUM_RANGE[0] < aa < POWER_SUM_RANGE[1]:
-            p3 = p4 = 0.0
-            if sym is not None:
-                mm = sym @ m
-                p3 = 2.0 * float(np.dot(mm, m))
-                p4 = (4.0 / t.n) * aa * aa + 2.0 * float(np.dot(mm, mm))
+            mm = sym @ m
+            p3 = 2.0 * float(np.dot(mm, m))
+            p4 = (4.0 / t.n) * aa * aa + 2.0 * float(np.dot(mm, mm))
             vals = eigvals_from_power_sums(t.n, 2.0 * aa, p3, p4)
             if vals is not None:
                 return vals
     return eigvals_hermitian(algebra_matrix(basis, m)).tolist()
 
 
-def _symmetric_product_matrix(t: StructureTensors, m: np.ndarray) -> np.ndarray | None:
-    """D(m), or None at N = 2, where d vanishes and no Newton step reads it."""
-    return product_matrix(t, "d", m) if t.n > 2 else None
+def _newton_form(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, differences):
+    """(f0, fvec) of f(m . L) = f0 I + fvec . L, the Newton form over its
+    eigenvalues l1 <= ... <= lN with f[l1], ..., f[l1..lN] = differences(l).
+    D(m) is built once (the zero matrix at N = 2) for the power sums of
+    ``_eigenvalues`` and the steps of ``_newton_products``."""
+    sym = product_matrix(t, "d", m)
+    lam = _eigenvalues(t, basis, m, sym)
+    coeffs = differences(lam)
+    scalars, vectors = _newton_products(t, m, lam[:-1], sym)
+    return np.dot(coeffs, scalars), coeffs @ np.array(vectors)
 
 
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
-    With the eigenvalues l1 <= ... <= lN of M = m . L, the Newton form of
-    the interpolating polynomial gives
-
-        f(M) = sum_k f[l1..l(k+1)] P_k,   P_k = (M - l1 I) ... (M - lk I),
-
-    exactly, because f and its interpolant agree on the spectrum of the
-    diagonalizable M; a repeated eigenvalue makes that a Hermite
+    The Newton form of ``_newton_form`` (module docstring) is exact,
+    because f and its interpolant agree on the spectrum of the
+    diagonalizable M = m . L; a repeated eigenvalue makes that a Hermite
     interpolant, which agrees there as well.  The divided differences come
     from ``exp_divided_differences`` (Opitz's bidiagonal exponential),
     which accepts confluent points, so only the eigenvalues are needed,
-    never the eigenvectors, and a degenerate spectrum is no special case.
-    D(m) is built once: for N <= 4 it gives m (.) m = D(m) m for the
-    closed-form eigenvalues (``_eigenvalues``), and at every N the Newton
-    products P_k, one matrix-vector product with it per step, with the
-    cross term of each step from the third on checked.  The all-matrix
-    route (apply_spectral then from_matrix) reproduces the same element
-    and serves as the oracle in the test suite.
+    never the eigenvectors, and a degenerate spectrum (the zero element
+    included) is no special case.  The cross term of each Newton step
+    from the third on is checked.  The all-matrix route (apply_spectral
+    then from_matrix) reproduces the same element and serves as the
+    oracle in the test suite.
     """
     (m,) = _check_coords(t.dim, m)
-    if not np.any(m):
-        # The zero element is exact: exp(-i 0 . L) = I.
-        return LinearElement(complex(exp_minus_i(0.0)), np.zeros(t.dim, dtype=complex))
-    sym = _symmetric_product_matrix(t, m)
-    lam = _eigenvalues(t, basis, m, sym)
-    coeffs = exp_divided_differences(lam, -1j).tolist()
-    scalars, vectors = _newton_products(t, m, lam[:-1], sym)
-    return LinearElement(complex(np.dot(coeffs, scalars)), coeffs @ np.array(vectors))
+    f0, fvec = _newton_form(t, basis, m, lambda lam: exp_divided_differences(lam, -1j))
+    return LinearElement(complex(f0), fvec)
 
 
 def f0_trace(basis: GeneratorBasis, m: np.ndarray, fn) -> complex:
@@ -219,6 +210,13 @@ def f0_trace(basis: GeneratorBasis, m: np.ndarray, fn) -> complex:
 def exp_matrix(basis: GeneratorBasis, m: np.ndarray) -> np.ndarray:
     """Dense unitary exp(-i m . L)."""
     return apply_spectral(eig_hermitian(algebra_matrix(basis, m)), exp_minus_i)
+
+
+def _require_det_one(phase: float) -> None:
+    """The det u = 1 guard of both logarithms: ValueError unless the phase
+    sum less its multiple of 2 pi is below UNITARY_TOL (a NaN fails too)."""
+    if not abs(phase) < UNITARY_TOL:
+        raise ValueError(f"det u is not 1: its phase is {abs(phase):.3e}, limit {UNITARY_TOL:g}")
 
 
 def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
@@ -237,19 +235,21 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     spec = eig_unitary(u)
     theta = np.angle(spec.eigenvalues)
     shift = int(np.round(theta.sum() / (2.0 * np.pi)))
-    det_phase = abs(theta.sum() - 2.0 * np.pi * shift)
-    if det_phase >= UNITARY_TOL:
-        raise ValueError(f"det u is not 1: its phase is {det_phase:.3e}")
-    if np.any(np.pi - np.abs(theta) < BRANCH_GAP):
+    _require_det_one(theta.sum() - 2.0 * np.pi * shift)
+    cut_distance = float(np.min(np.pi - np.abs(theta)))
+    if cut_distance < BRANCH_GAP:
         raise BranchCutError(
-            "an eigenphase lies within 1e-9 of the branch cut at pi"
+            f"an eigenphase lies {cut_distance:.3e} from the branch cut at pi, "
+            f"within {BRANCH_GAP:g}"
         )
     if shift:
         sign, k = np.sign(shift), abs(shift)
         order = np.argsort(-sign * theta, kind="stable")
-        if sign * (theta[order[k - 1]] - theta[order[k]]) < BRANCH_GAP:
+        tie_gap = float(sign * (theta[order[k - 1]] - theta[order[k]]))
+        if tie_gap < BRANCH_GAP:
             raise DegenerateSpectrumError(
-                "the 2 pi shift boundary falls inside an eigenphase tie"
+                f"the 2 pi shift boundary falls inside an eigenphase tie: its gap "
+                f"{tie_gap:.3e} is below {BRANCH_GAP:g}"
             )
         theta[order[:k]] -= sign * 2.0 * np.pi
     v = spec.eigenvectors
@@ -273,33 +273,24 @@ def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement
     function of sin R = (g' - g) / 2i = -Im g0 I + a . L, a = -Im gvec.
     With the eigenvalues mu_k of a . L (``_eigenvalues``: closed form for
     N <= 4, else QL) R is the Newton form over them of
-    arcsin(-Im g0 + x), its divided differences from
-    ``arcsin_divided_differences`` and its products from
-    ``_newton_products`` on a: no eigenvector and no dense logarithm.  The
-    gate runs before any eigenproblem; past it ``log_coords`` takes the
-    dense matrix.  Inside it the matrix is first checked unitary within
-    UNITARY_TOL (ValueError, as in ``log_coords``), and R's scalar part,
-    the phase sum over N, must vanish: a phase sum of UNITARY_TOL or more
-    means det g != 1 and raises ``log_coords``' ValueError.  No other
-    refusal of ``log_coords`` can arise inside the gate: no phase is near
-    the cut and no shift boundary exists.  The coordinates are real by
-    construction.
+    arcsin(-Im g0 + x), by ``_newton_form`` on a with the divided
+    differences of ``arcsin_divided_differences``: no eigenvector and no
+    dense logarithm.  The gate runs before any eigenproblem; past it
+    ``log_coords`` takes the dense matrix.  Inside it the matrix is first
+    checked unitary within UNITARY_TOL (ValueError, as in ``log_coords``),
+    and R's scalar part, the phase sum over N, must vanish:
+    ``_require_det_one``, the guard ``log_coords`` uses, refuses
+    det g != 1.  No other refusal of ``log_coords`` can arise inside the
+    gate: no phase is near the cut and no shift boundary exists.  The
+    coordinates are real by construction.
     """
     u = to_matrix(basis, g)
     if not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE:
         return log_coords(basis, u)
     _require_unitary(u)
     offset = -g.scalar.imag
-    a = -np.imag(g.vector)
-    if np.any(a):
-        sym = _symmetric_product_matrix(t, a)
-        mu = _eigenvalues(t, basis, a, sym)
-        coeffs = arcsin_divided_differences(mu, offset)
-        scalars, vectors = _newton_products(t, a, mu[:-1], sym)
-        scalar, r = float(np.dot(coeffs, scalars)), coeffs @ np.array(vectors)
-    else:
-        scalar, r = math.asin(offset), np.zeros(t.dim)
-    det_phase = abs(t.n * scalar)
-    if not det_phase < UNITARY_TOL:
-        raise ValueError(f"det u is not 1: its phase is {det_phase:.3e}")
+    scalar, r = _newton_form(
+        t, basis, -np.imag(g.vector), lambda mu: arcsin_divided_differences(mu, offset)
+    )
+    _require_det_one(t.n * float(scalar))
     return r

@@ -117,9 +117,12 @@ def _hermitian_ql(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray 
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
     # fails the guard.
     with np.errstate(invalid="ignore"):
-        hermitian = np.abs(m - m.conj().T).max() < HERMITIAN_TOL
-    if not hermitian:
-        raise ValueError("matrix is not finite and Hermitian within 1e-10")
+        defect = float(np.abs(m - m.conj().T).max())
+    if not defect < HERMITIAN_TOL:
+        raise ValueError(
+            f"matrix is not finite and Hermitian within {HERMITIAN_TOL:g}: "
+            f"m - m' reached {defect:.3e}"
+        )
     e = 0
     if not _SAFE_NORM2[0] < np.vdot(m, m).real < _SAFE_NORM2[1]:
         parts = np.ascontiguousarray(m).view(float)
@@ -501,7 +504,9 @@ def _require_unitary(u: np.ndarray) -> None:
     """ValueError unless u'u - I stays below UNITARY_TOL (a NaN fails too)."""
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if not defect < UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary within 1e-8: u'u - I reached {defect:.3e}")
+        raise ValueError(
+            f"matrix is not unitary within {UNITARY_TOL:g}: u'u - I reached {defect:.3e}"
+        )
 
 
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
@@ -569,9 +574,11 @@ def _min_gap(values: np.ndarray) -> float:
 
 def _require_simple_spectrum(eigenvalues: np.ndarray) -> None:
     radius = float(np.max(np.abs(eigenvalues)))
-    if _min_gap(eigenvalues) <= GAP_TOL * radius:
+    gap = _min_gap(eigenvalues)
+    if gap <= GAP_TOL * radius:
         raise DegenerateSpectrumError(
-            f"eigenvalue gap below {GAP_TOL:g} of the spectral radius {radius:.3e}"
+            f"smallest eigenvalue gap {gap:.3e} is not above {GAP_TOL:g} "
+            f"of the spectral radius {radius:.3e}"
         )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import sunbch
 from sunbch.cli import main
+from sunbch.verify import RunConfig, run_suite
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -210,7 +211,7 @@ def test_basis_checks_are_the_suite_rows(capsys, n):
     checks = parse(out)["checks"]
     rows = {
         row["name"]: row["max_residual"]
-        for row in sunbch.run_suite(sunbch.RunConfig(n, 1, 1))["properties"]
+        for row in run_suite(RunConfig(n, 1, 1))["properties"]
     }
     assert checks["max_jacobi_residual"] == rows["jacobi_ff"]
     assert checks["max_orthonormality_defect"] == rows["orthonormality"]
@@ -423,6 +424,18 @@ def test_console_script_entry_point():
     usage = run_console_script("basis", "--n", "1")
     assert usage.returncode == 2
     assert json.loads(usage.stderr)["error"] == "usage"
+
+
+def test_import_leaves_verification_suite_unloaded():
+    # The suite and its LU module load with `sunbch.verify` (the CLI's
+    # `verify`), not with the package.
+    child = run_checkout_python(
+        "-c",
+        "import sys, sunbch; "
+        "print([m for m in ('sunbch.verify', 'sunbch.linsolve') if m in sys.modules])",
+    )
+    assert child.returncode == 0 and child.stderr == ""
+    assert child.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module", ["sunbch", "sunbch.cli"])

@@ -14,7 +14,7 @@ from sunbch import (
     to_matrix,
 )
 from sunbch.algebra import algebra_matrix
-from sunbch.errors import BranchCutError, ConstraintViolationError
+from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
 from conftest import dense_exp, seeded_samples
@@ -68,11 +68,14 @@ def test_power_table_range_check(algebra3):
         power_table(t, np.zeros(8), -1)
 
 
-def test_linearize_zero_coords(algebra4):
-    basis, t = algebra4
-    elem = linearize_fn(t, basis, np.zeros(15))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_linearize_zero_coords(n):
+    # The zero element takes the general route (D(0) = 0, a fully confluent
+    # spectrum) and still gives exactly exp(0) = I.
+    basis, t = cached_algebra(n)
+    elem = linearize_fn(t, basis, np.zeros(basis.dim))
     assert elem.scalar == 1.0
-    np.testing.assert_array_equal(elem.vector, np.zeros(15))
+    np.testing.assert_array_equal(elem.vector, np.zeros(basis.dim))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -150,11 +153,24 @@ def test_log_coords_scipy_cross_check(algebra2):
 
 
 def test_branch_cut_refused(algebra2):
-    # eigenphases at exactly +-pi sit on the cut
+    # eigenphases at exactly +-pi sit on the cut, and 4e-10 away within BRANCH_GAP
     basis, _ = algebra2
-    u = np.diag([-1.0, -1.0]).astype(complex)
-    with pytest.raises(BranchCutError):
-        log_coords(basis, u)
+    near = np.pi - 4e-10
+    for u, distance in [
+        (np.diag([-1.0, -1.0]).astype(complex), r"0\.000e\+00"),
+        (np.diag(np.exp([1j * near, -1j * near])), r"4\.000e-10"),
+    ]:
+        with pytest.raises(BranchCutError, match=rf"lies {distance} from the branch cut"):
+            log_coords(basis, u)
+
+
+def test_shift_boundary_in_phase_tie_refused(algebra3):
+    # s = +1 takes 2 pi off the largest phase, but the two largest differ
+    # by 5e-10, below BRANCH_GAP: which one goes is not determined.
+    basis, _ = algebra3
+    theta = np.array([0.9 * np.pi + 2.5e-10, 0.9 * np.pi - 2.5e-10, 0.2 * np.pi])
+    with pytest.raises(DegenerateSpectrumError, match=r"tie: its gap 5\.000e-10"):
+        log_coords(basis, np.diag(np.exp(1j * theta)))
 
 
 def test_det_correction_balances_phases(algebra3):
@@ -204,10 +220,12 @@ def test_det_not_one_refused(n):
     basis, t = cached_algebra(n)
     (coords,) = seeded_samples(basis, 40 + n, 1)
     u = np.exp(0.1j) * exp_matrix(basis, coords)
-    with pytest.raises(ValueError, match="det u is not 1"):
+    # One guard, one message: the phase 0.1 N against UNITARY_TOL.
+    message = rf"det u is not 1: its phase is {0.1 * n:.3e}, limit 1e-08"
+    with pytest.raises(ValueError, match=message):
         log_coords(basis, u)
     g = LinearElement(np.exp(0.1j), np.zeros(basis.dim, dtype=complex))
-    with pytest.raises(ValueError, match="det u is not 1"):
+    with pytest.raises(ValueError, match=message):
         delinearize_exp(t, basis, g)
 
 

@@ -62,7 +62,8 @@ def test_eig_hermitian_large_scale_converges():
 
 
 def test_eig_hermitian_rejects_nonhermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
+    # The message carries the measured defect max |m - m'| = 1.
+    with pytest.raises(ValueError, match=r"Hermitian within 1e-10: m - m' reached 1\.000e\+00"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -424,7 +425,11 @@ def test_expansion_coeffs_degenerate_rejected():
     e8 = np.zeros(8)
     e8[7] = 1.0
     spec = eig_hermitian(algebra_matrix(basis, e8))
-    with pytest.raises(DegenerateSpectrumError):
+    with pytest.raises(DegenerateSpectrumError, match=r"gap 0\.000e\+00 .* radius 1\.155e\+00"):
+        expansion_coeffs(spec)
+    # A split pair is refused too, its gap in the message.
+    spec = eig_hermitian(np.diag([1.0, 1.0 + 5e-10, -2.0 - 5e-10]))
+    with pytest.raises(DegenerateSpectrumError, match=r"gap 5\.000e-10 is not above 1e-09"):
         expansion_coeffs(spec)
 
 

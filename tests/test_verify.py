@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sunbch import RunConfig, run_suite
 from sunbch import cached_algebra
-from sunbch.verify import _PROPERTIES, _jacobi_fd, _jacobi_ff
+from sunbch.verify import _PROPERTIES, RunConfig, _jacobi_fd, _jacobi_ff, run_suite
 
 
 def test_small_run_passes():
