@@ -39,18 +39,25 @@ the same routine, every shift 0; it and the monomial coefficients of
 ``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
 exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
 
-``delinearize_exp`` inverts the exponential case.  Near the identity it
-needs eigenvalues only: the scalar coordinate alone shows that every
-eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then the Newton
-form of arcsin over the eigenvalues of sin R, whose coordinates are the
-imaginary parts of the element's; ``_newton_form`` builds it as it
-builds exp.  Elsewhere ``log_coords`` takes the
+``delinearize_exp`` inverts the exponential case by one of three routes.
+Near the identity it needs eigenvalues only: the scalar coordinate alone
+shows that every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is
+then the Newton form of arcsin over the eigenvalues of sin R, whose
+coordinates are the imaginary parts of the element's; ``_newton_form``
+builds it as it builds exp.  Past the gate, for N <= 4, the eigenphases
+of u itself come from its characteristic polynomial, whose power sums
+are scalars in coordinates, mapped by a Cayley substitution to a real
+polynomial that ``spectral.eigvals_from_power_sums`` solves; R is the
+Newton form in u over those eigenvalues (``_log_past_gate``).  That
+route declines, rather than refuses, wherever it would lose accuracy
+(CHORD_CUT, POLE_CUT, TIE_CUT).  Otherwise ``log_coords`` takes the
 dense matrix, choosing eigenphases on the principal branch and restoring
 tracelessness by the 2 pi shift rule documented there.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -94,6 +101,43 @@ POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
 # sin theta_k lie within sin(pi/4) of 0, so the arcsin series of
 # ``arcsin_divided_differences`` converges with ratio at most sin(pi/4).
 LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
+# Past the gate, for N <= 4, ``delinearize_exp`` takes the logarithm from
+# u's characteristic polynomial (``_log_past_gate``) and declines to
+# ``log_coords`` where that would lose accuracy.  CHORD_CUT: some
+# eigenvalue z_k of u has prod_{j != k} |z_k - z_j| below it; a root of
+# p_u errs by about eps / |p_u'(z_k)| and the divided differences of the
+# Newton form lose as much, so every answered R stays within about
+# 2e-13 of exact.  POLE_CUT: the best of the four Cayley poles has
+# |p_u(w)| below it.  The largest |p_u(w)| over w = -1, 1, i, -i is at
+# least 1.66 (N = 3) and 2 (N = 4) on every det-1 spectrum (minimized
+# numerically), so this declines only a u that the det guard of
+# ``log_coords`` refuses anyway, before a division by p_u(w) ~ 0.
+# TIE_CUT: the 2 pi shift boundary falls between two phases closer than
+# this, so R takes values 2 pi apart at two close points and the error
+# grows like 3e-15 / gap**2 (measured 3e-13 at a gap of 0.1, 3e-11 at
+# 0.01, where ``log_coords`` errs by 3e-14 and 3e-13).
+CHORD_CUT = 1e-3
+POLE_CUT = 1.0
+TIE_CUT = 0.1
+
+
+def _cayley_rows(n: int) -> list[list[complex]]:
+    """Row k, column j: the coefficient of t**k in (t - i)**j (t + i)**(n - j),
+    so that sum_j a_j w**j (t - i)**j (t + i)**(n - j) is the Cayley
+    substitution z = w (t - i)/(t + i) of p(z) = sum_j a_j z**j."""
+    columns = []
+    for j in range(n + 1):
+        c = [1.0 + 0j]
+        for root in [1j] * j + [-1j] * (n - j):
+            c = [a - root * b for a, b in zip([0j] + c, c + [0j])]  # times (t - root)
+        columns.append(c)
+    return [list(row) for row in zip(*columns)]
+
+
+_CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
+# The candidate poles w and arg(-w): the substitution sends t to
+# theta = -2 atan t - arg(-w), with z = exp(-i theta).
+_POLES = ((-1.0, 0.0), (1.0, math.pi), (1j, -0.5 * math.pi), (-1j, 0.5 * math.pi))
 
 
 def _newton_products(
@@ -160,9 +204,11 @@ def _eigenvalues(
         norm = math.hypot(*m.tolist())
         aa = norm * norm
         if POWER_SUM_RANGE[0] < aa < POWER_SUM_RANGE[1]:
-            mm = sym @ m
-            p3 = 2.0 * float(np.dot(mm, m))
-            p4 = (4.0 / t.n) * aa * aa + 2.0 * float(np.dot(mm, mm))
+            p3 = p4 = 0.0
+            if t.n > 2:
+                mm = sym @ m
+                p3 = 2.0 * float(np.dot(mm, m))
+                p4 = (4.0 / t.n) * aa * aa + 2.0 * float(np.dot(mm, mm))
             vals = eigvals_from_power_sums(t.n, 2.0 * aa, p3, p4)
             if vals is not None:
                 return vals
@@ -219,6 +265,27 @@ def _require_det_one(phase: float) -> None:
         raise ValueError(f"det u is not 1: its phase is {abs(phase):.3e}, limit {UNITARY_TOL:g}")
 
 
+def _branch_rule(theta: list[float]) -> tuple[list[float], float, float]:
+    """The branch rule of both logarithms past the gate, on eigenphases
+    theta_k in (-pi, pi].  Their sum must be 2 pi s for an integer s
+    (``_require_det_one``); sign(s) 2 pi then comes off the |s| phases
+    largest in sign(s) theta, ties broken by index.  Returns the shifted
+    phases, the least distance of a phase to the cut at pi, and the gap
+    at the shift boundary (inf for s = 0), for the caller to judge."""
+    total = sum(theta)
+    shift = round(total / (2.0 * math.pi))
+    _require_det_one(total - 2.0 * math.pi * shift)
+    cut_distance = min(math.pi - abs(x) for x in theta)
+    if not shift:
+        return theta, cut_distance, math.inf
+    sign, k = (1 if shift > 0 else -1), abs(shift)
+    order = sorted(range(len(theta)), key=lambda j: -sign * theta[j])
+    shifted = theta[:]
+    for j in order[:k]:
+        shifted[j] -= sign * 2.0 * math.pi
+    return shifted, cut_distance, sign * (theta[order[k - 1]] - theta[order[k]])
+
+
 def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     """Coordinates m with exp(-i m . L) = u, for unitary u with det 1.
 
@@ -226,34 +293,27 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     is not unitary within UNITARY_TOL, and a phase sum farther than that
     from 2 pi s (det u != 1) raises ValueError.  Eigenphases are taken in
     (-pi, pi].  Their sum is 2 pi s for an integer s; tracelessness is
-    restored by one rule for either sign: sign(s) 2 pi comes off the |s|
-    phases largest in sign(s) theta (the s largest for s > 0, the |s|
-    smallest for s < 0), ties broken by eigenvalue index.  Phases within
+    restored by one rule for either sign (``_branch_rule``, shared with
+    the values-only route): sign(s) 2 pi comes off the |s| phases largest
+    in sign(s) theta (the s largest for s > 0, the |s| smallest for
+    s < 0), ties broken by eigenvalue index.  Phases within
     BRANCH_GAP of the cut at pi, or a shift boundary falling inside a
     phase tie, are refused as ambiguous.
     """
     spec = eig_unitary(u)
-    theta = np.angle(spec.eigenvalues)
-    shift = int(np.round(theta.sum() / (2.0 * np.pi)))
-    _require_det_one(theta.sum() - 2.0 * np.pi * shift)
-    cut_distance = float(np.min(np.pi - np.abs(theta)))
+    theta, cut_distance, tie_gap = _branch_rule(np.angle(spec.eigenvalues).tolist())
     if cut_distance < BRANCH_GAP:
         raise BranchCutError(
             f"an eigenphase lies {cut_distance:.3e} from the branch cut at pi, "
             f"within {BRANCH_GAP:g}"
         )
-    if shift:
-        sign, k = np.sign(shift), abs(shift)
-        order = np.argsort(-sign * theta, kind="stable")
-        tie_gap = float(sign * (theta[order[k - 1]] - theta[order[k]]))
-        if tie_gap < BRANCH_GAP:
-            raise DegenerateSpectrumError(
-                f"the 2 pi shift boundary falls inside an eigenphase tie: its gap "
-                f"{tie_gap:.3e} is below {BRANCH_GAP:g}"
-            )
-        theta[order[:k]] -= sign * 2.0 * np.pi
+    if tie_gap < BRANCH_GAP:
+        raise DegenerateSpectrumError(
+            f"the 2 pi shift boundary falls inside an eigenphase tie: its gap "
+            f"{tie_gap:.3e} is below {BRANCH_GAP:g}"
+        )
     v = spec.eigenvectors
-    log_m = np.einsum("k,ak,bk->ab", -theta.astype(complex), v, v.conj())
+    log_m = np.einsum("k,ak,bk->ab", -np.array(theta, dtype=complex), v, v.conj())
     elem = from_matrix(basis, log_m)
     residue = float(np.max(np.abs(elem.vector.imag)))
     if residue > REALITY_TOL:
@@ -263,29 +323,150 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     return elem.vector.real
 
 
+def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
+    """r with exp(-i r . L) = g0 I + g . L for N <= 4, from eigenvalues
+    alone; None where the route would lose accuracy (module constants
+    CHORD_CUT, POLE_CUT, TIE_CUT, the slope cut of
+    ``eigvals_from_power_sums``, or a phase within BRANCH_GAP of pi), and
+    ``log_coords`` then decides.  The caller has checked u unitary.
+
+    At N = 2, u = cos(theta) I - i sin(theta) e . L, so
+    theta = atan2(|Im g|, Re g0) and r = theta (-Im g) / |Im g|.  Otherwise
+    the power sums Tr u**k = N (u**k)_0 need only g0, g.g, (g (.) g).g
+    and (g (.) g).(g (.) g), with g (.) g = D(g) g for the complex
+    D(g) = D(Re g) + i D(Im g); Newton's identities give u's
+    characteristic polynomial p_u.  The Cayley substitution
+    z = w (t - i)/(t + i), with the pole w the one of -1, 1, i, -i
+    farthest from the spectrum (largest |p_u(w)|), maps the unit circle
+    to the real line, so p_u becomes a real polynomial in t (after
+    division by its leading coefficient p_u(w)).  Depressed by its mean
+    root, it is solved by ``eigvals_from_power_sums``, and
+    theta_k = -2 atan(t_k) - arg(-w).  Those phases go through
+    ``_branch_rule``, as in ``log_coords``.  R is the Newton form in u over
+    z_k = exp(-i theta_k) of the values theta_k, expanded to monomials in
+    G = g . L, whose vector parts are g, g (.) g and, at N = 4,
+    (2/N)(g.g) g + D(g)(g (.) g): every power of G commutes with G, so no
+    cross term enters.
+    """
+    n = t.n
+    g0 = complex(g.scalar)
+    gv = np.asarray(g.vector, dtype=complex)
+    if n == 2:
+        _require_det_one(cmath.phase(g0 * g0 - complex(gv @ gv)))
+        a = -gv.imag
+        sine = math.hypot(*a.tolist())
+        # |z_1 - z_2| = 2 sin(theta): the chord product at N = 2.
+        if not 2.0 * sine >= CHORD_CUT:
+            return None
+        return a * (math.atan2(sine, g0.real) / sine)
+    sym = product_matrix(t, "d", gv.real) + 1j * product_matrix(t, "d", gv.imag)
+    gg = sym @ gv
+    q2, q3 = complex(gv @ gv), complex(gg @ gv)
+    # Tr u**k; s2 is the scalar coordinate of u**2 = s2 I + (2 g0 g + g (.) g) . L.
+    s2 = g0 * g0 + (2.0 / n) * q2
+    p1, p2 = n * g0, n * s2
+    p3 = p1 * s2 + 4.0 * g0 * q2 + 2.0 * q3
+    # Newton's identities; coeffs[j] multiplies z**j in p_u.
+    e1 = p1
+    e2 = 0.5 * (e1 * p1 - p2)
+    e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
+    if n == 3:
+        coeffs = (-e3, e2, -e1, 1.0)
+    else:
+        p4 = n * s2 * s2 + 2.0 * (4.0 * g0 * g0 * q2 + 4.0 * g0 * q3 + complex(gg @ gg))
+        coeffs = (0.25 * (e3 * p1 - e2 * p2 + e1 * p3 - p4), -e3, e2, -e1, 1.0)
+    best = 0.0
+    for pole, turn in _POLES:
+        value = 0j
+        for c in reversed(coeffs):
+            value = value * pole + c
+        if abs(value) > best:
+            best, w, beta, lead = abs(value), pole, turn, value
+    if not best >= POLE_CUT:
+        return None
+    # The real monic t-polynomial, then its Taylor shift by the mean root.
+    b, power = [], 1.0
+    for c in coeffs:
+        b.append(c * power)
+        power *= w
+    q = [(sum(a * x for a, x in zip(row, b)) / lead).real for row in _CAYLEY[n]]
+    mean = -q[n - 1] / n
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            q[j] += mean * q[j + 1]
+    # Power sums of the depressed roots from its coefficients.
+    p2 = -2.0 * q[n - 2]
+    if not POWER_SUM_RANGE[0] < 0.5 * p2 < POWER_SUM_RANGE[1]:
+        return None
+    p4 = 2.0 * q[2] * q[2] - 4.0 * q[0] if n == 4 else 0.0
+    tau = eigvals_from_power_sums(n, p2, -3.0 * q[n - 3], p4)
+    if tau is None:
+        return None
+    theta = [math.remainder(-2.0 * math.atan(mean + x) - beta, 2.0 * math.pi) for x in tau]
+    theta, cut_distance, tie_gap = _branch_rule(theta)
+    # Within BRANCH_GAP of the cut ``log_coords`` refuses the phase as ambiguous.
+    if cut_distance < BRANCH_GAP or tie_gap < TIE_CUT:
+        return None
+    z = [cmath.exp(-1j * x) for x in theta]
+    for k in range(n):
+        chord = 1.0
+        for j in range(n):
+            if j != k:
+                chord *= abs(z[k] - z[j])
+        if not chord >= CHORD_CUT:
+            return None
+    # Divided differences of z_k -> theta_k, then Horner from the Newton
+    # form in u = g0 I + G to monomials in G.
+    diff = [complex(x) for x in theta]
+    for level in range(1, n):
+        for k in range(n - 1, level - 1, -1):
+            diff[k] = (diff[k] - diff[k - 1]) / (z[k] - z[k - level])
+    coef = [diff[-1]]
+    for x, top in zip(z[-2::-1], diff[-2::-1]):
+        x -= g0
+        coef = [top - x * coef[0]] + [lo - x * hi for lo, hi in zip(coef, coef[1:])] + [coef[-1]]
+    r = coef[1] * gv + coef[2] * gg
+    if n == 4:
+        r += coef[3] * ((2.0 / n) * q2 * gv + sym @ gg)
+    return r.real
+
+
 def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement) -> np.ndarray:
     """Invert g = (g0, gvec) with g0 I + gvec . L = exp(-i m . L) for m.
 
-    Near the identity from eigenvalues alone.  With R = m . L,
-    2N (1 - Re g0) = sum_k |1 - exp(-i theta_k)|**2 over R's eigenvalues;
-    at or below LOG_GATE every |theta_k| <= pi/4 and the 2 pi shift is 0,
-    so theta_k = arcsin(sin theta_k) on the principal branch and R is that
+    Three routes, chosen from the scalar coordinate before any
+    eigenproblem.  With R = m . L, 2N (1 - Re g0) = sum_k
+    |1 - exp(-i theta_k)|**2 over R's eigenvalues; at or below LOG_GATE
+    every |theta_k| <= pi/4 and the 2 pi shift is 0, so
+    theta_k = arcsin(sin theta_k) on the principal branch and R is that
     function of sin R = (g' - g) / 2i = -Im g0 I + a . L, a = -Im gvec.
     With the eigenvalues mu_k of a . L (``_eigenvalues``: closed form for
     N <= 4, else QL) R is the Newton form over them of
     arcsin(-Im g0 + x), by ``_newton_form`` on a with the divided
-    differences of ``arcsin_divided_differences``: no eigenvector and no
-    dense logarithm.  The gate runs before any eigenproblem; past it
-    ``log_coords`` takes the dense matrix.  Inside it the matrix is first
-    checked unitary within UNITARY_TOL (ValueError, as in ``log_coords``),
-    and R's scalar part, the phase sum over N, must vanish:
-    ``_require_det_one``, the guard ``log_coords`` uses, refuses
-    det g != 1.  No other refusal of ``log_coords`` can arise inside the
-    gate: no phase is near the cut and no shift boundary exists.  The
-    coordinates are real by construction.
+    differences of ``arcsin_divided_differences``.  Past the gate, for
+    N <= 4, ``_log_past_gate`` takes R from the eigenvalues of u itself,
+    read off its characteristic polynomial, with the det = 1 guard and
+    2 pi shift rule of ``log_coords`` (``_branch_rule``).  Neither needs an eigenvector or a dense
+    logarithm.  Past the gate for N > 4, and wherever ``_log_past_gate``
+    declines, ``log_coords`` takes the dense matrix.
+
+    Both values-only routes first check the matrix unitary within
+    UNITARY_TOL (ValueError, as in ``log_coords``), and refuse det g != 1
+    by ``_require_det_one``, the guard ``log_coords`` uses: inside the
+    gate R's scalar part, the phase sum over N, must vanish.  No other
+    refusal of ``log_coords`` can arise inside the gate (no phase is near
+    the cut and no shift boundary exists); past it, a phase within
+    BRANCH_GAP of the cut or a tie at the shift boundary is declined, so
+    ``log_coords`` raises it.  The coordinates are real by construction
+    inside the gate, and the real part of the Newton form past it.
     """
     u = to_matrix(basis, g)
     if not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE:
+        if t.n <= 4:
+            _require_unitary(u)
+            r = _log_past_gate(t, g)
+            if r is not None:
+                return r
         return log_coords(basis, u)
     _require_unitary(u)
     offset = -g.scalar.imag
