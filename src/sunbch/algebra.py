@@ -256,15 +256,17 @@ def dot_sym(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def product_matrix(t: StructureTensors, tensor: str, a: np.ndarray) -> np.ndarray:
-    """D(a) for ``tensor`` "d", F(a) for "f", at a real coordinate vector a.
+    """D(a) for ``tensor`` "d", F(a) for "f", at a coordinate vector a.
 
     D(a)_jk = d_jkl a_l and F(a)_jk = f_jkl a_l, so D(a) v = v (.) a and
     F(a) v = v (x) a for every v.  One ``np.bincount`` over the index
     arrays builds the matrix in O(nonzeros); no dense tensor is read.  A
-    complex a raises TypeError; it splits as D(a) = D(Re a) + i D(Im a),
-    and F likewise.
+    complex a takes one per part, D(a) = D(Re a) + i D(Im a), and F
+    likewise, since bincount weights must be real.
     """
     (a,) = _check_coords(t.dim, a)
+    if a.dtype.kind == "c":
+        return product_matrix(t, tensor, a.real) + 1j * product_matrix(t, tensor, a.imag)
     slots, gather, coef = t.scatter[tensor]
     # Without terms (d at N = 2) bincount returns integers.
     out = np.bincount(slots, coef * a[gather], minlength=t.dim * t.dim).astype(float, copy=False)

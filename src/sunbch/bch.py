@@ -121,15 +121,10 @@ def su2_compose_closed_form(
 def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> AdjointKernel:
     """Assemble K+- from the linearized exp(+i m . L), ``linearize_fn(...).conj()``.
 
-    D(mu) and F(mu) come from ``algebra.product_matrix``, which reads only
-    the index arrays of f and d, never a dense tensor; the complex mu is
-    split as D(mu) = D(Re mu) + i D(Im mu), and F likewise.
+    D(mu) and F(mu) of the complex mu come from ``algebra.product_matrix``,
+    which reads only the index arrays of f and d, never a dense tensor.
     """
-    (vector,) = _check_coords(t.dim, mu.vector)
-    sym, skew = (
-        product_matrix(t, tensor, vector.real) + 1j * product_matrix(t, tensor, vector.imag)
-        for tensor in ("d", "f")
-    )
+    sym, skew = (product_matrix(t, tensor, mu.vector) for tensor in ("d", "f"))
     eye = np.eye(t.dim)
     return AdjointKernel(
         kplus=mu.scalar * eye + sym - 1j * skew,

@@ -50,9 +50,9 @@ are scalars in coordinates, mapped by a Cayley substitution to a real
 polynomial that ``spectral.eigvals_from_power_sums`` solves; R is the
 Newton form in u over those eigenvalues (``_log_past_gate``).  That
 route declines, rather than refuses, wherever it would lose accuracy
-(CHORD_CUT, POLE_CUT, TIE_CUT).  Otherwise ``log_coords`` takes the
-dense matrix, choosing eigenphases on the principal branch and restoring
-tracelessness by the 2 pi shift rule documented there.
+(CHORD_CUT, TIE_CUT).  Otherwise ``log_coords`` takes the dense matrix.
+Past the gate both take principal eigenphases through ``_branch_rule``,
+the one 2 pi shift rule and the one site of the ambiguity refusals.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
+    _newton_monomials,
     _require_unitary,
     apply_spectral,
     arcsin_divided_differences,
@@ -107,17 +108,12 @@ LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 # eigenvalue z_k of u has prod_{j != k} |z_k - z_j| below it; a root of
 # p_u errs by about eps / |p_u'(z_k)| and the divided differences of the
 # Newton form lose as much, so every answered R stays within about
-# 2e-13 of exact.  POLE_CUT: the best of the four Cayley poles has
-# |p_u(w)| below it.  The largest |p_u(w)| over w = -1, 1, i, -i is at
-# least 1.66 (N = 3) and 2 (N = 4) on every det-1 spectrum (minimized
-# numerically), so this declines only a u that the det guard of
-# ``log_coords`` refuses anyway, before a division by p_u(w) ~ 0.
-# TIE_CUT: the 2 pi shift boundary falls between two phases closer than
-# this, so R takes values 2 pi apart at two close points and the error
-# grows like 3e-15 / gap**2 (measured 3e-13 at a gap of 0.1, 3e-11 at
-# 0.01, where ``log_coords`` errs by 3e-14 and 3e-13).
+# 2e-13 of exact.  TIE_CUT: the 2 pi shift boundary falls between two
+# phases closer than this, so R takes values 2 pi apart at two close
+# points and the error grows like 3e-15 / gap**2 (measured 3e-13 at a
+# gap of 0.1, 3e-11 at 0.01, where ``log_coords`` errs by 3e-14 and
+# 3e-13).
 CHORD_CUT = 1e-3
-POLE_CUT = 1.0
 TIE_CUT = 0.1
 
 
@@ -136,7 +132,10 @@ def _cayley_rows(n: int) -> list[list[complex]]:
 
 _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
 # The candidate poles w and arg(-w): the substitution sends t to
-# theta = -2 atan t - arg(-w), with z = exp(-i theta).
+# theta = -2 atan t - arg(-w), with z = exp(-i theta).  On a det-1
+# spectrum the largest |p_u(w)| over the four is at least
+# 4 sqrt(2) - 4 = 1.66 (N = 3) and 2 (N = 4) (minimized numerically), so
+# once det u = 1 is checked the division by p_u(w) is never near 0.
 _POLES = ((-1.0, 0.0), (1.0, math.pi), (1j, -0.5 * math.pi), (-1j, 0.5 * math.pi))
 
 
@@ -265,53 +264,53 @@ def _require_det_one(phase: float) -> None:
         raise ValueError(f"det u is not 1: its phase is {abs(phase):.3e}, limit {UNITARY_TOL:g}")
 
 
-def _branch_rule(theta: list[float]) -> tuple[list[float], float, float]:
+def _branch_rule(theta: list[float]) -> tuple[list[float], float]:
     """The branch rule of both logarithms past the gate, on eigenphases
     theta_k in (-pi, pi].  Their sum must be 2 pi s for an integer s
     (``_require_det_one``); sign(s) 2 pi then comes off the |s| phases
-    largest in sign(s) theta, ties broken by index.  Returns the shifted
-    phases, the least distance of a phase to the cut at pi, and the gap
-    at the shift boundary (inf for s = 0), for the caller to judge."""
+    largest in sign(s) theta, ties broken by index.  The two ambiguities
+    are refused here: a phase within BRANCH_GAP of the cut at pi
+    (BranchCutError), and a shift boundary inside a phase tie, its gap
+    below BRANCH_GAP (DegenerateSpectrumError).  Returns the shifted
+    phases and that gap (inf for s = 0)."""
     total = sum(theta)
     shift = round(total / (2.0 * math.pi))
     _require_det_one(total - 2.0 * math.pi * shift)
     cut_distance = min(math.pi - abs(x) for x in theta)
-    if not shift:
-        return theta, cut_distance, math.inf
-    sign, k = (1 if shift > 0 else -1), abs(shift)
-    order = sorted(range(len(theta)), key=lambda j: -sign * theta[j])
-    shifted = theta[:]
-    for j in order[:k]:
-        shifted[j] -= sign * 2.0 * math.pi
-    return shifted, cut_distance, sign * (theta[order[k - 1]] - theta[order[k]])
-
-
-def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
-    """Coordinates m with exp(-i m . L) = u, for unitary u with det 1.
-
-    Both group-element guards live here: ``eig_unitary`` refuses a u that
-    is not unitary within UNITARY_TOL, and a phase sum farther than that
-    from 2 pi s (det u != 1) raises ValueError.  Eigenphases are taken in
-    (-pi, pi].  Their sum is 2 pi s for an integer s; tracelessness is
-    restored by one rule for either sign (``_branch_rule``, shared with
-    the values-only route): sign(s) 2 pi comes off the |s| phases largest
-    in sign(s) theta (the s largest for s > 0, the |s| smallest for
-    s < 0), ties broken by eigenvalue index.  Phases within
-    BRANCH_GAP of the cut at pi, or a shift boundary falling inside a
-    phase tie, are refused as ambiguous.
-    """
-    spec = eig_unitary(u)
-    theta, cut_distance, tie_gap = _branch_rule(np.angle(spec.eigenvalues).tolist())
     if cut_distance < BRANCH_GAP:
         raise BranchCutError(
             f"an eigenphase lies {cut_distance:.3e} from the branch cut at pi, "
             f"within {BRANCH_GAP:g}"
         )
+    if not shift:
+        return theta, math.inf
+    sign, k = (1 if shift > 0 else -1), abs(shift)
+    order = sorted(range(len(theta)), key=lambda j: -sign * theta[j])
+    tie_gap = sign * (theta[order[k - 1]] - theta[order[k]])
     if tie_gap < BRANCH_GAP:
         raise DegenerateSpectrumError(
             f"the 2 pi shift boundary falls inside an eigenphase tie: its gap "
             f"{tie_gap:.3e} is below {BRANCH_GAP:g}"
         )
+    shifted = theta[:]
+    for j in order[:k]:
+        shifted[j] -= sign * 2.0 * math.pi
+    return shifted, tie_gap
+
+
+def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
+    """Coordinates m with exp(-i m . L) = u, for unitary u with det 1.
+
+    ``eig_unitary`` refuses a u that is not unitary within UNITARY_TOL.
+    Eigenphases are taken in (-pi, pi] and go through ``_branch_rule``,
+    shared with the values-only route: it refuses det u != 1 (ValueError),
+    restores tracelessness by one 2 pi shift rule for either sign (the s
+    largest phases for s > 0, the |s| smallest for s < 0, ties broken by
+    eigenvalue index), and refuses as ambiguous a phase within BRANCH_GAP
+    of the cut at pi or a shift boundary inside a phase tie.
+    """
+    spec = eig_unitary(u)
+    theta, _ = _branch_rule(np.angle(spec.eigenvalues).tolist())
     v = spec.eigenvectors
     log_m = np.einsum("k,ak,bk->ab", -np.array(theta, dtype=complex), v, v.conj())
     elem = from_matrix(basis, log_m)
@@ -326,27 +325,28 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
 def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
     """r with exp(-i r . L) = g0 I + g . L for N <= 4, from eigenvalues
     alone; None where the route would lose accuracy (module constants
-    CHORD_CUT, POLE_CUT, TIE_CUT, the slope cut of
-    ``eigvals_from_power_sums``, or a phase within BRANCH_GAP of pi), and
-    ``log_coords`` then decides.  The caller has checked u unitary.
+    CHORD_CUT and TIE_CUT, or the slope cut of ``eigvals_from_power_sums``),
+    and ``log_coords`` then decides.  The caller has checked u unitary.
+    ``_require_det_one`` refuses det u != 1, at N = 3 and 4 on
+    det u = (-1)**N p_u(0) before any division by p_u(w).
 
     At N = 2, u = cos(theta) I - i sin(theta) e . L, so
     theta = atan2(|Im g|, Re g0) and r = theta (-Im g) / |Im g|.  Otherwise
     the power sums Tr u**k = N (u**k)_0 need only g0, g.g, (g (.) g).g
     and (g (.) g).(g (.) g), with g (.) g = D(g) g for the complex
-    D(g) = D(Re g) + i D(Im g); Newton's identities give u's
+    D(g) of ``product_matrix``; Newton's identities give u's
     characteristic polynomial p_u.  The Cayley substitution
     z = w (t - i)/(t + i), with the pole w the one of -1, 1, i, -i
-    farthest from the spectrum (largest |p_u(w)|), maps the unit circle
-    to the real line, so p_u becomes a real polynomial in t (after
-    division by its leading coefficient p_u(w)).  Depressed by its mean
-    root, it is solved by ``eigvals_from_power_sums``, and
+    farthest from the spectrum (largest |p_u(w)|, ``_POLES``), maps the
+    unit circle to the real line, so p_u becomes a real polynomial in t
+    (after division by its leading coefficient p_u(w)).  Depressed by its
+    mean root, it is solved by ``eigvals_from_power_sums``, and
     theta_k = -2 atan(t_k) - arg(-w).  Those phases go through
     ``_branch_rule``, as in ``log_coords``.  R is the Newton form in u over
     z_k = exp(-i theta_k) of the values theta_k, expanded to monomials in
-    G = g . L, whose vector parts are g, g (.) g and, at N = 4,
-    (2/N)(g.g) g + D(g)(g (.) g): every power of G commutes with G, so no
-    cross term enters.
+    G = g . L (``_newton_monomials``), whose vector parts are g, g (.) g
+    and, at N = 4, (2/N)(g.g) g + D(g)(g (.) g): every power of G
+    commutes with G, so no cross term enters.
     """
     n = t.n
     g0 = complex(g.scalar)
@@ -359,7 +359,7 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
         if not 2.0 * sine >= CHORD_CUT:
             return None
         return a * (math.atan2(sine, g0.real) / sine)
-    sym = product_matrix(t, "d", gv.real) + 1j * product_matrix(t, "d", gv.imag)
+    sym = product_matrix(t, "d", gv)
     gg = sym @ gv
     q2, q3 = complex(gv @ gv), complex(gg @ gv)
     # Tr u**k; s2 is the scalar coordinate of u**2 = s2 I + (2 g0 g + g (.) g) . L.
@@ -375,6 +375,7 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
     else:
         p4 = n * s2 * s2 + 2.0 * (4.0 * g0 * g0 * q2 + 4.0 * g0 * q3 + complex(gg @ gg))
         coeffs = (0.25 * (e3 * p1 - e2 * p2 + e1 * p3 - p4), -e3, e2, -e1, 1.0)
+    _require_det_one(cmath.phase((-1) ** n * coeffs[0]))
     best = 0.0
     for pole, turn in _POLES:
         value = 0j
@@ -382,8 +383,6 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
             value = value * pole + c
         if abs(value) > best:
             best, w, beta, lead = abs(value), pole, turn, value
-    if not best >= POLE_CUT:
-        return None
     # The real monic t-polynomial, then its Taylor shift by the mean root.
     b, power = [], 1.0
     for c in coeffs:
@@ -403,9 +402,8 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
     if tau is None:
         return None
     theta = [math.remainder(-2.0 * math.atan(mean + x) - beta, 2.0 * math.pi) for x in tau]
-    theta, cut_distance, tie_gap = _branch_rule(theta)
-    # Within BRANCH_GAP of the cut ``log_coords`` refuses the phase as ambiguous.
-    if cut_distance < BRANCH_GAP or tie_gap < TIE_CUT:
+    theta, tie_gap = _branch_rule(theta)
+    if tie_gap < TIE_CUT:
         return None
     z = [cmath.exp(-1j * x) for x in theta]
     for k in range(n):
@@ -421,10 +419,7 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
     for level in range(1, n):
         for k in range(n - 1, level - 1, -1):
             diff[k] = (diff[k] - diff[k - 1]) / (z[k] - z[k - level])
-    coef = [diff[-1]]
-    for x, top in zip(z[-2::-1], diff[-2::-1]):
-        x -= g0
-        coef = [top - x * coef[0]] + [lo - x * hi for lo, hi in zip(coef, coef[1:])] + [coef[-1]]
+    coef = _newton_monomials([x - g0 for x in z], diff)
     r = coef[1] * gv + coef[2] * gg
     if n == 4:
         r += coef[3] * ((2.0 / n) * q2 * gv + sym @ gg)
@@ -446,29 +441,29 @@ def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement
     differences of ``arcsin_divided_differences``.  Past the gate, for
     N <= 4, ``_log_past_gate`` takes R from the eigenvalues of u itself,
     read off its characteristic polynomial, with the det = 1 guard and
-    2 pi shift rule of ``log_coords`` (``_branch_rule``).  Neither needs an eigenvector or a dense
-    logarithm.  Past the gate for N > 4, and wherever ``_log_past_gate``
-    declines, ``log_coords`` takes the dense matrix.
+    2 pi shift rule of ``log_coords`` (``_branch_rule``).  Neither needs
+    an eigenvector or a dense logarithm.  Past the gate for N > 4, and
+    wherever ``_log_past_gate`` declines, ``log_coords`` takes the dense
+    matrix.
 
-    Both values-only routes first check the matrix unitary within
+    Both values-only routes are preceded by one unitarity check within
     UNITARY_TOL (ValueError, as in ``log_coords``), and refuse det g != 1
     by ``_require_det_one``, the guard ``log_coords`` uses: inside the
     gate R's scalar part, the phase sum over N, must vanish.  No other
     refusal of ``log_coords`` can arise inside the gate (no phase is near
-    the cut and no shift boundary exists); past it, a phase within
-    BRANCH_GAP of the cut or a tie at the shift boundary is declined, so
-    ``log_coords`` raises it.  The coordinates are real by construction
+    the cut and no shift boundary exists); past it, ``_branch_rule``
+    refuses a phase within BRANCH_GAP of the cut or a tie at the shift
+    boundary for both routes.  The coordinates are real by construction
     inside the gate, and the real part of the Newton form past it.
     """
     u = to_matrix(basis, g)
-    if not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE:
-        if t.n <= 4:
-            _require_unitary(u)
-            r = _log_past_gate(t, g)
-            if r is not None:
-                return r
+    past_gate = not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE
+    if past_gate and t.n > 4:
         return log_coords(basis, u)
     _require_unitary(u)
+    if past_gate:
+        r = _log_past_gate(t, g)
+        return log_coords(basis, u) if r is None else r
     offset = -g.scalar.imag
     scalar, r = _newton_form(
         t, basis, -np.imag(g.vector), lambda mu: arcsin_divided_differences(mu, offset)

@@ -616,6 +616,20 @@ def _exp_newton(eigenvalues) -> tuple[list[float], list[complex]]:
     return lam, exp_divided_differences(lam, -1j).tolist()
 
 
+def _newton_monomials(points: list, newton: list) -> list:
+    """The coefficients c_n of sum_n c_n x**n equal to the Newton form
+    sum_k newton[k] (x - points[0]) ... (x - points[k - 1]), by the
+    Horner rule of ``expansion_coeffs``; points[-1] is not read."""
+    coeffs = [newton[-1]]
+    for shift, top in zip(points[-2::-1], newton[-2::-1]):
+        coeffs = (
+            [top - shift * coeffs[0]]
+            + [lower - shift * upper for lower, upper in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    return coeffs
+
+
 def expansion_coeffs(spec: SpectralDecomposition) -> np.ndarray:
     """Coefficients f_n with exp(-iM) = sum_n f_n M**n, n = 0..N-1.
 
@@ -631,14 +645,7 @@ def expansion_coeffs(spec: SpectralDecomposition) -> np.ndarray:
     refused as degenerate.
     """
     lam, newton = _exp_newton(spec.eigenvalues)
-    coeffs = [newton[-1]]
-    for shift, top in zip(lam[-2::-1], newton[-2::-1]):
-        coeffs = (
-            [top - shift * coeffs[0]]
-            + [lower - shift * upper for lower, upper in zip(coeffs, coeffs[1:])]
-            + [coeffs[-1]]
-        )
-    return np.array(coeffs)
+    return np.array(_newton_monomials(lam, newton))
 
 
 def expansion_coeffs_derivative(spec: SpectralDecomposition, char: CharPoly) -> np.ndarray:

@@ -165,17 +165,27 @@ def test_contractions_match_dense_reference(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_product_matrix_matches_dense_tensors(n):
     """D(a) and F(a) from the index arrays against contracting the dense
-    tensors; D(a) v and F(a) v are the products v (.) a and v (x) a."""
+    tensors; D(a) v and F(a) v are the products v (.) a and v (x) a.  A
+    complex a gives exactly D(Re a) + i D(Im a), and F likewise, each
+    part equal to the real path's matrix."""
     _, t = cached_algebra(n)
     rng = np.random.default_rng(200 + n)
     for _ in range(5):
-        a, v = rng.uniform(-1, 1, (2, t.dim))
+        a, b, v = rng.uniform(-1, 1, (3, t.dim))
         sym, skew = product_matrix(t, "d", a), product_matrix(t, "f", a)
         assert sym.dtype == skew.dtype == np.float64
         np.testing.assert_allclose(sym, np.einsum("jkl,l->jk", t.d, a), rtol=0, atol=1e-15)
         np.testing.assert_allclose(skew, np.einsum("jkl,l->jk", t.f, a), rtol=0, atol=1e-15)
         np.testing.assert_allclose(sym @ v, dot_sym(t, v, a), rtol=0, atol=1e-14)
         np.testing.assert_allclose(skew @ v, cross(t, v, a), rtol=0, atol=1e-14)
+        c = a + 1j * b
+        for tensor, dense in (("d", t.d), ("f", t.f)):
+            got, re, im = (product_matrix(t, tensor, x) for x in (c, a, b))
+            assert got.dtype == np.complex128
+            np.testing.assert_array_equal(got, re + 1j * im)
+            np.testing.assert_array_equal(got.real, re)
+            np.testing.assert_array_equal(got.imag, im)
+            np.testing.assert_allclose(got, np.einsum("jkl,l->jk", dense, c), rtol=0, atol=2e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

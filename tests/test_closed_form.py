@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from sunbch import (
     LinearElement,
@@ -26,6 +27,7 @@ from sunbch import (
     to_matrix,
 )
 from sunbch import linearize
+from sunbch.errors import BranchCutError, DegenerateSpectrumError
 from sunbch.linearize import LOG_GATE, POWER_SUM_RANGE, TIE_CUT, _eigenvalues, _log_past_gate
 from sunbch.spectral import (
     CLOSED_FORM_CUT,
@@ -332,6 +334,86 @@ def test_log_past_gate_targeted_spectra(n):
         assert residual <= 1e-10
         if label.startswith("shift"):
             assert not declined
+
+
+def no_eig_unitary(u):
+    raise AssertionError("the values-only route handed u to eig_unitary")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cut_refused_by_values_only_route(monkeypatch, n):
+    """A phase 4e-10 from pi, the others well apart, is refused by the
+    values-only route itself through ``_branch_rule``: ``eig_unitary``
+    is never reached, and the message carries the route's distance."""
+    monkeypatch.setattr(linearize, "eig_unitary", no_eig_unitary)
+    basis, t = cached_algebra(n)
+    near = [np.pi - 4e-10] + [0.5 + 0.4 * k for k in range(n - 2)]
+    g = conjugated(basis, np.exp(1j * np.array(near + [-sum(near)])), np.random.default_rng(n))
+    with pytest.raises(BranchCutError, match=r"lies \S+ from the branch cut") as excinfo:
+        delinearize_exp(t, basis, g)
+    assert excinfo.traceback[-1].name == "_branch_rule"
+    distance = float(excinfo.value.args[0].split()[3])
+    assert abs(distance - 4e-10) <= 1e-13
+
+
+def test_compose_onto_the_cut_refused_by_values_only_route(monkeypatch):
+    """m has M = diag(pi, -pi/3, -2 pi/3) (the CI's branch-cut compose), so
+    exp(-iM) exp(0) has an eigenphase on the cut: compose refuses it
+    from the values-only route, without ``eig_unitary``."""
+    monkeypatch.setattr(linearize, "eig_unitary", no_eig_unitary)
+    basis, t = cached_algebra(3)
+    m = np.array([0, 0, 0, 0, 0, 0, 2.0943951023931953, 1.8137993642342178])
+    np.testing.assert_allclose(
+        algebra_matrix(basis, m), np.diag([np.pi, -np.pi / 3, -2 * np.pi / 3]), atol=1e-15
+    )
+    with pytest.raises(BranchCutError, match=r"lies \S+ from the branch cut") as excinfo:
+        compose(t, basis, m, np.zeros(t.dim))
+    assert excinfo.traceback[-1].name == "_branch_rule"
+
+
+def test_shift_tie_refused_at_the_one_site():
+    """A 2 pi shift boundary inside a 5e-10 phase tie at N = 3: the closed
+    form's slope cut declines the pair, ``log_coords`` takes it, and the
+    refusal comes from the raise in ``_branch_rule``."""
+    basis, t = cached_algebra(3)
+    theta = np.array([0.9 * np.pi + 2.5e-10, 0.9 * np.pi - 2.5e-10, 0.2 * np.pi])
+    g = conjugated(basis, np.exp(1j * theta), np.random.default_rng(3))
+    with pytest.raises(DegenerateSpectrumError, match="tie: its gap") as excinfo:
+        delinearize_exp(t, basis, g)
+    assert excinfo.traceback[-1].name == "_branch_rule"
+
+
+@pytest.mark.parametrize("n, floor", [(3, 1.65), (4, 1.99)])
+def test_cayley_pole_stays_off_det_one_spectra(n, floor):
+    """The best of ``_POLES`` has |p_u(w)| >= floor on 2,000 random det-1
+    spectra and at Nelder-Mead minima from 20 of them (4 sqrt(2) - 4 at
+    N = 3, 2 at N = 4), so ``_log_past_gate`` divides by p_u(w) without
+    a guard once det u = 1 is checked."""
+    poles = np.array([w for w, _ in linearize._POLES])
+
+    def best(free):
+        z = np.exp(1j * np.append(free, -np.sum(free)))
+        return float(np.max(np.abs(np.prod(poles[:, None] - z[None, :], axis=1))))
+
+    rng = np.random.default_rng(40 + n)
+    draws = rng.uniform(-np.pi, np.pi, (2000, n - 1))
+    worst = min(best(free) for free in draws)
+    for free in draws[:20]:
+        worst = min(worst, scipy.optimize.minimize(best, free, method="Nelder-Mead").fun)
+    print(f"N = {n}: least best |p_u(w)| {worst:.4f}")
+    assert worst >= floor
+
+
+def test_det_minus_one_with_every_pole_a_root_refused():
+    """u with spectrum {1, -1, i, -i} at N = 4 (det -1): every candidate
+    pole is a root of p_u, and the det guard refuses u before any division
+    by p_u(w), in the route as through ``delinearize_exp``."""
+    basis, t = cached_algebra(4)
+    g = conjugated(basis, np.array([1.0, -1.0, 1j, -1j]), np.random.default_rng(4))
+    with pytest.raises(ValueError, match="det u is not 1"):
+        _log_past_gate(t, g)
+    with pytest.raises(ValueError, match="det u is not 1"):
+        delinearize_exp(t, basis, g)
 
 
 def degenerate_exponents(basis):
