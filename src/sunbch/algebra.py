@@ -37,10 +37,12 @@ of ``linearize``, the adjoint kernel of ``bch``) pays one matrix-vector
 product per step.
 
 Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
-is stored once, as index arrays of its nonzero entries, one term per
-unordered pair k <= l, which the two products and ``product_matrix`` run
-over.  The dense f and d that the tensor identities read are built from
-those arrays on first use.
+is built from T_jkl = Tr(L_j L_k L_l), summed over the generators'
+nonzero entries only, as f = Im T / 2 and d = Re T / 2, and stored once,
+as index arrays of its nonzero entries, one term per unordered pair
+k <= l, which the two products and ``product_matrix`` run over.  The
+dense f and d that the tensor identities read are built from those
+arrays on first use.
 """
 
 from __future__ import annotations
@@ -188,22 +190,38 @@ def _coo(j, k, l, value, sign: float) -> tuple[np.ndarray, ...]:
     return tuple(_freeze(x) for x in (rows, k, l, value))
 
 
+def _join(keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, p) with keys[p] == targets[i], for sorted keys."""
+    lo = np.searchsorted(keys, targets, "left")
+    reps = np.searchsorted(keys, targets, "right") - lo
+    i = np.repeat(np.arange(len(targets)), reps)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps - lo, reps)
+
+
 def structure_constants(basis: GeneratorBasis) -> StructureTensors:
-    """Compute f and d by the trace formulas, canonicalize, and index."""
-    g = basis.matrices
-    dim = basis.dim
-    prod = np.einsum("jab,kbc->jkac", g, g)
-    tr3 = np.einsum("jkab,lba->jkl", prod, g)  # Tr(L_j L_k L_l)
-    f_raw = ((tr3 - tr3.transpose(1, 0, 2)) / 4j).real
-    d_raw = ((tr3 + tr3.transpose(1, 0, 2)) / 4.0).real
+    """f and d from T_jkl = Tr(L_j L_k L_l), canonicalized and indexed.
+
+    T is summed over the generators' nonzero entries only: L_j[a, b]
+    joins L_k[b, c] on b, then L_l[c, a] on (c, a).  The generators are
+    Hermitian, so Tr(L_k L_j L_l) is the conjugate of T_jkl, which gives
+    f = Im T / 2 and d = Re T / 2.
+    """
+    g, n, shape = basis.matrices, basis.n, (basis.dim,) * 3
+    a, b, gen = np.nonzero(g.transpose(1, 2, 0))  # sorted by row, then column, for _join
+    val = g[gen, a, b]
+    i, p = _join(a, b)
+    q, r = _join(a * n + b, b[p] * n + a[i])
+    i, p = i[q], p[q]
+    terms = val[i] * val[p] * val[r]
+    slots, inv = np.unique(np.ravel_multi_index((gen[i], gen[p], gen[r]), shape), return_inverse=True)
+    j, k, l = np.unravel_index(slots, shape)
+    f, d = np.bincount(inv, terms.imag) / 2, np.bincount(inv, terms.real) / 2
 
     # Canonical triples in lexicographic order: j < k < l for f, j <= k <= l for d.
-    j, k, l = np.ix_(np.arange(dim), np.arange(dim), np.arange(dim))
-    fj, fk, fl = np.nonzero((j < k) & (k < l) & (np.abs(f_raw) >= SPARSE_THRESHOLD))
-    dj, dk, dl = np.nonzero((j <= k) & (k <= l) & (np.abs(d_raw) >= SPARSE_THRESHOLD))
-    fv, dv = f_raw[fj, fk, fl], d_raw[dj, dk, dl]
-
-    return StructureTensors(basis.n, _coo(fj, fk, fl, fv, -1.0), _coo(dj, dk, dl, dv, 1.0))
+    keep_f = (j < k) & (k < l) & (np.abs(f) >= SPARSE_THRESHOLD)
+    keep_d = (j <= k) & (k <= l) & (np.abs(d) >= SPARSE_THRESHOLD)
+    f_coo = _coo(j[keep_f], k[keep_f], l[keep_f], f[keep_f], -1.0)
+    return StructureTensors(basis.n, f_coo, _coo(j[keep_d], k[keep_d], l[keep_d], d[keep_d], 1.0))
 
 
 @lru_cache(maxsize=None)
@@ -261,15 +279,16 @@ def product_matrix(t: StructureTensors, tensor: str, a: np.ndarray) -> np.ndarra
     D(a)_jk = d_jkl a_l and F(a)_jk = f_jkl a_l, so D(a) v = v (.) a and
     F(a) v = v (x) a for every v.  One ``np.bincount`` over the index
     arrays builds the matrix in O(nonzeros); no dense tensor is read.  A
-    complex a takes one per part, D(a) = D(Re a) + i D(Im a), and F
-    likewise, since bincount weights must be real.
+    complex a adds a second one over the imaginary parts of the same
+    gather, D(a) = D(Re a) + i D(Im a), since bincount weights must be real.
     """
     (a,) = _check_coords(t.dim, a)
-    if a.dtype.kind == "c":
-        return product_matrix(t, tensor, a.real) + 1j * product_matrix(t, tensor, a.imag)
     slots, gather, coef = t.scatter[tensor]
+    picked = a[gather]
     # Without terms (d at N = 2) bincount returns integers.
-    out = np.bincount(slots, coef * a[gather], minlength=t.dim * t.dim).astype(float, copy=False)
+    out = np.bincount(slots, coef * picked.real, minlength=t.dim * t.dim).astype(float, copy=False)
+    if a.dtype.kind == "c":
+        out = out + 1j * np.bincount(slots, coef * picked.imag, minlength=t.dim * t.dim)
     return out.reshape(t.dim, t.dim)
 
 

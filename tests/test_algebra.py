@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sunbch import (
+    GeneratorBasis,
     LinearElement,
     algebra_matrix,
     build_adjoint_kernel,
@@ -273,7 +275,8 @@ def test_structure_constants_sparsity():
 
 
 def loop_canonicalization(basis):
-    """The element-by-element construction that ``structure_constants`` replaced."""
+    """Oracle for ``structure_constants``: the dense trace formulas,
+    Tr(L_j L_k L_l) over every index triple, canonicalized element by element."""
     g = basis.matrices
     dim = basis.dim
     prod = np.einsum("jab,kbc->jkac", g, g)
@@ -329,6 +332,36 @@ def test_structure_constants_match_loop_canonicalization(n):
     for ours, theirs in ((t.f_entries, f_entries), (t.d_entries, d_entries)):
         for row, expected in zip(ours, theirs):
             assert [type(x) for x in row] == [type(x) for x in expected]
+
+
+def test_structure_constants_never_form_a_dense_cube():
+    """The N = 8 build stays O(nonzeros): one dim**3 complex array alone is 4 MB."""
+    basis = build_basis(8)
+    tracemalloc.start()
+    try:
+        structure_constants(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_structure_constants_on_a_rotated_basis(n):
+    """A seeded orthogonal rotation of the basis makes every generator dense,
+    with many entries per row and complex off-diagonal entries; the sparse
+    trace must still agree with the dense oracle on every canonical entry."""
+    gell_mann = build_basis(n)
+    q, _ = np.linalg.qr(np.random.default_rng(400 + n).standard_normal((gell_mann.dim,) * 2))
+    basis = GeneratorBasis(n, np.einsum("ij,jab->iab", q, gell_mann.matrices))
+    assert np.all(basis.matrices != 0)
+    t = structure_constants(basis)
+    _, _, f_entries, d_entries = loop_canonicalization(basis)
+    for ours, theirs in ((t.f_entries, f_entries), (t.d_entries, d_entries)):
+        assert [row[:3] for row in ours] == [row[:3] for row in theirs]
+        np.testing.assert_allclose(
+            [row[3] for row in ours], [row[3] for row in theirs], rtol=0, atol=1e-14
+        )
 
 
 def test_compose_and_similarity_build_no_dense_tensor():
