@@ -22,9 +22,7 @@ from .bch import _compose, _conjugate
 from .errors import NumericalDomainError
 from .linearize import exp_matrix
 from .sampling import DEFAULT_SPECTRAL_CAP
-from .verify import RunConfig, _jacobi_ff, _orthonormality, run_suite
-
-MAX_N = 8
+from .verify import MAX_N, RunConfig, _jacobi_ff, _orthonormality, run_suite
 
 
 def _render(value) -> str:

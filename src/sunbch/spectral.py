@@ -3,8 +3,9 @@
 Everything here is self-contained: Hermitian eigenproblems are reduced to
 real tridiagonal form by Householder reflectors and solved by implicit QL,
 characteristic polynomials come from the Faddeev-LeVerrier recurrence,
-and divided differences of the exponential come from a Taylor series of
-Opitz's bidiagonal matrix (scaled and squared for widely spread points).
+and divided differences come from Taylor series of Opitz's bidiagonal
+matrix, summed row by row in one loop, ``_taylor_rows``: exp's (scaled
+and squared for widely spread points) and arcsin's.
 
 The Hermitian kernel is the classical pair: the Householder
 tridiagonalization of Martin, Reinsch & Wilkinson (Numer. Math. 11, 1968,
@@ -18,9 +19,9 @@ back-transformation of the eigenvectors is a numpy product.  One routine
 serves both entries: ``eig_hermitian`` accumulates the rotations and
 applies the reflectors, ``eigvals_hermitian`` does neither and returns
 the same eigenvalues bit for bit, since the vectors never feed back into
-them.  The same reasoning puts the divided-difference series on Python
-scalars.  The monomial coefficients of exp(-iM) expand that series'
-Newton form, so no Vandermonde system is solved anywhere.
+them.  The same reasoning puts ``_taylor_rows`` on Python scalars.  The
+monomial coefficients of exp(-iM) expand the Newton form of exp's
+divided differences, so no Vandermonde system is solved anywhere.
 
 For N <= 4 the eigenvalues of a traceless M need no iteration:
 ``eigvals_from_power_sums`` reads them off the characteristic polynomial,
@@ -30,9 +31,9 @@ root of a polynomial is only as accurate as the polynomial's slope there
 allows, so a spectrum with a slope below CLOSED_FORM_CUT (close or
 repeated eigenvalues) is declined and goes to the QL kernel, as in Kopp's
 hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
-``arcsin_divided_differences`` sums the divided differences of arcsin by
-the same bidiagonal Taylor rows as those of exp, for the values-only
-logarithm of ``linearize.delinearize_exp``.
+``arcsin_divided_differences`` hands ``_taylor_rows`` arcsin's Taylor
+coefficients, as ``exp_divided_differences`` hands it exp's, for the
+values-only logarithm of ``linearize.delinearize_exp``.
 """
 
 from __future__ import annotations
@@ -380,26 +381,65 @@ def exp_minus_i(x):
     return np.exp(-1j * x)
 
 
+def _taylor_rows(points, coefficients, count: int) -> list[list]:
+    """Rows 0 .. count - 1 of sum_k a_k P**k, a_k = coefficients[k], for the
+    bidiagonal P with ``points`` on its diagonal and ones above it; count
+    is at most len(coefficients).
+
+    By Opitz's theorem row 0 of f(B), for the bidiagonal B of points x1..xn
+    and f(x) = sum_k a_k (x - x0)**k, holds the divided differences
+    f[x1], f[x1, x2], ..., f[x1..xn]; the callers pass the points shifted
+    by x0.  Row i of P**k is stepped from row i of P**(k-1), one bidiagonal
+    step per term, and row i sums its first len(coefficients) - i terms.
+    Its entry j starts at term j - i, so entry j sums len(coefficients) - j
+    nonzero terms in every row.  The entries of P**k are the complete
+    homogeneous symmetric polynomials of the points that McCurdy, Ng &
+    Parlett (Math. Comp. 43, 1984) sum for close points, so no difference
+    of nearby values is ever divided by their gap, and confluent points
+    are allowed.  On real points the rows of P**k stay real; only the
+    coefficients may be complex.
+    """
+    n = len(points)
+    rows = []
+    for i in range(count):
+        row = [0.0] * n  # e_i' P**t
+        row[i] = 1.0
+        total = [0.0] * n
+        total[i] = coefficients[0]
+        # Row i of P**t is 0 past entry i + t, that is from stop on.
+        for stop, a in enumerate(coefficients[1:len(coefficients) - i], i + 2):
+            prev = 0.0
+            # (row P)_j = row_j x_j + row_{j-1}.
+            for j in range(i, stop if stop < n else n):
+                cur = row[j]
+                row[j] = nxt = cur * points[j] + prev
+                total[j] += a * nxt
+                prev = cur
+        rows.append(total)
+    return rows
+
+
 def exp_divided_differences(values, c: complex) -> np.ndarray:
     """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(c x).
 
-    By Opitz's theorem they are the first row of exp(c B), where B is the
-    bidiagonal matrix with x1..xn on its diagonal and ones above it.  The
-    points are shifted to their midpoint first, exp(c B) = exp(c mid)
-    exp(c (B - mid I)), and exp(h (B - mid I)) is summed as a Taylor
-    series, one bidiagonal step per term, with h = c / 2**s.  Its entries
-    are the series of complete homogeneous symmetric polynomials that
-    McCurdy, Ng & Parlett (Math. Comp. 43, 1984) use for close points, so
-    no difference of nearby values is ever divided by their gap, and
-    confluent points are allowed.  With half-spread r, term k of entry j
-    is at most |h|**j (|h| r)**(k-j) / ((k-j)! j!), and the series
-    loses about exp(|h| r) roundoffs of the entry's |h|**j / j! scale to
-    cancellation.  So s is the least count of halvings that brings |h| r
-    to TAYLOR_REACH or below, and the sum is squared s times afterwards.
-    For s = 0 only the first row is summed; otherwise the whole upper
-    triangle is, since squaring needs it.  The loop stops once the bound
-    above is below one unit roundoff of the entry's scale.  The values
-    are real and finite; anything else raises ValueError.
+    They are the first row of exp(c B), B the bidiagonal matrix of the
+    points.  The points are shifted to their midpoint first, exp(c B) =
+    exp(c mid) exp(c (B - mid I)), and with s halvings exp(c 2**-s (B -
+    mid I)) = S exp(c P) S**-1, where P has the points (x - mid) 2**-s on
+    its diagonal and ones above it and S = diag(2**(s j)): entry (i, j) of
+    the ``_taylor_rows`` sum of exp(c P), coefficients c**k / k!, is scaled
+    by 2**(-s (j - i)), which is exact.  With half-spread r, term k of
+    entry j is at most |c|**j (|c| r 2**-s)**(k-j) / ((k-j)! j!), and the
+    series loses about exp(|c| r 2**-s) roundoffs of the entry's
+    |c|**j / j! scale to cancellation.  So s is the least count of
+    halvings that brings |c| r 2**-s to TAYLOR_REACH or below, and the
+    scaled sum is squared s times afterwards.  For s = 0 only the first
+    row is summed; otherwise the whole upper triangle is, since squaring
+    needs it.  The series stops once the bound above is below one unit
+    roundoff of the entry's scale.  The powers c**k and P**k stay inside
+    the float range for 1e-8 <= |c| <= 1e10 at n <= 8 (the callers pass
+    |c| = 1).  The values are real and finite; anything else raises
+    ValueError.
     """
     xs = [float(x) for x in values]
     n = len(xs)
@@ -411,46 +451,33 @@ def exp_divided_differences(values, c: complex) -> np.ndarray:
     while reach > TAYLOR_REACH:
         reach *= 0.5
         squarings += 1
-    h = c * 0.5 ** squarings
-    shifted = [x - mid for x in xs]
-    # Terms of the series of exp(|h| r) are below one roundoff after
+    # Terms of the series of exp(|c| r 2**-s) are below one roundoff after
     # `extra` steps; entry j of row i starts at step j - i.
     extra, size = 0, 1.0
     while size > _ROUNDOFF:
         extra += 1
         size *= reach / extra
-    rows = []
-    for i in range(n if squarings else 1):
-        row = [0j] * n  # e_i' (h (B - mid I))**k / k!
-        row[i] = 1.0 + 0j
-        total = row[:]
-        for k in range(1, n - i + extra):
-            scale = h / k
-            prev = 0j
-            # (row B)_j = row_j x_j + row_{j-1}; entries past i + k are 0.
-            for j in range(i, min(i + k + 1, n)):
-                cur = row[j]
-                row[j] = term = scale * (cur * shifted[j] + prev)
-                total[j] += term
-                prev = cur
-        rows.append(total)
-    e = np.array(rows)
+    coefficients = [1.0 + 0j]
+    for k in range(1, n + extra):
+        coefficients.append(coefficients[-1] * c / k)
+    scale = 0.5 ** squarings
+    rows = _taylor_rows([(x - mid) * scale for x in xs], coefficients, n if squarings else 1)
+    if not squarings:
+        return np.exp(c * mid) * np.array(rows[0])
+    d = np.arange(n)
+    e = np.array(rows) * np.ldexp(1.0, squarings * np.minimum(d[:, None] - d, 0))
     for _ in range(squarings - 1):
         e = e @ e
-    first = e[0] @ e if squarings else e[0]
-    return np.exp(c * mid) * first
+    return np.exp(c * mid) * (e[0] @ e)
 
 
 def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:
     """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of
     f(x) = arcsin(offset + x).
 
-    As for ``exp_divided_differences``, they are the first row of f(B) for
-    the bidiagonal B of the points and ones, summed as a Taylor series
-    about the midpoint z0 = offset + mid, one bidiagonal step per term, so
-    confluent points are allowed and no gap is divided by.  The
-    coefficients of arcsin' = (1 - z**2)**-1/2 about z0 follow from
-    (1 - z**2) g' = z g:
+    They are the first row of the ``_taylor_rows`` sum of arcsin's Taylor
+    series about the midpoint z0 = offset + mid.  The coefficients of
+    arcsin' = (1 - z**2)**-1/2 about z0 follow from (1 - z**2) g' = z g:
 
         b0 = (1 - z0**2)**-1/2,
         b(k+1) = ((2k + 1) z0 bk + k b(k-1)) / ((1 - z0**2)(k + 1)),
@@ -459,14 +486,13 @@ def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:
     degree K, the entries are exactly the divided differences of the
     Taylor polynomial T_K, so the Newton form built from them interpolates
     T_K and errs at each point by at most the tail sum of |ak| r**k, r the
-    half-spread.  The loop stops once two consecutive terms (one of a pair
-    is zero where z0 = 0) are below one roundoff of arcsin's scale there,
-    |a0| + |a1| r, shrunk by 1 - r / (1 - |z0|), the tail's geometric
-    ratio.  Every offset + x must lie inside (-1, 1), with the series'
-    ratio r / (1 - |z0|) at most 0.75; otherwise ValueError.
+    half-spread.  The series stops once two consecutive terms (one of a
+    pair is zero where z0 = 0) are below one roundoff of arcsin's scale
+    there, |a0| + |a1| r, shrunk by 1 - r / (1 - |z0|), the tail's
+    geometric ratio.  Every offset + x must lie inside (-1, 1), with the
+    series' ratio r / (1 - |z0|) at most 0.75; otherwise ValueError.
     """
     xs = [float(x) for x in values]
-    n = len(xs)
     lo, hi = min(xs), max(xs)
     mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z0 = offset + mid
@@ -475,26 +501,17 @@ def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:
     if not (finite and abs(z0) < 1.0 and reach <= 0.75 * (1.0 - abs(z0))):
         raise ValueError("arcsin divided differences need points well inside (-1, 1)")
     ratio = reach / (1.0 - abs(z0))
-    shifted = [x - mid for x in xs]
     w = 1.0 - z0 * z0
-    total = [math.asin(z0)] + [0.0] * (n - 1)
-    row = [1.0] + [0.0] * (n - 1)  # e_1' B**k
+    coefficients = [math.asin(z0)]
     lower, coef = 0.0, 1.0 / math.sqrt(w)  # b(k-1), bk
-    limit = _ROUNDOFF * (abs(total[0]) + coef * reach) * (1.0 - ratio)
+    limit = _ROUNDOFF * (abs(coefficients[0]) + coef * reach) * (1.0 - ratio)
     last, power, k = math.inf, 1.0, 0
     while True:
-        a = coef / (k + 1)
-        prev = 0.0
-        # (row B)_j = row_j x_j + row_{j-1}; entries past k + 1 are 0.
-        for j in range(min(k + 2, n)):
-            cur = row[j]
-            row[j] = nxt = cur * shifted[j] + prev
-            total[j] += a * nxt
-            prev = cur
+        coefficients.append(coef / (k + 1))
         power *= reach
-        term = abs(a) * power
+        term = abs(coefficients[-1]) * power
         if term + last <= limit:
-            return total
+            return _taylor_rows([x - mid for x in xs], coefficients, 1)[0]
         last = term
         lower, coef = coef, ((2 * k + 1) * z0 * coef + k * lower) / (w * (k + 1))
         k += 1

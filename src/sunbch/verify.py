@@ -59,6 +59,12 @@ from .spectral import (
 from . import linsolve
 
 
+# Largest N the suite runs: ``char_poly`` refuses N > 8, and the Jacobi
+# checks hold dim**4 float64 arrays, 3.3 GB each at N = 12.  The CLI's
+# --n bound reads it too.
+MAX_N = 8
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs for one verification run."""
@@ -70,8 +76,8 @@ class RunConfig:
     spectral_cap: float = DEFAULT_SPECTRAL_CAP
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in 2..{MAX_N}, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
@@ -120,13 +126,18 @@ def _jacobi_ff(basis, tensors):
     # last two terms are index permutations of the first contraction.
     f = tensors.f
     ff = np.einsum("klm,mpq->klpq", f, f)
-    return np.abs(ff + ff.transpose(2, 0, 1, 3) + ff.transpose(1, 2, 0, 3)).ravel()
+    # Summed in place: one dim**4 array besides the contraction.
+    out = ff + ff.transpose(2, 0, 1, 3)
+    out += ff.transpose(1, 2, 0, 3)
+    return np.abs(out, out=out).ravel()
 
 
 def _jacobi_fd(basis, tensors):
     # f_klm d_mpq + f_kqm d_mpl + f_kpm d_mlq = 0, likewise from one contraction.
     fd = np.einsum("klm,mpq->klpq", tensors.f, tensors.d)
-    return np.abs(fd + fd.transpose(0, 3, 2, 1) + fd.transpose(0, 2, 1, 3)).ravel()
+    out = fd + fd.transpose(0, 3, 2, 1)
+    out += fd.transpose(0, 2, 1, 3)
+    return np.abs(out, out=out).ravel()
 
 
 # ---- random-vector identities ------------------------------------------------

@@ -18,7 +18,7 @@ from sunbch import (
 )
 from sunbch.errors import ConvergenceError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
-from sunbch.spectral import eigvals_hermitian, exp_divided_differences
+from sunbch.spectral import _taylor_rows, eigvals_hermitian, exp_divided_differences
 
 from conftest import dense_exp, seeded_samples
 
@@ -493,6 +493,58 @@ def test_derivative_route_degree_mismatch():
 def bidiagonal(points):
     n = len(points)
     return np.diag(np.asarray(points, dtype=complex)) + np.eye(n, k=1)
+
+
+def truncated_rows(points, coefficients):
+    """Row i of sum_{k < len(coefficients) - i} a_k P**k from matrix powers."""
+    p, n = bidiagonal(points), len(points)
+    powers = [np.linalg.matrix_power(p, k) for k in range(len(coefficients))]
+    terms = [np.abs(a) * np.abs(q) for a, q in zip(coefficients, powers)]
+    ref = [sum(a * q[i] for a, q in zip(coefficients[: len(coefficients) - i], powers))
+           for i in range(n)]
+    size = [sum(t[i] for t in terms[: len(coefficients) - i]) for i in range(n)]
+    return np.array(ref), np.array(size)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_taylor_rows_match_matrix_powers(n):
+    """Every row of the kernel against numpy matrix powers of the bidiagonal
+    P, for real and complex coefficients on real points and for complex
+    points; each entry within 1e-14 of its sum of term magnitudes."""
+    rng = np.random.default_rng(23 + n)
+    for _ in range(10):
+        terms = int(rng.integers(n, n + 25))
+        real = rng.standard_normal(terms) / [math.factorial(k) for k in range(terms)]
+        cplx = real * np.exp(2j * np.pi * rng.uniform(size=terms))
+        x = rng.uniform(-2.0, 2.0, n)
+        z = x + 1j * rng.uniform(-2.0, 2.0, n)
+        for points, coefficients in ((x, real), (x, cplx), (z, cplx)):
+            got = np.array(_taylor_rows(points.tolist(), coefficients.tolist(), n))
+            ref, size = truncated_rows(points, coefficients)
+            assert np.all(np.abs(got - ref) <= 1e-14 * size)
+        if n > 1:
+            # Real points and coefficients give floats, as arcsin returns them.
+            assert all(type(v) is float for v in _taylor_rows(x.tolist(), real.tolist(), n)[1])
+
+
+@pytest.mark.parametrize("c", [-1j, 1j])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_taylor_rows_rescaled_as_for_squaring(n, c):
+    """With the points shifted to their midpoint and scaled by 2**-s, and
+    coefficients c**k / k!, entry (i, j) of the rows times 2**(-s (j - i))
+    is exp(c 2**-s (B - mid I)), the matrix that exp's squaring path
+    squares s times."""
+    rng = np.random.default_rng(37 + n)
+    for spread, halvings in ((20.0, 3), (1e3, 9)):
+        x = np.sort(rng.uniform(-spread, spread, n))
+        mid = 0.5 * (x[0] + x[-1])
+        scale = 0.5**halvings
+        coefficients = [c**k / math.factorial(k) for k in range(n + 40)]
+        rows = np.array(_taylor_rows(((x - mid) * scale).tolist(), coefficients, n))
+        d = np.arange(n)
+        got = rows * np.ldexp(1.0, halvings * np.minimum(d[:, None] - d, 0))
+        ref = scipy.linalg.expm(c * scale * (bidiagonal(x) - mid * np.eye(n)))
+        assert np.max(np.abs(got - ref)) < 1e-13
 
 
 @pytest.mark.parametrize("c", [-1j, 1j])

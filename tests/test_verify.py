@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,9 @@ def test_seed_changes_worst_instance():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(n=1, seed=0, trials=1)
+    for n in (1, 9):
+        with pytest.raises(ValueError, match="2..8"):
+            RunConfig(n=n, seed=0, trials=1)
     with pytest.raises(ValueError):
         RunConfig(n=2, seed=-1, trials=1)
     with pytest.raises(ValueError):
@@ -111,3 +114,18 @@ def test_jacobi_residuals_match_three_contractions(n):
     )
     assert np.array_equal(_jacobi_ff(basis, t), np.abs(ff).ravel())
     assert np.array_equal(_jacobi_fd(basis, t), np.abs(fd).ravel())
+
+
+@pytest.mark.parametrize("check", [_jacobi_ff, _jacobi_fd])
+def test_jacobi_checks_hold_two_dim4_arrays(check):
+    """Each Jacobi check peaks at the contraction and one sum, two dim**4
+    float64 arrays: 24 MB at N = 6, 252 MB at N = 8."""
+    basis, t = cached_algebra(6)
+    t.f, t.d  # build the cached dense tensors, dim**3 each, before tracing
+    tracemalloc.start()
+    try:
+        check(basis, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * basis.dim**4 * 8
