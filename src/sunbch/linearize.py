@@ -50,9 +50,13 @@ are scalars in coordinates, mapped by a Cayley substitution to a real
 polynomial that ``spectral.eigvals_from_power_sums`` solves; R is the
 Newton form in u over those eigenvalues (``_log_past_gate``).  That
 route declines, rather than refuses, wherever it would lose accuracy
-(CHORD_CUT, TIE_CUT).  Otherwise ``log_coords`` takes the dense matrix.
-Past the gate both take principal eigenphases through ``_branch_rule``,
-the one 2 pi shift rule and the one site of the ambiguity refusals.
+(CHORD_CUT, TIE_CUT).  Otherwise ``log_coords`` takes the dense matrix,
+whose ``spectral.eig_unitary`` diagonalizes the Cayley transform of u:
+both Cayley routes take Newton's identities from
+``spectral._power_sum_poly`` and their pole from
+``spectral._cayley_pole``.  Past the gate both logarithms take
+principal eigenphases through ``_branch_rule``, the one 2 pi shift rule
+and the one site of the ambiguity refusals.
 """
 
 from __future__ import annotations
@@ -75,7 +79,9 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
+    _cayley_pole,
     _newton_monomials,
+    _power_sum_poly,
     _require_unitary,
     apply_spectral,
     arcsin_divided_differences,
@@ -131,12 +137,6 @@ def _cayley_rows(n: int) -> list[list[complex]]:
 
 
 _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
-# The candidate poles w and arg(-w): the substitution sends t to
-# theta = -2 atan t - arg(-w), with z = exp(-i theta).  On a det-1
-# spectrum the largest |p_u(w)| over the four is at least
-# 4 sqrt(2) - 4 = 1.66 (N = 3) and 2 (N = 4) (minimized numerically), so
-# once det u = 1 is checked the division by p_u(w) is never near 0.
-_POLES = ((-1.0, 0.0), (1.0, math.pi), (1j, -0.5 * math.pi), (-1j, 0.5 * math.pi))
 
 
 def _newton_products(
@@ -334,19 +334,23 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
     theta = atan2(|Im g|, Re g0) and r = theta (-Im g) / |Im g|.  Otherwise
     the power sums Tr u**k = N (u**k)_0 need only g0, g.g, (g (.) g).g
     and (g (.) g).(g (.) g), with g (.) g = D(g) g for the complex
-    D(g) of ``product_matrix``; Newton's identities give u's
-    characteristic polynomial p_u.  The Cayley substitution
-    z = w (t - i)/(t + i), with the pole w the one of -1, 1, i, -i
-    farthest from the spectrum (largest |p_u(w)|, ``_POLES``), maps the
-    unit circle to the real line, so p_u becomes a real polynomial in t
-    (after division by its leading coefficient p_u(w)).  Depressed by its
-    mean root, it is solved by ``eigvals_from_power_sums``, and
-    theta_k = -2 atan(t_k) - arg(-w).  Those phases go through
-    ``_branch_rule``, as in ``log_coords``.  R is the Newton form in u over
-    z_k = exp(-i theta_k) of the values theta_k, expanded to monomials in
-    G = g . L (``_newton_monomials``), whose vector parts are g, g (.) g
-    and, at N = 4, (2/N)(g.g) g + D(g)(g (.) g): every power of G
-    commutes with G, so no cross term enters.
+    D(g) of ``product_matrix``; Newton's identities (``_power_sum_poly``)
+    give u's characteristic polynomial p_u.  The Cayley substitution
+    z = w (t - i)/(t + i), with the pole w of ``_cayley_pole`` (largest
+    |p_u(w)| among 4N points on the circle, -1, 1, i and -i among them),
+    maps the unit circle to the real line, so p_u becomes a real
+    polynomial in t (after division by its leading coefficient p_u(w)).
+    Over -1, 1, i and -i alone the largest |p_u(w)| on a det-1 spectrum is
+    at least 4 sqrt(2) - 4 = 1.66 (N = 3) and 2 (N = 4) (minimized
+    numerically), so once det u = 1 is checked the division by p_u(w) is
+    never near 0.  Depressed by its mean root, the t-polynomial is solved
+    by ``eigvals_from_power_sums``, and theta_k = -2 atan(t_k) - arg(-w).
+    Those phases go through ``_branch_rule``, as in ``log_coords``.  R is
+    the Newton form in u over z_k = exp(-i theta_k) of the values
+    theta_k, expanded to monomials in G = g . L (``_newton_monomials``),
+    whose vector parts are g, g (.) g and, at N = 4,
+    (2/N)(g.g) g + D(g)(g (.) g): every power of G commutes with G, so no
+    cross term enters.
     """
     n = t.n
     g0 = complex(g.scalar)
@@ -364,30 +368,15 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
     q2, q3 = complex(gv @ gv), complex(gg @ gv)
     # Tr u**k; s2 is the scalar coordinate of u**2 = s2 I + (2 g0 g + g (.) g) . L.
     s2 = g0 * g0 + (2.0 / n) * q2
-    p1, p2 = n * g0, n * s2
-    p3 = p1 * s2 + 4.0 * g0 * q2 + 2.0 * q3
-    # Newton's identities; coeffs[j] multiplies z**j in p_u.
-    e1 = p1
-    e2 = 0.5 * (e1 * p1 - p2)
-    e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
-    if n == 3:
-        coeffs = (-e3, e2, -e1, 1.0)
-    else:
-        p4 = n * s2 * s2 + 2.0 * (4.0 * g0 * g0 * q2 + 4.0 * g0 * q3 + complex(gg @ gg))
-        coeffs = (0.25 * (e3 * p1 - e2 * p2 + e1 * p3 - p4), -e3, e2, -e1, 1.0)
+    sums = [n * g0, n * s2, n * g0 * s2 + 4.0 * g0 * q2 + 2.0 * q3]
+    if n == 4:
+        sums.append(n * s2 * s2 + 2.0 * (4.0 * g0 * g0 * q2 + 4.0 * g0 * q3 + complex(gg @ gg)))
+    # coeffs[j] multiplies z**j in p_u.
+    coeffs = _power_sum_poly(sums)
     _require_det_one(cmath.phase((-1) ** n * coeffs[0]))
-    best = 0.0
-    for pole, turn in _POLES:
-        value = 0j
-        for c in reversed(coeffs):
-            value = value * pole + c
-        if abs(value) > best:
-            best, w, beta, lead = abs(value), pole, turn, value
+    w, beta, lead = _cayley_pole(coeffs)
     # The real monic t-polynomial, then its Taylor shift by the mean root.
-    b, power = [], 1.0
-    for c in coeffs:
-        b.append(c * power)
-        power *= w
+    b = [c * w ** j for j, c in enumerate(coeffs)]
     q = [(sum(a * x for a, x in zip(row, b)) / lead).real for row in _CAYLEY[n]]
     mean = -q[n - 1] / n
     for i in range(n):

@@ -34,11 +34,22 @@ hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
 ``arcsin_divided_differences`` hands ``_taylor_rows`` arcsin's Taylor
 coefficients, as ``exp_divided_differences`` hands it exp's, for the
 values-only logarithm of ``linearize.delinearize_exp``.
+
+A unitary u is diagonalized by one Hermitian eigenproblem, its Cayley
+transform H = i (wI + u)(wI - u)**-1 (``eig_unitary``).  Newton's
+identities turn the traces of u's powers into its characteristic
+polynomial p_u (``_power_sum_poly``); the pole w is the point of largest
+|p_u(w)| among 4N points on the unit circle (``_cayley_pole``, which the
+values-only logarithm past the gate shares), and Cayley-Hamilton gives
+(wI - u)**-1 as a polynomial in u, so no linear system is solved.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +72,10 @@ CLOSED_FORM_CUT = 1e-2
 # converges cubically and rarely needs more than three.
 QL_MAX_ITERATIONS = 30
 GAP_TOL = 1e-9
-# Eigenvalues of (u + u')/2 closer than this share an eigenspace and are
-# split by the skew part instead.
-COS_CLUSTER_TOL = 1e-6
+# Largest N the package supports: ``char_poly`` refuses larger input, and
+# ``verify``'s Jacobi checks hold dim**4 float64 arrays, 3.3 GB each at
+# N = 12.  ``verify``'s run configuration and the CLI's --n read it.
+MAX_N = 8
 # Largest |c| times half-spread that exp_divided_differences sums without
 # squaring: the series then loses at most exp(pi) ~ 23 roundoffs, and every
 # spectrum the sampler draws (radius <= 0.9 pi) stays within it.
@@ -526,42 +538,89 @@ def _require_unitary(u: np.ndarray) -> None:
         )
 
 
-def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a unitary matrix via its commuting Hermitian parts.
+def _power_sum_poly(sums: list) -> list:
+    """The monic polynomial z**N + a_1 z**(N-1) + ... + a_N whose roots
+    have the power sums p_k = sums[k - 1] = sum_i z_i**k, k = 1..N, as
+    coefficients[j] of z**j, by Newton's identities
+    k a_k = -(a_0 p_k + a_1 p_(k-1) + ... + a_(k-1) p_1), a_0 = 1."""
+    coeffs = [1.0]  # a_(k-1), ..., a_1, a_0 before step k
+    for k in range(1, len(sums) + 1):
+        coeffs.insert(0, -sum(map(operator.mul, coeffs, sums)) / k)
+    return coeffs
 
-    (u + u')/2 and (u - u')/2i are simultaneously diagonalizable; the
-    first is diagonalized outright and each of its near-degenerate
-    eigenvalue clusters is then split by the second on that subspace.
-    Each phase is atan2(v'Sv, v'Cv) over those parts C and S: next to I,
-    the angle of v'uv would lose a small phase against u's unit real part.
-    Eigenvalues come back on the unit circle, ordered by principal phase.
-    Repeated eigenvalues are fine: any orthonormal basis of the shared
-    eigenspace gives a valid decomposition.
+
+@functools.cache
+def _pole_points(n: int) -> tuple[list, np.ndarray]:
+    """arg(-w_j) = pi j / 2n for the 4n points w_j = -exp(i pi j / 2n), and
+    the rows (w_j**0, ..., w_j**n) that evaluate a degree-n polynomial at
+    all of them in one product."""
+    turns = np.pi * np.arange(4 * n) / (2 * n)
+    return turns.tolist(), (-np.exp(1j * turns))[:, None] ** np.arange(n + 1)
+
+
+def _cayley_pole(coeffs: list) -> tuple[complex, float, complex]:
+    """The pole w of the Cayley substitution z = w (t - i)/(t + i) for the
+    monic polynomial p of degree N with coefficients[j] of z**j, with
+    arg(-w) and p(w): of the 4N points w_j = -exp(i pi j / 2N), the one with
+    the largest |p(w_j)|.
+
+    The points are the 4N-th roots of unity turned by pi, and 4N > N, so
+    the powers z**0 .. z**N are orthogonal over them and the mean of
+    |p(w_j)|**2 is sum_j |coefficients[j]|**2.  For the characteristic
+    polynomial of a unitary matrix that is at least 2 (the leading
+    coefficient is 1, the constant one has modulus |det u| = 1), so the
+    largest |p(w_j)| is at least sqrt 2 and no eigenvalue is the pole.
+    The points include -1, -i, 1 and i (j = 0, N, 2N, 3N); -1 is exact,
+    with arg(-w) = 0, the pole that a u next to I takes.
+    """
+    turns, rows = _pole_points(len(coeffs) - 1)
+    values = rows @ np.array(coeffs)
+    j = int(np.abs(values).argmax())
+    return -cmath.exp(1j * turns[j]), turns[j], complex(values[j])
+
+
+def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
+    """Eigendecompose a unitary matrix by one Hermitian eigenproblem, its
+    Cayley transform H = i (wI + u)(wI - u)**-1.
+
+    H is a function of u, so it has u's eigenvectors, and its eigenvalues
+    t_k = i (w + z_k)/(w - z_k) are real; z -> t is one-to-one on the unit
+    circle, so distinct eigenvalues of u never share one of H, and the
+    phases are 2 atan(t_k) + arg(-w).  The pole w is ``_cayley_pole`` of
+    u's characteristic polynomial p_u, whose coefficients come from the
+    traces of u, u**2, ..., u**N by Newton's identities.  No system is
+    solved: synthetic division gives q(z) = (p_u(z) - p_u(w))/(z - w) and
+    the remainder p_u(w), and Cayley-Hamilton gives
+    (wI - u)**-1 = q(u)/p_u(w) from the powers already formed.  Rounding
+    in p_u's coefficients moves t_k but not the eigenvectors, since q(u)
+    stays a polynomial in u; and wI + u is formed directly, so next to I
+    (w = -1) each t_k, and each phase, keeps its relative accuracy.
+    ``eig_hermitian`` runs once, on (H + H')/2.  Eigenvalues come back on
+    the unit circle, ordered by principal phase.  Repeated eigenvalues are
+    fine: any orthonormal basis of the shared eigenspace gives a valid
+    decomposition.
     """
     u = _square(u)
     n = u.shape[0]
     _require_unitary(u)
-    cos_part = (u + u.conj().T) / 2.0
-    sin_part = (u - u.conj().T) / 2j
-    base = eig_hermitian(cos_part)
-    vecs = base.eigenvectors.copy()
-    cos_vals = base.eigenvalues
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and cos_vals[stop] - cos_vals[stop - 1] < COS_CLUSTER_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            sub = block.conj().T @ sin_part @ block
-            sub = (sub + sub.conj().T) / 2.0
-            split = eig_hermitian(sub)
-            vecs[:, start:stop] = block @ split.eigenvectors
-        start = stop
-    cos_k, sin_k = np.einsum("ak,pab,bk->pk", vecs.conj(), [cos_part, sin_part], vecs).real
-    phases = np.arctan2(sin_k, cos_k)
-    order = np.argsort(phases, kind="stable")
-    return SpectralDecomposition(np.exp(1j * phases[order]), vecs[:, order])
+    eye = np.eye(n)
+    powers = [eye, u]
+    for _ in range(2, n):
+        powers.append(powers[-1] @ u)
+    powers = np.array(powers).reshape(n, n * n)  # row k: u**k, k = 0 .. N-1
+    # Tr u**(k+1) = sum_ij (u**k)_ij u_ji.
+    coeffs = _power_sum_poly((powers @ u.T.ravel()).tolist())
+    w, turn, _ = _cayley_pole(coeffs)
+    q = [1.0]  # q[i] multiplies z**(N-1-i); the last entry is p_u(w)
+    for c in coeffs[n - 1::-1]:
+        q.append(q[-1] * w + c)
+    scale = 0.5j / q.pop()  # h = H/2, so that h + h' is H made exactly Hermitian
+    h = (u + w * eye) @ (np.array([c * scale for c in reversed(q)]) @ powers).reshape(n, n)
+    spec = eig_hermitian(h + h.conj().T)
+    phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in spec.eigenvalues.tolist()]
+    order = sorted(range(n), key=phases.__getitem__)
+    z = [cmath.rect(1.0, phases[k]) for k in order]
+    return SpectralDecomposition(np.array(z), spec.eigenvectors[:, order])
 
 
 def char_poly(m: np.ndarray) -> CharPoly:
@@ -572,15 +631,15 @@ def char_poly(m: np.ndarray) -> CharPoly:
     """
     m = _square(m)
     n = m.shape[0]
-    if n > 8:
-        raise ValueError(f"characteristic polynomial supported for N <= 8, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"characteristic polynomial supported for N <= {MAX_N}, got {n}")
     coeff = np.zeros(n + 1, dtype=complex)
     coeff[n] = 1.0
     b = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        if k > 1:
-            b = m @ b + coeff[n - k + 1] * np.eye(n)
-        coeff[n - k] = -np.trace(m @ b) / k
+        mb = m @ b
+        coeff[n - k] = -np.trace(mb) / k
+        b = mb + coeff[n - k] * np.eye(n)
     return CharPoly(coeff)
 
 

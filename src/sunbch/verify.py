@@ -50,6 +50,7 @@ from .linearize import (
 )
 from .sampling import DEFAULT_SPECTRAL_CAP, random_coords
 from .spectral import (
+    MAX_N,
     char_poly,
     eig_hermitian,
     expansion_coeffs,
@@ -57,12 +58,6 @@ from .spectral import (
     lagrange_projectors,
 )
 from . import linsolve
-
-
-# Largest N the suite runs: ``char_poly`` refuses N > 8, and the Jacobi
-# checks hold dim**4 float64 arrays, 3.3 GB each at N = 12.  The CLI's
-# --n bound reads it too.
-MAX_N = 8
 
 
 @dataclass(frozen=True)

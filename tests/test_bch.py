@@ -82,10 +82,11 @@ def test_compose_near_identity_matches_bch_series(n):
     The error is measured against s, the operands' common 2-norm, not
     against |r|: r = m + n + ... can be much shorter than its operands
     when n is close to -m, while the result's error does not shrink with
-    it.  One bound holds at every scale: delinearizing forms
-    exp(-i r . L), which differs from I by only ~s, and ``eig_unitary``
-    reads its phases from the Hermitian parts of that matrix, so they
-    keep their relative accuracy however close to I it is.  At s = 1e-4
+    it.  One bound holds at every scale: delinearizing reads r from
+    exp(-i r . L), which differs from I by only ~s, and inside the gate
+    the values-only logarithm takes R as arcsin of sin R, whose
+    coordinates are the imaginary parts of that element's, so r keeps its
+    relative accuracy however close to I it is.  At s = 1e-4
     the series' own truncation, of order s**3 relative to s, is what the
     bound sees.
     """

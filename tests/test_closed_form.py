@@ -189,11 +189,10 @@ def test_values_only_log_against_log_coords(n):
     1e-12; outside it ``delinearize_exp`` is ``log_coords`` for N > 4,
     bit for bit, and the values-only route past the gate for N <= 4.
 
-    The routes agree with ``log_coords`` within 1e-11, not 1e-12:
-    ``log_coords`` takes its eigenvectors from (u + u')/2, whose eigenvalue
-    gaps shrink like s * (phase gap) next to I.  On these draws it is up to
-    2.3e-12 from m (printed), and up to 9e-12 on other seeds, while the
-    values-only route stays within 3e-16.
+    The routes agree with ``log_coords`` within 1e-13: ``log_coords``
+    takes its eigenvectors from one Hermitian eigenproblem, the Cayley
+    transform of u, whose eigenvalues keep their relative accuracy next to
+    I, so no eigenvalue cluster of a Hermitian part costs it digits.
     """
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(200 + n)
@@ -220,7 +219,7 @@ def test_values_only_log_against_log_coords(n):
     )
     assert inside and outside
     assert worst_inside <= 1e-12
-    assert worst_agree <= 1e-11
+    assert worst_agree <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -385,11 +384,12 @@ def test_shift_tie_refused_at_the_one_site():
 
 @pytest.mark.parametrize("n, floor", [(3, 1.65), (4, 1.99)])
 def test_cayley_pole_stays_off_det_one_spectra(n, floor):
-    """The best of ``_POLES`` has |p_u(w)| >= floor on 2,000 random det-1
-    spectra and at Nelder-Mead minima from 20 of them (4 sqrt(2) - 4 at
-    N = 3, 2 at N = 4), so ``_log_past_gate`` divides by p_u(w) without
+    """The best of the poles -1, 1, i and -i alone has |p_u(w)| >= floor
+    on 2,000 random det-1 spectra and at Nelder-Mead minima from 20 of
+    them (4 sqrt(2) - 4 at N = 3, 2 at N = 4).  ``_cayley_pole`` searches a
+    superset of these four, so ``_log_past_gate`` divides by p_u(w) without
     a guard once det u = 1 is checked."""
-    poles = np.array([w for w, _ in linearize._POLES])
+    poles = np.array([-1.0, 1.0, 1j, -1j])
 
     def best(free):
         z = np.exp(1j * np.append(free, -np.sum(free)))
@@ -444,11 +444,10 @@ def test_degenerate_spectra_compose_and_conjugate(n):
     declines to ``log_coords`` (worst 8.6e-15, at N = 4).
 
     Past the gate for N > 4 compose runs ``log_coords``, as compose_direct
-    does at every N; its eigenvectors come from (u + u')/2: eigenphases t
-    and -t share a cosine there, and a cluster just wider than
-    ``COS_CLUSTER_TOL`` leaves both routes up to 4e-11 from a 40-digit
-    reference at N = 7 and 8 (m = 0.7 L_4 and 0.7 L_5 against a sampler
-    draw).  There, and between the two routes, the bound is 1e-10.
+    does at every N.  Its eigenvectors come from one Hermitian
+    eigenproblem, the Cayley transform of u, on which distinct eigenphases
+    never share an eigenvalue; so the bound is 1e-13 there too, and
+    between the two routes.
     """
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(300 + n)
@@ -472,8 +471,8 @@ def test_degenerate_spectra_compose_and_conjugate(n):
         )
     print(f"N = {n}: " + ", ".join(f"{key} {value:.1e}" for key, value in worst.items()))
     assert worst["inside"] <= 1e-13
-    assert worst["outside"] <= (1e-13 if n <= 4 else 1e-10)
-    assert worst["routes"] <= 1e-10
+    assert worst["outside"] <= 1e-13
+    assert worst["routes"] <= 1e-13
     assert worst["similarity"] <= 1e-13
 
 
@@ -511,13 +510,15 @@ REFERENCE_PAIRS = {
 @pytest.mark.parametrize("pair", sorted(REFERENCE_PAIRS))
 def test_compose_against_high_precision_reference(pair):
     """compose within 1e-13 of the 40-digit reference, relative to its
-    largest coordinate.  compose_direct's error is printed as the known
-    floor of the dense oracle (its eigenvectors from (u + u')/2): about
-    1e-9 on the N = 4 pairs, 4e-12 and 2e-12 on the N = 3 ones."""
+    largest coordinate, and compose_direct within 1e-12.  The dense
+    oracle forms u = exp(-iM) exp(-iN) in floating point, whose rounding
+    is about eps relative to |u - I| ~ 1e-3 on the N = 4 pairs near I;
+    its logarithm adds no floor of its own."""
     m, nvec, ref = (np.array(x) for x in REFERENCE_PAIRS[pair])
     basis, t = cached_algebra(round(math.sqrt(m.size + 1)))
     scale = np.max(np.abs(ref))
     err = np.max(np.abs(compose(t, basis, m, nvec) - ref)) / scale
     direct = np.max(np.abs(compose_direct(basis, m, nvec) - ref)) / scale
-    print(f"pair {pair}: compose {err:.1e}, compose_direct {direct:.1e} (oracle floor)")
+    print(f"pair {pair}: compose {err:.1e}, compose_direct {direct:.1e}")
     assert err <= 1e-13
+    assert direct <= 1e-12

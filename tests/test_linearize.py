@@ -164,6 +164,20 @@ def test_branch_cut_refused(algebra2):
             log_coords(basis, u)
 
 
+def test_branch_cut_refused_with_every_axis_pole_an_eigenvalue():
+    """An SU(5) u with spectrum {-1, -1, i, -i, 1}, conjugated by a random
+    unitary: each of -1, 1, i and -i is an eigenvalue, and det u = 1.  The
+    Cayley pole of ``eig_unitary`` comes from 4N = 20 candidates, more
+    than N, so it stays off the spectrum, and the phases on the cut are
+    refused as BranchCutError rather than misread as det u != 1."""
+    basis, _ = cached_algebra(5)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    u = q @ np.diag([-1.0, -1.0, 1j, -1j, 1.0]) @ q.conj().T
+    with pytest.raises(BranchCutError, match="from the branch cut"):
+        log_coords(basis, u)
+
+
 def test_shift_boundary_in_phase_tie_refused(algebra3):
     # s = +1 takes 2 pi off the largest phase, but the two largest differ
     # by 5e-10, below BRANCH_GAP: which one goes is not determined.

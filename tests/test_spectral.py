@@ -300,6 +300,37 @@ def test_eig_unitary_degenerate_block():
     np.testing.assert_allclose(recon, u, atol=1e-12)
 
 
+def test_eig_unitary_every_axis_pole_an_eigenvalue():
+    """Each of -1, 1, i and -i is an eigenvalue of diag(1, -1, i, -i)
+    (det -1), so the Cayley pole must come from the other candidates;
+    u is still rebuilt to rounding."""
+    u = np.diag([1.0, -1.0, 1j, -1j])
+    spec = eig_unitary(u)
+    recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    assert np.max(np.abs(recon - u)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_eig_unitary_one_hermitian_eigenproblem(n, monkeypatch):
+    """One ``eig_hermitian`` call per unitary, whatever its spectrum: a
+    product of two sampler draws, and for N >= 3 exp(-0.7i L_4), whose
+    eigenvalues exp(+-0.7i) share a cosine and whose eigenvalue 1 is
+    repeated N - 2 times."""
+    basis, _ = cached_algebra(n)
+    m, nvec = seeded_samples(basis, 60 + n, 2)
+    unitaries = [dense_exp(basis, m) @ dense_exp(basis, nvec)]
+    if n >= 3:
+        unitaries.append(dense_exp(basis, 0.7 * np.eye(basis.dim)[3]))
+    real = spectral.eig_hermitian
+    for u in unitaries:
+        calls = []
+        monkeypatch.setattr(spectral, "eig_hermitian", lambda h: calls.append(h) or real(h))
+        spec = eig_unitary(u)
+        assert len(calls) == 1
+        recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        assert np.max(np.abs(recon - u)) <= 1e-13
+
+
 def test_eig_unitary_rejects_nonunitary():
     # The message carries the measured defect max |u'u - I| = 3.
     with pytest.raises(ValueError, match=r"unitary.*3\.000e\+00"):
