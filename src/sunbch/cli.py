@@ -55,9 +55,13 @@ def _coords_argument(text: str, dim: int, flag: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} is not valid JSON: {exc}") from exc
-    arr = np.asarray(data, dtype=float)
+    message = f"{flag} must be a flat array of {dim} numbers"
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(message) from exc
     if arr.shape != (dim,):
-        raise ValueError(f"{flag} must be a flat array of {dim} numbers")
+        raise ValueError(message)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{flag} must hold finite numbers, got {text}")
     return arr

@@ -39,24 +39,26 @@ the same routine, every shift 0; it and the monomial coefficients of
 ``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
 exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
 
-``delinearize_exp`` inverts the exponential case by one of three routes.
-Near the identity it needs eigenvalues only: the scalar coordinate alone
-shows that every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is
-then the Newton form of arcsin over the eigenvalues of sin R, whose
-coordinates are the imaginary parts of the element's; ``_newton_form``
-builds it as it builds exp.  Past the gate, for N <= 4, the eigenphases
-of u itself come from its characteristic polynomial, whose power sums
-are scalars in coordinates, mapped by a Cayley substitution to a real
-polynomial that ``spectral.eigvals_from_power_sums`` solves; R is the
-Newton form in u over those eigenvalues (``_log_past_gate``).  That
-route declines, rather than refuses, wherever it would lose accuracy
-(CHORD_CUT, TIE_CUT).  Otherwise ``log_coords`` takes the dense matrix,
-whose ``spectral.eig_unitary`` diagonalizes the Cayley transform of u:
-both Cayley routes take Newton's identities from
-``spectral._power_sum_poly`` and their pole from
-``spectral._cayley_pole``.  Past the gate both logarithms take
-principal eigenphases through ``_branch_rule``, the one 2 pi shift rule
-and the one site of the ambiguity refusals.
+``delinearize_exp`` inverts the exponential case from eigenvalues only,
+at every N.  Near the identity the scalar coordinate alone shows that
+every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then the
+Newton form of arcsin over the eigenvalues of sin R, whose coordinates
+are the imaginary parts of the element's; ``_newton_form`` builds it as
+it builds exp.  Past the gate the eigenphases of u itself come from its
+Cayley transform H = i (wI + u)(wI - u)**-1, whose eigenvalues are real:
+for N = 3 and 4 in closed form, from u's characteristic polynomial
+mapped by the Cayley substitution to a real polynomial that
+``spectral.eigvals_from_power_sums`` solves, and otherwise, or where
+that declines, by ``eigvals_hermitian`` on H.  R is the Newton form in u
+over those eigenvalues (``_log_past_gate``).  That route reads the
+powers of u, its characteristic polynomial and the pole w from
+``spectral._cayley_front``, and H from ``spectral._cayley_hermitian``,
+the front end it shares with ``spectral.eig_unitary``.  It declines,
+rather than refuses, wherever it would lose accuracy (CHORD_CUT,
+TIE_CUT), and only then does ``log_coords`` take the dense matrix and
+its eigenvectors.  Past the gate both logarithms take principal
+eigenphases through ``_branch_rule``, the one 2 pi shift rule, the one
+det u = 1 check and the one site of the ambiguity refusals.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
-    _cayley_pole,
+    _cayley_front,
+    _cayley_hermitian,
     _newton_monomials,
-    _power_sum_poly,
     _require_unitary,
     apply_spectral,
     arcsin_divided_differences,
@@ -108,13 +110,14 @@ POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
 # sin theta_k lie within sin(pi/4) of 0, so the arcsin series of
 # ``arcsin_divided_differences`` converges with ratio at most sin(pi/4).
 LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
-# Past the gate, for N <= 4, ``delinearize_exp`` takes the logarithm from
-# u's characteristic polynomial (``_log_past_gate``) and declines to
-# ``log_coords`` where that would lose accuracy.  CHORD_CUT: some
-# eigenvalue z_k of u has prod_{j != k} |z_k - z_j| below it; a root of
-# p_u errs by about eps / |p_u'(z_k)| and the divided differences of the
-# Newton form lose as much, so every answered R stays within about
-# 2e-13 of exact.  TIE_CUT: the 2 pi shift boundary falls between two
+# Past the gate ``delinearize_exp`` takes the logarithm from u's
+# eigenvalues (``_log_past_gate``) and declines to ``log_coords`` where
+# that would lose accuracy.  CHORD_CUT: some eigenvalue z_k of u has
+# prod_{j != k} |z_k - z_j| below it; a root of p_u errs by about
+# eps / |p_u'(z_k)| and the divided differences of the Newton form lose
+# as much, so an answered R stays within about 2e-13 of exact.  A phase
+# pair straddling the cut at pi loses more, since R's values there lie
+# nearly 2 pi apart at close points (measured up to 6e-12, at N = 3).  TIE_CUT: the 2 pi shift boundary falls between two
 # phases closer than this, so R takes values 2 pi apart at two close
 # points and the error grows like 3e-15 / gap**2 (measured 3e-13 at a
 # gap of 0.1, 3e-11 at 0.01, where ``log_coords`` errs by 3e-14 and
@@ -322,75 +325,52 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     return elem.vector.real
 
 
-def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
-    """r with exp(-i r . L) = g0 I + g . L for N <= 4, from eigenvalues
-    alone; None where the route would lose accuracy (module constants
-    CHORD_CUT and TIE_CUT, or the slope cut of ``eigvals_from_power_sums``),
-    and ``log_coords`` then decides.  The caller has checked u unitary.
-    ``_require_det_one`` refuses det u != 1, at N = 3 and 4 on
-    det u = (-1)**N p_u(0) before any division by p_u(w).
+def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
+    """r with exp(-i r . L) = u, for a unitary u (the caller checks it),
+    from u's eigenvalues alone; None where the route would lose accuracy
+    (module constants CHORD_CUT and TIE_CUT), and ``log_coords`` then
+    decides.
 
-    At N = 2, u = cos(theta) I - i sin(theta) e . L, so
-    theta = atan2(|Im g|, Re g0) and r = theta (-Im g) / |Im g|.  Otherwise
-    the power sums Tr u**k = N (u**k)_0 need only g0, g.g, (g (.) g).g
-    and (g (.) g).(g (.) g), with g (.) g = D(g) g for the complex
-    D(g) of ``product_matrix``; Newton's identities (``_power_sum_poly``)
-    give u's characteristic polynomial p_u.  The Cayley substitution
-    z = w (t - i)/(t + i), with the pole w of ``_cayley_pole`` (largest
-    |p_u(w)| among 4N points on the circle, -1, 1, i and -i among them),
-    maps the unit circle to the real line, so p_u becomes a real
-    polynomial in t (after division by its leading coefficient p_u(w)).
-    Over -1, 1, i and -i alone the largest |p_u(w)| on a det-1 spectrum is
-    at least 4 sqrt(2) - 4 = 1.66 (N = 3) and 2 (N = 4) (minimized
-    numerically), so once det u = 1 is checked the division by p_u(w) is
-    never near 0.  Depressed by its mean root, the t-polynomial is solved
-    by ``eigvals_from_power_sums``, and theta_k = -2 atan(t_k) - arg(-w).
-    Those phases go through ``_branch_rule``, as in ``log_coords``.  R is
-    the Newton form in u over z_k = exp(-i theta_k) of the values
-    theta_k, expanded to monomials in G = g . L (``_newton_monomials``),
-    whose vector parts are g, g (.) g and, at N = 4,
-    (2/N)(g.g) g + D(g)(g (.) g): every power of G commutes with G, so no
-    cross term enters.
+    ``spectral._cayley_front`` gives the powers u**0 .. u**(N-1), u's
+    characteristic polynomial p_u and the Cayley pole w, the point of
+    largest |p_u(w)| among 4N points on the circle, at least sqrt 2 on
+    every unitary u, so no det check has to come first; ``eig_unitary``
+    reads the same.  The eigenvalues t_k of H = i (wI + u)(wI - u)**-1
+    are real, and the eigenphases are theta_k = -2 atan(t_k) - arg(-w).
+    For N = 3 and 4 the t_k come in closed form: the Cayley substitution
+    z = w (t - i)/(t + i) maps p_u to a real polynomial in t (after
+    division by its leading coefficient p_u(w)), which, depressed by its
+    mean root, ``eigvals_from_power_sums`` solves while its p2 lies inside
+    POWER_SUM_RANGE; its slope cut declines close roots, whose values the
+    rounding of p_u's coefficients would move by eps / |p'|.  N = 2 has no
+    such cut (its two roots are +-r), so there, for N > 4, and wherever
+    the closed form declines, ``eigvals_hermitian`` takes the t_k from H
+    (``spectral._cayley_hermitian``), eigenvalues only.  The phases go
+    through ``_branch_rule``, as in ``log_coords``, which also refuses
+    det u != 1 on their sum.  R is the Newton form in u over
+    z_k = exp(-i theta_k) of the values theta_k, expanded to monomials
+    (``_newton_monomials``) over the powers of u already formed.
     """
-    n = t.n
-    g0 = complex(g.scalar)
-    gv = np.asarray(g.vector, dtype=complex)
-    if n == 2:
-        _require_det_one(cmath.phase(g0 * g0 - complex(gv @ gv)))
-        a = -gv.imag
-        sine = math.hypot(*a.tolist())
-        # |z_1 - z_2| = 2 sin(theta): the chord product at N = 2.
-        if not 2.0 * sine >= CHORD_CUT:
-            return None
-        return a * (math.atan2(sine, g0.real) / sine)
-    sym = product_matrix(t, "d", gv)
-    gg = sym @ gv
-    q2, q3 = complex(gv @ gv), complex(gg @ gv)
-    # Tr u**k; s2 is the scalar coordinate of u**2 = s2 I + (2 g0 g + g (.) g) . L.
-    s2 = g0 * g0 + (2.0 / n) * q2
-    sums = [n * g0, n * s2, n * g0 * s2 + 4.0 * g0 * q2 + 2.0 * q3]
-    if n == 4:
-        sums.append(n * s2 * s2 + 2.0 * (4.0 * g0 * g0 * q2 + 4.0 * g0 * q3 + complex(gg @ gg)))
-    # coeffs[j] multiplies z**j in p_u.
-    coeffs = _power_sum_poly(sums)
-    _require_det_one(cmath.phase((-1) ** n * coeffs[0]))
-    w, beta, lead = _cayley_pole(coeffs)
-    # The real monic t-polynomial, then its Taylor shift by the mean root.
-    b = [c * w ** j for j, c in enumerate(coeffs)]
-    q = [(sum(a * x for a, x in zip(row, b)) / lead).real for row in _CAYLEY[n]]
-    mean = -q[n - 1] / n
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            q[j] += mean * q[j + 1]
-    # Power sums of the depressed roots from its coefficients.
-    p2 = -2.0 * q[n - 2]
-    if not POWER_SUM_RANGE[0] < 0.5 * p2 < POWER_SUM_RANGE[1]:
-        return None
-    p4 = 2.0 * q[2] * q[2] - 4.0 * q[0] if n == 4 else 0.0
-    tau = eigvals_from_power_sums(n, p2, -3.0 * q[n - 3], p4)
-    if tau is None:
-        return None
-    theta = [math.remainder(-2.0 * math.atan(mean + x) - beta, 2.0 * math.pi) for x in tau]
+    n = basis.n
+    powers, coeffs, w, beta, lead = _cayley_front(u)
+    t = None
+    if n in _CAYLEY:
+        # The real monic t-polynomial, then its Taylor shift by the mean root.
+        b = [c * w ** j for j, c in enumerate(coeffs)]
+        q = [(sum(a * x for a, x in zip(row, b)) / lead).real for row in _CAYLEY[n]]
+        mean = -q[n - 1] / n
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                q[j] += mean * q[j + 1]
+        # Power sums of the depressed roots from its coefficients.
+        p2 = -2.0 * q[n - 2]
+        if POWER_SUM_RANGE[0] < 0.5 * p2 < POWER_SUM_RANGE[1]:
+            p4 = 2.0 * q[2] * q[2] - 4.0 * q[0] if n == 4 else 0.0
+            tau = eigvals_from_power_sums(n, p2, -3.0 * q[n - 3], p4)
+            t = None if tau is None else [mean + x for x in tau]
+    if t is None:
+        t = eigvals_hermitian(_cayley_hermitian(u, powers, coeffs, w)).tolist()
+    theta = [math.remainder(-2.0 * math.atan(x) - beta, 2.0 * math.pi) for x in t]
     theta, tie_gap = _branch_rule(theta)
     if tie_gap < TIE_CUT:
         return None
@@ -403,16 +383,13 @@ def _log_past_gate(t: StructureTensors, g: LinearElement) -> np.ndarray | None:
         if not chord >= CHORD_CUT:
             return None
     # Divided differences of z_k -> theta_k, then Horner from the Newton
-    # form in u = g0 I + G to monomials in G.
+    # form in u to monomials in u.
     diff = [complex(x) for x in theta]
     for level in range(1, n):
         for k in range(n - 1, level - 1, -1):
             diff[k] = (diff[k] - diff[k - 1]) / (z[k] - z[k - level])
-    coef = _newton_monomials([x - g0 for x in z], diff)
-    r = coef[1] * gv + coef[2] * gg
-    if n == 4:
-        r += coef[3] * ((2.0 / n) * q2 * gv + sym @ gg)
-    return r.real
+    r = (np.array(_newton_monomials(z, diff)) @ powers).reshape(n, n)
+    return from_matrix(basis, r).vector.real
 
 
 def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement) -> np.ndarray:
@@ -427,18 +404,18 @@ def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement
     With the eigenvalues mu_k of a . L (``_eigenvalues``: closed form for
     N <= 4, else QL) R is the Newton form over them of
     arcsin(-Im g0 + x), by ``_newton_form`` on a with the divided
-    differences of ``arcsin_divided_differences``.  Past the gate, for
-    N <= 4, ``_log_past_gate`` takes R from the eigenvalues of u itself,
-    read off its characteristic polynomial, with the det = 1 guard and
-    2 pi shift rule of ``log_coords`` (``_branch_rule``).  Neither needs
-    an eigenvector or a dense logarithm.  Past the gate for N > 4, and
-    wherever ``_log_past_gate`` declines, ``log_coords`` takes the dense
-    matrix.
+    differences of ``arcsin_divided_differences``.  Past the gate, at
+    every N, ``_log_past_gate`` takes R from the eigenvalues of u itself,
+    those of its Cayley transform, with the det = 1 guard and 2 pi shift
+    rule of ``log_coords`` (``_branch_rule``).  Neither needs an
+    eigenvector or a dense logarithm.  Only where ``_log_past_gate``
+    declines does ``log_coords`` take the dense matrix.
 
-    Both values-only routes are preceded by one unitarity check within
-    UNITARY_TOL (ValueError, as in ``log_coords``), and refuse det g != 1
-    by ``_require_det_one``, the guard ``log_coords`` uses: inside the
-    gate R's scalar part, the phase sum over N, must vanish.  No other
+    Both values-only routes are preceded by one unitarity check of the
+    dense u within UNITARY_TOL (ValueError, as in ``log_coords``), which
+    the route past the gate then reads, and refuse det g != 1 by
+    ``_require_det_one``, the guard ``log_coords`` uses: inside the gate
+    R's scalar part, the phase sum over N, must vanish.  No other
     refusal of ``log_coords`` can arise inside the gate (no phase is near
     the cut and no shift boundary exists); past it, ``_branch_rule``
     refuses a phase within BRANCH_GAP of the cut or a tie at the shift
@@ -446,12 +423,9 @@ def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement
     inside the gate, and the real part of the Newton form past it.
     """
     u = to_matrix(basis, g)
-    past_gate = not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE
-    if past_gate and t.n > 4:
-        return log_coords(basis, u)
     _require_unitary(u)
-    if past_gate:
-        r = _log_past_gate(t, g)
+    if not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE:
+        r = _log_past_gate(basis, u)
         return log_coords(basis, u) if r is None else r
     offset = -g.scalar.imag
     scalar, r = _newton_form(

@@ -39,9 +39,13 @@ A unitary u is diagonalized by one Hermitian eigenproblem, its Cayley
 transform H = i (wI + u)(wI - u)**-1 (``eig_unitary``).  Newton's
 identities turn the traces of u's powers into its characteristic
 polynomial p_u (``_power_sum_poly``); the pole w is the point of largest
-|p_u(w)| among 4N points on the unit circle (``_cayley_pole``, which the
-values-only logarithm past the gate shares), and Cayley-Hamilton gives
-(wI - u)**-1 as a polynomial in u, so no linear system is solved.
+|p_u(w)| among 4N points on the unit circle (``_cayley_pole``), and
+Cayley-Hamilton gives (wI - u)**-1 as a polynomial in u, so no linear
+system is solved.  The front end (the powers, p_u and the pole,
+``_cayley_front``) and the H builder (``_cayley_hermitian``) are shared
+with the values-only logarithm past the gate,
+``linearize._log_past_gate``, which takes H's eigenvalues and not its
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -579,6 +583,34 @@ def _cayley_pole(coeffs: list) -> tuple[complex, float, complex]:
     return -cmath.exp(1j * turns[j]), turns[j], complex(values[j])
 
 
+def _cayley_front(u: np.ndarray) -> tuple[np.ndarray, list, complex, float, complex]:
+    """What both Cayley routes read off a unitary u: the rows u**0 ..
+    u**(N-1) as an (N, N*N) array, the coefficients of u's characteristic
+    polynomial p_u (``_power_sum_poly`` on Tr u**k, k = 1..N, the last as
+    sum_ij (u**(N-1))_ij u_ji), and ``_cayley_pole``'s w, arg(-w) and p_u(w)."""
+    n = u.shape[0]
+    powers = [np.eye(n), u]
+    for _ in range(2, n):
+        powers.append(powers[-1] @ u)
+    powers = np.array(powers).reshape(n, n * n)
+    coeffs = _power_sum_poly((powers @ u.T.ravel()).tolist())
+    return powers, coeffs, *_cayley_pole(coeffs)
+
+
+def _cayley_hermitian(u: np.ndarray, powers: np.ndarray, coeffs: list, w: complex) -> np.ndarray:
+    """H = i (wI + u) q(u)/p_u(w) = i (wI + u)(wI - u)**-1, made exactly
+    Hermitian, from ``_cayley_front``'s rows, p_u and pole.  Synthetic
+    division gives q(z) = (p_u(z) - p_u(w))/(z - w) and the remainder
+    p_u(w), and Cayley-Hamilton (wI - u)**-1 = q(u)/p_u(w)."""
+    n = u.shape[0]
+    q = [1.0]  # q[i] multiplies z**(N-1-i); the last entry is p_u(w)
+    for c in coeffs[n - 1::-1]:
+        q.append(q[-1] * w + c)
+    scale = 0.5j / q.pop()  # h = H/2, so that h + h' is H made exactly Hermitian
+    h = (u + w * np.eye(n)) @ (np.array([c * scale for c in reversed(q)]) @ powers).reshape(n, n)
+    return h + h.conj().T
+
+
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a unitary matrix by one Hermitian eigenproblem, its
     Cayley transform H = i (wI + u)(wI - u)**-1.
@@ -588,35 +620,22 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     circle, so distinct eigenvalues of u never share one of H, and the
     phases are 2 atan(t_k) + arg(-w).  The pole w is ``_cayley_pole`` of
     u's characteristic polynomial p_u, whose coefficients come from the
-    traces of u, u**2, ..., u**N by Newton's identities.  No system is
-    solved: synthetic division gives q(z) = (p_u(z) - p_u(w))/(z - w) and
-    the remainder p_u(w), and Cayley-Hamilton gives
+    traces of u, u**2, ..., u**N by Newton's identities
+    (``_cayley_front``).  No system is solved: ``_cayley_hermitian`` takes
     (wI - u)**-1 = q(u)/p_u(w) from the powers already formed.  Rounding
     in p_u's coefficients moves t_k but not the eigenvectors, since q(u)
     stays a polynomial in u; and wI + u is formed directly, so next to I
     (w = -1) each t_k, and each phase, keeps its relative accuracy.
-    ``eig_hermitian`` runs once, on (H + H')/2.  Eigenvalues come back on
-    the unit circle, ordered by principal phase.  Repeated eigenvalues are
-    fine: any orthonormal basis of the shared eigenspace gives a valid
+    ``eig_hermitian`` runs once, on H.  Eigenvalues come back on the unit
+    circle, ordered by principal phase.  Repeated eigenvalues are fine:
+    any orthonormal basis of the shared eigenspace gives a valid
     decomposition.
     """
     u = _square(u)
     n = u.shape[0]
     _require_unitary(u)
-    eye = np.eye(n)
-    powers = [eye, u]
-    for _ in range(2, n):
-        powers.append(powers[-1] @ u)
-    powers = np.array(powers).reshape(n, n * n)  # row k: u**k, k = 0 .. N-1
-    # Tr u**(k+1) = sum_ij (u**k)_ij u_ji.
-    coeffs = _power_sum_poly((powers @ u.T.ravel()).tolist())
-    w, turn, _ = _cayley_pole(coeffs)
-    q = [1.0]  # q[i] multiplies z**(N-1-i); the last entry is p_u(w)
-    for c in coeffs[n - 1::-1]:
-        q.append(q[-1] * w + c)
-    scale = 0.5j / q.pop()  # h = H/2, so that h + h' is H made exactly Hermitian
-    h = (u + w * eye) @ (np.array([c * scale for c in reversed(q)]) @ powers).reshape(n, n)
-    spec = eig_hermitian(h + h.conj().T)
+    powers, coeffs, w, turn, _ = _cayley_front(u)
+    spec = eig_hermitian(_cayley_hermitian(u, powers, coeffs, w))
     phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in spec.eigenvalues.tolist()]
     order = sorted(range(n), key=phases.__getitem__)
     z = [cmath.rect(1.0, phases[k]) for k in order]

@@ -315,13 +315,22 @@ def test_usage_error_bad_n(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_usage_error_malformed_vector(capsys):
+@pytest.mark.parametrize(
+    "bad",
+    ["[1, 2", '{"a": 1}', '[{"a": 1}, 0, 0]', '["a", 0, 0]'],
+    ids=["not-json", "object", "object-entry", "string-entry"],
+)
+def test_usage_error_malformed_vector(capsys, bad):
+    """Text that is no JSON, or JSON that is no array of numbers, is a
+    usage error naming the flag, never a traceback."""
     code, _, err = run_cli(
         capsys,
-        "compose", "--n", "2", "--m", "[1, 2", "--nvec", "[0, 0, 0]",
+        "compose", "--n", "2", "--m", bad, "--nvec", "[0, 0, 0]",
     )
     assert code == 2
-    assert "JSON" in json.loads(err)["message"]
+    report = json.loads(err)
+    assert report["error"] == "usage"
+    assert "--m" in report["message"]
 
 
 def test_usage_error_wrong_length(capsys):
