@@ -44,6 +44,7 @@ class ConstraintViolationError(NumericalDomainError):
 
 
 class ConvergenceError(NumericalDomainError):
-    """An iteration exhausted its budget without meeting the tolerance."""
+    """An iterative solver failed to converge: LAPACK's Hermitian
+    eigensolver reported failure (``spectral.eig_hermitian``)."""
 
     code = "no-convergence"

@@ -19,7 +19,7 @@ solve.  For N <= 4 even those come without iteration: the power sums
 Tr M**2 = 2 m.m, Tr M**3 = 2 (m (.) m).m and
 Tr M**4 = (4/N)(m.m)**2 + 2 (m (.) m).(m (.) m) fix the characteristic
 polynomial, and ``spectral.eigvals_from_power_sums`` solves it in closed
-form, declining close or repeated eigenvalues to the QL kernel.  The
+form, declining close or repeated eigenvalues to LAPACK.  The
 Newton products are real and built in coordinates; with P = s I + v . L,
 
     P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
@@ -100,8 +100,8 @@ BRANCH_GAP = 1e-9
 REALITY_TOL = 1e-9
 # a . a and its square stay normal floats inside this range, so the power
 # sums of the closed-form spectra (D(a) a and its dot products) neither
-# underflow nor overflow; outside it the QL kernel, which scales its input
-# by a power of two, takes the eigenvalues.
+# underflow nor overflow; outside it ``spectral.eigvals_hermitian``, which
+# scales its input by a power of two, takes the eigenvalues from LAPACK.
 POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
 # ``delinearize_exp`` takes the values-only logarithm when
 # 2N (1 - Re g0) = sum_k |1 - exp(-i theta_k)|**2 is at most this: each
@@ -198,7 +198,7 @@ def _eigenvalues(
     ``eigvals_from_power_sums``, with m (.) m = D(m) m from the caller's
     D(m) = ``sym``, while a . a lies inside POWER_SUM_RANGE.  Outside it,
     where the closed form declines (close or repeated eigenvalues), and
-    for N > 4 the QL kernel ``eigvals_hermitian`` takes them.
+    for N > 4 ``eigvals_hermitian`` takes them from LAPACK.
     """
     if t.n <= 4:
         # hypot does not overflow, and a float product overflows to inf
@@ -402,7 +402,7 @@ def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement
     theta_k = arcsin(sin theta_k) on the principal branch and R is that
     function of sin R = (g' - g) / 2i = -Im g0 I + a . L, a = -Im gvec.
     With the eigenvalues mu_k of a . L (``_eigenvalues``: closed form for
-    N <= 4, else QL) R is the Newton form over them of
+    N <= 4, else LAPACK) R is the Newton form over them of
     arcsin(-Im g0 + x), by ``_newton_form`` on a with the divided
     differences of ``arcsin_divided_differences``.  Past the gate, at
     every N, ``_log_past_gate`` takes R from the eigenvalues of u itself,

@@ -1,26 +1,15 @@
 """Spectral machinery for the small dense matrices the package works with.
 
-Everything here is self-contained: Hermitian eigenproblems are reduced to
-real tridiagonal form by Householder reflectors and solved by implicit QL,
-characteristic polynomials come from the Faddeev-LeVerrier recurrence,
-and divided differences come from Taylor series of Opitz's bidiagonal
-matrix, summed row by row in one loop, ``_taylor_rows``: exp's (scaled
-and squared for widely spread points) and arcsin's.
-
-The Hermitian kernel is the classical pair: the Householder
-tridiagonalization of Martin, Reinsch & Wilkinson (Numer. Math. 11, 1968,
-181), here for complex input with diagonal phases that make the
-off-diagonal real, and the implicit QL algorithm with a Wilkinson shift of
-Bowdler, Martin, Reinsch & Wilkinson (Numer. Math. 11, 1968, 293).  The
-matrices are desk scale (N <= 8), where a numpy call costs more in
-dispatch than its few dozen flops, so both stages run over Python
-``complex`` and ``float`` scalars held in nested lists; only the final
-back-transformation of the eigenvectors is a numpy product.  One routine
-serves both entries: ``eig_hermitian`` accumulates the rotations and
-applies the reflectors, ``eigvals_hermitian`` does neither and returns
-the same eigenvalues bit for bit, since the vectors never feed back into
-them.  The same reasoning puts ``_taylor_rows`` on Python scalars.  The
-monomial coefficients of exp(-iM) expand the Newton form of exp's
+Hermitian eigenproblems go to LAPACK through ``np.linalg.eigh``, one call
+behind both ``eig_hermitian`` and ``eigvals_hermitian``, so the two return
+the same eigenvalues bit for bit; a matrix of extreme norm is first scaled
+by a power of two, which is exact.  Characteristic polynomials come from
+the Faddeev-LeVerrier recurrence, and divided differences come from Taylor
+series of Opitz's bidiagonal matrix, summed row by row in one loop,
+``_taylor_rows``: exp's (scaled and squared for widely spread points) and
+arcsin's.  ``_taylor_rows`` runs over Python scalars: at desk scale
+(N <= 8) a numpy call costs more in dispatch than its few dozen flops.
+The monomial coefficients of exp(-iM) expand the Newton form of exp's
 divided differences, so no Vandermonde system is solved anywhere.
 
 For N <= 4 the eigenvalues of a traceless M need no iteration:
@@ -29,8 +18,8 @@ which Tr M**2, Tr M**3 and Tr M**4 fix, by the trigonometric cubic (N = 3)
 and Descartes' resolvent (N = 4), each root polished by Newton steps.  A
 root of a polynomial is only as accurate as the polynomial's slope there
 allows, so a spectrum with a slope below CLOSED_FORM_CUT (close or
-repeated eigenvalues) is declined and goes to the QL kernel, as in Kopp's
-hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
+repeated eigenvalues) is declined and goes to ``eigvals_hermitian``, as in
+Kopp's hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
 ``arcsin_divided_differences`` hands ``_taylor_rows`` arcsin's Taylor
 coefficients, as ``exp_divided_differences`` hands it exp's, for the
 values-only logarithm of ``linearize.delinearize_exp``.
@@ -62,19 +51,16 @@ from .errors import ConvergenceError, DegenerateSpectrumError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
-# ``eigvals_from_power_sums`` hands a spectrum to the QL kernel when some
-# eigenvalue has |p'(l_k)| = prod_{j != k} |l_k - l_j| below this share of
-# radius**(N-1).  An eigenvalue read off the characteristic polynomial p
-# errs by about eps |p|/|p'(l_k)| (Wilkinson): measured, at most 4.3 eps
-# radius**N / |p'(l_k)| on 12,000 N = 3 and 4 spectra with one pair split
-# by 1e-4..1e-1 of the radius, so at this cut every closed-form eigenvalue
-# lies within about 1e-13 of the radius of QL's.  The smallest gap alone
-# does not bound the error at N = 4: a gap of 1e-3 of the radius next to a
-# second small gap left 5e-11.
+# ``eigvals_from_power_sums`` hands a spectrum to ``eigvals_hermitian``
+# when some eigenvalue has |p'(l_k)| = prod_{j != k} |l_k - l_j| below this
+# share of radius**(N-1).  An eigenvalue read off the characteristic
+# polynomial p errs by about eps |p|/|p'(l_k)| (Wilkinson): measured, at
+# most 4.3 eps radius**N / |p'(l_k)| on 12,000 N = 3 and 4 spectra with one
+# pair split by 1e-4..1e-1 of the radius, so at this cut every closed-form
+# eigenvalue lies within about 1e-13 of the radius of the Hermitian
+# solver's.  The smallest gap alone does not bound the error at N = 4: a
+# gap of 1e-3 of the radius next to a second small gap left 5e-11.
 CLOSED_FORM_CUT = 1e-2
-# Implicit QL steps allowed per eigenvalue; with the Wilkinson shift it
-# converges cubically and rarely needs more than three.
-QL_MAX_ITERATIONS = 30
 GAP_TOL = 1e-9
 # Largest N the package supports: ``char_poly`` refuses larger input, and
 # ``verify``'s Jacobi checks hold dim**4 float64 arrays, 3.3 GB each at
@@ -85,10 +71,12 @@ MAX_N = 8
 # spectrum the sampler draws (radius <= 0.9 pi) stays within it.
 TAYLOR_REACH = math.pi
 _ROUNDOFF = 2.0 ** -53
-# ||m||_F^2 range in which the QL kernel runs on m unscaled.  Its entries
-# then lie within about 2**+-300, so no squared norm, reflector product or
-# reciprocal leaves the normal range; unscaled, the reflectors' squared
-# norms underflow for entries below about 1e-154 and overflow above 1e154.
+# ||m||_F^2 range in which the Hermitian eigensolver runs on m unscaled.
+# Outside it m is scaled by a power of two, which is exact, so the results
+# are those of the normal-range matrix bit for bit; LAPACK's own rescaling
+# of badly scaled input is by a factor that is not a power of two, and it
+# starts only for entries below about 1e-146 or above 1e146, outside the
+# entries' range of about 2**+-300 here.
 _SAFE_NORM2 = (2.0 ** -600, 2.0 ** 600)
 
 
@@ -122,13 +110,15 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _hermitian_ql(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_tridiagonal_ql`` of the Hermitian ``m``.  Outside ``_SAFE_NORM2``
-    the kernel runs on m times 2**-e, with 2**e the power of two just above
-    m's largest real or imaginary part, and the eigenvalues are scaled
-    back.  That is exact and every step of the kernel commutes with it, so
-    the results are those of the unscaled kernel wherever that neither
-    underflows nor overflows.
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of the Hermitian ``m``
+    by one ``np.linalg.eigh`` call, which reads the lower triangle.
+
+    Outside ``_SAFE_NORM2`` it runs on m times 2**-e, with 2**e the power of
+    two just above m's largest real or imaginary part, and the eigenvalues
+    are scaled back.  That is exact, so the results are those of the
+    normal-range matrix, bit for bit.  A non-finite or non-Hermitian input
+    raises ValueError, a LAPACK failure ConvergenceError.
     """
     m = _square(m)
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
@@ -145,166 +135,36 @@ def _hermitian_ql(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray 
         parts = np.ascontiguousarray(m).view(float)
         _, e = math.frexp(np.abs(parts).max())
         m = np.ldexp(parts, -e).view(complex)
-    vals, vecs = _tridiagonal_ql(m, vectors, e)
-    return np.array([math.ldexp(x, e) for x in vals]), vecs
-
-
-def _tridiagonal_ql(
-    m: np.ndarray, vectors: bool, exponent: int = 0
-) -> tuple[list[float], np.ndarray | None]:
-    """Eigenvalues of the square complex Hermitian ``m``, unsorted, and
-    with ``vectors`` the matrix of their eigenvector columns (else None).
-
-    Reflectors H = I - w w'/h bring m = Q T' Q' to tridiagonal form, the
-    phases D make T = D' T' D real, and QL gives T = Z diag(d) Z'; the
-    eigenvectors are Q D Z.  Q and Z never feed back into d or e.  ``m`` is
-    the caller's matrix times 2**-exponent; an error reports the caller's
-    figures.
-    """
-    n = m.shape[0]
-    # One roundoff of ||m||_F: an off-diagonal this small is negligible
-    # even between two zero diagonal entries.
-    floor = _ROUNDOFF * math.sqrt(np.vdot(m, m).real)
-    a = m.tolist()
-    for i, row in enumerate(a):
-        row[i] = complex(row[i].real)
-    d, sub, reflectors = [], [], []
-    for k in range(n - 1):
-        lo = k + 1
-        d.append(a[k][k].real)
-        w = [row[k] for row in a[lo:]]
-        alpha = w[0]
-        tail = sum([z.real * z.real + z.imag * z.imag for z in w[1:]])
-        if tail == 0.0:
-            # Already tridiagonal in this column: no reflector.
-            sub.append(alpha)
-            continue
-        size = abs(alpha)
-        norm = math.sqrt(size * size + tail)
-        phase = alpha / size if size else 1.0
-        # H x = -phase norm e1 for the column x; w = x + phase norm e1
-        # adds like signs.  h = w'w / 2 is summed from the w actually
-        # stored, so H is unitary to rounding.
-        w[0] = alpha + phase * norm
-        h = 0.5 * (w[0].real * w[0].real + w[0].imag * w[0].imag + tail)
-        # The block B <- H B H = B - w q' - q w', q = p - (w'p / 2h) w,
-        # p = B w / h.  The diagonal stays real: its two terms are
-        # conjugates.
-        rows = a[lo:]
-        p = [sum([b * x for b, x in zip(row[lo:], w)]) / h for row in rows]
-        half = sum([(x.conjugate() * y).real for x, y in zip(w, p)]) / (2.0 * h)
-        q = [y - half * x for x, y in zip(w, p)]
-        wc = [x.conjugate() for x in w]
-        qc = [y.conjugate() for y in q]
-        for wi, qi, row in zip(w, q, rows):
-            row[lo:] = [b - wi * y - qi * x for b, x, y in zip(row[lo:], wc, qc)]
-        sub.append(-phase * norm)
-        reflectors.append((lo, w, wc, h))
-    d.append(a[n - 1][n - 1].real)
-    e = [abs(z) for z in sub] + [0.0]
-    # Rows of the real orthogonal Z that the QL rotations accumulate.
-    z_rows = [[float(i == k) for i in range(n)] for k in range(n)] if vectors else None
-    for lo in range(n - 1):
-        for step in range(QL_MAX_ITERATIONS + 1):
-            # The first negligible off-diagonal at or after lo splits T.
-            hi = lo
-            while hi < n - 1:
-                off = abs(e[hi])
-                if off <= floor or off <= _ROUNDOFF * (abs(d[hi]) + abs(d[hi + 1])):
-                    break
-                hi += 1
-            if hi == lo:
-                break
-            if step == QL_MAX_ITERATIONS:
-                off = math.ldexp(abs(e[lo]), exponent)
-                limit = math.ldexp(
-                    max(_ROUNDOFF * (abs(d[lo]) + abs(d[lo + 1])), floor), exponent
-                )
-                raise ConvergenceError(
-                    f"QL iteration budget ({QL_MAX_ITERATIONS}) exhausted: "
-                    f"off-diagonal {off:.3e} above its limit {limit:.3e}"
-                )
-            # Wilkinson shift from the leading 2 x 2 block, then the bulge
-            # is chased from hi up to lo by plane rotations.
-            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
-            r = math.hypot(g, 1.0)
-            g = d[hi] - d[lo] + e[lo] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(hi - 1, lo - 1, -1):
-                f, b = s * e[i], c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # Underflow split: T is reduced at i + 1 already.
-                    d[i + 1] -= p
-                    e[hi] = 0.0
-                    break
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z_rows is not None:
-                    for row in z_rows:
-                        x, y = row[i], row[i + 1]
-                        row[i], row[i + 1] = c * x - s * y, s * x + c * y
-            else:
-                d[lo] -= p
-                e[lo] = g
-                e[hi] = 0.0
-    if not vectors:
-        return d, None
-    # Row k + 1 of D Z takes the phase that makes T's entry (k + 1, k)
-    # real, renormalized so that the product keeps unit modulus.
-    phases = [1.0 + 0j]
-    for z in sub:
-        z = phases[-1] * z if z else phases[-1]
-        phases.append(z / abs(z))
-    vecs = np.array(z_rows) * np.array(phases)[:, None]
-    # Q D Z = H_0 (H_1 (... (D Z))).
-    for lo, w, wc, h in reversed(reflectors):
-        vecs[lo:] -= np.array(w)[:, None] * (np.array(wc) @ vecs[lo:] / h)
-    return d, vecs
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        norm = math.ldexp(float(np.linalg.norm(m)), e)
+        raise ConvergenceError(
+            f"Hermitian eigensolver failed at N = {m.shape[0]}, ||m||_F = {norm:.3e}: {exc}"
+        ) from exc
+    return (np.ldexp(vals, e) if e else vals), vecs
 
 
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix: Householder tridiagonalization, then
-    implicit QL with a Wilkinson shift.
+    """Diagonalize a Hermitian matrix by LAPACK's Hermitian solver
+    (``np.linalg.eigh``).
 
-    The reduction is that of Martin, Reinsch & Wilkinson (Numer. Math. 11,
-    1968, 181), for complex Hermitian input: reflectors from the lower
-    triangle reach a tridiagonal T, and diagonal phases make its
-    off-diagonal real, so QL (Bowdler, Martin, Reinsch & Wilkinson, Numer.
-    Math. 11, 1968, 293) runs on Python floats.  An off-diagonal is
-    negligible once it is at most one unit roundoff of its two diagonal
-    neighbours' magnitudes, or of ||m||_F.  The stop is thus relative: a
-    small matrix is diagonalized to the same relative accuracy as a large
-    one, and a diagonal or zero matrix is returned as it stands, with
-    eigenvectors exactly I.  A matrix of extreme norm (entries beyond about
-    2**+-300) is first scaled by a power of two, which is exact, so any
-    finite scale is diagonalized as accurately.  Each eigenvalue may take
-    QL_MAX_ITERATIONS QL steps; past that ConvergenceError gives the
-    off-diagonal left and its limit.  A non-finite or non-Hermitian input
-    raises ValueError.  Eigenvalues are returned real, ascending (stable
-    order for ties); ``eigvals_hermitian`` returns the same ones bit for
-    bit.
+    A matrix of extreme norm (entries beyond about 2**+-300) is first scaled
+    by a power of two, which is exact, so its eigenvalues are those of the
+    normal-range matrix times that power and its eigenvectors the same, bit
+    for bit.  A non-finite or non-Hermitian input raises ValueError, a
+    solver failure ConvergenceError with N and ||m||_F.  Eigenvalues are
+    returned real and ascending; ``eigvals_hermitian`` returns the same ones
+    bit for bit.
     """
-    vals, vecs = _hermitian_ql(m, vectors=True)
-    order = np.argsort(vals, kind="stable")
-    return SpectralDecomposition(vals[order], vecs[:, order])
+    return SpectralDecomposition(*_eigh(m))
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """The eigenvalues of ``eig_hermitian(m)``, bitwise, without the vectors.
-
-    Runs the same reduction and QL steps but accumulates no rotations and
-    applies no reflector to vectors, which is all that ``linearize_fn``,
-    ``f0_trace`` and the sampler need.
-    """
-    vals, _ = _hermitian_ql(m, vectors=False)
-    return np.sort(vals, kind="stable")
+    """The eigenvalues of ``eig_hermitian(m)``, bitwise, without the vectors:
+    all that ``linearize_fn``, ``f0_trace`` and the sampler need.  Both run
+    the same LAPACK call."""
+    return _eigh(m)[0]
 
 
 def _cubic_roots(p: float, q: float) -> list[float] | None:
@@ -452,12 +312,18 @@ def exp_divided_differences(values, c: complex) -> np.ndarray:
     scaled sum is squared s times afterwards.  For s = 0 only the first
     row is summed; otherwise the whole upper triangle is, since squaring
     needs it.  The series stops once the bound above is below one unit
-    roundoff of the entry's scale.  The powers c**k and P**k stay inside
-    the float range for 1e-8 <= |c| <= 1e10 at n <= 8 (the callers pass
-    |c| = 1).  The values are real and finite; anything else raises
-    ValueError.
+    roundoff of the entry's scale.  |c|'s power of two is folded into the
+    points first: with 2**e <= |c| < 2**(e+1), the sum runs on the points
+    x 2**e with c 2**-e, and entry j is scaled back by 2**(e j).  Every
+    step of that is exact, so c**k and P**k stay inside the float range
+    for any |c| whose divided differences do (the callers pass |c| = 1,
+    where e = 0 and the fold changes no bit).  The values are real and
+    finite; anything else raises ValueError.
     """
-    xs = [float(x) for x in values]
+    octave = math.frexp(abs(c))[1] - 1
+    c = complex(math.ldexp(c.real, -octave), math.ldexp(c.imag, -octave))
+    # A point that overflows here fails the finiteness check below.
+    xs = [float(x) * 2.0 ** octave for x in values]
     n = len(xs)
     lo, hi = min(xs), max(xs)
     mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo) * abs(c)
@@ -479,12 +345,18 @@ def exp_divided_differences(values, c: complex) -> np.ndarray:
     scale = 0.5 ** squarings
     rows = _taylor_rows([(x - mid) * scale for x in xs], coefficients, n if squarings else 1)
     if not squarings:
-        return np.exp(c * mid) * np.array(rows[0])
-    d = np.arange(n)
-    e = np.array(rows) * np.ldexp(1.0, squarings * np.minimum(d[:, None] - d, 0))
-    for _ in range(squarings - 1):
-        e = e @ e
-    return np.exp(c * mid) * (e[0] @ e)
+        row = np.exp(c * mid) * np.array(rows[0])
+    else:
+        d = np.arange(n)
+        e = np.array(rows) * np.ldexp(1.0, squarings * np.minimum(d[:, None] - d, 0))
+        for _ in range(squarings - 1):
+            e = e @ e
+        row = np.exp(c * mid) * (e[0] @ e)
+    if octave:
+        weights = np.ldexp(1.0, octave * np.arange(n))
+        row.real *= weights
+        row.imag *= weights
+    return row
 
 
 def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:

@@ -191,8 +191,8 @@ def test_eig_hermitian_extreme_scales(scale):
 
 
 def test_eig_hermitian_scaling_is_bitwise():
-    # Normal-range input runs the kernel as given.  At extreme scales it
-    # runs on the input times a power of two, which is exact, so the
+    # Normal-range input goes to LAPACK as given.  At extreme scales it
+    # goes there as the input times a power of two, which is exact, so the
     # eigenvalues come out as the normal-range ones times that power and
     # the eigenvectors unchanged, bit for bit.
     basis, _ = cached_algebra(4)
@@ -203,11 +203,10 @@ def test_eig_hermitian_scaling_is_bitwise():
     ]
     for m in cases:
         m = np.asarray(m, dtype=complex)
-        vals, vecs = spectral._tridiagonal_ql(m, True)
-        order = np.argsort(vals, kind="stable")
+        vals, vecs = np.linalg.eigh(m)
         spec = eig_hermitian(m)
-        assert spec.eigenvalues.tobytes() == np.array(vals)[order].tobytes()
-        assert spec.eigenvectors.tobytes() == vecs[:, order].tobytes()
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == vecs.tobytes()
         for k in (-700, 600):
             scaled = np.empty_like(m)
             scaled.real, scaled.imag = np.ldexp(m.real, k), np.ldexp(m.imag, k)
@@ -223,6 +222,21 @@ def test_eigvals_hermitian_matches_lapack_on_sampler_draws(n):
     for coords in seeded_samples(basis, 97 + n, 20):
         m = algebra_matrix(basis, coords)
         reference = np.linalg.eigvalsh(m)
+        radius = np.max(np.abs(reference))
+        assert np.max(np.abs(eigvals_hermitian(m) - reference)) < 1e-14 * radius
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_eigvals_hermitian_matches_mpmath(n):
+    """The draws of the LAPACK comparison above against a reference outside
+    LAPACK: 30-digit ``mpmath.eighe``."""
+    mpmath = pytest.importorskip("mpmath")
+    basis, _ = cached_algebra(n)
+    for coords in seeded_samples(basis, 97 + n, 20):
+        m = algebra_matrix(basis, coords)
+        with mpmath.workdps(30):
+            exact = mpmath.eighe(mpmath.matrix(m.tolist()), eigvals_only=True)
+            reference = np.sort([float(x) for x in exact])
         radius = np.max(np.abs(reference))
         assert np.max(np.abs(eigvals_hermitian(m) - reference)) < 1e-14 * radius
 
@@ -244,23 +258,24 @@ def test_eig_hermitian_imaginary_offdiagonal(n):
     assert_eigh_consistent(m0, eig_hermitian(m0), atol=1e-12)
 
 
-def test_eig_hermitian_sweep_budget_exhausted(monkeypatch):
-    # A real tridiagonal input with a positive off-diagonal needs no
-    # reflector and no phase, so with no QL step allowed the first
-    # off-diagonal is reported as given, against the larger of one
-    # roundoff of its two diagonal neighbours and of ||m||_F.
+def test_eig_hermitian_solver_failure_is_convergence_error(monkeypatch):
+    # A LAPACK failure reaches the caller as the package's typed refusal,
+    # with N and ||m||_F in its message, from both entries.
     d = np.array([0.5, -2.0, 1.25, 3.0])
     e = np.array([0.75, 0.5, 0.25])
     m = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
-    monkeypatch.setattr(spectral, "QL_MAX_ITERATIONS", 0)
-    with pytest.raises(ConvergenceError, match=r"budget \(0\) exhausted") as info:
-        eig_hermitian(m)
-    roundoff = 2.0 ** -53
-    limit = max(roundoff * (0.5 + 2.0), roundoff * np.sqrt(np.sum(m**2)))
-    assert f"off-diagonal {0.75:.3e} above its limit {limit:.3e}" in str(info.value)
-    with pytest.raises(ConvergenceError, match=r"budget \(0\) exhausted"):
-        eigvals_hermitian(m)
-    # A diagonal input needs no QL step at all.
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", fail)
+        norm = f"||m||_F = {np.linalg.norm(m):.3e}"
+        for entry in (eig_hermitian, eigvals_hermitian):
+            with pytest.raises(ConvergenceError, match="N = 4") as info:
+                entry(m)
+            assert norm in str(info.value)
+    # A diagonal input comes back sorted, bit for bit.
     assert np.array_equal(eigvals_hermitian(np.diag(d)), np.sort(d))
 
 
@@ -648,3 +663,81 @@ def test_exp_divided_differences_two_points(c):
         assert got[0] == pytest.approx(np.exp(c * a), abs=1e-15)
         expected = (np.exp(c * a) - np.exp(c * b)) / (a - b)
         assert got[1] == pytest.approx(expected, rel=1e-14)
+
+
+def mp_exp_divided_differences(points, c, digits=80):
+    """f[x1], f[x1, x2], ..., f[x1..xn] of exp(c x) by the recursive table,
+    at ``digits`` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        xs = [mpmath.mpf(float(x)) for x in points]
+        column = [mpmath.exp(mpmath.mpc(c) * x) for x in xs]
+        out = [complex(column[0])]
+        for j in range(1, len(xs)):
+            column = [(b - a) / (xs[i + j] - xs[i]) for i, (a, b) in enumerate(zip(column, column[1:]))]
+            out.append(complex(column[0]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("size", [1e12, 1e11, 3e-9, 1e-10])
+def test_exp_divided_differences_extreme_c_against_mpmath(size):
+    """|c| far from 1 at N = 8: the points' spread runs from 1e-3 to 1e6 of
+    1/|c|, where c**k / k! or the powers of the points would leave the
+    float range unless |c|'s power of two is folded into the points.
+    Entry j is about |c|**j / j! in size."""
+    rng = np.random.default_rng(43)
+    weights = np.array([size**j / math.factorial(j) for j in range(8)])
+    for c in (-1j * size, 1j * size):
+        for spread in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6):
+            points = np.sort(0.3 + rng.uniform(0.0, spread, 8)) / size
+            got = exp_divided_differences(points, c)
+            reference = mp_exp_divided_differences(points, c)
+            assert np.max(np.abs(got - reference) / weights) < max(1e-13, 1e-15 * spread)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_exp_divided_differences_octave_fold_is_exact(n):
+    """With c = +-i 2**k, the result is that of c = +-i on the points times
+    2**k, entry j times 2**(k j), bit for bit, on the spreads of the
+    conjugate-pair test (past pi the squaring path)."""
+    rng = np.random.default_rng(61 + n)
+    weights = np.ldexp(1.0, np.arange(n))
+    for spread in (1e-8, 1e-4, 1e-2, 1.0, np.pi, 20.0, 1e3, 3e3):
+        low = rng.uniform(-spread, spread)
+        points = np.sort(low + rng.uniform(0.0, spread, n))
+        for c in (-1j, 1j):
+            for k in (-30, -1, 3, 40):
+                got = exp_divided_differences(points, c * 2.0**k)
+                unit = exp_divided_differences(np.ldexp(points, k), c)
+                assert got.real.tobytes() == (unit.real * weights**k).tobytes()
+                assert got.imag.tobytes() == (unit.imag * weights**k).tobytes()
+    # A point whose phase c x overflows is refused, as at |c| = 1.
+    with pytest.raises(ValueError):
+        exp_divided_differences([0.0, 1e300], 1j * 2.0**40)
+
+
+def test_exp_divided_differences_unit_c_values_pinned():
+    """At |c| = 1 the power-of-two fold changes nothing: on points
+    symmetric about 0 (so exp(c mid) = 1 exactly and every step is
+    IEEE arithmetic on Python floats) the entries are those the
+    unfolded routine gave, bit for bit."""
+    pinned = {
+        (-0.75, -0.25, 0.125, 0.75): [
+            ("0x1.769fec655211fp-1", "0x1.5cffc16bf8f0dp-1"),
+            ("0x1.e5d5764a3360ap-2", "-0x1.bca80c305935fp-1"),
+            ("-0x1.e2922a9e297ffp-2", "-0x1.219f7545bfe81p-3"),
+            ("-0x1.4e1e44d0c0439p-8", "0x1.4b12971cbb4e2p-3"),
+        ],
+        (-2.5, -1.0, 0.5, 1.75, 2.5): [
+            ("-0x1.9a2f7ef858b7dp-1", "0x1.326af0dcfcab1p-1"),
+            ("0x1.c9e1554d1b6b1p-1", "0x1.4bc6403435b4dp-3"),
+            ("-0x1.c901c796734b0p-3", "-0x1.63df82111b2bap-2"),
+            ("-0x1.3f85613ec76b5p-5", "0x1.f6174afedafc2p-4"),
+            ("0x1.f2899dc310830p-6", "-0x1.0cf394baa2d52p-7"),
+        ],
+    }
+    for points, entries in pinned.items():
+        expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in entries]
+        minus = exp_divided_differences(list(points), -1j)
+        assert minus.tobytes() == np.array(expected).tobytes()
+        assert exp_divided_differences(list(points), 1j).tobytes() == np.conj(minus).tobytes()
