@@ -43,6 +43,12 @@ as index arrays of its nonzero entries, one term per unordered pair
 k <= l, which the two products and ``product_matrix`` run over.  The
 dense f and d that the tensor identities read are built from those
 arrays on first use.
+
+The dense map and its inverse are one matrix product each with the
+basis read as the dim x N**2 array G of raveled generators (a reshape of
+``matrices``, which is a view): ``to_matrix`` takes vector @ G, reshaped
+to N x N, plus the scalar on the diagonal, and ``from_matrix`` takes
+vector_k = Tr(m L_k) / 2 as G @ ravel(m^T) / 2.
 """
 
 from __future__ import annotations
@@ -176,15 +182,18 @@ def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:
     return tuple(zip(*(col.tolist() for col in columns)))
 
 
-def _coo(j, k, l, value, sign: float) -> tuple[np.ndarray, ...]:
-    """Sorted index arrays of a tensor from its canonical triples (j, k, l).
+def _coo(shape, j, k, l, value, sign: float) -> tuple[np.ndarray, ...]:
+    """Sorted index arrays of a tensor of ``shape`` from its canonical
+    triples (j, k, l).
 
     A triple's permutations with k <= l are (j, k, l), (k, j, l) and
     (l, j, k), the odd one times ``sign``; repeats drop, k == l is halved.
+    The flat index of a triple sorts as the triple does, so one ``np.unique``
+    over it keeps each slot's first occurrence, in lexicographic order.
     """
     triples = [np.concatenate(col) for col in ((j, k, l), (k, j, j), (l, l, k))]
     value = np.concatenate((value, sign * value, value))
-    _, first = np.unique(np.stack(triples, axis=1), axis=0, return_index=True)
+    _, first = np.unique(np.ravel_multi_index(triples, shape), return_index=True)
     rows, k, l, value = (x[first] for x in (*triples, value))
     value = value * np.where(k == l, 0.5, 1.0)
     return tuple(_freeze(x) for x in (rows, k, l, value))
@@ -220,8 +229,8 @@ def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     # Canonical triples in lexicographic order: j < k < l for f, j <= k <= l for d.
     keep_f = (j < k) & (k < l) & (np.abs(f) >= SPARSE_THRESHOLD)
     keep_d = (j <= k) & (k <= l) & (np.abs(d) >= SPARSE_THRESHOLD)
-    f_coo = _coo(j[keep_f], k[keep_f], l[keep_f], f[keep_f], -1.0)
-    return StructureTensors(basis.n, f_coo, _coo(j[keep_d], k[keep_d], l[keep_d], d[keep_d], 1.0))
+    f_coo = _coo(shape, j[keep_f], k[keep_f], l[keep_f], f[keep_f], -1.0)
+    return StructureTensors(basis.n, f_coo, _coo(shape, j[keep_d], k[keep_d], l[keep_d], d[keep_d], 1.0))
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +317,9 @@ def to_matrix(basis: GeneratorBasis, elem: LinearElement) -> np.ndarray:
     """Dense matrix of ``scalar * I + vector . L``."""
     scalar, vector = elem
     (vector,) = _check_coords(basis.dim, vector)
-    m = np.einsum("j,jab->ab", vector.astype(complex), basis.matrices)
-    m[np.arange(basis.n), np.arange(basis.n)] += scalar
+    n = basis.n
+    m = (vector @ basis.matrices.reshape(basis.dim, -1)).reshape(n, n)
+    m.flat[:: n + 1] += scalar
     return m
 
 
@@ -328,7 +338,7 @@ def from_matrix(basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
     if m.shape != (basis.n, basis.n):
         raise ValueError(f"expected a {basis.n} x {basis.n} matrix, got shape {m.shape}")
     scalar = np.trace(m) / basis.n
-    vector = np.einsum("ab,jba->j", m, basis.matrices) / 2.0
+    vector = basis.matrices.reshape(basis.dim, -1) @ m.T.ravel() / 2.0
     return LinearElement(scalar, vector)
 
 

@@ -30,7 +30,8 @@ sums), so each step is one matrix-vector product.
 The cross-product term of the full product rule (``algebra.multiply``)
 drops out identically (every product lies in the commutative family
 generated by m under (.)), and that vanishing, v (x) m = F(m) v = 0, is
-asserted at each step from the third on.  At the second step v = m,
+asserted for each step from the third on, by one stacked product with
+F(m) once the steps are formed.  At the second step v = m,
 whose cross term m (x) m is exactly zero in floating point (each term is
 f (m_k m_l - m_l m_k)), while F(m) m rounds to about eps |m|**2, so
 checking it there would test only rounding.
@@ -144,34 +145,38 @@ _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
 
 def _newton_products(
     t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray
-) -> tuple[list, list]:
+) -> tuple[list, np.ndarray]:
     """Coordinates of P_k = (M - x1 I) ... (M - xk I) for k = 0 .. len(shifts).
 
-    Returns the lists scalars[k] and vectors[k] with
+    Returns the list scalars[k] and the stacked array vectors[k] with
     P_k = scalars[k] I + vectors[k] . L by the rule in the module
     docstring, each step one product with the caller's D(m) = ``sym``.
-    F(m) is built once when there is a step k >= 3, whose cross term
-    F(m) v must vanish; a residual at or above CROSS_RESIDUAL_TOL raises
-    ConstraintViolationError.  Step 2 is not checked: its v is m, and
-    m (x) m is zero exactly (module docstring).
+    When there is a step k >= 3, whose cross term F(m) v must vanish,
+    F(m) is built once and one product checks all of them: a residual
+    that is not below CROSS_RESIDUAL_TOL (a NaN included) raises
+    ConstraintViolationError for the first such step.  Step 2 is not
+    checked: its v is m, and m (x) m is zero exactly (module docstring).
     """
     scalars, vectors = [1.0], [np.zeros_like(m)]
     if shifts:
         scalars.append(-shifts[0])
         vectors.append(m)
-    if len(shifts) >= 3:
-        skew = product_matrix(t, "f", m)
-    for k in range(2, len(shifts) + 1):
-        v, s, shift = vectors[-1], scalars[-1], shifts[k - 1]
-        if k >= 3:
-            residual = np.max(np.abs(skew @ v))
-            if residual >= CROSS_RESIDUAL_TOL:
-                raise ConstraintViolationError(
-                    f"cross term of product {k} reached {residual:.3e}; "
-                    "the commutative-family reduction no longer holds"
-                )
+    for shift in shifts[1:]:
+        v, s = vectors[-1], scalars[-1]
         scalars.append(-shift * s + (2.0 / t.n) * np.dot(v, m))
         vectors.append(s * m - shift * v + sym @ v)
+    vectors = np.array(vectors)
+    if len(shifts) >= 3:
+        # Row j is the cross term of step j + 3, whose v is vectors[j + 2];
+        # a stack of matrix-vector products rounds as each one alone does.
+        cross = np.abs(product_matrix(t, "f", m) @ vectors[2:-1, :, None])
+        if not cross.max() < CROSS_RESIDUAL_TOL:
+            residual = cross.max(axis=(1, 2))
+            j = int(np.argmin(residual < CROSS_RESIDUAL_TOL))
+            raise ConstraintViolationError(
+                f"cross term of product {j + 3} reached {residual[j]:.3e}; "
+                "the commutative-family reduction no longer holds"
+            )
     return scalars, vectors
 
 
@@ -221,12 +226,23 @@ def _newton_form(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, diff
     """(f0, fvec) of f(m . L) = f0 I + fvec . L, the Newton form over its
     eigenvalues l1 <= ... <= lN with f[l1], ..., f[l1..lN] = differences(l).
     D(m) is built once (the zero matrix at N = 2) for the power sums of
-    ``_eigenvalues`` and the steps of ``_newton_products``."""
+    ``_eigenvalues`` and the steps of ``_newton_products``.  A form that is
+    not finite raises ConstraintViolationError, with |m|: at a huge |m| the
+    products or the divided differences overflow, and the checked cross
+    terms do not always show it (N <= 3 has none, and an overflowing term
+    can vanish by sparsity, as for m along L1 at N = 4)."""
     sym = product_matrix(t, "d", m)
     lam = _eigenvalues(t, basis, m, sym)
     coeffs = differences(lam)
     scalars, vectors = _newton_products(t, m, lam[:-1], sym)
-    return np.dot(coeffs, scalars), coeffs @ np.array(vectors)
+    f0, fvec = np.dot(coeffs, scalars), coeffs @ vectors
+    # A NaN or inf coordinate makes the sum non-finite.
+    if not cmath.isfinite(f0 + fvec.sum()):
+        raise ConstraintViolationError(
+            f"the Newton form at |m| = {math.hypot(*m.tolist()):.3e} is not finite; "
+            "its products or divided differences overflowed"
+        )
+    return f0, fvec
 
 
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:

@@ -461,10 +461,15 @@ def _cayley_front(u: np.ndarray) -> tuple[np.ndarray, list, complex, float, comp
     polynomial p_u (``_power_sum_poly`` on Tr u**k, k = 1..N, the last as
     sum_ij (u**(N-1))_ij u_ji), and ``_cayley_pole``'s w, arg(-w) and p_u(w)."""
     n = u.shape[0]
-    powers = [np.eye(n), u]
-    for _ in range(2, n):
-        powers.append(powers[-1] @ u)
-    powers = np.array(powers).reshape(n, n * n)
+    powers = np.empty((n, n, n), dtype=complex)
+    powers[0], powers[1] = np.eye(n), u
+    k = 2
+    while k < n:
+        # Doubling: u**k .. u**(k+m-1) are u**1 .. u**m times u**(k-1), one batched product.
+        m = min(k - 1, n - k)
+        powers[k:k + m] = powers[1:m + 1] @ powers[k - 1]
+        k += m
+    powers = powers.reshape(n, n * n)
     coeffs = _power_sum_poly((powers @ u.T.ravel()).tolist())
     return powers, coeffs, *_cayley_pole(coeffs)
 

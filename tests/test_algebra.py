@@ -377,3 +377,63 @@ def test_compose_and_similarity_build_no_dense_tensor():
     build_adjoint_kernel(t, linearize_fn(t, basis, m).conj())
     assert "f" not in vars(t) and "d" not in vars(t)
     assert t.f is t.f and "f" in vars(t)
+
+
+def rowwise_unique_coo(entries, sign):
+    """Oracle for ``_coo``: the index arrays of canonical 1-based triples,
+    each expanded to its k <= l permutations (the odd one times ``sign``)
+    and deduplicated by a row-wise ``np.unique`` over the stacked indices."""
+    j, k, l, value = np.array(entries, dtype=float).reshape(-1, 4).T
+    j, k, l = (x.astype(np.intp) - 1 for x in (j, k, l))
+    triples = [np.concatenate(col) for col in ((j, k, l), (k, j, j), (l, l, k))]
+    value = np.concatenate((value, sign * value, value))
+    _, first = np.unique(np.stack(triples, axis=1), axis=0, return_index=True)
+    rows, k, l, value = (x[first] for x in (*triples, value))
+    return rows, k, l, value * np.where(k == l, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coo_matches_rowwise_unique_reference(n):
+    """The flat-key deduplication keeps the slots, order and values of a
+    row-wise unique bit for bit, index types included."""
+    t = structure_constants(build_basis(n))
+    for ours, entries, sign in ((t.f_coo, t.f_entries, -1.0), (t.d_coo, t.d_entries, 1.0)):
+        for column, expected in zip(ours, rowwise_unique_coo(entries, sign), strict=True):
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_map_matches_trace_definition(n):
+    """to_matrix is s I + sum_k x_k L_k and from_matrix gives Tr(m)/N and
+    Tr(m L_k)/2, each within 4 ulp of the largest entry of the definition
+    evaluated in extended precision."""
+    basis, _ = cached_algebra(n)
+    wide = basis.matrices.astype(np.clongdouble)
+    rng = np.random.default_rng(500 + n)
+    for _ in range(20):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        elem = from_matrix(basis, m)
+        want = np.array([np.trace(m.astype(np.clongdouble) @ g) / 2 for g in wide])
+        assert elem.scalar == np.trace(m) / n
+        assert np.abs(elem.vector - want).max() <= 4 * np.spacing(float(np.abs(want).max()))
+
+        x, s = rng.standard_normal(basis.dim), complex(*rng.standard_normal(2))
+        want = s * np.eye(n, dtype=np.clongdouble) + np.tensordot(x.astype(np.longdouble), wide, axes=1)
+        got = to_matrix(basis, LinearElement(s, x))
+        assert np.abs(got - want).max() <= 4 * np.spacing(float(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_map_round_trip(n):
+    """from_matrix(to_matrix(x)) returns x, complex scalar part included,
+    within 8 ulp of the largest coordinate (4 for each map)."""
+    basis, _ = cached_algebra(n)
+    rng = np.random.default_rng(600 + n)
+    for _ in range(20):
+        x = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        s = complex(*rng.standard_normal(2))
+        elem = from_matrix(basis, to_matrix(basis, LinearElement(s, x)))
+        scale = 8 * np.spacing(max(abs(s), np.abs(x).max()))
+        assert abs(elem.scalar - s) <= scale
+        assert np.abs(elem.vector - x).max() <= scale

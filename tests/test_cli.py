@@ -392,6 +392,19 @@ def test_compose_rounding_out_of_group_exits_3(capsys, n, scale):
     assert json.loads(err)["error"] == "constraint-violation"
 
 
+@pytest.mark.parametrize("n, fragment", [(2, "is not finite"), (8, "reached nan")])
+def test_compose_huge_exponent_exits_3(capsys, n, fragment):
+    """m = 1e200 L1 overflows the Newton form: a typed refusal (exit 3),
+    not NaN coordinates refused later as a non-unitary product."""
+    dim = n * n - 1
+    m = json.dumps([1e200] + [0.0] * (dim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "compose", "--n", str(n), "--m", m, "--nvec", json.dumps([0.0] * dim))
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "constraint-violation" and fragment in doc["message"]
+
+
 def run_console_script(*argv):
     """Run the `sunbch` script declared in pyproject.toml as its own process.
 

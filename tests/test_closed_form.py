@@ -67,7 +67,7 @@ def spectral_error(got, m, basis):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closed_form_matches_ql_on_sampler_draws(n):
     """2,000 sampler draws per N, each scaled by 10**U(-6, 0): the closed
-    form is taken on nearly all of them and agrees with QL within 1e-13
+    form is taken on nearly all of them and agrees with LAPACK within 1e-13
     of the spectral radius."""
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(900 + n)
@@ -91,7 +91,7 @@ def test_closed_form_both_sides_of_the_cut(n, side):
     """Spectra with one close pair, split so that the pair's |p'(l)| is
     twice (above) or half (below) CLOSED_FORM_CUT times radius**(N-1):
     above the closed form answers within 1e-13 of the radius, below it
-    declines and ``_eigenvalues`` answers by QL within the same bound."""
+    declines and ``_eigenvalues`` answers by LAPACK within the same bound."""
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(77 + n)
     factor = 2.0 if side == "above" else 0.5
@@ -137,7 +137,7 @@ def test_closed_form_both_sides_of_the_cut(n, side):
 )
 def test_closed_form_declines_exact_repeats(n, diagonal):
     """Repeated eigenvalues, diagonal and rotated, leave the closed form to
-    QL; ``_eigenvalues`` is then within 1e-13 of the radius of QL's."""
+    LAPACK; ``_eigenvalues`` is then within 1e-13 of the radius of LAPACK's."""
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(5)
     for m in (from_matrix(basis, np.diag(diagonal)).vector.real, rotated(basis, diagonal, rng)):
@@ -150,7 +150,7 @@ def test_closed_form_declines_exact_repeats(n, diagonal):
 @pytest.mark.parametrize("scale", [1e-200, 1e160])
 def test_extreme_norms_take_the_fallback(monkeypatch, n, scale):
     """a . a outside POWER_SUM_RANGE never reaches the power sums (they
-    would underflow or overflow); QL answers within 1e-13 of the radius."""
+    would underflow or overflow); LAPACK answers within 1e-13 of the radius."""
     basis, t = cached_algebra(n)
     m = random_coords(basis, np.random.default_rng(n))
     m *= scale / np.linalg.norm(m)

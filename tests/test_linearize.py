@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from sunbch import (
     power_table,
     to_matrix,
 )
-from sunbch.algebra import algebra_matrix
+from sunbch import linearize
+from sunbch.algebra import algebra_matrix, product_matrix
 from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
@@ -100,6 +103,77 @@ def test_newton_cross_guard_fires_on_wide_spectra(algebra4):
         m = rng.uniform(-100.0, 100.0, t.dim)
         with pytest.raises(ConstraintViolationError, match="cross term"):
             linearize_fn(t, basis, m)
+
+
+def per_step_cross_refusal(t, basis, m):
+    """Reference for the checked cross terms: the message of the first step
+    k >= 3 whose residual max |F(m) v| is not below CROSS_RESIDUAL_TOL,
+    stepping one matrix-vector product at a time, or None."""
+    sym, skew = product_matrix(t, "d", m), product_matrix(t, "f", m)
+    shifts = linearize._eigenvalues(t, basis, m, sym)[:-1]
+    scalars, vectors = [1.0, -shifts[0]], [np.zeros_like(m), m]
+    for k in range(2, len(shifts) + 1):
+        v, s, shift = vectors[-1], scalars[-1], shifts[k - 1]
+        if k >= 3:
+            residual = np.max(np.abs(skew @ v))
+            if not residual < linearize.CROSS_RESIDUAL_TOL:
+                return (
+                    f"cross term of product {k} reached {residual:.3e}; "
+                    "the commutative-family reduction no longer holds"
+                )
+        scalars.append(-shift * s + (2.0 / t.n) * np.dot(v, m))
+        vectors.append(s * m - shift * v + sym @ v)
+    return None
+
+
+@pytest.mark.parametrize("n, spread", [(4, 60.0), (8, 3.0)])
+def test_stacked_cross_check_names_the_first_failing_step(n, spread):
+    """Draws at the edge of the cross guard: each is refused or accepted as
+    the step-by-step check decides, with the same step number and residual
+    in the message.  At N = 8 the first failure falls past step 3."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(7)
+    refused_at = set()
+    for _ in range(10):
+        m = rng.uniform(-spread, spread, t.dim)
+        want = per_step_cross_refusal(t, basis, m)
+        if want is None:
+            linearize_fn(t, basis, m)
+            continue
+        with pytest.raises(ConstraintViolationError) as info:
+            linearize_fn(t, basis, m)
+        assert str(info.value) == want
+        refused_at.add(int(want.split()[4]))
+    assert refused_at == ({3} if n == 4 else {6, 7})
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_huge_exponent_never_linearizes_to_nan(n, scale):
+    """Past the float range of the Newton form, linearize_fn refuses rather
+    than return NaN coordinates: at 1e200 at every N (the divided
+    differences overflow), and at 1e150 wherever a coordinate would not be
+    finite.  power_table returns no NaN either."""
+    basis, t = cached_algebra(n)
+    m = np.zeros(t.dim)
+    m[0] = scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            elem = linearize_fn(t, basis, m)
+        except ConstraintViolationError as exc:
+            # N <= 3 has no checked cross term; past it one may catch the
+            # overflow first, unless it vanishes by sparsity, as at N = 4.
+            finite = f"|m| = {scale:.3e} is not finite" in str(exc)
+            assert finite or (n > 3 and "cross term" in str(exc))
+        else:
+            assert scale < 1e200
+            assert cmath.isfinite(elem.scalar) and np.isfinite(elem.vector).all()
+        try:
+            table = power_table(t, m, n)
+        except ConstraintViolationError:
+            pass
+        else:
+            assert not any(np.isnan(p.scalar) or np.isnan(p.vector).any() for p in table)
 
 
 def test_exp_matrix_matches_scipy(algebra3):

@@ -741,3 +741,17 @@ def test_exp_divided_differences_unit_c_values_pinned():
         minus = exp_divided_differences(list(points), -1j)
         assert minus.tobytes() == np.array(expected).tobytes()
         assert exp_divided_differences(list(points), 1j).tobytes() == np.conj(minus).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cayley_front_powers_match_matrix_power(n):
+    """The doubling table's rows are u**0 .. u**(N-1) within rounding."""
+    basis, _ = cached_algebra(n)
+    for coords in seeded_samples(basis, 700 + n, 5):
+        u = dense_exp(basis, coords)
+        powers = spectral._cayley_front(u)[0]
+        assert powers.shape == (n, n * n)
+        for k in range(n):
+            np.testing.assert_allclose(
+                powers[k].reshape(n, n), np.linalg.matrix_power(u, k), rtol=0, atol=1e-14 * (k + 1)
+            )
