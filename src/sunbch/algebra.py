@@ -40,9 +40,8 @@ Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
 is built from T_jkl = Tr(L_j L_k L_l), summed over the generators'
 nonzero entries only, as f = Im T / 2 and d = Re T / 2, and stored once,
 as index arrays of its nonzero entries, one term per unordered pair
-k <= l, which the two products and ``product_matrix`` run over.  The
-dense f and d that the tensor identities read are built from those
-arrays on first use.
+k <= l, which the two products, ``product_matrix`` and the exhaustive
+tensor identities of ``verify`` run over.  No dense copy is kept.
 
 The dense map and its inverse are one matrix product each with the
 basis read as the dim x N**2 array G of raveled generators (a reshape of
@@ -94,10 +93,9 @@ class StructureTensors:
     the nonzero dense entries with k <= l, in lexicographic order, that
     ``cross`` and ``dot_sym`` contract; a value with k == l is halved,
     because the term a_k b_l + a_l b_k counts that slot twice.  The rest
-    is derived from them: the dense rank-3 ``f`` and ``d`` and the scatter
-    arrays of ``product_matrix``, built on first read and then kept, and
-    the canonical 1-based triples ``f_entries`` (j < k < l) and
-    ``d_entries`` (j <= k <= l).
+    is derived from them: the scatter arrays of ``product_matrix``, built
+    on first read and then kept, and the canonical 1-based triples
+    ``f_entries`` (j < k < l) and ``d_entries`` (j <= k <= l).
     """
 
     n: int
@@ -108,9 +106,6 @@ class StructureTensors:
     def dim(self) -> int:
         return self.n * self.n - 1
 
-    # Derived on read; the dense pair is then kept on the instance.
-    f = cached_property(lambda self: _dense(self.dim, self.f_coo, -1.0))
-    d = cached_property(lambda self: _dense(self.dim, self.d_coo, 1.0))
     f_entries = property(lambda self: _canonical(self.f_coo))
     d_entries = property(lambda self: _canonical(self.d_coo))
     scatter = cached_property(
@@ -148,19 +143,11 @@ def build_basis(n: int) -> GeneratorBasis:
     return GeneratorBasis(n, _freeze(np.stack(mats)))
 
 
-def _dense(dim: int, coo, sign: float) -> np.ndarray:
-    """Dense tensor of an index array: t[row, k, l] = sign * t[row, l, k]."""
-    rows, k, l, value = coo
-    full = value * np.where(k == l, 2.0, 1.0)
-    t = np.zeros((dim, dim, dim))
-    t[rows, k, l] = full
-    t[rows, l, k] = sign * full
-    return _freeze(t)
-
-
 def _scatter(dim: int, coo, sign: float) -> tuple[np.ndarray, ...]:
     """Flat (row, column) slots, gathered coordinate and coefficient of
-    each term of a matrix t[row, k, l] a_l, for ``product_matrix``.
+    each term of a matrix t[row, k, l] a_l, for ``product_matrix``; read
+    as (row * dim + k, l, value), the same list is every term of the
+    tensor, which ``verify``'s exhaustive identities contract.
 
     An entry (row, k, l, value) holds t[row, k, l] = value and
     t[row, l, k] = sign * value, so it adds value * a_l at (row, k) and

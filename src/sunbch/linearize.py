@@ -52,12 +52,12 @@ mapped by the Cayley substitution to a real polynomial that
 ``spectral.eigvals_from_power_sums`` solves, and otherwise, or where
 that declines, by ``eigvals_hermitian`` on H.  R is the Newton form in u
 over those eigenvalues (``_log_past_gate``).  That route reads the
-powers of u, its characteristic polynomial and the pole w from
-``spectral._cayley_front``, and H from ``spectral._cayley_hermitian``,
-the front end it shares with ``spectral.eig_unitary``.  It declines,
-rather than refuses, wherever it would lose accuracy (CHORD_CUT,
-TIE_CUT), and only then does ``log_coords`` take the dense matrix and
-its eigenvectors.  Past the gate both logarithms take principal
+powers of u and its characteristic polynomial from
+``spectral._powers_and_poly``, the pole w from ``spectral._cayley_pole``
+and H from ``spectral._cayley_hermitian``, as ``spectral.eig_unitary``
+does.  It declines, rather than refuses, wherever it would lose accuracy
+(CHORD_CUT, TIE_CUT), and only then does ``log_coords`` take the dense
+matrix and its eigenvectors.  Past the gate both logarithms take principal
 eigenphases through ``_branch_rule``, the one 2 pi shift rule, the one
 det u = 1 check and the one site of the ambiguity refusals.
 """
@@ -82,9 +82,10 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
-    _cayley_front,
     _cayley_hermitian,
+    _cayley_pole,
     _newton_monomials,
+    _powers_and_poly,
     _require_unitary,
     apply_spectral,
     arcsin_divided_differences,
@@ -347,8 +348,8 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
     (module constants CHORD_CUT and TIE_CUT), and ``log_coords`` then
     decides.
 
-    ``spectral._cayley_front`` gives the powers u**0 .. u**(N-1), u's
-    characteristic polynomial p_u and the Cayley pole w, the point of
+    ``spectral._powers_and_poly`` gives the powers u**0 .. u**(N-1) and u's
+    characteristic polynomial p_u, ``spectral._cayley_pole`` the pole w, the point of
     largest |p_u(w)| among 4N points on the circle, at least sqrt 2 on
     every unitary u, so no det check has to come first; ``eig_unitary``
     reads the same.  The eigenvalues t_k of H = i (wI + u)(wI - u)**-1
@@ -368,7 +369,8 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
     (``_newton_monomials``) over the powers of u already formed.
     """
     n = basis.n
-    powers, coeffs, w, beta, lead = _cayley_front(u)
+    powers, coeffs = _powers_and_poly(u)
+    w, beta, lead = _cayley_pole(coeffs)
     t = None
     if n in _CAYLEY:
         # The real monic t-polynomial, then its Taylor shift by the mean root.

@@ -4,8 +4,9 @@ Hermitian eigenproblems go to LAPACK through ``np.linalg.eigh``, one call
 behind both ``eig_hermitian`` and ``eigvals_hermitian``, so the two return
 the same eigenvalues bit for bit; a matrix of extreme norm is first scaled
 by a power of two, which is exact.  Characteristic polynomials come from
-the Faddeev-LeVerrier recurrence, and divided differences come from Taylor
-series of Opitz's bidiagonal matrix, summed row by row in one loop,
+the traces of a matrix's powers by Newton's identities
+(``_power_sum_poly``), and divided differences come from Taylor series
+of Opitz's bidiagonal matrix, summed row by row in one loop,
 ``_taylor_rows``: exp's (scaled and squared for widely spread points) and
 arcsin's.  ``_taylor_rows`` runs over Python scalars: at desk scale
 (N <= 8) a numpy call costs more in dispatch than its few dozen flops.
@@ -30,11 +31,11 @@ identities turn the traces of u's powers into its characteristic
 polynomial p_u (``_power_sum_poly``); the pole w is the point of largest
 |p_u(w)| among 4N points on the unit circle (``_cayley_pole``), and
 Cayley-Hamilton gives (wI - u)**-1 as a polynomial in u, so no linear
-system is solved.  The front end (the powers, p_u and the pole,
-``_cayley_front``) and the H builder (``_cayley_hermitian``) are shared
-with the values-only logarithm past the gate,
-``linearize._log_past_gate``, which takes H's eigenvalues and not its
-eigenvectors.
+system is solved.  The powers and p_u (``_powers_and_poly``, which
+``char_poly`` also reads), the pole and the H builder
+(``_cayley_hermitian``) are shared with the values-only logarithm past
+the gate, ``linearize._log_past_gate``, which takes H's eigenvalues and
+not its eigenvectors.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ UNITARY_TOL = 1e-8
 # gap of 1e-3 of the radius next to a second small gap left 5e-11.
 CLOSED_FORM_CUT = 1e-2
 GAP_TOL = 1e-9
-# Largest N the package supports: ``char_poly`` refuses larger input, and
-# ``verify``'s Jacobi checks hold dim**4 float64 arrays, 3.3 GB each at
-# N = 12.  ``verify``'s run configuration and the CLI's --n read it.
+# Largest N the package supports, the range its tests and CI cover:
+# ``char_poly`` refuses larger input, and ``verify``'s run configuration
+# and the CLI's --n read it.
 MAX_N = 8
 # Largest |c| times half-spread that exp_divided_differences sums without
 # squaring: the series then loses at most exp(pi) ~ 23 roundoffs, and every
@@ -455,14 +456,13 @@ def _cayley_pole(coeffs: list) -> tuple[complex, float, complex]:
     return -cmath.exp(1j * turns[j]), turns[j], complex(values[j])
 
 
-def _cayley_front(u: np.ndarray) -> tuple[np.ndarray, list, complex, float, complex]:
-    """What both Cayley routes read off a unitary u: the rows u**0 ..
-    u**(N-1) as an (N, N*N) array, the coefficients of u's characteristic
-    polynomial p_u (``_power_sum_poly`` on Tr u**k, k = 1..N, the last as
-    sum_ij (u**(N-1))_ij u_ji), and ``_cayley_pole``'s w, arg(-w) and p_u(w)."""
+def _powers_and_poly(u: np.ndarray) -> tuple[np.ndarray, list]:
+    """The rows u**0 .. u**(N-1) of a square u as an (N, N*N) array, and the
+    coefficients of u's characteristic polynomial: ``_power_sum_poly`` on
+    Tr u**k, k = 1..N, the last as sum_ij (u**(N-1))_ij u_ji."""
     n = u.shape[0]
     powers = np.empty((n, n, n), dtype=complex)
-    powers[0], powers[1] = np.eye(n), u
+    powers[0], powers[1:2] = np.eye(n), u  # a slice: there is no u**1 row at N = 1
     k = 2
     while k < n:
         # Doubling: u**k .. u**(k+m-1) are u**1 .. u**m times u**(k-1), one batched product.
@@ -470,14 +470,13 @@ def _cayley_front(u: np.ndarray) -> tuple[np.ndarray, list, complex, float, comp
         powers[k:k + m] = powers[1:m + 1] @ powers[k - 1]
         k += m
     powers = powers.reshape(n, n * n)
-    coeffs = _power_sum_poly((powers @ u.T.ravel()).tolist())
-    return powers, coeffs, *_cayley_pole(coeffs)
+    return powers, _power_sum_poly((powers @ u.T.ravel()).tolist())
 
 
 def _cayley_hermitian(u: np.ndarray, powers: np.ndarray, coeffs: list, w: complex) -> np.ndarray:
     """H = i (wI + u) q(u)/p_u(w) = i (wI + u)(wI - u)**-1, made exactly
-    Hermitian, from ``_cayley_front``'s rows, p_u and pole.  Synthetic
-    division gives q(z) = (p_u(z) - p_u(w))/(z - w) and the remainder
+    Hermitian, from ``_powers_and_poly``'s rows and p_u and the pole w.
+    Synthetic division gives q(z) = (p_u(z) - p_u(w))/(z - w) and the remainder
     p_u(w), and Cayley-Hamilton (wI - u)**-1 = q(u)/p_u(w)."""
     n = u.shape[0]
     q = [1.0]  # q[i] multiplies z**(N-1-i); the last entry is p_u(w)
@@ -498,7 +497,7 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     phases are 2 atan(t_k) + arg(-w).  The pole w is ``_cayley_pole`` of
     u's characteristic polynomial p_u, whose coefficients come from the
     traces of u, u**2, ..., u**N by Newton's identities
-    (``_cayley_front``).  No system is solved: ``_cayley_hermitian`` takes
+    (``_powers_and_poly``).  No system is solved: ``_cayley_hermitian`` takes
     (wI - u)**-1 = q(u)/p_u(w) from the powers already formed.  Rounding
     in p_u's coefficients moves t_k but not the eigenvectors, since q(u)
     stays a polynomial in u; and wI + u is formed directly, so next to I
@@ -511,7 +510,8 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     u = _square(u)
     n = u.shape[0]
     _require_unitary(u)
-    powers, coeffs, w, turn, _ = _cayley_front(u)
+    powers, coeffs = _powers_and_poly(u)
+    w, turn, _ = _cayley_pole(coeffs)
     spec = eig_hermitian(_cayley_hermitian(u, powers, coeffs, w))
     phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in spec.eigenvalues.tolist()]
     order = sorted(range(n), key=phases.__getitem__)
@@ -520,23 +520,16 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
 
 
 def char_poly(m: np.ndarray) -> CharPoly:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recurrence.
+    """Monic characteristic polynomial from the traces of m's powers by
+    Newton's identities (``_powers_and_poly``).
 
     coefficients[N] = 1 and coefficients[0] = (-1)**N det(m); a traceless
     input has coefficients[N-1] = 0 up to rounding.
     """
     m = _square(m)
-    n = m.shape[0]
-    if n > MAX_N:
-        raise ValueError(f"characteristic polynomial supported for N <= {MAX_N}, got {n}")
-    coeff = np.zeros(n + 1, dtype=complex)
-    coeff[n] = 1.0
-    b = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        mb = m @ b
-        coeff[n - k] = -np.trace(mb) / k
-        b = mb + coeff[n - k] * np.eye(n)
-    return CharPoly(coeff)
+    if m.shape[0] > MAX_N:
+        raise ValueError(f"characteristic polynomial supported for N <= {MAX_N}, got {m.shape[0]}")
+    return CharPoly(np.array(_powers_and_poly(m)[1], dtype=complex))
 
 
 def _min_gap(values: np.ndarray) -> float:

@@ -5,10 +5,12 @@ Each property reduces to a residual that should sit at rounding level;
 reports the worst residual and the offending instance index per property.
 
 There are two kinds of property.  An exhaustive one (a tensor identity)
-takes the basis and tensors and returns the residual of every index
-combination, whatever the trial count.  A trial property takes the suite
-context and a generator, draws its own inputs and returns one trial's
-residual; ``run_suite`` owns the trial loop and calls it ``trials`` times.
+takes the basis and tensors and covers every index combination, whatever
+the trial count: it returns their number and the residuals of those that
+some term reaches, the rest being exact zeros.  A trial property takes
+the suite context and a generator, draws its own inputs and returns one
+trial's residual; ``run_suite`` owns the trial loop and calls it
+``trials`` times.
 
 Each row of ``_PROPERTIES`` carries the N it is restricted to, if any, and
 its position fixes its instance stream, ``default_rng([seed, position])``:
@@ -18,11 +20,13 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .algebra import (
+    _join,
     algebra_matrix,
     cached_algebra,
     cross,
@@ -57,7 +61,6 @@ from .spectral import (
     expansion_coeffs_derivative,
     lagrange_projectors,
 )
-from . import linsolve
 
 
 @dataclass(frozen=True)
@@ -90,49 +93,64 @@ def _maxabs(x) -> float:
 
 
 # ---- exhaustive tensor properties -------------------------------------------
+#
+# Each returns (checks, slots, residuals): the number of index combinations,
+# the ascending row-major flat indices of those some term of the identity
+# reaches, and their residuals.  A slot no term reaches is exactly zero.
+
+
+def _every(residuals):
+    return residuals.size, np.arange(residuals.size), residuals
 
 
 def _orthonormality(basis, tensors):
     g = basis.matrices
     gram = np.einsum("jab,kba->jk", g, g)
-    return np.abs(gram - 2.0 * np.eye(basis.dim)).ravel()
+    return _every(np.abs(gram - 2.0 * np.eye(basis.dim)).ravel())
 
 
-def _commutator_closure(basis, tensors):
-    g = basis.matrices
-    prod = np.einsum("jab,kbc->jkac", g, g)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    recon = 2j * np.einsum("jkl,lab->jkab", tensors.f, g)
-    return np.abs(comm - recon).reshape(basis.dim**2, -1).max(axis=1)
+def _closure(tensor, sign, scale, basis, tensors):
+    """Per pair (j, k), the largest entry of L_j L_k + sign L_k L_j minus
+    scale sum_l t_jkl L_l and its trace part (1 + sign) Tr(L_j L_k) I / N,
+    the sum accumulated over the tensor's terms into a (dim**2, N**2) array."""
+    g, dim = basis.matrices, basis.dim
+    prod = np.einsum("jab,kbc->jkac", g, g).reshape(dim, dim, -1)
+    bracket = (prod + sign * prod.transpose(1, 0, 2)).reshape(dim * dim, -1)
+    slots, gather, value = tensors.scatter[tensor]
+    recon = np.zeros_like(bracket)
+    np.add.at(recon, slots, scale * value[:, None] * g.reshape(dim, -1)[gather])
+    recon[:: dim + 1] += (1.0 + sign) * 2.0 / basis.n * np.eye(basis.n).ravel()
+    return _every(np.abs(bracket - recon).max(axis=1))
 
 
-def _anticommutator_closure(basis, tensors):
-    g = basis.matrices
-    n, dim = basis.n, basis.dim
-    prod = np.einsum("jab,kbc->jkac", g, g)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-    recon = 2.0 * np.einsum("jkl,lab->jkab", tensors.d, g).astype(complex)
-    recon += (4.0 / n) * np.einsum("jk,ab->jkab", np.eye(dim), np.eye(n))
-    return np.abs(anti - recon).reshape(dim**2, -1).max(axis=1)
+_commutator_closure = partial(_closure, "f", -1.0, 2j)
+_anticommutator_closure = partial(_closure, "d", 1.0, 2.0)
 
 
-def _jacobi_ff(basis, tensors):
-    # cyclic in (k, l, p): f_klm f_mpq + f_lpm f_mkq + f_pkm f_mlq = 0; the
-    # last two terms are index permutations of the first contraction.
-    f = tensors.f
-    ff = np.einsum("klm,mpq->klpq", f, f)
-    # Summed in place: one dim**4 array besides the contraction.
-    out = ff + ff.transpose(2, 0, 1, 3)
-    out += ff.transpose(1, 2, 0, 3)
-    return np.abs(out, out=out).ravel()
+def _jacobi(a, b, axes, basis, tensors):
+    """|sum over ``axes`` of c.transpose(axis)| per reached slot, where
+    c_klpq = sum_m a_klm b_mpq joins the terms of a, read off its scatter
+    list as (k * dim + l, m, value), with those of b on b's row m.  Each
+    transpose relabels the same terms: a term at (k, l, p, q) adds to the
+    slot whose index at position i is (k, l, p, q)[axis[i]]."""
+    dim, shape = basis.dim, (basis.dim,) * 4
+    slots_a, m, value_a = tensors.scatter[a]
+    order = np.argsort(tensors.scatter[b][0], kind="stable")
+    slots_b, q, value_b = (x[order] for x in tensors.scatter[b])
+    i, j = _join(slots_b // dim, m)
+    terms, inverse = np.unique(slots_a[i] * dim**2 + slots_b[j] % dim * dim + q[j], return_inverse=True)
+    c = np.bincount(inverse, value_a[i] * value_b[j])
+    index = np.unravel_index(terms, shape)
+    flat = [np.ravel_multi_index([index[x] for x in axis], shape) for axis in axes]
+    # Summed in order, (c + c') + c'' per slot, as the three dense arrays would be.
+    slots, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+    return dim**4, slots, np.abs(np.bincount(inverse, np.tile(c, len(axes))))
 
 
-def _jacobi_fd(basis, tensors):
-    # f_klm d_mpq + f_kqm d_mpl + f_kpm d_mlq = 0, likewise from one contraction.
-    fd = np.einsum("klm,mpq->klpq", tensors.f, tensors.d)
-    out = fd + fd.transpose(0, 3, 2, 1)
-    out += fd.transpose(0, 2, 1, 3)
-    return np.abs(out, out=out).ravel()
+# Cyclic in (k, l, p): f_klm f_mpq + f_lpm f_mkq + f_pkm f_mlq = 0.
+_jacobi_ff = partial(_jacobi, "f", "f", ((0, 1, 2, 3), (2, 0, 1, 3), (1, 2, 0, 3)))
+# f_klm d_mpq + f_kqm d_mpl + f_kpm d_mlq = 0.
+_jacobi_fd = partial(_jacobi, "f", "d", ((0, 1, 2, 3), (0, 3, 2, 1), (0, 2, 1, 3)))
 
 
 # ---- random-vector identities ------------------------------------------------
@@ -193,7 +211,7 @@ def _spectral_exp_unitary(ctx, rng):
     u = exp_matrix(ctx.basis, ctx.sample(rng))
     return max(
         _maxabs(u.conj().T @ u - np.eye(ctx.basis.n)),
-        abs(linsolve.determinant(u) - 1.0),
+        abs(np.linalg.det(u) - 1.0),
     )
 
 
@@ -400,28 +418,20 @@ def run_suite(config: RunConfig) -> dict:
             continue
         if per_trial:
             rng = np.random.default_rng([config.seed, index])
-            residuals = np.array([check(ctx, rng) for _ in range(config.trials)])
+            checks, slots, residuals = _every(np.array([check(ctx, rng) for _ in range(config.trials)]))
         else:
-            residuals = check(ctx.basis, ctx.tensors)
-        worst = int(np.argmax(residuals))
-        max_residual = float(residuals[worst])
+            checks, slots, residuals = check(ctx.basis, ctx.tensors)
+        max_residual = float(residuals.max(initial=0.0))
+        # The first slot holding the maximum; unreached slots are zeros.
+        worst = int(slots[residuals.argmax()]) if max_residual != 0.0 else 0
         rows.append(
             {
                 "name": name,
-                "checks": int(residuals.size),
+                "checks": int(checks),
                 "max_residual": max_residual,
                 "worst_index": worst,
                 "pass": max_residual <= config.tol,
             }
         )
     failed = [row["name"] for row in rows if not row["pass"]]
-    return {
-        "n": config.n,
-        "seed": config.seed,
-        "trials": config.trials,
-        "tol": config.tol,
-        "spectral_cap": config.spectral_cap,
-        "properties": rows,
-        "failed": failed,
-        "pass": not failed,
-    }
+    return {**asdict(config), "properties": rows, "failed": failed, "pass": not failed}

@@ -33,6 +33,8 @@ from sunbch import (
 from sunbch.linearize import exp_minus_i
 from sunbch.linsolve import determinant
 
+from conftest import loop_canonicalization
+
 SEED = 20260401
 
 
@@ -104,28 +106,33 @@ def test_criterion_3_similarity_oracle_equivalence():
 
 
 def test_criterion_4_algebra_identity_suite():
-    """Tensor identities exhaustively, vector identities on random draws."""
+    """Tensor identities exhaustively, vector identities on random draws.
+
+    The exhaustive identities contract the dense trace oracle, whose
+    canonical entries the stored tensors must reproduce exactly."""
     worst_exhaustive = 0.0
     for n in (2, 3):
         basis, t = cached_algebra(n)
+        f, d, f_entries, d_entries = loop_canonicalization(basis)
+        assert (t.f_entries, t.d_entries) == (f_entries, d_entries)
         g = basis.matrices
         dim = basis.dim
         gram = np.einsum("jab,kba->jk", g, g)
         prod = np.einsum("jab,kbc->jkac", g, g)
         comm = prod - prod.transpose(1, 0, 2, 3)
         anti = prod + prod.transpose(1, 0, 2, 3)
-        comm_recon = 2j * np.einsum("jkl,lab->jkab", t.f, g)
-        anti_recon = 2.0 * np.einsum("jkl,lab->jkab", t.d, g).astype(complex)
+        comm_recon = 2j * np.einsum("jkl,lab->jkab", f, g)
+        anti_recon = 2.0 * np.einsum("jkl,lab->jkab", d, g).astype(complex)
         anti_recon += (4.0 / n) * np.einsum("jk,ab->jkab", np.eye(dim), np.eye(n))
         jac_ff = (
-            np.einsum("klm,mpq->klpq", t.f, t.f)
-            + np.einsum("lpm,mkq->klpq", t.f, t.f)
-            + np.einsum("pkm,mlq->klpq", t.f, t.f)
+            np.einsum("klm,mpq->klpq", f, f)
+            + np.einsum("lpm,mkq->klpq", f, f)
+            + np.einsum("pkm,mlq->klpq", f, f)
         )
         jac_fd = (
-            np.einsum("klm,mpq->klpq", t.f, t.d)
-            + np.einsum("kqm,mpl->klpq", t.f, t.d)
-            + np.einsum("kpm,mlq->klpq", t.f, t.d)
+            np.einsum("klm,mpq->klpq", f, d)
+            + np.einsum("kqm,mpl->klpq", f, d)
+            + np.einsum("kpm,mlq->klpq", f, d)
         )
         worst_exhaustive = max(
             worst_exhaustive,

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -27,8 +26,10 @@ from sunbch import (
     structure_constants,
     to_matrix,
 )
-from sunbch.algebra import SPARSE_THRESHOLD
+from sunbch.algebra import StructureTensors
 from sunbch.linearize import linearize_fn
+
+from conftest import loop_canonicalization, trace_tensors
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -76,12 +77,16 @@ def test_n3_d888():
 
 
 def test_tensor_symmetries():
+    """The stored tensors, read back densely as t[j, k, l] = the (j, k)
+    entry of ``product_matrix`` at the unit vector e_l, are totally
+    antisymmetric (f) and totally symmetric (d), bit for bit."""
     for n in (2, 3, 4):
         _, t = cached_algebra(n)
-        assert np.array_equal(t.f, -t.f.transpose(1, 0, 2))
-        assert np.array_equal(t.f, t.f.transpose(1, 2, 0))
-        assert np.array_equal(t.d, t.d.transpose(1, 0, 2))
-        assert np.array_equal(t.d, t.d.transpose(1, 2, 0))
+        f, d = (np.stack([product_matrix(t, x, e) for e in np.eye(t.dim)], axis=-1) for x in "fd")
+        assert np.array_equal(f, -f.transpose(1, 0, 2))
+        assert np.array_equal(f, f.transpose(1, 2, 0))
+        assert np.array_equal(d, d.transpose(1, 0, 2))
+        assert np.array_equal(d, d.transpose(1, 2, 0))
 
 
 def test_cross_on_unit_vectors():
@@ -147,8 +152,9 @@ def test_dot_sym_symmetric_bitwise(a_re, a_im, b):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_contractions_match_dense_reference(n):
-    """The sparse sums agree with contracting the whole dense tensor."""
+    """The sparse sums agree with contracting the whole dense trace oracle."""
     _, t = cached_algebra(n)
+    f, d = trace_tensors(n)
     rng = np.random.default_rng(100 + n)
 
     def dense(tensor, a, b, sign):
@@ -159,29 +165,30 @@ def test_contractions_match_dense_reference(n):
         re = rng.uniform(-1, 1, (2, t.dim))
         im = rng.uniform(-1, 1, (2, t.dim))
         for a, b in ((re[0], re[1]), (re[0] + 1j * im[0], re[1]), (re[0] + 1j * im[0], re[1] + 1j * im[1])):
-            np.testing.assert_allclose(cross(t, a, b), dense(t.f, a, b, -1.0), rtol=0, atol=1e-13)
-            np.testing.assert_allclose(dot_sym(t, a, b), dense(t.d, a, b, 1.0), rtol=0, atol=1e-13)
-            assert cross(t, a, b).dtype == dense(t.f, a, b, -1.0).dtype
+            np.testing.assert_allclose(cross(t, a, b), dense(f, a, b, -1.0), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(dot_sym(t, a, b), dense(d, a, b, 1.0), rtol=0, atol=1e-13)
+            assert cross(t, a, b).dtype == dense(f, a, b, -1.0).dtype
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_product_matrix_matches_dense_tensors(n):
     """D(a) and F(a) from the index arrays against contracting the dense
-    tensors; D(a) v and F(a) v are the products v (.) a and v (x) a.  A
-    complex a gives exactly D(Re a) + i D(Im a), and F likewise, each
+    trace oracle; D(a) v and F(a) v are the products v (.) a and v (x) a.
+    A complex a gives exactly D(Re a) + i D(Im a), and F likewise, each
     part equal to the real path's matrix."""
     _, t = cached_algebra(n)
+    f, d = trace_tensors(n)
     rng = np.random.default_rng(200 + n)
     for _ in range(5):
         a, b, v = rng.uniform(-1, 1, (3, t.dim))
         sym, skew = product_matrix(t, "d", a), product_matrix(t, "f", a)
         assert sym.dtype == skew.dtype == np.float64
-        np.testing.assert_allclose(sym, np.einsum("jkl,l->jk", t.d, a), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(skew, np.einsum("jkl,l->jk", t.f, a), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sym, np.einsum("jkl,l->jk", d, a), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(skew, np.einsum("jkl,l->jk", f, a), rtol=0, atol=1e-15)
         np.testing.assert_allclose(sym @ v, dot_sym(t, v, a), rtol=0, atol=1e-14)
         np.testing.assert_allclose(skew @ v, cross(t, v, a), rtol=0, atol=1e-14)
         c = a + 1j * b
-        for tensor, dense in (("d", t.d), ("f", t.f)):
+        for tensor, dense in (("d", d), ("f", f)):
             got, re, im = (product_matrix(t, tensor, x) for x in (c, a, b))
             assert got.dtype == np.complex128
             np.testing.assert_array_equal(got, re + 1j * im)
@@ -271,41 +278,7 @@ def test_structure_constants_sparsity():
         assert j < k < l and abs(v) > 1e-13
     for j, k, l, v in t.d_entries:
         assert j <= k <= l and abs(v) > 1e-13
-    assert structure_constants(cached_algebra(2)[0]).f[0, 1, 2] == 1.0
-
-
-def loop_canonicalization(basis):
-    """Oracle for ``structure_constants``: the dense trace formulas,
-    Tr(L_j L_k L_l) over every index triple, canonicalized element by element."""
-    g = basis.matrices
-    dim = basis.dim
-    prod = np.einsum("jab,kbc->jkac", g, g)
-    tr3 = np.einsum("jkab,lba->jkl", prod, g)
-    f_raw = ((tr3 - tr3.transpose(1, 0, 2)) / 4j).real
-    d_raw = ((tr3 + tr3.transpose(1, 0, 2)) / 4.0).real
-    f_entries = []
-    for j, k, l in itertools.combinations(range(dim), 3):
-        v = f_raw[j, k, l]
-        if abs(v) >= SPARSE_THRESHOLD:
-            f_entries.append((j + 1, k + 1, l + 1, float(v)))
-    d_entries = []
-    for j, k, l in itertools.combinations_with_replacement(range(dim), 3):
-        v = d_raw[j, k, l]
-        if abs(v) >= SPARSE_THRESHOLD:
-            d_entries.append((j + 1, k + 1, l + 1, float(v)))
-    f = np.zeros((dim, dim, dim))
-    for j, k, l, v in f_entries:
-        j, k, l = j - 1, k - 1, l - 1
-        for (a, b, c), sgn in (
-            ((j, k, l), 1.0), ((k, l, j), 1.0), ((l, j, k), 1.0),
-            ((k, j, l), -1.0), ((j, l, k), -1.0), ((l, k, j), -1.0),
-        ):
-            f[a, b, c] = sgn * v
-    d = np.zeros((dim, dim, dim))
-    for j, k, l, v in d_entries:
-        for a, b, c in set(itertools.permutations((j - 1, k - 1, l - 1))):
-            d[a, b, c] = v
-    return f, d, tuple(f_entries), tuple(d_entries)
+    assert structure_constants(build_basis(2)).f_entries == ((1, 2, 3, 1.0),)
 
 
 def dense_coo(tensor):
@@ -327,7 +300,6 @@ def test_structure_constants_match_loop_canonicalization(n):
         for column, expected in zip(ours, dense_coo(dense), strict=True):
             assert column.dtype == expected.dtype
             assert column.tobytes() == expected.tobytes()
-    assert np.array_equal(t.f, f) and np.array_equal(t.d, d)
     assert t.f_entries == f_entries and t.d_entries == d_entries
     for ours, theirs in ((t.f_entries, f_entries), (t.d_entries, d_entries)):
         for row, expected in zip(ours, theirs):
@@ -365,8 +337,8 @@ def test_structure_constants_on_a_rotated_basis(n):
 
 
 def test_compose_and_similarity_build_no_dense_tensor():
-    """The contractions and the adjoint kernel read the index arrays only;
-    f and d are derived on demand."""
+    """The contractions and the adjoint kernel read the index arrays only,
+    and no dense f or d exists to read."""
     basis = build_basis(8)
     t = structure_constants(basis)
     assert [field.name for field in dataclasses.fields(t)] == ["n", "f_coo", "d_coo"]
@@ -376,7 +348,7 @@ def test_compose_and_similarity_build_no_dense_tensor():
     similarity(t, basis, m, nvec)
     build_adjoint_kernel(t, linearize_fn(t, basis, m).conj())
     assert "f" not in vars(t) and "d" not in vars(t)
-    assert t.f is t.f and "f" in vars(t)
+    assert not any(hasattr(x, name) for x in (t, StructureTensors) for name in "fd")
 
 
 def rowwise_unique_coo(entries, sign):

@@ -19,7 +19,7 @@ from sunbch import (
 )
 from sunbch.errors import ConstraintViolationError
 
-from conftest import dense_conjugate, dense_exp, seeded_samples
+from conftest import dense_conjugate, dense_exp, seeded_samples, trace_tensors
 
 HALF_PI = np.pi / 2.0
 
@@ -279,15 +279,16 @@ def test_adjoint_kernel_shapes(algebra3):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_adjoint_kernel_matches_dense_contraction(n):
     """K+- from the index-array matrices against contracting the dense
-    tensors with the complex mu, K+- = mu0 I + d.mu +- i f.mu (f.mu_jl =
-    f_jkl mu_k)."""
+    trace oracle with the complex mu, K+- = mu0 I + d.mu +- i f.mu
+    (f.mu_jl = f_jkl mu_k)."""
     basis, t = cached_algebra(n)
+    f, d = trace_tensors(n)
     eye = np.eye(t.dim)
     for m in seeded_samples(basis, 140 + n, 5):
         mu = linearize_fn(t, basis, m).conj()
         kernel = build_adjoint_kernel(t, mu)
-        sym = np.einsum("jkl,k->jl", t.d, mu.vector)
-        skew = np.einsum("jkl,k->jl", t.f, mu.vector)
+        sym = np.einsum("jkl,k->jl", d, mu.vector)
+        skew = np.einsum("jkl,k->jl", f, mu.vector)
         np.testing.assert_allclose(kernel.kplus, mu.scalar * eye + sym + 1j * skew, rtol=0, atol=1e-15)
         np.testing.assert_allclose(kernel.kminus, mu.scalar * eye + sym - 1j * skew, rtol=0, atol=1e-15)
 

@@ -2,8 +2,13 @@
 ``perfbench/tracer.py``; each must still exist where it is named."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import sunbch
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -23,3 +28,13 @@ def test_traced_names_resolve():
         missing += [f"{mod}.{fn}" for fn in fns if not callable(getattr(module, fn, None))]
     assert missing == []
     assert set(tracer.FAILURE_SITES) <= set(tracer.NAMES)
+
+
+def test_traced_modules_load_with_the_cli():
+    """The benchmark imports `sunbch` and `sunbch.cli`, then wraps the
+    traced functions of each module it finds in ``sys.modules``."""
+    modules = [f"sunbch.{mod}" for mod in load_tracer().TRACED]
+    script = f"import sys, sunbch, sunbch.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(sunbch.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert child.returncode == 0 and child.stdout == "[]\n"

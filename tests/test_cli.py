@@ -438,6 +438,17 @@ def run_checkout_python(*args):
     )
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_overflow_refusal_is_all_of_stderr(n):
+    """`python -m sunbch` writes the refusal of m = 1e200 L1 as the whole of
+    stderr, one JSON document, with no floating-point warning before it."""
+    dim = n * n - 1
+    m, nvec = json.dumps([1e200] + [0.0] * (dim - 1)), json.dumps([0.0] * dim)
+    child = run_checkout_python("-m", "sunbch", "compose", "--n", str(n), "--m", m, "--nvec", nvec)
+    assert child.returncode == 3 and child.stdout == ""
+    assert json.loads(child.stderr)["error"] == "constraint-violation"
+
+
 def test_console_script_entry_point():
     script = run_console_script("basis", "--n", "2", "--emit", "f")
     assert script.returncode == 0
@@ -449,8 +460,7 @@ def test_console_script_entry_point():
 
 
 def test_import_leaves_verification_suite_unloaded():
-    # The suite and its LU module load with `sunbch.verify` (the CLI's
-    # `verify`), not with the package.
+    # The suite and the LU module load with the CLI, not with the package.
     child = run_checkout_python(
         "-c",
         "import sys, sunbch; "

@@ -745,11 +745,12 @@ def test_exp_divided_differences_unit_c_values_pinned():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cayley_front_powers_match_matrix_power(n):
-    """The doubling table's rows are u**0 .. u**(N-1) within rounding."""
+    """The doubling table's rows, which ``eig_unitary``, the values-only
+    logarithm and ``char_poly`` read, are u**0 .. u**(N-1) within rounding."""
     basis, _ = cached_algebra(n)
     for coords in seeded_samples(basis, 700 + n, 5):
         u = dense_exp(basis, coords)
-        powers = spectral._cayley_front(u)[0]
+        powers = spectral._powers_and_poly(u)[0]
         assert powers.shape == (n, n * n)
         for k in range(n):
             np.testing.assert_allclose(

@@ -6,6 +6,8 @@ import pytest
 from sunbch import cached_algebra
 from sunbch.verify import _PROPERTIES, RunConfig, _jacobi_fd, _jacobi_ff, run_suite
 
+from conftest import trace_tensors
+
 
 def test_small_run_passes():
     report = run_suite(RunConfig(n=3, seed=7, trials=10))
@@ -98,10 +100,11 @@ def test_checks_count_trials_or_index_combinations(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_jacobi_residuals_match_three_contractions(n):
-    """One contraction and two transposes give, bit for bit, the sum of the
-    three cyclic contractions written out."""
+    """The residuals summed over the index arrays agree with the three
+    cyclic contractions of the dense trace oracle written out, within
+    1e-15, and every slot they leave out is exactly zero there."""
     basis, t = cached_algebra(n)
-    f, d = t.f, t.d
+    f, d = trace_tensors(n)
     ff = (
         np.einsum("klm,mpq->klpq", f, f)
         + np.einsum("lpm,mkq->klpq", f, f)
@@ -112,20 +115,26 @@ def test_jacobi_residuals_match_three_contractions(n):
         + np.einsum("kqm,mpl->klpq", f, d)
         + np.einsum("kpm,mlq->klpq", f, d)
     )
-    assert np.array_equal(_jacobi_ff(basis, t), np.abs(ff).ravel())
-    assert np.array_equal(_jacobi_fd(basis, t), np.abs(fd).ravel())
+    for check, dense in ((_jacobi_ff, ff), (_jacobi_fd, fd)):
+        checks, slots, residuals = check(basis, t)
+        assert checks == dense.size and np.all(np.diff(slots) > 0)
+        np.testing.assert_allclose(residuals, np.abs(dense.ravel()[slots]), rtol=0, atol=1e-15)
+        assert not np.delete(dense.ravel(), slots).any()
 
 
-@pytest.mark.parametrize("check", [_jacobi_ff, _jacobi_fd])
-def test_jacobi_checks_hold_two_dim4_arrays(check):
-    """Each Jacobi check peaks at the contraction and one sum, two dim**4
-    float64 arrays: 24 MB at N = 6, 252 MB at N = 8."""
-    basis, t = cached_algebra(6)
-    t.f, t.d  # build the cached dense tensors, dim**3 each, before tracing
+EXHAUSTIVE = {name: check for name, check, per_trial, _ in _PROPERTIES if not per_trial}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE)
+def test_exhaustive_check_stays_below_one_dim4_array(name):
+    """At N = 8 each exhaustive check holds less than one dim**4 float64
+    array (126 MB): the identities run on the index arrays."""
+    basis, t = cached_algebra(8)
+    t.scatter  # build the cached scatter lists before tracing
     tracemalloc.start()
     try:
-        check(basis, t)
+        EXHAUSTIVE[name](basis, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * basis.dim**4 * 8
+    assert peak < basis.dim**4 * 8
