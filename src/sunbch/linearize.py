@@ -12,7 +12,7 @@ eigenvalues l1 <= ... <= lN of M,
 
 which is exact on any spectrum of the diagonalizable M: with a repeated
 eigenvalue it is the Hermite interpolant, which agrees with f there too.
-Its divided differences are the first row of exp(c B) for the bidiagonal
+Its divided differences are the first row of exp(-iB) for the bidiagonal
 matrix B of the eigenvalues and ones (Opitz), so the eigenvalues are all
 the spectral input it needs: no eigenvectors, and no Vandermonde system to
 solve.  For N <= 4 even those come without iteration: the power sums
@@ -119,11 +119,11 @@ LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 # eps / |p_u'(z_k)| and the divided differences of the Newton form lose
 # as much, so an answered R stays within about 2e-13 of exact.  A phase
 # pair straddling the cut at pi loses more, since R's values there lie
-# nearly 2 pi apart at close points (measured up to 6e-12, at N = 3).  TIE_CUT: the 2 pi shift boundary falls between two
-# phases closer than this, so R takes values 2 pi apart at two close
-# points and the error grows like 3e-15 / gap**2 (measured 3e-13 at a
-# gap of 0.1, 3e-11 at 0.01, where ``log_coords`` errs by 3e-14 and
-# 3e-13).
+# nearly 2 pi apart at close points (measured up to 6e-12, at N = 3).
+# TIE_CUT: the 2 pi shift boundary falls between two phases closer than
+# this, so R takes values 2 pi apart at two close points and the error
+# grows like 3e-15 / gap**2 (measured 3e-13 at a gap of 0.1, 3e-11 at
+# 0.01, where ``log_coords`` errs by 3e-14 and 3e-13).
 CHORD_CUT = 1e-3
 TIE_CUT = 0.1
 
@@ -262,7 +262,7 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     oracle in the test suite.
     """
     (m,) = _check_coords(t.dim, m)
-    f0, fvec = _newton_form(t, basis, m, lambda lam: exp_divided_differences(lam, -1j))
+    f0, fvec = _newton_form(t, basis, m, exp_divided_differences)
     return LinearElement(complex(f0), fvec)
 
 

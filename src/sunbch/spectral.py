@@ -7,11 +7,12 @@ by a power of two, which is exact.  Characteristic polynomials come from
 the traces of a matrix's powers by Newton's identities
 (``_power_sum_poly``), and divided differences come from Taylor series
 of Opitz's bidiagonal matrix, summed row by row in one loop,
-``_taylor_rows``: exp's (scaled and squared for widely spread points) and
-arcsin's.  ``_taylor_rows`` runs over Python scalars: at desk scale
-(N <= 8) a numpy call costs more in dispatch than its few dozen flops.
-The monomial coefficients of exp(-iM) expand the Newton form of exp's
-divided differences, so no Vandermonde system is solved anywhere.
+``_taylor_rows``: exp(-ix)'s (scaled and squared for widely spread
+points) and arcsin's.  ``_taylor_rows`` runs over Python scalars: at
+desk scale (N <= 8) a numpy call costs more in dispatch than its few
+dozen flops.  The monomial coefficients of exp(-iM) expand the Newton
+form of exp(-ix)'s divided differences, so no Vandermonde system is
+solved anywhere.
 
 For N <= 4 the eigenvalues of a traceless M need no iteration:
 ``eigvals_from_power_sums`` reads them off the characteristic polynomial,
@@ -67,8 +68,8 @@ GAP_TOL = 1e-9
 # ``char_poly`` refuses larger input, and ``verify``'s run configuration
 # and the CLI's --n read it.
 MAX_N = 8
-# Largest |c| times half-spread that exp_divided_differences sums without
-# squaring: the series then loses at most exp(pi) ~ 23 roundoffs, and every
+# Largest half-spread that exp_divided_differences sums without squaring:
+# the series then loses at most exp(pi) ~ 23 roundoffs, and every
 # spectrum the sampler draws (radius <= 0.9 pi) stays within it.
 TAYLOR_REACH = math.pi
 _ROUNDOFF = 2.0 ** -53
@@ -296,45 +297,37 @@ def _taylor_rows(points, coefficients, count: int) -> list[list]:
     return rows
 
 
-def exp_divided_differences(values, c: complex) -> np.ndarray:
-    """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(c x).
+def exp_divided_differences(values) -> np.ndarray:
+    """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(-ix).
 
-    They are the first row of exp(c B), B the bidiagonal matrix of the
-    points.  The points are shifted to their midpoint first, exp(c B) =
-    exp(c mid) exp(c (B - mid I)), and with s halvings exp(c 2**-s (B -
-    mid I)) = S exp(c P) S**-1, where P has the points (x - mid) 2**-s on
+    They are the first row of exp(-iB), B the bidiagonal matrix of the
+    points.  The points are shifted to their midpoint first, exp(-iB) =
+    exp(-i mid) exp(-i (B - mid I)), and with s halvings exp(-i 2**-s (B -
+    mid I)) = S exp(-iP) S**-1, where P has the points (x - mid) 2**-s on
     its diagonal and ones above it and S = diag(2**(s j)): entry (i, j) of
-    the ``_taylor_rows`` sum of exp(c P), coefficients c**k / k!, is scaled
-    by 2**(-s (j - i)), which is exact.  With half-spread r, term k of
-    entry j is at most |c|**j (|c| r 2**-s)**(k-j) / ((k-j)! j!), and the
-    series loses about exp(|c| r 2**-s) roundoffs of the entry's
-    |c|**j / j! scale to cancellation.  So s is the least count of
-    halvings that brings |c| r 2**-s to TAYLOR_REACH or below, and the
-    scaled sum is squared s times afterwards.  For s = 0 only the first
-    row is summed; otherwise the whole upper triangle is, since squaring
-    needs it.  The series stops once the bound above is below one unit
-    roundoff of the entry's scale.  |c|'s power of two is folded into the
-    points first: with 2**e <= |c| < 2**(e+1), the sum runs on the points
-    x 2**e with c 2**-e, and entry j is scaled back by 2**(e j).  Every
-    step of that is exact, so c**k and P**k stay inside the float range
-    for any |c| whose divided differences do (the callers pass |c| = 1,
-    where e = 0 and the fold changes no bit).  The values are real and
-    finite; anything else raises ValueError.
+    the ``_taylor_rows`` sum of exp(-iP), coefficients (-i)**k / k!, is
+    scaled by 2**(-s (j - i)), which is exact.  With half-spread r, term k
+    of entry j is at most (r 2**-s)**(k-j) / ((k-j)! j!), and the series
+    loses about exp(r 2**-s) roundoffs of the entry's 1 / j! scale to
+    cancellation.  So s is the least count of halvings that brings
+    r 2**-s to TAYLOR_REACH or below, and the scaled sum is squared s
+    times afterwards.  For s = 0 only the first row is summed; otherwise
+    the whole upper triangle is, since squaring needs it.  The series
+    stops once the bound above is below one unit roundoff of the entry's
+    scale.  The values are real and finite; anything else raises
+    ValueError.
     """
-    octave = math.frexp(abs(c))[1] - 1
-    c = complex(math.ldexp(c.real, -octave), math.ldexp(c.imag, -octave))
-    # A point that overflows here fails the finiteness check below.
-    xs = [float(x) * 2.0 ** octave for x in values]
+    xs = [float(x) for x in values]
     n = len(xs)
     lo, hi = min(xs), max(xs)
-    mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo) * abs(c)
+    mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if not math.isfinite(mid + reach):
         raise ValueError("divided differences need finite points")
     squarings = 0
     while reach > TAYLOR_REACH:
         reach *= 0.5
         squarings += 1
-    # Terms of the series of exp(|c| r 2**-s) are below one roundoff after
+    # Terms of the series of exp(r 2**-s) are below one roundoff after
     # `extra` steps; entry j of row i starts at step j - i.
     extra, size = 0, 1.0
     while size > _ROUNDOFF:
@@ -342,25 +335,19 @@ def exp_divided_differences(values, c: complex) -> np.ndarray:
         size *= reach / extra
     coefficients = [1.0 + 0j]
     for k in range(1, n + extra):
-        coefficients.append(coefficients[-1] * c / k)
+        coefficients.append(coefficients[-1] * -1j / k)
     scale = 0.5 ** squarings
     rows = _taylor_rows([(x - mid) * scale for x in xs], coefficients, n if squarings else 1)
     if not squarings:
-        row = np.exp(c * mid) * np.array(rows[0])
-    else:
-        d = np.arange(n)
-        e = np.array(rows) * np.ldexp(1.0, squarings * np.minimum(d[:, None] - d, 0))
-        for _ in range(squarings - 1):
-            e = e @ e
-        row = np.exp(c * mid) * (e[0] @ e)
-    if octave:
-        weights = np.ldexp(1.0, octave * np.arange(n))
-        row.real *= weights
-        row.imag *= weights
-    return row
+        return np.exp(-1j * mid) * np.array(rows[0])
+    d = np.arange(n)
+    e = np.array(rows) * np.ldexp(1.0, squarings * np.minimum(d[:, None] - d, 0))
+    for _ in range(squarings - 1):
+        e = e @ e
+    return np.exp(-1j * mid) * (e[0] @ e)
 
 
-def arcsin_divided_differences(values, offset: float = 0.0) -> list[float]:
+def arcsin_divided_differences(values, offset: float) -> list[float]:
     """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of
     f(x) = arcsin(offset + x).
 
@@ -573,12 +560,12 @@ def apply_spectral(spec: SpectralDecomposition, fn) -> np.ndarray:
 def _exp_newton(eigenvalues) -> tuple[list[float], list[complex]]:
     """The points of a simple spectrum and the divided differences of
     exp(-ix) over them, as Python lists.  exp(-ix) is the one function the
-    Newton-form routes evaluate: on real points those of exp(+ix) are the
-    complex conjugates, bit for bit."""
+    Newton-form routes evaluate: exp(+iM) is ``linearize_fn(...).conj()``,
+    and nothing evaluates exp(+ix)."""
     vals = np.asarray(eigenvalues)
     _require_simple_spectrum(vals)
     lam = vals.tolist()
-    return lam, exp_divided_differences(lam, -1j).tolist()
+    return lam, exp_divided_differences(lam).tolist()
 
 
 def _newton_monomials(points: list, newton: list) -> list:

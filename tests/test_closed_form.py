@@ -174,12 +174,12 @@ def test_arcsin_divided_differences_small_cases():
     assert got[0] == pytest.approx(math.asin(0.15), rel=1e-15)
     assert got[1] == pytest.approx((math.asin(0.5) - math.asin(0.15)) / (b - a), rel=1e-14)
     x = -0.3
-    got = arcsin_divided_differences([x, x, x])
+    got = arcsin_divided_differences([x, x, x], 0.0)
     assert got[1] == pytest.approx(1.0 / math.sqrt(1.0 - x * x), rel=1e-15)
     assert got[2] == pytest.approx(0.5 * x / (1.0 - x * x) ** 1.5, rel=1e-14)
     for points in ([0.0, 0.95], [1.0], [0.2, 0.3, float("nan")]):
         with pytest.raises(ValueError):
-            arcsin_divided_differences(points)
+            arcsin_divided_differences(points, 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

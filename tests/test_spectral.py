@@ -593,10 +593,12 @@ def test_taylor_rows_rescaled_as_for_squaring(n, c):
         assert np.max(np.abs(got - ref)) < 1e-13
 
 
-@pytest.mark.parametrize("c", [-1j, 1j])
+# The exp_divided_differences tests take c = -i as a parameter so that their
+# references read as exp(c x).
+@pytest.mark.parametrize("c", [-1j])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_exp_divided_differences_match_scipy(n, c):
-    """The first row of exp(c B) for the Opitz bidiagonal B, against expm.
+    """The first row of exp(-iB) for the Opitz bidiagonal B, against expm.
 
     Scales past pi take the scaling-and-squaring path.  There the phase
     c x of a point carries about |x| roundoffs, in expm as here, so the
@@ -606,34 +608,18 @@ def test_exp_divided_differences_match_scipy(n, c):
     for scale in (1e-8, 1e-4, 1e-2, 1.0, 2.0 * np.pi, 20.0, 1e3):
         for _ in range(5):
             points = np.sort(rng.uniform(-scale, scale, n))
-            got = exp_divided_differences(points, c)
+            got = exp_divided_differences(points)
             ref = scipy.linalg.expm(c * bidiagonal(points))[0]
             # Entry k is at most 1/k! in size, |f^(k)| being 1 on the reals.
             weights = [1.0 / math.factorial(k) for k in range(n)]
             assert np.max(np.abs(got - ref) / weights) < max(1e-13, 1e-15 * scale)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_exp_divided_differences_conjugate_pair(n):
-    """exp(+ix)'s divided differences are the complex conjugates of
-    exp(-ix)'s, bit for bit, on spreads from 1e-8 to 3000 (past pi the
-    squaring path): the Newton-form routes evaluate exp(-ix) only and
-    conjugate for exp(+ix)."""
-    rng = np.random.default_rng(61 + n)
-    for spread in (1e-8, 1e-4, 1e-2, 1.0, np.pi, 20.0, 1e3, 3e3):
-        for _ in range(10):
-            low = rng.uniform(-spread, spread)
-            points = np.sort(low + rng.uniform(0.0, spread, n))
-            plus = exp_divided_differences(points, 1j)
-            minus = exp_divided_differences(points, -1j)
-            assert plus.tobytes() == np.conj(minus).tobytes(), (spread, points)
-
-
-@pytest.mark.parametrize("c", [-1j, 1j])
+@pytest.mark.parametrize("c", [-1j])
 def test_exp_divided_differences_two_wide_points(c):
     """f[a, b] = (f(a) - f(b)) / (a - b) for points about 2e3 apart."""
     for a, b in ((-1e3, 1e3), (-812.5, 1377.25), (3000.0, 0.0)):
-        got = exp_divided_differences([a, b], c)
+        got = exp_divided_differences([a, b])
         assert got[0] == pytest.approx(np.exp(c * a), abs=1e-12)
         expected = (np.exp(c * a) - np.exp(c * b)) / (a - b)
         assert abs(got[1] - expected) < 1e-15
@@ -642,85 +628,33 @@ def test_exp_divided_differences_two_wide_points(c):
 def test_exp_divided_differences_rejects_nonfinite():
     for points in ([0.0, np.inf], [np.nan, 1.0], [-1e308, 1e308]):
         with pytest.raises(ValueError):
-            exp_divided_differences(points, -1j)
+            exp_divided_differences(points)
 
 
-@pytest.mark.parametrize("c", [-1j, 1j])
+@pytest.mark.parametrize("c", [-1j])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_exp_divided_differences_confluent(n, c):
     """f[x, ..., x] (k + 1 copies) = c**k exp(c x) / k!."""
     for x in (0.0, 0.3, -2.5):
-        got = exp_divided_differences([x] * n, c)
+        got = exp_divided_differences([x] * n)
         expected = [c**k * np.exp(c * x) / math.factorial(k) for k in range(n)]
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("c", [-1j, 1j])
+@pytest.mark.parametrize("c", [-1j])
 def test_exp_divided_differences_two_points(c):
     """f[a, b] = (f(a) - f(b)) / (a - b) for well-separated points."""
     for a, b in ((-1.0, 0.5), (0.25, 2.0), (-3.0, 2.9)):
-        got = exp_divided_differences([a, b], c)
+        got = exp_divided_differences([a, b])
         assert got[0] == pytest.approx(np.exp(c * a), abs=1e-15)
         expected = (np.exp(c * a) - np.exp(c * b)) / (a - b)
         assert got[1] == pytest.approx(expected, rel=1e-14)
 
 
-def mp_exp_divided_differences(points, c, digits=80):
-    """f[x1], f[x1, x2], ..., f[x1..xn] of exp(c x) by the recursive table,
-    at ``digits`` digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(digits):
-        xs = [mpmath.mpf(float(x)) for x in points]
-        column = [mpmath.exp(mpmath.mpc(c) * x) for x in xs]
-        out = [complex(column[0])]
-        for j in range(1, len(xs)):
-            column = [(b - a) / (xs[i + j] - xs[i]) for i, (a, b) in enumerate(zip(column, column[1:]))]
-            out.append(complex(column[0]))
-    return np.array(out)
-
-
-@pytest.mark.parametrize("size", [1e12, 1e11, 3e-9, 1e-10])
-def test_exp_divided_differences_extreme_c_against_mpmath(size):
-    """|c| far from 1 at N = 8: the points' spread runs from 1e-3 to 1e6 of
-    1/|c|, where c**k / k! or the powers of the points would leave the
-    float range unless |c|'s power of two is folded into the points.
-    Entry j is about |c|**j / j! in size."""
-    rng = np.random.default_rng(43)
-    weights = np.array([size**j / math.factorial(j) for j in range(8)])
-    for c in (-1j * size, 1j * size):
-        for spread in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6):
-            points = np.sort(0.3 + rng.uniform(0.0, spread, 8)) / size
-            got = exp_divided_differences(points, c)
-            reference = mp_exp_divided_differences(points, c)
-            assert np.max(np.abs(got - reference) / weights) < max(1e-13, 1e-15 * spread)
-
-
-@pytest.mark.parametrize("n", [2, 5, 8])
-def test_exp_divided_differences_octave_fold_is_exact(n):
-    """With c = +-i 2**k, the result is that of c = +-i on the points times
-    2**k, entry j times 2**(k j), bit for bit, on the spreads of the
-    conjugate-pair test (past pi the squaring path)."""
-    rng = np.random.default_rng(61 + n)
-    weights = np.ldexp(1.0, np.arange(n))
-    for spread in (1e-8, 1e-4, 1e-2, 1.0, np.pi, 20.0, 1e3, 3e3):
-        low = rng.uniform(-spread, spread)
-        points = np.sort(low + rng.uniform(0.0, spread, n))
-        for c in (-1j, 1j):
-            for k in (-30, -1, 3, 40):
-                got = exp_divided_differences(points, c * 2.0**k)
-                unit = exp_divided_differences(np.ldexp(points, k), c)
-                assert got.real.tobytes() == (unit.real * weights**k).tobytes()
-                assert got.imag.tobytes() == (unit.imag * weights**k).tobytes()
-    # A point whose phase c x overflows is refused, as at |c| = 1.
-    with pytest.raises(ValueError):
-        exp_divided_differences([0.0, 1e300], 1j * 2.0**40)
-
-
 def test_exp_divided_differences_unit_c_values_pinned():
-    """At |c| = 1 the power-of-two fold changes nothing: on points
-    symmetric about 0 (so exp(c mid) = 1 exactly and every step is
-    IEEE arithmetic on Python floats) the entries are those the
-    unfolded routine gave, bit for bit."""
+    """On points symmetric about 0 (so exp(-i mid) = 1 exactly and every
+    step is IEEE arithmetic on Python floats) the entries are pinned bit
+    for bit: any change to the series' arithmetic shows here."""
     pinned = {
         (-0.75, -0.25, 0.125, 0.75): [
             ("0x1.769fec655211fp-1", "0x1.5cffc16bf8f0dp-1"),
@@ -738,9 +672,8 @@ def test_exp_divided_differences_unit_c_values_pinned():
     }
     for points, entries in pinned.items():
         expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in entries]
-        minus = exp_divided_differences(list(points), -1j)
-        assert minus.tobytes() == np.array(expected).tobytes()
-        assert exp_divided_differences(list(points), 1j).tobytes() == np.conj(minus).tobytes()
+        got = exp_divided_differences(list(points))
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
