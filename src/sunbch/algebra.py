@@ -28,19 +28,19 @@ then reduces to
 which ``multiply`` alone writes out.
 
 With one argument fixed, each product is linear in the other:
-``product_matrix`` builds the dim x dim matrices D(a) and F(a) with
+``product_matrices`` builds the dim x dim matrices D(a) and F(a) with
 
     D(a) v = v (.) a,   F(a) v = v (x) a,
 
-so a loop that multiplies by the same a many times (the Newton products
-of ``linearize``, the adjoint kernel of ``bch``) pays one matrix-vector
-product per step.
+both at once, so a loop that multiplies by the same a many times (the
+Newton products of ``linearize``, the adjoint kernel of ``bch``) pays one
+matrix-vector product per step.
 
 Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
 is built from T_jkl = Tr(L_j L_k L_l), summed over the generators'
 nonzero entries only, as f = Im T / 2 and d = Re T / 2, and stored once,
 as index arrays of its nonzero entries, one term per unordered pair
-k <= l, which the two products, ``product_matrix`` and the exhaustive
+k <= l, which the two products, ``product_matrices`` and the exhaustive
 tensor identities of ``verify`` run over.  No dense copy is kept.
 
 The dense map and its inverse are one matrix product each with the
@@ -93,9 +93,9 @@ class StructureTensors:
     the nonzero dense entries with k <= l, in lexicographic order, that
     ``cross`` and ``dot_sym`` contract; a value with k == l is halved,
     because the term a_k b_l + a_l b_k counts that slot twice.  The rest
-    is derived from them: the scatter arrays of ``product_matrix``, built
-    on first read and then kept, and the canonical 1-based triples
-    ``f_entries`` (j < k < l) and ``d_entries`` (j <= k <= l).
+    is derived from them: the joint scatter arrays of ``product_matrices``
+    (and their halves, ``terms``), built on first read and then kept, and
+    the canonical 1-based triples ``f_entries`` and ``d_entries``.
     """
 
     n: int
@@ -108,9 +108,15 @@ class StructureTensors:
 
     f_entries = property(lambda self: _canonical(self.f_coo))
     d_entries = property(lambda self: _canonical(self.d_coo))
-    scatter = cached_property(
-        lambda self: {"d": _scatter(self.dim, self.d_coo, 1.0), "f": _scatter(self.dim, self.f_coo, -1.0)}
-    )
+    scatter = cached_property(lambda self: _scatter(self.dim, self.d_coo, self.f_coo))
+
+    def terms(self, tensor: str) -> tuple[np.ndarray, ...]:
+        """``tensor``'s ("d" or "f") half of ``scatter``, its slots in 0 .. dim**2 - 1."""
+        slots, gather, coef = self.scatter
+        split = 2 * len(self.d_coo[0])
+        if tensor == "d":
+            return slots[:split], gather[:split], coef[:split]
+        return slots[split:] - self.dim ** 2, gather[split:], coef[split:]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -143,21 +149,20 @@ def build_basis(n: int) -> GeneratorBasis:
     return GeneratorBasis(n, _freeze(np.stack(mats)))
 
 
-def _scatter(dim: int, coo, sign: float) -> tuple[np.ndarray, ...]:
+def _scatter(dim: int, d_coo, f_coo) -> tuple[np.ndarray, ...]:
     """Flat (row, column) slots, gathered coordinate and coefficient of
-    each term of a matrix t[row, k, l] a_l, for ``product_matrix``; read
-    as (row * dim + k, l, value), the same list is every term of the
-    tensor, which ``verify``'s exhaustive identities contract.
-
-    An entry (row, k, l, value) holds t[row, k, l] = value and
-    t[row, l, k] = sign * value, so it adds value * a_l at (row, k) and
+    each term of the matrices d[row, k, l] a_l, then of f[row, k, l] a_l
+    with slots offset by dim**2, for ``product_matrices``.  An entry
+    (row, k, l, value) holds t[row, k, l] = value and t[row, l, k] =
+    sign * value (-1 for f), so it adds value * a_l at (row, k) and
     sign * value * a_k at (row, l); halving k == l keeps that sum right.
     """
-    rows, k, l, value = coo
-    slots = np.concatenate((rows * dim + k, rows * dim + l))
-    gather = np.concatenate((l, k))
-    coef = np.concatenate((value, sign * value))
-    return _freeze(slots), _freeze(gather), _freeze(coef)
+    slots, gather, coef = [], [], []
+    for (rows, k, l, value), sign, offset in ((d_coo, 1.0, 0), (f_coo, -1.0, dim * dim)):
+        slots += [rows * dim + k + offset, rows * dim + l + offset]
+        gather += [l, k]
+        coef += [value, sign * value]
+    return tuple(_freeze(np.concatenate(x)) for x in (slots, gather, coef))
 
 
 def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:
@@ -237,6 +242,16 @@ def _check_coords(dim: int, *vectors: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _real_coords(dim: int, **named: np.ndarray) -> list[np.ndarray]:
+    """``_check_coords``, then ValueError naming a complex or non-finite vector, with its norm."""
+    out = _check_coords(dim, *named.values())
+    for name, v in zip(named, out):
+        if v.dtype.kind == "c" or not np.isfinite(v).all():
+            norm = np.hypot.reduce(np.abs(v))
+            raise ValueError(f"{name} must be real and finite coordinates, got |{name}| = {norm:.3e}")
+    return out
+
+
 def _row_sum(dim: int, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
     out = np.zeros(dim, dtype=terms.dtype)
     np.add.at(out, rows, terms)
@@ -269,23 +284,23 @@ def dot_sym(t: StructureTensors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_sum(t.dim, rows, value * (a[k] * b[l] + a[l] * b[k]))
 
 
-def product_matrix(t: StructureTensors, tensor: str, a: np.ndarray) -> np.ndarray:
-    """D(a) for ``tensor`` "d", F(a) for "f", at a coordinate vector a.
+def product_matrices(t: StructureTensors, a: np.ndarray) -> np.ndarray:
+    """D(a) and F(a), stacked, at a coordinate vector a.
 
     D(a)_jk = d_jkl a_l and F(a)_jk = f_jkl a_l, so D(a) v = v (.) a and
-    F(a) v = v (x) a for every v.  One ``np.bincount`` over the index
-    arrays builds the matrix in O(nonzeros); no dense tensor is read.  A
-    complex a adds a second one over the imaginary parts of the same
-    gather, D(a) = D(Re a) + i D(Im a), since bincount weights must be real.
+    F(a) v = v (x) a for every v.  One gather and one ``np.bincount`` over
+    the joint scatter list build both in O(nonzeros); no dense tensor is
+    read.  A complex a adds a second bincount over the imaginary parts,
+    D(a) = D(Re a) + i D(Im a), since bincount weights must be real.
     """
     (a,) = _check_coords(t.dim, a)
-    slots, gather, coef = t.scatter[tensor]
+    slots, gather, coef = t.scatter
+    size = 2 * t.dim * t.dim
     picked = a[gather]
-    # Without terms (d at N = 2) bincount returns integers.
-    out = np.bincount(slots, coef * picked.real, minlength=t.dim * t.dim).astype(float, copy=False)
+    out = np.bincount(slots, coef * picked.real, minlength=size)
     if a.dtype.kind == "c":
-        out = out + 1j * np.bincount(slots, coef * picked.imag, minlength=t.dim * t.dim)
-    return out.reshape(t.dim, t.dim)
+        out = out + 1j * np.bincount(slots, coef * picked.imag, minlength=size)
+    return out.reshape(2, t.dim, t.dim)
 
 
 def multiply(t: StructureTensors, a: LinearElement, b: LinearElement) -> LinearElement:

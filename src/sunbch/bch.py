@@ -24,11 +24,11 @@ from .algebra import (
     GeneratorBasis,
     LinearElement,
     StructureTensors,
-    _check_coords,
+    _real_coords,
     algebra_matrix,
     from_matrix,
     multiply,
-    product_matrix,
+    product_matrices,
 )
 from .errors import ConstraintViolationError
 from .linearize import delinearize_exp, exp_matrix, linearize_fn, log_coords
@@ -41,7 +41,7 @@ DIRECT_SCALAR_TOL = 1e-10
 class AdjointKernel:
     """The (N**2-1)-dimensional operators of the conjugation equation.
 
-    K+- = mu0 I + D(mu) -+ i F(mu) with ``algebra.product_matrix``'s
+    K+- = mu0 I + D(mu) -+ i F(mu) with ``algebra.product_matrices``'
     D(mu) v = v (.) mu and F(mu) v = v (x) mu; ``similarity``'s n'
     satisfies K- n = K+ n'.
     """
@@ -54,6 +54,7 @@ def compose_linear(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> LinearElement:
     """Product coordinates of exp(-i m . L) exp(-i n . L), not yet delinearized."""
+    _real_coords(t.dim, nvec=nvec)  # linearize_fn checks m
     return multiply(t, linearize_fn(t, basis, m), linearize_fn(t, basis, nvec))
 
 
@@ -121,10 +122,10 @@ def su2_compose_closed_form(
 def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> AdjointKernel:
     """Assemble K+- from the linearized exp(+i m . L), ``linearize_fn(...).conj()``.
 
-    D(mu) and F(mu) of the complex mu come from ``algebra.product_matrix``,
+    D(mu) and F(mu) of the complex mu come from ``algebra.product_matrices``,
     which reads only the index arrays of f and d, never a dense tensor.
     """
-    sym, skew = (product_matrix(t, tensor, mu.vector) for tensor in ("d", "f"))
+    sym, skew = product_matrices(t, mu.vector)
     eye = np.eye(t.dim)
     return AdjointKernel(
         kplus=mu.scalar * eye + sym - 1j * skew,
@@ -143,9 +144,9 @@ def _conjugate(
     """``similarity``'s n' with its norm drift and mu . n defect.
 
     n' is linear in n, so its rounding scales with |n|: each guard is
-    CONSTRAINT_TOL times max(1, |n|).  A NaN fails every guard.
-    """
-    (m, nvec) = _check_coords(t.dim, m, nvec)
+    CONSTRAINT_TOL times max(1, |n|).  A complex or non-finite m or n is a
+    ValueError."""
+    (nvec,) = _real_coords(t.dim, nvec=nvec)  # linearize_fn checks m
     nu = linearize_fn(t, basis, m)
     mu = nu.conj()
     product = multiply(t, multiply(t, nu, LinearElement(0.0, nvec)), mu)

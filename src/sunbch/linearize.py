@@ -24,9 +24,10 @@ Newton products are real and built in coordinates; with P = s I + v . L,
 
     P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
 
-and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrix``,
-built once per linearization (and giving m (.) m = D(m) m for the power
-sums), so each step is one matrix-vector product.
+and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrices``,
+built once per linearization with F(m) (and giving m (.) m = D(m) m for
+the power sums), so each step is one product of the (dim + 1)-square
+matrix [[0, (2/N) m'], [m, D(m)]] with (s, v), less l (s, v).
 The cross-product term of the full product rule (``algebra.multiply``)
 drops out identically (every product lies in the commutative family
 generated by m under (.)), and that vanishing, v (x) m = F(m) v = 0, is
@@ -50,7 +51,7 @@ Cayley transform H = i (wI + u)(wI - u)**-1, whose eigenvalues are real:
 for N = 3 and 4 in closed form, from u's characteristic polynomial
 mapped by the Cayley substitution to a real polynomial that
 ``spectral.eigvals_from_power_sums`` solves, and otherwise, or where
-that declines, by ``eigvals_hermitian`` on H.  R is the Newton form in u
+that declines, by ``spectral._eigvalsh`` on H.  R is the Newton form in u
 over those eigenvalues (``_log_past_gate``).  That route reads the
 powers of u and its characteristic polynomial from
 ``spectral._powers_and_poly``, the pole w from ``spectral._cayley_pole``
@@ -73,10 +74,10 @@ from .algebra import (
     GeneratorBasis,
     LinearElement,
     StructureTensors,
-    _check_coords,
+    _real_coords,
     algebra_matrix,
     from_matrix,
-    product_matrix,
+    product_matrices,
     to_matrix,
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
@@ -84,6 +85,7 @@ from .spectral import (
     UNITARY_TOL,
     _cayley_hermitian,
     _cayley_pole,
+    _eigvalsh,
     _newton_monomials,
     _powers_and_poly,
     _require_unitary,
@@ -102,8 +104,8 @@ BRANCH_GAP = 1e-9
 REALITY_TOL = 1e-9
 # a . a and its square stay normal floats inside this range, so the power
 # sums of the closed-form spectra (D(a) a and its dot products) neither
-# underflow nor overflow; outside it ``spectral.eigvals_hermitian``, which
-# scales its input by a power of two, takes the eigenvalues from LAPACK.
+# underflow nor overflow; outside it ``spectral._eigvalsh``, which scales
+# its input by a power of two, takes the eigenvalues from LAPACK.
 POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
 # ``delinearize_exp`` takes the values-only logarithm when
 # 2N (1 - Re g0) = sum_k |1 - exp(-i theta_k)|**2 is at most this: each
@@ -145,32 +147,32 @@ _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
 
 
 def _newton_products(
-    t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray
-) -> tuple[list, np.ndarray]:
-    """Coordinates of P_k = (M - x1 I) ... (M - xk I) for k = 0 .. len(shifts).
+    t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray, skew: np.ndarray
+) -> np.ndarray:
+    """The rows (s_k, v_k) of P_k = (M - x1 I) ... (M - xk I) = s_k I + v_k . L
+    for k = 0 .. len(shifts), in one array.
 
-    Returns the list scalars[k] and the stacked array vectors[k] with
-    P_k = scalars[k] I + vectors[k] . L by the rule in the module
-    docstring, each step one product with the caller's D(m) = ``sym``.
-    When there is a step k >= 3, whose cross term F(m) v must vanish,
-    F(m) is built once and one product checks all of them: a residual
+    Each step is (s, v) <- A (s, v) - x (s, v), one product with
+    A = [[0, (2/N) m'], [m, D(m)]], D(m) = ``sym`` (module docstring).
+    When there is a step k >= 3, whose cross term F(m) v must vanish, one
+    stacked product with F(m) = ``skew`` checks all of them: a residual
     that is not below CROSS_RESIDUAL_TOL (a NaN included) raises
     ConstraintViolationError for the first such step.  Step 2 is not
     checked: its v is m, and m (x) m is zero exactly (module docstring).
     """
-    scalars, vectors = [1.0], [np.zeros_like(m)]
+    products = np.zeros((len(shifts) + 1, t.dim + 1))
+    products[0, 0] = 1.0
     if shifts:
-        scalars.append(-shifts[0])
-        vectors.append(m)
-    for shift in shifts[1:]:
-        v, s = vectors[-1], scalars[-1]
-        scalars.append(-shift * s + (2.0 / t.n) * np.dot(v, m))
-        vectors.append(s * m - shift * v + sym @ v)
-    vectors = np.array(vectors)
+        products[1, 0], products[1, 1:] = -shifts[0], m
+    if len(shifts) >= 2:
+        step = np.zeros((t.dim + 1, t.dim + 1))
+        step[0, 1:], step[1:, 0], step[1:, 1:] = (2.0 / t.n) * m, m, sym
+        for k, shift in enumerate(shifts[1:], 1):
+            products[k + 1] = step @ products[k] - shift * products[k]
     if len(shifts) >= 3:
-        # Row j is the cross term of step j + 3, whose v is vectors[j + 2];
+        # Row j is the cross term of step j + 3, whose v is products[j + 2];
         # a stack of matrix-vector products rounds as each one alone does.
-        cross = np.abs(product_matrix(t, "f", m) @ vectors[2:-1, :, None])
+        cross = np.abs(skew @ products[2:-1, 1:, None])
         if not cross.max() < CROSS_RESIDUAL_TOL:
             residual = cross.max(axis=(1, 2))
             j = int(np.argmin(residual < CROSS_RESIDUAL_TOL))
@@ -178,7 +180,7 @@ def _newton_products(
                 f"cross term of product {j + 3} reached {residual[j]:.3e}; "
                 "the commutative-family reduction no longer holds"
             )
-    return scalars, vectors
+    return products
 
 
 def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[LinearElement]:
@@ -186,13 +188,13 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
 
     The powers are the Newton products with every shift 0.
     """
-    (m,) = _check_coords(t.dim, m)
+    (m,) = _real_coords(t.dim, m=m)
     if not 0 <= max_power <= t.n:
         raise ValueError(
             f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
         )
-    sym = product_matrix(t, "d", m)
-    return list(map(LinearElement, *_newton_products(t, m, [0.0] * max_power, sym)))
+    products = _newton_products(t, m, [0.0] * max_power, *product_matrices(t, m))
+    return [LinearElement(p[0], p[1:]) for p in products]
 
 
 def _eigenvalues(
@@ -204,7 +206,7 @@ def _eigenvalues(
     ``eigvals_from_power_sums``, with m (.) m = D(m) m from the caller's
     D(m) = ``sym``, while a . a lies inside POWER_SUM_RANGE.  Outside it,
     where the closed form declines (close or repeated eigenvalues), and
-    for N > 4 ``eigvals_hermitian`` takes them from LAPACK.
+    for N > 4 LAPACK takes them, unguarded (``spectral._eigvalsh``): m is real.
     """
     if t.n <= 4:
         # hypot does not overflow, and a float product overflows to inf
@@ -220,30 +222,28 @@ def _eigenvalues(
             vals = eigvals_from_power_sums(t.n, 2.0 * aa, p3, p4)
             if vals is not None:
                 return vals
-    return eigvals_hermitian(algebra_matrix(basis, m)).tolist()
+    return _eigvalsh(algebra_matrix(basis, m)).tolist()
 
 
 def _newton_form(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, differences):
     """(f0, fvec) of f(m . L) = f0 I + fvec . L, the Newton form over its
     eigenvalues l1 <= ... <= lN with f[l1], ..., f[l1..lN] = differences(l).
-    D(m) is built once (the zero matrix at N = 2) for the power sums of
-    ``_eigenvalues`` and the steps of ``_newton_products``.  A form that is
+    D(m) and F(m) are built once (D(m) is zero at N = 2) for the power sums
+    of ``_eigenvalues`` and the steps of ``_newton_products``.  A form that is
     not finite raises ConstraintViolationError, with |m|: at a huge |m| the
     products or the divided differences overflow, and the checked cross
     terms do not always show it (N <= 3 has none, and an overflowing term
     can vanish by sparsity, as for m along L1 at N = 4)."""
-    sym = product_matrix(t, "d", m)
+    sym, skew = product_matrices(t, m)
     lam = _eigenvalues(t, basis, m, sym)
-    coeffs = differences(lam)
-    scalars, vectors = _newton_products(t, m, lam[:-1], sym)
-    f0, fvec = np.dot(coeffs, scalars), coeffs @ vectors
+    form = np.dot(differences(lam), _newton_products(t, m, lam[:-1], sym, skew))
     # A NaN or inf coordinate makes the sum non-finite.
-    if not cmath.isfinite(f0 + fvec.sum()):
+    if not cmath.isfinite(form.sum()):
         raise ConstraintViolationError(
             f"the Newton form at |m| = {math.hypot(*m.tolist()):.3e} is not finite; "
             "its products or divided differences overflowed"
         )
-    return f0, fvec
+    return form[0], form[1:]
 
 
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
@@ -259,9 +259,9 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     included) is no special case.  The cross term of each Newton step
     from the third on is checked.  The all-matrix route (apply_spectral
     then from_matrix) reproduces the same element and serves as the
-    oracle in the test suite.
+    oracle in the test suite.  A complex or non-finite m is a ValueError.
     """
-    (m,) = _check_coords(t.dim, m)
+    (m,) = _real_coords(t.dim, m=m)
     f0, fvec = _newton_form(t, basis, m, exp_divided_differences)
     return LinearElement(complex(f0), fvec)
 
@@ -361,8 +361,8 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
     POWER_SUM_RANGE; its slope cut declines close roots, whose values the
     rounding of p_u's coefficients would move by eps / |p'|.  N = 2 has no
     such cut (its two roots are +-r), so there, for N > 4, and wherever
-    the closed form declines, ``eigvals_hermitian`` takes the t_k from H
-    (``spectral._cayley_hermitian``), eigenvalues only.  The phases go
+    the closed form declines, ``spectral._eigvalsh`` takes the t_k from the
+    exactly Hermitian H (``spectral._cayley_hermitian``).  The phases go
     through ``_branch_rule``, as in ``log_coords``, which also refuses
     det u != 1 on their sum.  R is the Newton form in u over
     z_k = exp(-i theta_k) of the values theta_k, expanded to monomials
@@ -387,7 +387,7 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
             tau = eigvals_from_power_sums(n, p2, -3.0 * q[n - 3], p4)
             t = None if tau is None else [mean + x for x in tau]
     if t is None:
-        t = eigvals_hermitian(_cayley_hermitian(u, powers, coeffs, w)).tolist()
+        t = _eigvalsh(_cayley_hermitian(u, powers, coeffs, w)).tolist()
     theta = [math.remainder(-2.0 * math.atan(x) - beta, 2.0 * math.pi) for x in t]
     theta, tie_gap = _branch_rule(theta)
     if tie_gap < TIE_CUT:

@@ -1,9 +1,9 @@
 """Spectral machinery for the small dense matrices the package works with.
 
-Hermitian eigenproblems go to LAPACK through ``np.linalg.eigh``, one call
-behind both ``eig_hermitian`` and ``eigvals_hermitian``, so the two return
-the same eigenvalues bit for bit; a matrix of extreme norm is first scaled
-by a power of two, which is exact.  Characteristic polynomials come from
+Hermitian eigenproblems go to LAPACK, ``eig_hermitian`` by ``eigh`` and the
+values-only callers by ``eigvalsh`` (``_eigvalsh``), so the two agree to
+rounding, not bit for bit; a matrix of extreme norm is first scaled by a
+power of two, which is exact.  Characteristic polynomials come from
 the traces of a matrix's powers by Newton's identities
 (``_power_sum_poly``), and divided differences come from Taylor series
 of Opitz's bidiagonal matrix, summed row by row in one loop,
@@ -112,16 +112,9 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvector columns of the Hermitian ``m``
-    by one ``np.linalg.eigh`` call, which reads the lower triangle.
-
-    Outside ``_SAFE_NORM2`` it runs on m times 2**-e, with 2**e the power of
-    two just above m's largest real or imaginary part, and the eigenvalues
-    are scaled back.  That is exact, so the results are those of the
-    normal-range matrix, bit for bit.  A non-finite or non-Hermitian input
-    raises ValueError, a LAPACK failure ConvergenceError.
-    """
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """The public entries' guard: ``m`` as a complex square matrix, or
+    ValueError unless it is finite and Hermitian within HERMITIAN_TOL."""
     m = _square(m)
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
     # fails the guard.
@@ -132,41 +125,51 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not finite and Hermitian within {HERMITIAN_TOL:g}: "
             f"m - m' reached {defect:.3e}"
         )
+    return m
+
+
+def _lapack(solver, m: np.ndarray):
+    """``solver(m)`` (``np.linalg.eigh`` or ``eigvalsh``) and the e to scale its eigenvalues
+    back by: outside ``_SAFE_NORM2`` m is scaled by 2**-e, 2**e just above its largest part,
+    exactly.  A non-finite entry is a ValueError, a LAPACK failure ConvergenceError."""
     e = 0
     if not _SAFE_NORM2[0] < np.vdot(m, m).real < _SAFE_NORM2[1]:
         parts = np.ascontiguousarray(m).view(float)
-        _, e = math.frexp(np.abs(parts).max())
+        peak = np.abs(parts).max()
+        if not math.isfinite(peak):
+            raise ValueError(f"matrix is not finite: an entry reached {peak}")
+        _, e = math.frexp(peak)
         m = np.ldexp(parts, -e).view(complex)
     try:
-        vals, vecs = np.linalg.eigh(m)
+        return solver(m), e
     except np.linalg.LinAlgError as exc:
         norm = math.ldexp(float(np.linalg.norm(m)), e)
         raise ConvergenceError(
             f"Hermitian eigensolver failed at N = {m.shape[0]}, ||m||_F = {norm:.3e}: {exc}"
         ) from exc
-    return (np.ldexp(vals, e) if e else vals), vecs
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the complex Hermitian square ``m`` by LAPACK's
+    eigenvalues-only driver, pre-scaled by ``_lapack``; no Hermitian test."""
+    vals, e = _lapack(np.linalg.eigvalsh, m)
+    return np.ldexp(vals, e) if e else vals
 
 
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by LAPACK's Hermitian solver
-    (``np.linalg.eigh``).
-
-    A matrix of extreme norm (entries beyond about 2**+-300) is first scaled
-    by a power of two, which is exact, so its eigenvalues are those of the
-    normal-range matrix times that power and its eigenvectors the same, bit
-    for bit.  A non-finite or non-Hermitian input raises ValueError, a
-    solver failure ConvergenceError with N and ||m||_F.  Eigenvalues are
-    returned real and ascending; ``eigvals_hermitian`` returns the same ones
-    bit for bit.
-    """
-    return SpectralDecomposition(*_eigh(m))
+    """Diagonalize a Hermitian matrix by ``np.linalg.eigh``, pre-scaled by
+    ``_lapack`` (so extreme norms are diagonalized alike, bit for bit), into
+    real ascending eigenvalues and their vectors.  A non-finite or
+    non-Hermitian input raises ValueError."""
+    (vals, vecs), e = _lapack(np.linalg.eigh, _hermitian(m))
+    return SpectralDecomposition(np.ldexp(vals, e) if e else vals, vecs)
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """The eigenvalues of ``eig_hermitian(m)``, bitwise, without the vectors:
-    all that ``linearize_fn``, ``f0_trace`` and the sampler need.  Both run
-    the same LAPACK call."""
-    return _eigh(m)[0]
+    """``_eigvalsh`` behind ``eig_hermitian``'s guard: all that ``f0_trace``
+    and the sampler need.  Another LAPACK driver than ``eig_hermitian``'s,
+    so the two agree to rounding, not bit for bit."""
+    return _eigvalsh(_hermitian(m))
 
 
 def _cubic_roots(p: float, q: float) -> list[float] | None:
@@ -297,6 +300,12 @@ def _taylor_rows(points, coefficients, count: int) -> list[list]:
     return rows
 
 
+# (-i)**k / k!, c_k = c_(k-1) (-i) / k: the <= N + 29 terms of N <= MAX_N + 3 points.
+_EXP_TAYLOR = [1.0 + 0j]
+for _k in range(1, 2 * MAX_N + 32):
+    _EXP_TAYLOR.append(_EXP_TAYLOR[-1] * -1j / _k)
+
+
 def exp_divided_differences(values) -> np.ndarray:
     """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(-ix).
 
@@ -333,8 +342,8 @@ def exp_divided_differences(values) -> np.ndarray:
     while size > _ROUNDOFF:
         extra += 1
         size *= reach / extra
-    coefficients = [1.0 + 0j]
-    for k in range(1, n + extra):
+    coefficients = _EXP_TAYLOR[:n + extra]
+    for k in range(len(coefficients), n + extra):  # by the table's recurrence
         coefficients.append(coefficients[-1] * -1j / k)
     scale = 0.5 ** squarings
     rows = _taylor_rows([(x - mid) * scale for x in xs], coefficients, n if squarings else 1)

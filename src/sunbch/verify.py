@@ -116,7 +116,7 @@ def _closure(tensor, sign, scale, basis, tensors):
     g, dim = basis.matrices, basis.dim
     prod = np.einsum("jab,kbc->jkac", g, g).reshape(dim, dim, -1)
     bracket = (prod + sign * prod.transpose(1, 0, 2)).reshape(dim * dim, -1)
-    slots, gather, value = tensors.scatter[tensor]
+    slots, gather, value = tensors.terms(tensor)
     recon = np.zeros_like(bracket)
     np.add.at(recon, slots, scale * value[:, None] * g.reshape(dim, -1)[gather])
     recon[:: dim + 1] += (1.0 + sign) * 2.0 / basis.n * np.eye(basis.n).ravel()
@@ -129,14 +129,14 @@ _anticommutator_closure = partial(_closure, "d", 1.0, 2.0)
 
 def _jacobi(a, b, axes, basis, tensors):
     """|sum over ``axes`` of c.transpose(axis)| per reached slot, where
-    c_klpq = sum_m a_klm b_mpq joins the terms of a, read off its scatter
+    c_klpq = sum_m a_klm b_mpq joins the terms of a, read off its ``terms``
     list as (k * dim + l, m, value), with those of b on b's row m.  Each
     transpose relabels the same terms: a term at (k, l, p, q) adds to the
     slot whose index at position i is (k, l, p, q)[axis[i]]."""
     dim, shape = basis.dim, (basis.dim,) * 4
-    slots_a, m, value_a = tensors.scatter[a]
-    order = np.argsort(tensors.scatter[b][0], kind="stable")
-    slots_b, q, value_b = (x[order] for x in tensors.scatter[b])
+    slots_a, m, value_a = tensors.terms(a)
+    order = np.argsort(tensors.terms(b)[0], kind="stable")
+    slots_b, q, value_b = (x[order] for x in tensors.terms(b))
     i, j = _join(slots_b // dim, m)
     terms, inverse = np.unique(slots_a[i] * dim**2 + slots_b[j] % dim * dim + q[j], return_inverse=True)
     c = np.bincount(inverse, value_a[i] * value_b[j])

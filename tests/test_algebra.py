@@ -19,7 +19,7 @@ from sunbch import (
     dot_sym,
     from_matrix,
     multiply,
-    product_matrix,
+    product_matrices,
     random_coords,
     serialize_algebra,
     similarity,
@@ -78,11 +78,11 @@ def test_n3_d888():
 
 def test_tensor_symmetries():
     """The stored tensors, read back densely as t[j, k, l] = the (j, k)
-    entry of ``product_matrix`` at the unit vector e_l, are totally
+    entry of ``product_matrices`` at the unit vector e_l, are totally
     antisymmetric (f) and totally symmetric (d), bit for bit."""
     for n in (2, 3, 4):
         _, t = cached_algebra(n)
-        f, d = (np.stack([product_matrix(t, x, e) for e in np.eye(t.dim)], axis=-1) for x in "fd")
+        d, f = np.stack([product_matrices(t, e) for e in np.eye(t.dim)], axis=-1)
         assert np.array_equal(f, -f.transpose(1, 0, 2))
         assert np.array_equal(f, f.transpose(1, 2, 0))
         assert np.array_equal(d, d.transpose(1, 0, 2))
@@ -175,21 +175,26 @@ def test_product_matrix_matches_dense_tensors(n):
     """D(a) and F(a) from the index arrays against contracting the dense
     trace oracle; D(a) v and F(a) v are the products v (.) a and v (x) a.
     A complex a gives exactly D(Re a) + i D(Im a), and F likewise, each
-    part equal to the real path's matrix."""
+    part equal to the real path's matrix.  The joint scatter sums each
+    slot's terms in the order of its tensor's own half (``terms``), so both
+    matrices equal a bincount over that half alone, bit for bit."""
     _, t = cached_algebra(n)
     f, d = trace_tensors(n)
     rng = np.random.default_rng(200 + n)
     for _ in range(5):
         a, b, v = rng.uniform(-1, 1, (3, t.dim))
-        sym, skew = product_matrix(t, "d", a), product_matrix(t, "f", a)
+        sym, skew = product_matrices(t, a)
         assert sym.dtype == skew.dtype == np.float64
+        for got, tensor in ((sym, "d"), (skew, "f")):
+            slots, gather, coef = t.terms(tensor)
+            alone = np.bincount(slots, coef * a[gather], minlength=t.dim**2).reshape(t.dim, t.dim)
+            assert got.tobytes() == alone.astype(float).tobytes()
         np.testing.assert_allclose(sym, np.einsum("jkl,l->jk", d, a), rtol=0, atol=1e-15)
         np.testing.assert_allclose(skew, np.einsum("jkl,l->jk", f, a), rtol=0, atol=1e-15)
         np.testing.assert_allclose(sym @ v, dot_sym(t, v, a), rtol=0, atol=1e-14)
         np.testing.assert_allclose(skew @ v, cross(t, v, a), rtol=0, atol=1e-14)
         c = a + 1j * b
-        for tensor, dense in (("d", d), ("f", f)):
-            got, re, im = (product_matrix(t, tensor, x) for x in (c, a, b))
+        for got, re, im, dense in zip(*(product_matrices(t, x) for x in (c, a, b)), (d, f)):
             assert got.dtype == np.complex128
             np.testing.assert_array_equal(got, re + 1j * im)
             np.testing.assert_array_equal(got.real, re)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from sunbch import (
     similarity_direct,
     su2_compose_closed_form,
 )
+from sunbch import algebra, linearize
 from sunbch.errors import ConstraintViolationError
 
 from conftest import dense_conjugate, dense_exp, seeded_samples, trace_tensors
@@ -348,3 +350,35 @@ def test_compose_single_generator_1e8_n3():
     nvec = np.zeros(basis.dim)
     nvec[1] = 0.2
     assert np.max(np.abs(compose(t, basis, m, nvec) - compose_direct(basis, m, nvec))) < 1e-7
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["complex", "nan", "inf"])
+@pytest.mark.parametrize("name", ["m", "nvec"])
+def test_bad_coordinates_refused_before_any_matrix(n, kind, name, monkeypatch):
+    """A complex (even with zero imaginary part), NaN or inf m or n gets one
+    answer at every N: ValueError naming the vector and its norm, from
+    linearize_fn, compose and similarity alike, with no dense matrix formed
+    and no floating-point warning (pyproject turns those into errors)."""
+    basis, t = cached_algebra(n)
+    good, bad = seeded_samples(basis, 90 + n, 2)
+    if kind == "complex":
+        bad = bad.astype(complex)
+        norm = np.linalg.norm(bad)
+    else:
+        bad[n] = np.nan if kind == "nan" else np.inf
+        norm = np.nan if kind == "nan" else np.inf
+
+    def dense(*args):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(algebra, "to_matrix", dense)
+    monkeypatch.setattr(linearize, "to_matrix", dense)
+    args = {"m": good, "nvec": good, name: bad}
+    message = "^" + re.escape(f"{name} must be real and finite coordinates, got |{name}| = {norm:.3e}") + "$"
+    for route in (compose, similarity):
+        with pytest.raises(ValueError, match=message):
+            route(t, basis, args["m"], args["nvec"])
+    if name == "m":
+        with pytest.raises(ValueError, match=message):
+            linearize_fn(t, basis, bad)

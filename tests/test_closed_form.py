@@ -20,7 +20,7 @@ from sunbch import (
     from_matrix,
     linearize_fn,
     log_coords,
-    product_matrix,
+    product_matrices,
     random_coords,
     similarity,
     similarity_direct,
@@ -41,7 +41,7 @@ from conftest import dense_exp
 
 def power_sums(t, m):
     """Tr M**2, Tr M**3, Tr M**4 of M = m . L from coordinates."""
-    mm = product_matrix(t, "d", m) @ m
+    mm = product_matrices(t, m)[0] @ m
     aa = float(m @ m)
     return 2.0 * aa, 2.0 * float(mm @ m), (4.0 / t.n) * aa * aa + 2.0 * float(mm @ mm)
 
@@ -120,7 +120,7 @@ def test_closed_form_both_sides_of_the_cut(n, side):
             assert got is not None
         else:
             assert got is None
-            got = _eigenvalues(t, basis, m, product_matrix(t, "d", m))
+            got = _eigenvalues(t, basis, m, product_matrices(t, m)[0])
         assert spectral_error(got, m, basis) <= 1e-13
         checked += 1
     assert checked >= 25
@@ -142,7 +142,7 @@ def test_closed_form_declines_exact_repeats(n, diagonal):
     rng = np.random.default_rng(5)
     for m in (from_matrix(basis, np.diag(diagonal)).vector.real, rotated(basis, diagonal, rng)):
         assert eigvals_from_power_sums(n, *power_sums(t, m)) is None
-        got = _eigenvalues(t, basis, m, product_matrix(t, "d", m))
+        got = _eigenvalues(t, basis, m, product_matrices(t, m)[0])
         assert spectral_error(got, m, basis) <= 1e-13
 
 
@@ -161,7 +161,7 @@ def test_extreme_norms_take_the_fallback(monkeypatch, n, scale):
         raise AssertionError("the closed form was reached")
 
     monkeypatch.setattr(linearize, "eigvals_from_power_sums", refuse)
-    sym = product_matrix(t, "d", m) if n > 2 else None
+    sym = product_matrices(t, m)[0] if n > 2 else None
     assert spectral_error(_eigenvalues(t, basis, m, sym), m, basis) <= 1e-13
 
 

@@ -16,7 +16,7 @@ from sunbch import (
     to_matrix,
 )
 from sunbch import linearize
-from sunbch.algebra import algebra_matrix, product_matrix
+from sunbch.algebra import algebra_matrix, product_matrices
 from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
@@ -108,21 +108,21 @@ def test_newton_cross_guard_fires_on_wide_spectra(algebra4):
 def per_step_cross_refusal(t, basis, m):
     """Reference for the checked cross terms: the message of the first step
     k >= 3 whose residual max |F(m) v| is not below CROSS_RESIDUAL_TOL,
-    stepping one matrix-vector product at a time, or None."""
-    sym, skew = product_matrix(t, "d", m), product_matrix(t, "f", m)
+    stepping (s, v) <- A (s, v) - x (s, v), A = [[0, (2/N) m'], [m, D(m)]],
+    one matrix-vector product at a time, or None."""
+    sym, skew = product_matrices(t, m)
     shifts = linearize._eigenvalues(t, basis, m, sym)[:-1]
-    scalars, vectors = [1.0, -shifts[0]], [np.zeros_like(m), m]
+    step = np.block([[np.zeros((1, 1)), (2.0 / t.n) * m[None, :]], [m[:, None], sym]])
+    rows = [np.concatenate(([1.0], np.zeros_like(m))), np.concatenate(([-shifts[0]], m))]
     for k in range(2, len(shifts) + 1):
-        v, s, shift = vectors[-1], scalars[-1], shifts[k - 1]
         if k >= 3:
-            residual = np.max(np.abs(skew @ v))
+            residual = np.max(np.abs(skew @ rows[-1][1:]))
             if not residual < linearize.CROSS_RESIDUAL_TOL:
                 return (
                     f"cross term of product {k} reached {residual:.3e}; "
                     "the commutative-family reduction no longer holds"
                 )
-        scalars.append(-shift * s + (2.0 / t.n) * np.dot(v, m))
-        vectors.append(s * m - shift * v + sym @ v)
+        rows.append(step @ rows[-1] - shifts[k - 1] * rows[-1])
     return None
 
 

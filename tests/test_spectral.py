@@ -18,7 +18,7 @@ from sunbch import (
 )
 from sunbch.errors import ConvergenceError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
-from sunbch.spectral import _taylor_rows, eigvals_hermitian, exp_divided_differences
+from sunbch.spectral import _eigvalsh, _taylor_rows, eigvals_hermitian, exp_divided_differences
 
 from conftest import dense_exp, seeded_samples
 
@@ -170,10 +170,14 @@ def values_only_inputs():
 
 @pytest.mark.parametrize("index", range(len(values_only_inputs())))
 def test_eigvals_hermitian_bitwise_equal(index):
+    """The eigenvalues-only entry is LAPACK's eigvalsh, bit for bit, and
+    agrees with eig_hermitian's eigh to rounding."""
     m = values_only_inputs()[index]
     got = eigvals_hermitian(m)
     assert got.dtype == np.float64
-    assert got.tobytes() == eig_hermitian(m).eigenvalues.tobytes()
+    assert got.tobytes() == np.linalg.eigvalsh(np.asarray(m, dtype=complex)).tobytes()
+    radius = np.max(np.abs(got), initial=0.0)
+    assert np.max(np.abs(got - eig_hermitian(m).eigenvalues)) <= 1e-14 * radius
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e160])
@@ -213,7 +217,7 @@ def test_eig_hermitian_scaling_is_bitwise():
             far = eig_hermitian(scaled)
             assert far.eigenvalues.tobytes() == np.ldexp(spec.eigenvalues, k).tobytes()
             assert far.eigenvectors.tobytes() == spec.eigenvectors.tobytes()
-            assert eigvals_hermitian(scaled).tobytes() == far.eigenvalues.tobytes()
+            assert eigvals_hermitian(scaled).tobytes() == np.ldexp(eigvals_hermitian(m), k).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -242,8 +246,13 @@ def test_eigvals_hermitian_matches_mpmath(n):
 
 
 def test_eigvals_hermitian_rejects_nonfinite():
-    with pytest.raises(ValueError, match="finite"):
-        eigvals_hermitian(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+    for bad in (np.nan, np.inf):
+        m = np.array([[bad, 1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            eigvals_hermitian(m)
+        # The unguarded LAPACK kernel behind it keeps its own finiteness refusal.
+        with pytest.raises(ValueError, match="not finite"):
+            _eigvalsh(m)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -270,6 +279,7 @@ def test_eig_hermitian_solver_failure_is_convergence_error(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", fail)
+        patch.setattr(np.linalg, "eigvalsh", fail)
         norm = f"||m||_F = {np.linalg.norm(m):.3e}"
         for entry in (eig_hermitian, eigvals_hermitian):
             with pytest.raises(ConvergenceError, match="N = 4") as info:
