@@ -25,17 +25,19 @@ Newton products are real and built in coordinates; with P = s I + v . L,
     P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
 
 and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrices``,
-built once per linearization with F(m) (and giving m (.) m = D(m) m for
-the power sums), so each step is one product of the (dim + 1)-square
+built once per linearization (and giving m (.) m = D(m) m for the power
+sums), so each step is one product of the (dim + 1)-square
 matrix [[0, (2/N) m'], [m, D(m)]] with (s, v), less l (s, v).
 The cross-product term of the full product rule (``algebra.multiply``)
-drops out identically (every product lies in the commutative family
-generated by m under (.)), and that vanishing, v (x) m = F(m) v = 0, is
-asserted for each step from the third on, by one stacked product with
-F(m) once the steps are formed.  At the second step v = m,
-whose cross term m (x) m is exactly zero in floating point (each term is
-f (m_k m_l - m_l m_k)), while F(m) m rounds to about eps |m|**2, so
-checking it there would test only rounding.
+drops out identically: every product lies in the commutative family
+generated by m under (.).  A group element obeys the norm identity
+|f0|**2 + (2/N) |fvec|**2 = Tr(u'u) / N = 1, and ``linearize_fn``
+refuses a form that misses it by more than UNITARY_TOL.  That is the one
+guard of the exp form.  A NaN or inf fails it, and so does the rounding
+of the eigenphases, about |l| eps each, from about |m| = 1e8 on.  The
+identity is necessary, not sufficient, for unitarity, but its defect
+tracked the form's true error within a factor of about ten from
+|m| = 1 to 1e12 at N = 2, 3, 4 and 8.
 ``power_table`` lists the plain powers of M as ``LinearElement``s from
 the same routine, every shift 0; it and the monomial coefficients of
 ``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
@@ -99,7 +101,6 @@ from .spectral import (
     exp_minus_i,
 )
 
-CROSS_RESIDUAL_TOL = 1e-10
 BRANCH_GAP = 1e-9
 REALITY_TOL = 1e-9
 # a . a and its square stay normal floats inside this range, so the power
@@ -146,19 +147,12 @@ def _cayley_rows(n: int) -> list[list[complex]]:
 _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
 
 
-def _newton_products(
-    t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray, skew: np.ndarray
-) -> np.ndarray:
+def _newton_products(t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray) -> np.ndarray:
     """The rows (s_k, v_k) of P_k = (M - x1 I) ... (M - xk I) = s_k I + v_k . L
     for k = 0 .. len(shifts), in one array.
 
     Each step is (s, v) <- A (s, v) - x (s, v), one product with
     A = [[0, (2/N) m'], [m, D(m)]], D(m) = ``sym`` (module docstring).
-    When there is a step k >= 3, whose cross term F(m) v must vanish, one
-    stacked product with F(m) = ``skew`` checks all of them: a residual
-    that is not below CROSS_RESIDUAL_TOL (a NaN included) raises
-    ConstraintViolationError for the first such step.  Step 2 is not
-    checked: its v is m, and m (x) m is zero exactly (module docstring).
     """
     products = np.zeros((len(shifts) + 1, t.dim + 1))
     products[0, 0] = 1.0
@@ -169,31 +163,25 @@ def _newton_products(
         step[0, 1:], step[1:, 0], step[1:, 1:] = (2.0 / t.n) * m, m, sym
         for k, shift in enumerate(shifts[1:], 1):
             products[k + 1] = step @ products[k] - shift * products[k]
-    if len(shifts) >= 3:
-        # Row j is the cross term of step j + 3, whose v is products[j + 2];
-        # a stack of matrix-vector products rounds as each one alone does.
-        cross = np.abs(skew @ products[2:-1, 1:, None])
-        if not cross.max() < CROSS_RESIDUAL_TOL:
-            residual = cross.max(axis=(1, 2))
-            j = int(np.argmin(residual < CROSS_RESIDUAL_TOL))
-            raise ConstraintViolationError(
-                f"cross term of product {j + 3} reached {residual[j]:.3e}; "
-                "the commutative-family reduction no longer holds"
-            )
     return products
 
 
 def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[LinearElement]:
     """The reduced powers (m . L)**k for k = 0 .. ``max_power`` (<= N).
 
-    The powers are the Newton products with every shift 0.
+    The powers are the Newton products with every shift 0.  A power that
+    is not finite (a huge |m| overflows them) raises ConstraintViolationError.
     """
     (m,) = _real_coords(t.dim, m=m)
     if not 0 <= max_power <= t.n:
         raise ValueError(
             f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
         )
-    products = _newton_products(t, m, [0.0] * max_power, *product_matrices(t, m))
+    products = _newton_products(t, m, [0.0] * max_power, product_matrices(t, m)[0])
+    if not np.isfinite(products).all():
+        raise ConstraintViolationError(
+            f"a power of m . L at |m| = {math.hypot(*m.tolist()):.3e} is not finite"
+        )
     return [LinearElement(p[0], p[1:]) for p in products]
 
 
@@ -228,21 +216,13 @@ def _eigenvalues(
 def _newton_form(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, differences):
     """(f0, fvec) of f(m . L) = f0 I + fvec . L, the Newton form over its
     eigenvalues l1 <= ... <= lN with f[l1], ..., f[l1..lN] = differences(l).
-    D(m) and F(m) are built once (D(m) is zero at N = 2) for the power sums
-    of ``_eigenvalues`` and the steps of ``_newton_products``.  A form that is
-    not finite raises ConstraintViolationError, with |m|: at a huge |m| the
-    products or the divided differences overflow, and the checked cross
-    terms do not always show it (N <= 3 has none, and an overflowing term
-    can vanish by sparsity, as for m along L1 at N = 4)."""
-    sym, skew = product_matrices(t, m)
+    D(m) is built once (it is zero at N = 2) for the power sums of
+    ``_eigenvalues`` and the steps of ``_newton_products``.  Nothing is
+    checked here: exp's form is guarded by ``linearize_fn``'s norm
+    identity, and arcsin's input by the unitarity check that precedes it."""
+    sym = product_matrices(t, m)[0]
     lam = _eigenvalues(t, basis, m, sym)
-    form = np.dot(differences(lam), _newton_products(t, m, lam[:-1], sym, skew))
-    # A NaN or inf coordinate makes the sum non-finite.
-    if not cmath.isfinite(form.sum()):
-        raise ConstraintViolationError(
-            f"the Newton form at |m| = {math.hypot(*m.tolist()):.3e} is not finite; "
-            "its products or divided differences overflowed"
-        )
+    form = np.dot(differences(lam), _newton_products(t, m, lam[:-1], sym))
     return form[0], form[1:]
 
 
@@ -256,14 +236,28 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     from ``exp_divided_differences`` (Opitz's bidiagonal exponential),
     which accepts confluent points, so only the eigenvalues are needed,
     never the eigenvectors, and a degenerate spectrum (the zero element
-    included) is no special case.  The cross term of each Newton step
-    from the third on is checked.  The all-matrix route (apply_spectral
+    included) is no special case.  The all-matrix route (apply_spectral
     then from_matrix) reproduces the same element and serves as the
     oracle in the test suite.  A complex or non-finite m is a ValueError.
+
+    The one refusal of the form is its norm identity: unless
+    |f0|**2 + (2/N) |fvec|**2 lies within UNITARY_TOL of 1 (a NaN or inf
+    does not), ConstraintViolationError names |m| and the defect.  Each
+    eigenvalue l carries about |l| eps of rounding into its phase, so at
+    a large enough |m| the form drifts off SU(N) and is refused here.
     """
     (m,) = _real_coords(t.dim, m=m)
     f0, fvec = _newton_form(t, basis, m, exp_divided_differences)
-    return LinearElement(complex(f0), fvec)
+    f0 = complex(f0)
+    # Products, not **, which raises OverflowError on a huge float.
+    norm2 = f0.real * f0.real + f0.imag * f0.imag + (2.0 / t.n) * np.vdot(fvec, fvec).real
+    defect = abs(norm2 - 1.0)
+    if not defect <= UNITARY_TOL:
+        raise ConstraintViolationError(
+            f"exp(-i m . L) at |m| = {math.hypot(*m.tolist()):.3e} is not unitary: its norm "
+            f"identity misses 1 by {defect:.3e}, limit {UNITARY_TOL:g}"
+        )
+    return LinearElement(f0, fvec)
 
 
 def f0_trace(basis: GeneratorBasis, m: np.ndarray, fn) -> complex:

@@ -329,7 +329,9 @@ def exp_divided_differences(values) -> np.ndarray:
     xs = [float(x) for x in values]
     n = len(xs)
     lo, hi = min(xs), max(xs)
-    mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # Halving first is exact for normal points, and keeps finite points'
+    # midpoint and half-spread finite where hi - lo would overflow.
+    mid, reach = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
     if not math.isfinite(mid + reach):
         raise ValueError("divided differences need finite points")
     squarings = 0

@@ -327,16 +327,17 @@ def test_group_inverse_via_compose(algebra3):
 
 @pytest.mark.parametrize("n, scale", [(2, 1e10), (3, 1e10)])
 def test_compose_rounding_out_of_group_is_a_domain_error(n, scale):
-    """At these scales the linearized product drifts out of SU(N) by rounding;
-    that is a ConstraintViolationError, not the ValueError of bad input.
-    (At N = 3 and 1e8 it no longer drifts: see
+    """At these scales the linearized factor drifts out of SU(N) by rounding,
+    and linearize_fn's norm identity refuses it before any product is
+    formed; that is a ConstraintViolationError, not the ValueError of bad
+    input.  (At N = 3 and 1e8 it does not drift: see
     ``test_compose_single_generator_1e8_n3``.)"""
     basis, t = cached_algebra(n)
     m = np.zeros(basis.dim)
     m[0] = scale
     nvec = np.zeros(basis.dim)
     nvec[1] = 0.2
-    with pytest.raises(ConstraintViolationError, match="not in SU"):
+    with pytest.raises(ConstraintViolationError, match="norm identity"):
         compose(t, basis, m, nvec)
 
 

@@ -1,4 +1,4 @@
-import cmath
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from sunbch import (
     LinearElement,
     cached_algebra,
+    compose,
+    compose_direct,
     delinearize_exp,
     eig_hermitian,
     exp_matrix,
@@ -13,10 +15,11 @@ from sunbch import (
     linearize_fn,
     log_coords,
     power_table,
+    similarity,
+    similarity_direct,
     to_matrix,
 )
-from sunbch import linearize
-from sunbch.algebra import algebra_matrix, product_matrices
+from sunbch.algebra import algebra_matrix
 from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
@@ -94,86 +97,97 @@ def test_linearize_exp_matches_scipy(n):
         assert np.max(np.abs(recon - dense_exp(basis, coords).conj().T)) < 1e-9
 
 
-def test_newton_cross_guard_fires_on_wide_spectra(algebra4):
-    """Coordinates uniform in +-100 at N = 4 trip the checked cross term
-    (steps 3 and on) on every draw; the guard must not go quiet."""
-    basis, t = algebra4
-    rng = np.random.default_rng(100)
-    for _ in range(10):
-        m = rng.uniform(-100.0, 100.0, t.dim)
-        with pytest.raises(ConstraintViolationError, match="cross term"):
-            linearize_fn(t, basis, m)
+def agrees_with_oracles(basis, t, m, nvec):
+    """linearize_fn, compose and similarity answer, within 1e-9 max(1, |m|)
+    of their dense oracles (for similarity, max(1, |n|): n' is linear in n)."""
+    scale = max(1.0, float(np.linalg.norm(m)))
+    elem = linearize_fn(t, basis, m)
+    assert np.max(np.abs(to_matrix(basis, elem) - dense_exp(basis, m))) <= 1e-9 * scale
+    r = compose(t, basis, m, nvec)
+    assert np.max(np.abs(r - compose_direct(basis, m, nvec))) <= 1e-9 * scale
+    nprime = similarity(t, basis, m, nvec)
+    want = similarity_direct(basis, m, nvec)
+    assert np.max(np.abs(nprime - want)) <= 1e-9 * max(1.0, float(np.linalg.norm(nvec)))
 
 
-def per_step_cross_refusal(t, basis, m):
-    """Reference for the checked cross terms: the message of the first step
-    k >= 3 whose residual max |F(m) v| is not below CROSS_RESIDUAL_TOL,
-    stepping (s, v) <- A (s, v) - x (s, v), A = [[0, (2/N) m'], [m, D(m)]],
-    one matrix-vector product at a time, or None."""
-    sym, skew = product_matrices(t, m)
-    shifts = linearize._eigenvalues(t, basis, m, sym)[:-1]
-    step = np.block([[np.zeros((1, 1)), (2.0 / t.n) * m[None, :]], [m[:, None], sym]])
-    rows = [np.concatenate(([1.0], np.zeros_like(m))), np.concatenate(([-shifts[0]], m))]
-    for k in range(2, len(shifts) + 1):
-        if k >= 3:
-            residual = np.max(np.abs(skew @ rows[-1][1:]))
-            if not residual < linearize.CROSS_RESIDUAL_TOL:
-                return (
-                    f"cross term of product {k} reached {residual:.3e}; "
-                    "the commutative-family reduction no longer holds"
-                )
-        rows.append(step @ rows[-1] - shifts[k - 1] * rows[-1])
-    return None
-
-
-@pytest.mark.parametrize("n, spread", [(4, 60.0), (8, 3.0)])
-def test_stacked_cross_check_names_the_first_failing_step(n, spread):
-    """Draws at the edge of the cross guard: each is refused or accepted as
-    the step-by-step check decides, with the same step number and residual
-    in the message.  At N = 8 the first failure falls past step 3."""
+@pytest.mark.parametrize("n, spread", [(4, 100.0), (6, 10.0), (8, 3.0)])
+def test_wide_spectra_answer_and_agree(n, spread):
+    """Coordinates uniform in +-spread give spectral radii of 9 to 230, where
+    every Newton step's rounding grows with |P_k| |m|: every draw answers."""
     basis, t = cached_algebra(n)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        agrees_with_oracles(basis, t, *rng.uniform(-spread, spread, (2, t.dim)))
+
+
+def test_n8_answers_along_a_direction_up_to_1e3():
+    """One seeded unit direction at N = 8, from |m| = 1 to 1e3, composed
+    with and conjugating an n of norm 0.3."""
+    basis, t = cached_algebra(8)
     rng = np.random.default_rng(7)
-    refused_at = set()
-    for _ in range(10):
-        m = rng.uniform(-spread, spread, t.dim)
-        want = per_step_cross_refusal(t, basis, m)
-        if want is None:
-            linearize_fn(t, basis, m)
-            continue
-        with pytest.raises(ConstraintViolationError) as info:
-            linearize_fn(t, basis, m)
-        assert str(info.value) == want
-        refused_at.add(int(want.split()[4]))
-    assert refused_at == ({3} if n == 4 else {6, 7})
+    direction = rng.standard_normal(t.dim)
+    nvec = rng.standard_normal(t.dim)
+    nvec *= 0.3 / np.linalg.norm(nvec)
+    for size in (1.0, 10.0, 100.0, 1e3):
+        agrees_with_oracles(basis, t, size / np.linalg.norm(direction) * direction, nvec)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_norm_identity_refuses_phase_drift(n):
+    """At |m| = 1e12 each eigenphase carries about 1e-4 of rounding, so the
+    form is off unitary by about that much: linearize_fn itself refuses it,
+    where N = 2 and 3 once answered silently."""
+    basis, t = cached_algebra(n)
+    direction = np.random.default_rng(7).standard_normal(t.dim)
+    m = 1e12 / np.linalg.norm(direction) * direction
+    with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.000e\+12 .*norm identity") as info:
+        linearize_fn(t, basis, m)
+    assert info.traceback[-1].name == "linearize_fn"
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("scale", [1e150, 1e200])
 def test_huge_exponent_never_linearizes_to_nan(n, scale):
     """Past the float range of the Newton form, linearize_fn refuses rather
-    than return NaN coordinates: at 1e200 at every N (the divided
-    differences overflow), and at 1e150 wherever a coordinate would not be
-    finite.  power_table returns no NaN either."""
+    than return NaN or non-unitary coordinates, with the one message of
+    its norm identity at every N.  power_table returns no NaN either."""
     basis, t = cached_algebra(n)
     m = np.zeros(t.dim)
     m[0] = scale
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            elem = linearize_fn(t, basis, m)
-        except ConstraintViolationError as exc:
-            # N <= 3 has no checked cross term; past it one may catch the
-            # overflow first, unless it vanishes by sparsity, as at N = 4.
-            finite = f"|m| = {scale:.3e} is not finite" in str(exc)
-            assert finite or (n > 3 and "cross term" in str(exc))
-        else:
-            assert scale < 1e200
-            assert cmath.isfinite(elem.scalar) and np.isfinite(elem.vector).all()
+        with pytest.raises(ConstraintViolationError, match=re.escape(f"|m| = {scale:.3e} is not unitary")):
+            linearize_fn(t, basis, m)
         try:
             table = power_table(t, m, n)
-        except ConstraintViolationError:
-            pass
+        except ConstraintViolationError as exc:
+            assert f"|m| = {scale:.3e}" in str(exc)
         else:
             assert not any(np.isnan(p.scalar) or np.isnan(p.vector).any() for p in table)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_power_table_refuses_overflow(n):
+    """m = 1e200 e1 overflows its square at every N: the same refusal,
+    naming |m|, and never an inf power."""
+    _, t = cached_algebra(n)
+    m = np.zeros(t.dim)
+    m[0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.000e\+200 is not finite"):
+            power_table(t, m, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_finite_exponent_with_overflowing_spread_is_refused_by_norm(n):
+    """m = 1e308 (e1 + e2) has finite eigenvalues whose difference
+    overflows; exp's divided differences take them, and the norm identity
+    refuses the result, naming |m|."""
+    basis, t = cached_algebra(n)
+    m = np.zeros(t.dim)
+    m[:2] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.414e\+308 is not unitary"):
+            linearize_fn(t, basis, m)
 
 
 def test_exp_matrix_matches_scipy(algebra3):
