@@ -16,7 +16,6 @@ Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_dir
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +34,6 @@ from .linearize import delinearize_exp, exp_matrix, linearize_fn, log_coords
 
 CONSTRAINT_TOL = 1e-9
 DIRECT_SCALAR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AdjointKernel:
-    """The (N**2-1)-dimensional operators of the conjugation equation.
-
-    K+- = mu0 I + D(mu) -+ i F(mu) with ``algebra.product_matrices``'
-    D(mu) v = v (.) mu and F(mu) v = v (x) mu; ``similarity``'s n'
-    satisfies K- n = K+ n'.
-    """
-
-    kplus: np.ndarray
-    kminus: np.ndarray
 
 
 def compose_linear(
@@ -80,7 +66,9 @@ def compose(
 def compose_direct(
     basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
 ) -> np.ndarray:
-    """Dense oracle for ``compose``: multiply the unitaries, take the log."""
+    """Dense oracle for ``compose``: multiply the unitaries, take the log.
+    A complex or non-finite m or n is a ValueError, as in ``compose``."""
+    m, nvec = _real_coords(basis.dim, m=m, nvec=nvec)
     return log_coords(basis, exp_matrix(basis, m) @ exp_matrix(basis, nvec))
 
 
@@ -119,18 +107,18 @@ def su2_compose_closed_form(
     return float(g0), gvec
 
 
-def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> AdjointKernel:
-    """Assemble K+- from the linearized exp(+i m . L), ``linearize_fn(...).conj()``.
+def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> tuple[np.ndarray, np.ndarray]:
+    """The (N**2-1)-dimensional operators (K+, K-) of the conjugation
+    equation, from the linearized exp(+i m . L), ``linearize_fn(...).conj()``.
 
-    D(mu) and F(mu) of the complex mu come from ``algebra.product_matrices``,
-    which reads only the index arrays of f and d, never a dense tensor.
+    K+- = mu0 I + D(mu) -+ i F(mu) with ``algebra.product_matrices``'
+    D(mu) v = v (.) mu and F(mu) v = v (x) mu, which read only the index
+    arrays of f and d, never a dense tensor; ``similarity``'s n' satisfies
+    K- n = K+ n'.
     """
     sym, skew = product_matrices(t, mu.vector)
-    eye = np.eye(t.dim)
-    return AdjointKernel(
-        kplus=mu.scalar * eye + sym - 1j * skew,
-        kminus=mu.scalar * eye + sym + 1j * skew,
-    )
+    base = mu.scalar * np.eye(t.dim) + sym
+    return base - 1j * skew, base + 1j * skew
 
 
 def _norm(v: np.ndarray) -> float:
@@ -185,11 +173,13 @@ def similarity_direct(
 ) -> np.ndarray:
     """Dense oracle for ``similarity``: conjugate n . L by exp(-i m . L).
 
-    Its guards scale with max(1, |n|) as ``similarity``'s do.
+    Its guards scale with max(1, |n|) as ``similarity``'s do.  A complex
+    or non-finite m or n is a ValueError, as there.
     """
+    m, nvec = _real_coords(basis.dim, m=m, nvec=nvec)
     u = exp_matrix(basis, m)
     elem = from_matrix(basis, u @ algebra_matrix(basis, nvec) @ u.conj().T)
-    scale = max(1.0, _norm(np.asarray(nvec)))
+    scale = max(1.0, _norm(nvec))
     if not abs(elem.scalar) < DIRECT_SCALAR_TOL * scale:
         raise ConstraintViolationError(
             f"conjugation produced a scalar part of {abs(elem.scalar):.3e}"

@@ -96,13 +96,11 @@ from .spectral import (
     eig_hermitian,
     eig_unitary,
     eigvals_from_power_sums,
-    eigvals_hermitian,
     exp_divided_differences,
     exp_minus_i,
 )
 
 BRANCH_GAP = 1e-9
-REALITY_TOL = 1e-9
 # a . a and its square stay normal floats inside this range, so the power
 # sums of the closed-form spectra (D(a) a and its dot products) neither
 # underflow nor overflow; outside it ``spectral._eigvalsh``, which scales
@@ -261,8 +259,11 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
 
 
 def f0_trace(basis: GeneratorBasis, m: np.ndarray, fn) -> complex:
-    """Identity coefficient the cheap way: f0 = (1/N) sum_k f(m_k)."""
-    vals = eigvals_hermitian(algebra_matrix(basis, m))
+    """Identity coefficient the cheap way: f0 = (1/N) sum_k f(m_k), the
+    eigenvalues from LAPACK (``spectral._eigvalsh``).  A complex or
+    non-finite m is a ValueError."""
+    (m,) = _real_coords(basis.dim, m=m)
+    vals = _eigvalsh(algebra_matrix(basis, m))
     return complex(np.mean([fn(v) for v in vals]))
 
 
@@ -321,19 +322,15 @@ def log_coords(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray:
     restores tracelessness by one 2 pi shift rule for either sign (the s
     largest phases for s > 0, the |s| smallest for s < 0, ties broken by
     eigenvalue index), and refuses as ambiguous a phase within BRANCH_GAP
-    of the cut at pi or a shift boundary inside a phase tie.
+    of the cut at pi or a shift boundary inside a phase tie.  The
+    logarithm V diag(-theta) V' is Hermitian by construction, so its
+    coordinates are the real parts of ``from_matrix``'s.
     """
     spec = eig_unitary(u)
     theta, _ = _branch_rule(np.angle(spec.eigenvalues).tolist())
     v = spec.eigenvectors
     log_m = np.einsum("k,ak,bk->ab", -np.array(theta, dtype=complex), v, v.conj())
-    elem = from_matrix(basis, log_m)
-    residue = float(np.max(np.abs(elem.vector.imag)))
-    if residue > REALITY_TOL:
-        raise ConstraintViolationError(
-            f"recovered coordinates have imaginary residue {residue:.3e}"
-        )
-    return elem.vector.real
+    return from_matrix(basis, log_m).vector.real
 
 
 def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:

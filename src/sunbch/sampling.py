@@ -3,9 +3,8 @@
 Components are drawn uniformly from [-1, 1] and the vector is rescaled so
 the spectral radius of m . L equals a uniform draw from (0, cap].  Draws
 whose scaled eigenvalue gaps fall below ``MIN_GAP`` are rejected: the
-Lagrange projectors and the monomial expansion coefficients that
-``verify`` checks need a simple spectrum (``compose`` and ``similarity``
-do not).  A cap too small for any draw to meet ``MIN_GAP`` is a
+Lagrange projectors that ``verify`` checks need a simple spectrum (no
+other route does).  A cap too small for any draw to meet ``MIN_GAP`` is a
 ValueError.  Everything is a pure function of the generator state, so
 seeded runs are reproducible.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import GeneratorBasis, algebra_matrix
-from .spectral import _min_gap, eigvals_hermitian
+from .spectral import _eigvalsh, _min_gap
 
 DEFAULT_SPECTRAL_CAP = 0.9 * np.pi
 MIN_GAP = 1e-6
@@ -32,7 +31,7 @@ def random_coords(
     for _ in range(_MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, basis.dim)
         target = spectral_cap * (1.0 - rng.uniform())  # lands in (0, cap]
-        vals = eigvals_hermitian(algebra_matrix(basis, raw))
+        vals = _eigvalsh(algebra_matrix(basis, raw))
         radius = float(np.max(np.abs(vals)))
         if radius == 0.0:
             continue

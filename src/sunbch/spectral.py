@@ -20,7 +20,7 @@ which Tr M**2, Tr M**3 and Tr M**4 fix, by the trigonometric cubic (N = 3)
 and Descartes' resolvent (N = 4), each root polished by Newton steps.  A
 root of a polynomial is only as accurate as the polynomial's slope there
 allows, so a spectrum with a slope below CLOSED_FORM_CUT (close or
-repeated eigenvalues) is declined and goes to ``eigvals_hermitian``, as in
+repeated eigenvalues) is declined and goes to LAPACK (``_eigvalsh``), as in
 Kopp's hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
 ``arcsin_divided_differences`` hands ``_taylor_rows`` arcsin's Taylor
 coefficients, as ``exp_divided_differences`` hands it exp's, for the
@@ -53,15 +53,15 @@ from .errors import ConvergenceError, DegenerateSpectrumError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
-# ``eigvals_from_power_sums`` hands a spectrum to ``eigvals_hermitian``
-# when some eigenvalue has |p'(l_k)| = prod_{j != k} |l_k - l_j| below this
-# share of radius**(N-1).  An eigenvalue read off the characteristic
-# polynomial p errs by about eps |p|/|p'(l_k)| (Wilkinson): measured, at
-# most 4.3 eps radius**N / |p'(l_k)| on 12,000 N = 3 and 4 spectra with one
-# pair split by 1e-4..1e-1 of the radius, so at this cut every closed-form
-# eigenvalue lies within about 1e-13 of the radius of the Hermitian
-# solver's.  The smallest gap alone does not bound the error at N = 4: a
-# gap of 1e-3 of the radius next to a second small gap left 5e-11.
+# ``eigvals_from_power_sums`` hands a spectrum to ``_eigvalsh`` when some
+# eigenvalue has |p'(l_k)| = prod_{j != k} |l_k - l_j| below this share of
+# radius**(N-1).  An eigenvalue read off the characteristic polynomial p
+# errs by about eps |p|/|p'(l_k)| (Wilkinson): measured, at most
+# 4.3 eps radius**N / |p'(l_k)| on 12,000 N = 3 and 4 spectra with one pair
+# split by 1e-4..1e-1 of the radius, so at this cut every closed-form
+# eigenvalue lies within about 1e-13 of the radius of the Hermitian solver's.
+# The smallest gap alone does not bound the error at N = 4: a gap of 1e-3
+# of the radius next to a second small gap left 5e-11.
 CLOSED_FORM_CUT = 1e-2
 GAP_TOL = 1e-9
 # Largest N the package supports, the range its tests and CI cover:
@@ -94,17 +94,6 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial, coefficients[k] multiplying x**k."""
-
-    coefficients: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.shape[0] - 1
-
-
 def _square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -113,7 +102,7 @@ def _square(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
-    """The public entries' guard: ``m`` as a complex square matrix, or
+    """``eig_hermitian``'s guard: ``m`` as a complex square matrix, or
     ValueError unless it is finite and Hermitian within HERMITIAN_TOL."""
     m = _square(m)
     # Written as not(<) so that a NaN anywhere (inf - inf included) also
@@ -163,13 +152,6 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     non-Hermitian input raises ValueError."""
     (vals, vecs), e = _lapack(np.linalg.eigh, _hermitian(m))
     return SpectralDecomposition(np.ldexp(vals, e) if e else vals, vecs)
-
-
-def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """``_eigvalsh`` behind ``eig_hermitian``'s guard: all that ``f0_trace``
-    and the sampler need.  Another LAPACK driver than ``eig_hermitian``'s,
-    so the two agree to rounding, not bit for bit."""
-    return _eigvalsh(_hermitian(m))
 
 
 def _cubic_roots(p: float, q: float) -> list[float] | None:
@@ -517,17 +499,18 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.array(z), spec.eigenvectors[:, order])
 
 
-def char_poly(m: np.ndarray) -> CharPoly:
-    """Monic characteristic polynomial from the traces of m's powers by
-    Newton's identities (``_powers_and_poly``).
+def char_poly(m: np.ndarray) -> np.ndarray:
+    """Coefficients of the monic characteristic polynomial, entry k
+    multiplying x**k, from the traces of m's powers by Newton's identities
+    (``_powers_and_poly``).
 
-    coefficients[N] = 1 and coefficients[0] = (-1)**N det(m); a traceless
-    input has coefficients[N-1] = 0 up to rounding.
+    Entry N is 1 and entry 0 is (-1)**N det(m); a traceless input has
+    entry N-1 = 0 up to rounding.
     """
     m = _square(m)
     if m.shape[0] > MAX_N:
         raise ValueError(f"characteristic polynomial supported for N <= {MAX_N}, got {m.shape[0]}")
-    return CharPoly(np.array(_powers_and_poly(m)[1], dtype=complex))
+    return np.array(_powers_and_poly(m)[1], dtype=complex)
 
 
 def _min_gap(values: np.ndarray) -> float:
@@ -546,7 +529,10 @@ def _require_simple_spectrum(eigenvalues: np.ndarray) -> None:
 
 
 def lagrange_projectors(m: np.ndarray, spec: SpectralDecomposition) -> list[np.ndarray]:
-    """Spectral projectors P_k = prod_{n != k} (m - m_n I)/(m_k - m_n)."""
+    """Spectral projectors P_k = prod_{n != k} (m - m_n I)/(m_k - m_n).
+
+    A gap not above GAP_TOL times the spectral radius leaves a projector
+    ambiguous and is refused as DegenerateSpectrumError."""
     m = _square(m)
     vals = spec.eigenvalues
     _require_simple_spectrum(vals)
@@ -566,17 +552,6 @@ def apply_spectral(spec: SpectralDecomposition, fn) -> np.ndarray:
     fvals = np.asarray([fn(v) for v in spec.eigenvalues], dtype=complex)
     v = spec.eigenvectors
     return np.einsum("k,ak,bk->ab", fvals, v, v.conj())
-
-
-def _exp_newton(eigenvalues) -> tuple[list[float], list[complex]]:
-    """The points of a simple spectrum and the divided differences of
-    exp(-ix) over them, as Python lists.  exp(-ix) is the one function the
-    Newton-form routes evaluate: exp(+iM) is ``linearize_fn(...).conj()``,
-    and nothing evaluates exp(+ix)."""
-    vals = np.asarray(eigenvalues)
-    _require_simple_spectrum(vals)
-    lam = vals.tolist()
-    return lam, exp_divided_differences(lam).tolist()
 
 
 def _newton_monomials(points: list, newton: list) -> list:
@@ -603,15 +578,15 @@ def expansion_coeffs(spec: SpectralDecomposition) -> np.ndarray:
     takes its divided differences from ``exp_divided_differences`` and is
     expanded to monomials by Horner's rule: from p = f[l1..lN],
     p <- p (x - lk) + f[l1..lk] for k = N - 1 down to 1.  No Vandermonde
-    system is solved, so a small spectral radius costs no accuracy.  A
-    spectrum with eigenvalues closer than GAP_TOL times its radius is
-    refused as degenerate.
+    system is solved and no gap is divided by, so a small spectral radius
+    costs no accuracy, and a repeated eigenvalue makes the form the
+    Hermite interpolant, which agrees with exp(-ix) there too.
     """
-    lam, newton = _exp_newton(spec.eigenvalues)
-    return np.array(_newton_monomials(lam, newton))
+    lam = spec.eigenvalues.tolist()
+    return np.array(_newton_monomials(lam, exp_divided_differences(lam).tolist()))
 
 
-def expansion_coeffs_derivative(spec: SpectralDecomposition, char: CharPoly) -> np.ndarray:
+def expansion_coeffs_derivative(spec: SpectralDecomposition, char: np.ndarray) -> np.ndarray:
     """Same coefficients by a second route: the paper's moments, folded in
     through the characteristic polynomial.
 
@@ -628,14 +603,16 @@ def expansion_coeffs_derivative(spec: SpectralDecomposition, char: CharPoly) -> 
 
         f_n = sum_{q=0}^{N-1-n} a_{n+1+q} D_q.
 
-    It shares the first row of exp(-iB) with expansion_coeffs but not the
-    expansion: Horner over the points there, the characteristic
+    ``char`` is ``char_poly``'s array.  The route shares the first row of
+    exp(-iB) with expansion_coeffs, and like it takes any spectrum, but not
+    the expansion: Horner over the points there, the characteristic
     polynomial of M here.
     """
     n = spec.n
-    if char.degree != n:
-        raise ValueError(f"characteristic polynomial degree {char.degree} != {n}")
-    lam, row = _exp_newton(spec.eigenvalues)
+    if len(char) != n + 1:
+        raise ValueError(f"characteristic polynomial degree {len(char) - 1} != {n}")
+    lam = spec.eigenvalues.tolist()
+    row = exp_divided_differences(lam).tolist()
     moments = [row[-1]]
     for _ in range(n - 1):
         # (row B)_j = row_j m_j + row_{j-1}.
@@ -644,7 +621,6 @@ def expansion_coeffs_derivative(spec: SpectralDecomposition, char: CharPoly) -> 
         ]
         moments.append(row[-1])
     moments = np.array(moments)
-    a = char.coefficients
     return np.array(
-        [np.sum(a[k + 1: n + 1] * moments[: n - k]) for k in range(n)]
+        [np.sum(char[k + 1: n + 1] * moments[: n - k]) for k in range(n)]
     )

@@ -201,7 +201,7 @@ def _cayley_hamilton(ctx, rng):
     m = algebra_matrix(ctx.basis, ctx.sample(rng))
     total = np.zeros_like(m)
     power = np.eye(ctx.basis.n, dtype=complex)
-    for a_k in char_poly(m).coefficients:
+    for a_k in char_poly(m):
         total = total + a_k * power
         power = power @ m
     return _maxabs(total)
@@ -326,11 +326,11 @@ def _adjoint_invariants(ctx, rng):
     m, nvec = ctx.sample(rng), ctx.sample(rng)
     nprime = similarity(ctx.tensors, ctx.basis, m, nvec)
     mu = linearize_fn(ctx.tensors, ctx.basis, m).conj()
-    kernel = build_adjoint_kernel(ctx.tensors, mu)
+    kplus, kminus = build_adjoint_kernel(ctx.tensors, mu)
     return max(
         abs(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))),
         abs(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)),
-        _maxabs(kernel.kplus @ nprime - kernel.kminus @ nvec),
+        _maxabs(kplus @ nprime - kminus @ nvec),
     )
 
 

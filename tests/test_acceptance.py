@@ -92,12 +92,12 @@ def test_criterion_3_similarity_oracle_equivalence():
             delta = nprime - similarity_direct(basis, m, nvec)
             worst = max(worst, float(np.max(np.abs(delta))))
             mu = linearize_fn(t, basis, m).conj()
-            kernel = build_adjoint_kernel(t, mu)
+            kplus, kminus = build_adjoint_kernel(t, mu)
             worst_invariant = max(
                 worst_invariant,
                 abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)),
                 abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)),
-                float(np.max(np.abs(kernel.kplus @ nprime - kernel.kminus @ nvec))),
+                float(np.max(np.abs(kplus @ nprime - kminus @ nvec))),
             )
     print(f"criterion 3, invariants: worst {worst_invariant:.3e} (tolerance 1e-09)")
     assert worst_invariant < 1e-9

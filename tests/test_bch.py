@@ -12,6 +12,7 @@ from sunbch import (
     compose_linear,
     cross,
     exp_matrix,
+    f0_trace,
     linearize_fn,
     random_coords,
     similarity,
@@ -246,10 +247,8 @@ def test_similarity_preserves_invariants(algebra4):
         assert abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)) < 1e-9
         mu = linearize_fn(t, basis, m).conj()
         assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) < 1e-9
-        kernel = build_adjoint_kernel(t, mu)
-        np.testing.assert_allclose(
-            kernel.kplus @ nprime, kernel.kminus @ nvec, rtol=0, atol=1e-12
-        )
+        kplus, kminus = build_adjoint_kernel(t, mu)
+        np.testing.assert_allclose(kplus @ nprime, kminus @ nvec, rtol=0, atol=1e-12)
 
 
 def test_similarity_degenerate_exponent(algebra3):
@@ -267,15 +266,11 @@ def test_adjoint_kernel_shapes(algebra3):
     basis, t = algebra3
     m = seeded_samples(basis, 131, 1)[0]
     mu = linearize_fn(t, basis, m).conj()
-    kernel = build_adjoint_kernel(t, mu)
-    assert kernel.kplus.shape == (8, 8)
-    assert kernel.kminus.shape == (8, 8)
+    kplus, kminus = build_adjoint_kernel(t, mu)
+    assert kplus.shape == (8, 8)
+    assert kminus.shape == (8, 8)
     # the two kernels share the symmetric part and differ in the skew part
-    np.testing.assert_allclose(
-        kernel.kplus + kernel.kminus,
-        kernel.kplus.T + kernel.kminus.T,
-        atol=1e-12,
-    )
+    np.testing.assert_allclose(kplus + kminus, kplus.T + kminus.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -288,11 +283,11 @@ def test_adjoint_kernel_matches_dense_contraction(n):
     eye = np.eye(t.dim)
     for m in seeded_samples(basis, 140 + n, 5):
         mu = linearize_fn(t, basis, m).conj()
-        kernel = build_adjoint_kernel(t, mu)
+        kplus, kminus = build_adjoint_kernel(t, mu)
         sym = np.einsum("jkl,k->jl", d, mu.vector)
         skew = np.einsum("jkl,k->jl", f, mu.vector)
-        np.testing.assert_allclose(kernel.kplus, mu.scalar * eye + sym + 1j * skew, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(kernel.kminus, mu.scalar * eye + sym - 1j * skew, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kplus, mu.scalar * eye + sym + 1j * skew, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kminus, mu.scalar * eye + sym - 1j * skew, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -359,8 +354,9 @@ def test_compose_single_generator_1e8_n3():
 def test_bad_coordinates_refused_before_any_matrix(n, kind, name, monkeypatch):
     """A complex (even with zero imaginary part), NaN or inf m or n gets one
     answer at every N: ValueError naming the vector and its norm, from
-    linearize_fn, compose and similarity alike, with no dense matrix formed
-    and no floating-point warning (pyproject turns those into errors)."""
+    linearize_fn, f0_trace, compose, similarity and their dense oracles
+    alike, with no dense matrix formed and no floating-point warning
+    (pyproject turns those into errors)."""
     basis, t = cached_algebra(n)
     good, bad = seeded_samples(basis, 90 + n, 2)
     if kind == "complex":
@@ -380,6 +376,12 @@ def test_bad_coordinates_refused_before_any_matrix(n, kind, name, monkeypatch):
     for route in (compose, similarity):
         with pytest.raises(ValueError, match=message):
             route(t, basis, args["m"], args["nvec"])
+    for oracle in (compose_direct, similarity_direct):
+        with pytest.raises(ValueError, match=message):
+            oracle(basis, args["m"], args["nvec"])
     if name == "m":
         with pytest.raises(ValueError, match=message):
             linearize_fn(t, basis, bad)
+        with pytest.raises(ValueError, match=message):
+            f0_trace(basis, bad, linearize.exp_minus_i)
+
