@@ -43,17 +43,17 @@ the same routine, every shift 0; it and the monomial coefficients of
 ``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
 exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
 
-``delinearize_exp`` inverts the exponential case from eigenvalues only,
+``delinearize_exp`` inverts the exponential case without eigenvectors,
 at every N.  Near the identity the scalar coordinate alone shows that
-every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then the
-Newton form of arcsin over the eigenvalues of sin R, whose coordinates
-are the imaginary parts of the element's; ``_newton_form`` builds it as
-it builds exp.  Past the gate the eigenphases of u itself come from its
-Cayley transform H = i (wI + u)(wI - u)**-1, whose eigenvalues are real:
-for N = 3 and 4 in closed form, from u's characteristic polynomial
-mapped by the Cayley substitution to a real polynomial that
-``spectral.eigvals_from_power_sums`` solves, and otherwise, or where
-that declines, by ``spectral._eigvalsh`` on H.  R is the Newton form in u
+every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then
+arcsin of S = sin R, whose coordinates are the imaginary parts of the
+element's; ``_arcsin_series`` sums its Taylor series with the Newton
+step matrix, and needs no eigenvalue.  Past the gate the eigenphases of
+u come from its Cayley transform H = i (wI + u)(wI - u)**-1, whose
+eigenvalues are real: for N = 3 and 4 in closed form, from u's
+characteristic polynomial mapped by the Cayley substitution to a real
+polynomial that ``spectral.eigvals_from_power_sums`` solves, and
+otherwise, or where that declines, by ``spectral._eigvalsh`` on H.  R is the Newton form in u
 over those eigenvalues (``_log_past_gate``).  That route reads the
 powers of u and its characteristic polynomial from
 ``spectral._powers_and_poly``, the pole w from ``spectral._cayley_pole``
@@ -85,6 +85,7 @@ from .algebra import (
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
     UNITARY_TOL,
+    _ROUNDOFF,
     _cayley_hermitian,
     _cayley_pole,
     _eigvalsh,
@@ -92,7 +93,6 @@ from .spectral import (
     _powers_and_poly,
     _require_unitary,
     apply_spectral,
-    arcsin_divided_differences,
     eig_hermitian,
     eig_unitary,
     eigvals_from_power_sums,
@@ -101,17 +101,17 @@ from .spectral import (
 )
 
 BRANCH_GAP = 1e-9
-# a . a and its square stay normal floats inside this range, so the power
-# sums of the closed-form spectra (D(a) a and its dot products) neither
+# m . m and its square stay normal floats inside this range, so the power
+# sums of the closed-form spectra (D(m) m and its dot products) neither
 # underflow nor overflow; outside it ``spectral._eigvalsh``, which scales
 # its input by a power of two, takes the eigenvalues from LAPACK.
 POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
-# ``delinearize_exp`` takes the values-only logarithm when
-# 2N (1 - Re g0) = sum_k |1 - exp(-i theta_k)|**2 is at most this: each
-# term is then at most 4 sin(pi/8)**2, so every |theta_k| <= pi/4, the
-# phases sum to 0 rather than a nonzero multiple of 2 pi, and the points
-# sin theta_k lie within sin(pi/4) of 0, so the arcsin series of
-# ``arcsin_divided_differences`` converges with ratio at most sin(pi/4).
+# ``delinearize_exp`` takes the arcsin series when 2N (1 - Re g0) =
+# sum_k |1 - exp(-i theta_k)|**2 = sum_k 4 sin(theta_k/2)**2 is at most
+# this: each term is then at most 4 sin(pi/8)**2, so every |theta_k| <= pi/4
+# and the phases sum to 0, not a nonzero multiple of 2 pi.  It also bounds
+# ||sin R||_F**2 = sum_k sin(theta_k)**2, the ratio of ``_arcsin_terms``'
+# series, which then sums at most 57 terms.
 LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 # Past the gate ``delinearize_exp`` takes the logarithm from u's
 # eigenvalues (``_log_past_gate``) and declines to ``log_coords`` where
@@ -145,20 +145,28 @@ def _cayley_rows(n: int) -> list[list[complex]]:
 _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
 
 
+def _step_matrix(t: StructureTensors, m: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """A = [[0, (2/N) m'], [m, D(m)]], D(m) = ``sym``: A (s, v) are the
+    coordinates of (m . L)(s I + v . L) for every v in the commutative family
+    generated by m (module docstring)."""
+    step = np.zeros((t.dim + 1, t.dim + 1))
+    step[0, 1:], step[1:, 0], step[1:, 1:] = (2.0 / t.n) * m, m, sym
+    return step
+
+
 def _newton_products(t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray) -> np.ndarray:
     """The rows (s_k, v_k) of P_k = (M - x1 I) ... (M - xk I) = s_k I + v_k . L
     for k = 0 .. len(shifts), in one array.
 
-    Each step is (s, v) <- A (s, v) - x (s, v), one product with
-    A = [[0, (2/N) m'], [m, D(m)]], D(m) = ``sym`` (module docstring).
+    Each step is (s, v) <- A (s, v) - x (s, v), one product with the
+    ``_step_matrix`` A of m and D(m) = ``sym``.
     """
     products = np.zeros((len(shifts) + 1, t.dim + 1))
     products[0, 0] = 1.0
     if shifts:
         products[1, 0], products[1, 1:] = -shifts[0], m
     if len(shifts) >= 2:
-        step = np.zeros((t.dim + 1, t.dim + 1))
-        step[0, 1:], step[1:, 0], step[1:, 1:] = (2.0 / t.n) * m, m, sym
+        step = _step_matrix(t, m, sym)
         for k, shift in enumerate(shifts[1:], 1):
             products[k + 1] = step @ products[k] - shift * products[k]
     return products
@@ -186,11 +194,11 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
 def _eigenvalues(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray
 ) -> list[float]:
-    """Ascending eigenvalues of M = m . L for the Newton routes.
+    """Ascending eigenvalues of M = m . L for ``linearize_fn``'s Newton form.
 
     For N <= 4 they come in closed form from the power sums of
     ``eigvals_from_power_sums``, with m (.) m = D(m) m from the caller's
-    D(m) = ``sym``, while a . a lies inside POWER_SUM_RANGE.  Outside it,
+    D(m) = ``sym``, while m . m lies inside POWER_SUM_RANGE.  Outside it,
     where the closed form declines (close or repeated eigenvalues), and
     for N > 4 LAPACK takes them, unguarded (``spectral._eigvalsh``): m is real.
     """
@@ -211,32 +219,21 @@ def _eigenvalues(
     return _eigvalsh(algebra_matrix(basis, m)).tolist()
 
 
-def _newton_form(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, differences):
-    """(f0, fvec) of f(m . L) = f0 I + fvec . L, the Newton form over its
-    eigenvalues l1 <= ... <= lN with f[l1], ..., f[l1..lN] = differences(l).
-    D(m) is built once (it is zero at N = 2) for the power sums of
-    ``_eigenvalues`` and the steps of ``_newton_products``.  Nothing is
-    checked here: exp's form is guarded by ``linearize_fn``'s norm
-    identity, and arcsin's input by the unitarity check that precedes it."""
-    sym = product_matrices(t, m)[0]
-    lam = _eigenvalues(t, basis, m, sym)
-    form = np.dot(differences(lam), _newton_products(t, m, lam[:-1], sym))
-    return form[0], form[1:]
-
-
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
-    The Newton form of ``_newton_form`` (module docstring) is exact,
-    because f and its interpolant agree on the spectrum of the
-    diagonalizable M = m . L; a repeated eigenvalue makes that a Hermite
-    interpolant, which agrees there as well.  The divided differences come
-    from ``exp_divided_differences`` (Opitz's bidiagonal exponential),
-    which accepts confluent points, so only the eigenvalues are needed,
-    never the eigenvectors, and a degenerate spectrum (the zero element
-    included) is no special case.  The all-matrix route (apply_spectral
-    then from_matrix) reproduces the same element and serves as the
-    oracle in the test suite.  A complex or non-finite m is a ValueError.
+    The Newton form (module docstring) is exact, because f and its
+    interpolant agree on the spectrum of the diagonalizable M = m . L; a
+    repeated eigenvalue makes that a Hermite interpolant, which agrees
+    there as well.  D(m) is built once (it is zero at N = 2) for the power
+    sums of ``_eigenvalues`` and the steps of ``_newton_products``.  The
+    divided differences come from ``exp_divided_differences`` (Opitz's
+    bidiagonal exponential), which accepts confluent points, so only the
+    eigenvalues are needed, never the eigenvectors, and a degenerate
+    spectrum (the zero element included) is no special case.  The
+    all-matrix route (apply_spectral then from_matrix) reproduces the same
+    element and serves as the oracle in the test suite.  A complex or
+    non-finite m is a ValueError.
 
     The one refusal of the form is its norm identity: unless
     |f0|**2 + (2/N) |fvec|**2 lies within UNITARY_TOL of 1 (a NaN or inf
@@ -245,8 +242,10 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     a large enough |m| the form drifts off SU(N) and is refused here.
     """
     (m,) = _real_coords(t.dim, m=m)
-    f0, fvec = _newton_form(t, basis, m, exp_divided_differences)
-    f0 = complex(f0)
+    sym = product_matrices(t, m)[0]
+    lam = _eigenvalues(t, basis, m, sym)
+    form = np.dot(exp_divided_differences(lam), _newton_products(t, m, lam[:-1], sym))
+    f0, fvec = complex(form[0]), form[1:]
     # Products, not **, which raises OverflowError on a huge float.
     norm2 = f0.real * f0.real + f0.imag * f0.imag + (2.0 / t.n) * np.vdot(fvec, fvec).real
     defect = abs(norm2 - 1.0)
@@ -401,44 +400,69 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
     return from_matrix(basis, r).vector.real
 
 
+def _arcsin_terms(rho2: float) -> list[float]:
+    """c_0 .. c_(K-1) of arcsin z = sum_k c_k z**(2k+1), c_0 = 1 and
+    c_(k+1) = c_k (2k+1)**2 / ((2k+2)(2k+3)), at rho**2 = ``rho2`` < 1: the
+    c_k fall, so the tail from K on is at most c_K rho**(2K+1) / (1 - rho**2),
+    and K is the first k that brings it below a roundoff of rho."""
+    coeffs, term, limit = [1.0], 1.0, _ROUNDOFF * (1.0 - rho2)
+    while True:
+        k = len(coeffs) - 1
+        ratio = (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3))
+        term *= ratio * rho2  # c_(k+1) rho**(2k+2)
+        if not term >= limit:
+            return coeffs
+        coeffs.append(coeffs[-1] * ratio)
+
+
+def _arcsin_series(t: StructureTensors, s: float, a: np.ndarray) -> np.ndarray:
+    """(scalar, vector) coordinates of arcsin(S), S = s I + a . L, with
+    ||S||_F**2 = N s**2 + 2 a . a < 1: ``_arcsin_terms``' series by Horner's
+    rule in S**2, then times S.  Each partial sum lies in the commutative
+    family of a, so S acts on it as the ``_step_matrix`` of a plus s I."""
+    coeffs = _arcsin_terms(t.n * s * s + 2.0 * float(np.dot(a, a)))
+    step = _step_matrix(t, a, product_matrices(t, a)[0]) + s * np.eye(t.dim + 1)
+    square = step @ step
+    r = np.zeros(t.dim + 1)
+    r[0] = coeffs.pop()
+    for c in reversed(coeffs):
+        r = square @ r
+        r[0] += c
+    return step @ r
+
+
 def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement) -> np.ndarray:
     """Invert g = (g0, gvec) with g0 I + gvec . L = exp(-i m . L) for m.
 
     Three routes, chosen from the scalar coordinate before any
     eigenproblem.  With R = m . L, 2N (1 - Re g0) = sum_k
     |1 - exp(-i theta_k)|**2 over R's eigenvalues; at or below LOG_GATE
-    every |theta_k| <= pi/4 and the 2 pi shift is 0, so
-    theta_k = arcsin(sin theta_k) on the principal branch and R is that
-    function of sin R = (g' - g) / 2i = -Im g0 I + a . L, a = -Im gvec.
-    With the eigenvalues mu_k of a . L (``_eigenvalues``: closed form for
-    N <= 4, else LAPACK) R is the Newton form over them of
-    arcsin(-Im g0 + x), by ``_newton_form`` on a with the divided
-    differences of ``arcsin_divided_differences``.  Past the gate, at
-    every N, ``_log_past_gate`` takes R from the eigenvalues of u itself,
-    those of its Cayley transform, with the det = 1 guard and 2 pi shift
-    rule of ``log_coords`` (``_branch_rule``).  Neither needs an
-    eigenvector or a dense logarithm.  Only where ``_log_past_gate``
-    declines does ``log_coords`` take the dense matrix.
+    every |theta_k| <= pi/4 and the 2 pi shift is 0, so R = arcsin(S) on
+    the principal branch, S = sin R = (g' - g) / 2i = -Im g0 I + a . L,
+    a = -Im gvec, and ``_arcsin_series`` sums it in coordinates with no
+    eigenvalue at all.  Past the gate, at every N, ``_log_past_gate``
+    takes R from the eigenvalues of u itself, those of its Cayley
+    transform, with the det = 1 guard and 2 pi shift rule of
+    ``log_coords`` (``_branch_rule``).  Neither needs an eigenvector or a
+    dense logarithm.  Only where ``_log_past_gate`` declines does
+    ``log_coords`` take the dense matrix.
 
-    Both values-only routes are preceded by one unitarity check of the
-    dense u within UNITARY_TOL (ValueError, as in ``log_coords``), which
-    the route past the gate then reads, and refuse det g != 1 by
-    ``_require_det_one``, the guard ``log_coords`` uses: inside the gate
-    R's scalar part, the phase sum over N, must vanish.  No other
-    refusal of ``log_coords`` can arise inside the gate (no phase is near
-    the cut and no shift boundary exists); past it, ``_branch_rule``
-    refuses a phase within BRANCH_GAP of the cut or a tie at the shift
-    boundary for both routes.  The coordinates are real by construction
-    inside the gate, and the real part of the Newton form past it.
+    Both routes are preceded by one unitarity check of the dense u within
+    UNITARY_TOL (ValueError, as in ``log_coords``), which the route past
+    the gate then reads, and refuse det g != 1 by ``_require_det_one``,
+    the guard ``log_coords`` uses: inside the gate the series' scalar
+    coordinate, the phase sum over N, must vanish.  No other refusal of
+    ``log_coords`` can arise inside the gate (no phase is near the cut and
+    no shift boundary exists); past it, ``_branch_rule`` refuses a phase
+    within BRANCH_GAP of the cut or a tie at the shift boundary for both
+    routes.  The coordinates are real by construction inside the gate,
+    and the real part of the Newton form past it.
     """
     u = to_matrix(basis, g)
     _require_unitary(u)
     if not 2.0 * t.n * (1.0 - g.scalar.real) <= LOG_GATE:
         r = _log_past_gate(basis, u)
         return log_coords(basis, u) if r is None else r
-    offset = -g.scalar.imag
-    scalar, r = _newton_form(
-        t, basis, -np.imag(g.vector), lambda mu: arcsin_divided_differences(mu, offset)
-    )
-    _require_det_one(t.n * float(scalar))
-    return r
+    r = _arcsin_series(t, -g.scalar.imag, -np.imag(g.vector))
+    _require_det_one(t.n * float(r[0]))
+    return r[1:]

@@ -5,10 +5,10 @@ values-only callers by ``eigvalsh`` (``_eigvalsh``), so the two agree to
 rounding, not bit for bit; a matrix of extreme norm is first scaled by a
 power of two, which is exact.  Characteristic polynomials come from
 the traces of a matrix's powers by Newton's identities
-(``_power_sum_poly``), and divided differences come from Taylor series
-of Opitz's bidiagonal matrix, summed row by row in one loop,
-``_taylor_rows``: exp(-ix)'s (scaled and squared for widely spread
-points) and arcsin's.  ``_taylor_rows`` runs over Python scalars: at
+(``_power_sum_poly``), and exp(-ix)'s divided differences come from the
+Taylor series of Opitz's bidiagonal matrix, scaled and squared for
+widely spread points, summed row by row in one loop, ``_taylor_rows``,
+which runs over Python scalars: at
 desk scale (N <= 8) a numpy call costs more in dispatch than its few
 dozen flops.  The monomial coefficients of exp(-iM) expand the Newton
 form of exp(-ix)'s divided differences, so no Vandermonde system is
@@ -22,9 +22,6 @@ root of a polynomial is only as accurate as the polynomial's slope there
 allows, so a spectrum with a slope below CLOSED_FORM_CUT (close or
 repeated eigenvalues) is declined and goes to LAPACK (``_eigvalsh``), as in
 Kopp's hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
-``arcsin_divided_differences`` hands ``_taylor_rows`` arcsin's Taylor
-coefficients, as ``exp_divided_differences`` hands it exp's, for the
-values-only logarithm of ``linearize.delinearize_exp``.
 
 A unitary u is diagonalized by one Hermitian eigenproblem, its Cayley
 transform H = i (wI + u)(wI - u)**-1 (``eig_unitary``).  Newton's
@@ -340,52 +337,6 @@ def exp_divided_differences(values) -> np.ndarray:
     return np.exp(-1j * mid) * (e[0] @ e)
 
 
-def arcsin_divided_differences(values, offset: float) -> list[float]:
-    """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of
-    f(x) = arcsin(offset + x).
-
-    They are the first row of the ``_taylor_rows`` sum of arcsin's Taylor
-    series about the midpoint z0 = offset + mid.  The coefficients of
-    arcsin' = (1 - z**2)**-1/2 about z0 follow from (1 - z**2) g' = z g:
-
-        b0 = (1 - z0**2)**-1/2,
-        b(k+1) = ((2k + 1) z0 bk + k b(k-1)) / ((1 - z0**2)(k + 1)),
-
-    and arcsin's are a0 = arcsin z0, a(k+1) = bk / (k + 1).  Summed to
-    degree K, the entries are exactly the divided differences of the
-    Taylor polynomial T_K, so the Newton form built from them interpolates
-    T_K and errs at each point by at most the tail sum of |ak| r**k, r the
-    half-spread.  The series stops once two consecutive terms (one of a
-    pair is zero where z0 = 0) are below one roundoff of arcsin's scale
-    there, |a0| + |a1| r, shrunk by 1 - r / (1 - |z0|), the tail's
-    geometric ratio.  Every offset + x must lie inside (-1, 1), with the
-    series' ratio r / (1 - |z0|) at most 0.75; otherwise ValueError.
-    """
-    xs = [float(x) for x in values]
-    lo, hi = min(xs), max(xs)
-    mid, reach = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    z0 = offset + mid
-    # min and max skip a NaN that is not first, so the sum tests finiteness.
-    finite = math.isfinite(offset + sum(xs))
-    if not (finite and abs(z0) < 1.0 and reach <= 0.75 * (1.0 - abs(z0))):
-        raise ValueError("arcsin divided differences need points well inside (-1, 1)")
-    ratio = reach / (1.0 - abs(z0))
-    w = 1.0 - z0 * z0
-    coefficients = [math.asin(z0)]
-    lower, coef = 0.0, 1.0 / math.sqrt(w)  # b(k-1), bk
-    limit = _ROUNDOFF * (abs(coefficients[0]) + coef * reach) * (1.0 - ratio)
-    last, power, k = math.inf, 1.0, 0
-    while True:
-        coefficients.append(coef / (k + 1))
-        power *= reach
-        term = abs(coefficients[-1]) * power
-        if term + last <= limit:
-            return _taylor_rows([x - mid for x in xs], coefficients, 1)[0]
-        last = term
-        lower, coef = coef, ((2 * k + 1) * z0 * coef + k * lower) / (w * (k + 1))
-        k += 1
-
-
 def _require_unitary(u: np.ndarray) -> None:
     """ValueError unless u'u - I stays below UNITARY_TOL (a NaN fails too)."""
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
@@ -482,7 +433,9 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     in p_u's coefficients moves t_k but not the eigenvectors, since q(u)
     stays a polynomial in u; and wI + u is formed directly, so next to I
     (w = -1) each t_k, and each phase, keeps its relative accuracy.
-    ``eig_hermitian`` runs once, on H.  Eigenvalues come back on the unit
+    LAPACK's ``eigh`` runs once, on H, by ``_lapack`` without
+    ``eig_hermitian``'s guard: H is Hermitian by construction, and finite
+    once u is unitary.  Eigenvalues come back on the unit
     circle, ordered by principal phase.  Repeated eigenvalues are fine:
     any orthonormal basis of the shared eigenspace gives a valid
     decomposition.
@@ -492,11 +445,11 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     _require_unitary(u)
     powers, coeffs = _powers_and_poly(u)
     w, turn, _ = _cayley_pole(coeffs)
-    spec = eig_hermitian(_cayley_hermitian(u, powers, coeffs, w))
-    phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in spec.eigenvalues.tolist()]
+    (vals, vecs), e = _lapack(np.linalg.eigh, _cayley_hermitian(u, powers, coeffs, w))
+    phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in np.ldexp(vals, e).tolist()]
     order = sorted(range(n), key=phases.__getitem__)
     z = [cmath.rect(1.0, phases[k]) for k in order]
-    return SpectralDecomposition(np.array(z), spec.eigenvectors[:, order])
+    return SpectralDecomposition(np.array(z), vecs[:, order])
 
 
 def char_poly(m: np.ndarray) -> np.ndarray:

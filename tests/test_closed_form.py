@@ -17,6 +17,7 @@ from sunbch import (
     compose_direct,
     compose_linear,
     delinearize_exp,
+    exp_matrix,
     from_matrix,
     linearize_fn,
     log_coords,
@@ -32,7 +33,6 @@ from sunbch.linearize import LOG_GATE, POWER_SUM_RANGE, TIE_CUT, _eigenvalues, _
 from sunbch.spectral import (
     CLOSED_FORM_CUT,
     _eigvalsh,
-    arcsin_divided_differences,
     eigvals_from_power_sums,
 )
 
@@ -165,23 +165,6 @@ def test_extreme_norms_take_the_fallback(monkeypatch, n, scale):
     assert spectral_error(_eigenvalues(t, basis, m, sym), m, basis) <= 1e-13
 
 
-def test_arcsin_divided_differences_small_cases():
-    """Two points give the difference quotient, a confluent pair the
-    derivative, three confluent points half the second derivative; points
-    at or past the series' reach are refused."""
-    a, b = 0.1, 0.45
-    got = arcsin_divided_differences([a, b], 0.05)
-    assert got[0] == pytest.approx(math.asin(0.15), rel=1e-15)
-    assert got[1] == pytest.approx((math.asin(0.5) - math.asin(0.15)) / (b - a), rel=1e-14)
-    x = -0.3
-    got = arcsin_divided_differences([x, x, x], 0.0)
-    assert got[1] == pytest.approx(1.0 / math.sqrt(1.0 - x * x), rel=1e-15)
-    assert got[2] == pytest.approx(0.5 * x / (1.0 - x * x) ** 1.5, rel=1e-14)
-    for points in ([0.0, 0.95], [1.0], [0.2, 0.3, float("nan")]):
-        with pytest.raises(ValueError):
-            arcsin_divided_differences(points, 0.0)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_values_only_log_against_log_coords(n):
     """g = exp(-i m . L) from ``linearize_fn`` at scales 1e-2..1, on both
@@ -250,6 +233,96 @@ def test_values_only_log_refuses_like_log_coords(n):
             delinearize_exp(t, basis, turned)
         with pytest.raises(ValueError, match="det u is not 1"):
             log_coords(basis, to_matrix(basis, turned))
+
+
+def mpmath_log(basis, g):
+    """Real coordinates of R = i logm(u), u = g0 I + g . L, from mpmath's
+    ``logm`` at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r = mpmath.logm(mpmath.matrix(to_matrix(basis, g).tolist())) * 1j
+        r = np.array([[complex(x) for x in row] for row in r.tolist()])
+    return from_matrix(basis, r).vector.real
+
+
+def inside_gate_elements(basis, t, rng):
+    """Elements inside LOG_GATE from three sets: products of two sampler
+    draws scaled by 1e-12 .. 0.6 (those that land inside the gate),
+    Haar-rotated phases at 0.9-1.0 of the gate, and phase clusters of two
+    (three from N = 4) split by 1e-12."""
+    n = basis.n
+    for scale in (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.6):
+        for _ in range(2):
+            g = compose_linear(
+                t, basis, scale * random_coords(basis, rng), scale * random_coords(basis, rng)
+            )
+            if 2 * n * (1.0 - g.scalar.real) <= LOG_GATE:
+                yield g
+    for _ in range(3):
+        theta = rng.standard_normal(n)
+        theta -= theta.mean()
+        target = rng.uniform(0.9, 1.0) * LOG_GATE
+        stretch = scipy.optimize.brentq(
+            lambda x: float(np.sum(4.0 * np.sin(0.5 * x * theta) ** 2)) - target,
+            0.0, 0.25 * np.pi / np.max(np.abs(theta)),
+        )
+        yield conjugated(basis, np.exp(-1j * stretch * theta), rng)
+    for _ in range(2):
+        theta = rng.uniform(-0.3, 0.3, n)
+        theta[1] = theta[0] + 1e-12
+        if n >= 4:
+            theta[2] = theta[0] - 1e-12
+        yield conjugated(basis, np.exp(-1j * (theta - theta.mean())), rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_arcsin_series_against_mpmath_logm(n):
+    """Inside the gate ``delinearize_exp`` sums arcsin's series on
+    sin R in coordinates; on every set of ``inside_gate_elements`` its r
+    lies within 1e-15 of |r| of the 40-digit ``mpmath.logm`` of the same
+    u."""
+    basis, t = cached_algebra(n)
+    worst, count = 0.0, 0
+    for g in inside_gate_elements(basis, t, np.random.default_rng(900 + n)):
+        exact = mpmath_log(basis, g)
+        error = np.linalg.norm(delinearize_exp(t, basis, g) - exact) / np.linalg.norm(exact)
+        worst, count = max(worst, float(error)), count + 1
+    print(f"N = {n}: {count} elements, worst relative error {worst:.1e}")
+    assert count >= 12
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_inside_gate_solves_no_eigenproblem(monkeypatch, n):
+    """Inside the gate no eigenvalue is computed: with LAPACK's Hermitian
+    drivers and ``linearize._eigenvalues`` made to raise, ``delinearize_exp``
+    still returns the values it returned before."""
+    basis, t = cached_algebra(n)
+    elements = list(inside_gate_elements(basis, t, np.random.default_rng(950 + n)))
+    want = [delinearize_exp(t, basis, g) for g in elements]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenproblem was solved inside the gate")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linearize, "_eigenvalues", refuse)
+    for g, r in zip(elements, want):
+        np.testing.assert_array_equal(delinearize_exp(t, basis, g), r)
+
+
+def test_arcsin_series_stops_within_sixty_terms():
+    """At the gate's bound rho = ||sin R||_F = 2 sin(pi/8) the series sums
+    at most 60 terms, and the tail bound c_K rho**(2K+1) / (1 - rho**2) of
+    the first term left out is below a roundoff of rho."""
+    rho = 2.0 * math.sin(math.pi / 8.0)
+    coeffs = linearize._arcsin_terms(rho * rho)
+    k = len(coeffs)
+    assert k <= 60
+    assert coeffs[:3] == [1.0, 1.0 / 6.0, 3.0 / 40.0]
+    c = math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
+    assert c * rho ** (2 * k + 1) / (1.0 - rho * rho) < 2.0 ** -53 * rho
+    assert linearize._arcsin_terms(0.0) == [1.0]
 
 
 def past_gate_products(basis, t, rng, count):
@@ -469,6 +542,29 @@ def degenerate_exponents(basis):
         cartan = np.array(diagonal) - np.mean(diagonal)
         for scale in (0.05, 0.6):
             yield from_matrix(basis, np.diag(scale * cartan)).vector.real
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_clustered_spectra_linearize_to_exp_matrix(n):
+    """Haar-rotated spectra with a cluster of 2, 3 or N - 1 eigenvalues
+    split by 1e-3 down to 1e-14, or repeated before rounding: no refusal,
+    and ``linearize_fn`` within 1e-13 of ``exp_matrix``.  Opitz's Taylor
+    rows keep each divided difference accurate however close the points
+    lie; a plain difference table over the same rounded eigenvalues
+    divides rounding by their split."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(500 + n)
+    worst = 0.0
+    for size in sorted({2, 3, n - 1} & set(range(2, n))):
+        for split in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 0.0):
+            for _ in range(2):
+                values = rng.uniform(-2.0, 2.0, n)
+                values[:size] = values[0] + split * np.arange(size)
+                m = rotated(basis, values - values.mean(), rng)
+                got = to_matrix(basis, linearize_fn(t, basis, m))
+                worst = max(worst, float(np.max(np.abs(got - exp_matrix(basis, m)))))
+    print(f"N = {n}: worst {worst:.1e}")
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 9))

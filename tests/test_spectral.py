@@ -337,7 +337,7 @@ def test_eig_unitary_every_axis_pole_an_eigenvalue():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_eig_unitary_one_hermitian_eigenproblem(n, monkeypatch):
-    """One ``eig_hermitian`` call per unitary, whatever its spectrum: a
+    """One ``np.linalg.eigh`` call per unitary, whatever its spectrum: a
     product of two sampler draws, and for N >= 3 exp(-0.7i L_4), whose
     eigenvalues exp(+-0.7i) share a cosine and whose eigenvalue 1 is
     repeated N - 2 times."""
@@ -346,10 +346,10 @@ def test_eig_unitary_one_hermitian_eigenproblem(n, monkeypatch):
     unitaries = [dense_exp(basis, m) @ dense_exp(basis, nvec)]
     if n >= 3:
         unitaries.append(dense_exp(basis, 0.7 * np.eye(basis.dim)[3]))
-    real = spectral.eig_hermitian
+    real = np.linalg.eigh
     for u in unitaries:
         calls = []
-        monkeypatch.setattr(spectral, "eig_hermitian", lambda h: calls.append(h) or real(h))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or real(h))
         spec = eig_unitary(u)
         assert len(calls) == 1
         recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
@@ -613,7 +613,7 @@ def test_taylor_rows_match_matrix_powers(n):
             ref, size = truncated_rows(points, coefficients)
             assert np.all(np.abs(got - ref) <= 1e-14 * size)
         if n > 1:
-            # Real points and coefficients give floats, as arcsin returns them.
+            # Real points and coefficients give floats.
             assert all(type(v) is float for v in _taylor_rows(x.tolist(), real.tolist(), n)[1])
 
 
