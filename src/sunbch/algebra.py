@@ -20,21 +20,27 @@ and define two bilinear products on coordinate vectors,
     (a (.) b)_j = d_jkl a_k b_l          symmetric product
 
 together with the plain scalar product a . b = sum_k a_k b_k (no
-conjugation).  The product of two elements a0 I + a . L and b0 I + b . L
-then reduces to
-
-    (a0 b0 + (2/N) a . b) I + (b0 a + a0 b + a (.) b + i a (x) b) . L,
-
-which ``multiply`` alone writes out.
-
-With one argument fixed, each product is linear in the other:
-``product_matrices`` builds the dim x dim matrices D(a) and F(a) with
+conjugation).  With one argument fixed, each product is linear in the
+other: ``product_matrices`` builds the dim x dim matrices D(a) and F(a)
+with
 
     D(a) v = v (.) a,   F(a) v = v (x) a,
 
-both at once, so a loop that multiplies by the same a many times (the
+both at once, from one scatter list of terms (slot, gathered coordinate,
+coefficient), so a loop that multiplies by the same a many times (the
 Newton products of ``linearize``, the adjoint kernel of ``bch``) pays one
 matrix-vector product per step.
+
+The product of two elements a0 I + a . L and b0 I + b . L reduces to
+
+    (a0 b0 + (2/N) a . b) I + (b0 a + a0 b + a (.) b + i a (x) b) . L,
+
+which ``multiply`` alone writes out.  Its bilinear part is
+D(b) a + i F(b) a, summed straight from the same terms without forming
+either matrix: a term at row j and column k with coefficient c and
+gathered coordinate l adds c b_l a_k to entry j, with c taken times i
+for an f term.  The scatter list is stored row by row, so one gather
+and one segmented sum (``np.add.reduceat``) give the whole vector part.
 
 Under 1% of the dim**3 tensor slots are nonzero at N = 8, so each tensor
 is built from T_jkl = Tr(L_j L_k L_l), summed over the generators'
@@ -94,8 +100,15 @@ class StructureTensors:
     ``cross`` and ``dot_sym`` contract; a value with k == l is halved,
     because the term a_k b_l + a_l b_k counts that slot twice.  The rest
     is derived from them: the joint scatter arrays of ``product_matrices``
-    (and their halves, ``terms``), built on first read and then kept, and
-    the canonical 1-based triples ``f_entries`` and ``d_entries``.
+    (and their halves, ``terms``) and the row layout of ``multiply``
+    (``product_rule``), each built on first read and then kept, and the
+    canonical 1-based triples ``f_entries`` and ``d_entries``.
+
+    ``scatter`` lists its terms row-major over the dim x 2 dim matrix
+    [D | F]: by row, then d before f, then column.  The sort is stable,
+    so each slot keeps its terms in the order ``_scatter`` made them, and
+    every sum over a slot is the same, bit for bit, as over the unsorted
+    list.
     """
 
     n: int
@@ -108,15 +121,14 @@ class StructureTensors:
 
     f_entries = property(lambda self: _canonical(self.f_coo))
     d_entries = property(lambda self: _canonical(self.d_coo))
-    scatter = cached_property(lambda self: _scatter(self.dim, self.d_coo, self.f_coo))
+    scatter = cached_property(lambda self: _row_major(self.dim, self.d_coo, self.f_coo))
+    product_rule = cached_property(lambda self: _product_rule(self.dim, *self.scatter))
 
     def terms(self, tensor: str) -> tuple[np.ndarray, ...]:
         """``tensor``'s ("d" or "f") half of ``scatter``, its slots in 0 .. dim**2 - 1."""
         slots, gather, coef = self.scatter
-        split = 2 * len(self.d_coo[0])
-        if tensor == "d":
-            return slots[:split], gather[:split], coef[:split]
-        return slots[split:] - self.dim ** 2, gather[split:], coef[split:]
+        half = slots < self.dim**2 if tensor == "d" else slots >= self.dim**2
+        return slots[half] % self.dim**2, gather[half], coef[half]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -162,7 +174,36 @@ def _scatter(dim: int, d_coo, f_coo) -> tuple[np.ndarray, ...]:
         slots += [rows * dim + k + offset, rows * dim + l + offset]
         gather += [l, k]
         coef += [value, sign * value]
-    return tuple(_freeze(np.concatenate(x)) for x in (slots, gather, coef))
+    return tuple(np.concatenate(x) for x in (slots, gather, coef))
+
+
+def _row_major(dim: int, d_coo, f_coo) -> tuple[np.ndarray, ...]:
+    """``_scatter``'s arrays, stably sorted by (row, d before f, column)."""
+    slots, gather, coef = _scatter(dim, d_coo, f_coo)
+    half, row, column = _slot_parts(dim, slots)
+    order = np.argsort((2 * row + half) * dim + column, kind="stable")
+    return tuple(_freeze(x[order]) for x in (slots, gather, coef))
+
+
+def _slot_parts(dim: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(0 for d or 1 for f, row, column) of flat ``product_matrices`` slots."""
+    half, rest = np.divmod(slots, dim * dim)
+    return (half, *np.divmod(rest, dim))
+
+
+def _product_rule(dim: int, slots, gather, coef) -> tuple[np.ndarray, ...]:
+    """``multiply``'s view of the row-major scatter list: the gathered
+    coordinate and column of each term, its coefficient times 1 (d) or
+    i (f), and the index of each row's first term.
+
+    ``np.add.reduceat`` returns a segment's first element when the
+    segment is empty, not 0, so every row must hold a term.  Each holds an
+    f term: su(N) is simple, so no generator commutes with all the others.
+    """
+    half, row, column = _slot_parts(dim, slots)
+    assert np.bincount(row[half == 1], minlength=dim).all(), "a row of f has no term"
+    coef = np.where(half == 1, 1j * coef, coef)
+    return (gather, *(_freeze(x) for x in (column, coef, np.searchsorted(row, np.arange(dim)))))
 
 
 def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:
@@ -304,14 +345,15 @@ def product_matrices(t: StructureTensors, a: np.ndarray) -> np.ndarray:
 
 
 def multiply(t: StructureTensors, a: LinearElement, b: LinearElement) -> LinearElement:
-    """Coordinates of (a0 I + a . L)(b0 I + b . L): the module's product rule."""
-    scalar = a.scalar * b.scalar + (2.0 / t.n) * np.dot(a.vector, b.vector)
-    vector = (
-        b.scalar * a.vector
-        + a.scalar * b.vector
-        + dot_sym(t, a.vector, b.vector)
-        + 1j * cross(t, a.vector, b.vector)
-    )
+    """Coordinates of (a0 I + a . L)(b0 I + b . L): the module's product rule.
+
+    The bilinear part a (.) b + i a (x) b = D(b) a + i F(b) a is one
+    gather and one ``np.add.reduceat`` over ``product_rule``'s rows.
+    """
+    av, bv = _check_coords(t.dim, a.vector, b.vector)
+    gather, column, coef, starts = t.product_rule
+    scalar = a.scalar * b.scalar + (2.0 / t.n) * np.dot(av, bv)
+    vector = b.scalar * av + a.scalar * bv + np.add.reduceat(coef * bv[gather] * av[column], starts)
     return LinearElement(scalar, vector)
 
 

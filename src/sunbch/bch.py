@@ -7,9 +7,12 @@ product reduces through the structure tensors by ``algebra.multiply``,
     r0 = mu0 nu0 + (2/N) mu . nu
     r  = nu0 mu + mu0 nu + mu (.) nu + i mu (x) nu,
 
-and the result is delinearized back to an algebra element.  ``similarity``
-forms exp(-i m . L) (n . L) exp(i m . L) = n' . L with the same product,
-twice, from one linearization and its conjugate.
+and the result is delinearized back to an algebra element.  ``multiply``
+sums the bilinear part, mu (.) nu + i mu (x) nu = D(nu) mu + i F(nu) mu,
+straight from the structure tensors' row-major term list, one gather and
+one segmented sum, with no matrix formed.  ``similarity`` forms
+exp(-i m . L) (n . L) exp(i m . L) = n' . L with the same product, twice,
+from one linearization and its conjugate.
 Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_direct``).
 """
 

@@ -28,11 +28,6 @@ def dense_conjugate(basis, m, nvec):
     return u @ algebra_matrix(basis, nvec) @ u.conj().T
 
 
-@pytest.fixture(params=[2, 3, 4], ids=lambda n: f"n{n}")
-def any_algebra(request):
-    return cached_algebra(request.param)
-
-
 @pytest.fixture
 def algebra2():
     return cached_algebra(2)

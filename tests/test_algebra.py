@@ -26,7 +26,7 @@ from sunbch import (
     structure_constants,
     to_matrix,
 )
-from sunbch.algebra import StructureTensors
+from sunbch.algebra import StructureTensors, _scatter
 from sunbch.linearize import linearize_fn
 
 from conftest import loop_canonicalization, trace_tensors
@@ -214,10 +214,11 @@ def test_cross_with_itself_is_exactly_zero(n):
             assert not np.any(cross(t, m, m))
 
 
-def test_multiply_matches_matrix_product(any_algebra):
+@pytest.mark.parametrize("n", range(2, 9), ids=lambda n: f"n{n}")
+def test_multiply_matches_matrix_product(n):
     """The product rule against the dense product, for pure algebra elements
     and for complex scalar and vector parts."""
-    basis, t = any_algebra
+    basis, t = cached_algebra(n)
     rng = np.random.default_rng(7)
 
     def draw(complex_parts):
@@ -232,6 +233,60 @@ def test_multiply_matches_matrix_product(any_algebra):
             lhs = to_matrix(basis, a) @ to_matrix(basis, b)
             rhs = to_matrix(basis, multiply(t, a, b))
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+def complex_element(rng, dim, scale):
+    re, im = scale * rng.uniform(-1, 1, (2, dim + 1))
+    return LinearElement(complex(re[0], im[0]), re[1:] + 1j * im[1:])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_multiply_is_the_product_matrices_sum(n):
+    """multiply's one segmented sum is b0 a + a0 b + D(b) a + i F(b) a, with
+    D(b) and F(b) from a complex ``product_matrices``: the same terms summed
+    in another order, so within 1e-15 of |(a0, a)| |(b0, b)|."""
+    _, t = cached_algebra(n)
+    rng = np.random.default_rng(600 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(10):
+            a, b = complex_element(rng, t.dim, scale), complex_element(rng, t.dim, scale)
+            sym, skew = product_matrices(t, b.vector)
+            want = b.scalar * a.vector + a.scalar * b.vector + sym @ a.vector + 1j * (skew @ a.vector)
+            size = np.linalg.norm([a.scalar, *a.vector]) * np.linalg.norm([b.scalar, *b.vector])
+            assert np.abs(multiply(t, a, b).vector - want).max() <= 1e-15 * size
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_product_rule_rows_are_never_empty(n):
+    """``np.add.reduceat`` gives an empty segment its first element, not 0,
+    so every row of multiply's term list must hold a term; each holds an f
+    term (N = 2 has no d term at all).  The list is built on first read,
+    not by ``structure_constants``."""
+    t = structure_constants(build_basis(n))
+    assert "scatter" not in vars(t) and "product_rule" not in vars(t)
+    gather, column, coef, starts = t.product_rule
+    assert len(starts) == t.dim and starts[0] == 0
+    assert np.all(np.diff([*starts, len(column)]) > 0)
+    assert all(np.any(coef[lo:hi].imag != 0) for lo, hi in zip(starts, [*starts[1:], len(coef)]))
+    assert gather is t.scatter[1]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_row_major_scatter_keeps_product_matrices_bitwise(n):
+    """``scatter`` is ``_scatter``'s list stably sorted by row; each slot keeps
+    its terms in order, so ``product_matrices`` is bit for bit a bincount
+    over the unsorted list, for real and complex a."""
+    _, t = cached_algebra(n)
+    slots, gather, coef = _scatter(t.dim, t.d_coo, t.f_coo)
+    rng = np.random.default_rng(700 + n)
+    size = 2 * t.dim**2
+    for _ in range(5):
+        re, im = rng.uniform(-1, 1, (2, t.dim))
+        for a in (re, re + 1j * im):
+            want = np.bincount(slots, coef * a[gather].real, minlength=size)
+            if a.dtype.kind == "c":
+                want = want + 1j * np.bincount(slots, coef * a[gather].imag, minlength=size)
+            assert product_matrices(t, a).tobytes() == want.reshape(2, t.dim, t.dim).tobytes()
 
 
 def test_from_matrix_round_trip(algebra3):
@@ -259,6 +314,10 @@ def test_wrong_length_rejected():
     _, t = cached_algebra(3)
     with pytest.raises(ValueError):
         cross(t, np.zeros(7), np.zeros(8))
+    good, bad = LinearElement(0.0, np.zeros(8)), LinearElement(0.0, np.zeros(7))
+    for a, b in ((good, bad), (bad, good)):
+        with pytest.raises(ValueError, match="length 8"):
+            multiply(t, a, b)
 
 
 def test_cached_algebra_is_cached():
