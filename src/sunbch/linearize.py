@@ -5,43 +5,45 @@ Any smooth function of an algebra element collapses to an affine form,
     f(m . L) = f0 I + fvec . L,
 
 because every polynomial in M = m . L reduces through the product rule.
-``linearize_fn`` writes exp(-i M) in the Newton form over the
-eigenvalues l1 <= ... <= lN of M,
+The products are real and built in coordinates; with P = s I + v . L,
+
+    P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
+
+and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrices``,
+built once per linearization, so a product with M - l I is one product of
+the (dim + 1)-square step matrix A = [[0, (2/N) m'], [m, D(m)]] with
+(s, v), less l (s, v).  The cross-product term of the full product rule
+(``algebra.multiply``) drops out identically: every product lies in the
+commutative family generated by m under (.).
+
+``linearize_fn`` evaluates exp(-iM) by one of two routes, chosen from m
+before any eigenproblem.  Inside the reach, where the bound
+beta = (Tr M**8)**(1/8) >= rho(M) is at most TAYLOR_REACH = pi, it sums
+cos M - i sin M as Taylor series in S = A A on the coordinates of I
+(``_exp_series``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488):
+no eigenvalue, and at most about exp(pi) roundoffs lost to cancellation,
+as in Opitz's rows.  Past the reach it takes the Newton form over the
+eigenvalues l1 <= ... <= lN of M from LAPACK (``_exp_newton``),
 
     f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
 
 which is exact on any spectrum of the diagonalizable M: with a repeated
 eigenvalue it is the Hermite interpolant, which agrees with f there too.
 Its divided differences are the first row of exp(-iB) for the bidiagonal
-matrix B of the eigenvalues and ones (Opitz), so the eigenvalues are all
-the spectral input it needs: no eigenvectors, and no Vandermonde system to
-solve.  For N <= 4 even those come without iteration: the power sums
-Tr M**2 = 2 m.m, Tr M**3 = 2 (m (.) m).m and
-Tr M**4 = (4/N)(m.m)**2 + 2 (m (.) m).(m (.) m) fix the characteristic
-polynomial, and ``spectral.eigvals_from_power_sums`` solves it in closed
-form, declining close or repeated eigenvalues to LAPACK.  The
-Newton products are real and built in coordinates; with P = s I + v . L,
-
-    P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
-
-and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrices``,
-built once per linearization (and giving m (.) m = D(m) m for the power
-sums), so each step is one product of the (dim + 1)-square
-matrix [[0, (2/N) m'], [m, D(m)]] with (s, v), less l (s, v).
-The cross-product term of the full product rule (``algebra.multiply``)
-drops out identically: every product lies in the commutative family
-generated by m under (.).  A group element obeys the norm identity
-|f0|**2 + (2/N) |fvec|**2 = Tr(u'u) / N = 1, and ``linearize_fn``
-refuses a form that misses it by more than UNITARY_TOL.  That is the one
-guard of the exp form.  A NaN or inf fails it, and so does the rounding
-of the eigenphases, about |l| eps each, from about |m| = 1e8 on.  The
-identity is necessary, not sufficient, for unitarity, but its defect
-tracked the form's true error within a factor of about ten from
-|m| = 1 to 1e12 at N = 2, 3, 4 and 8.
+matrix B of the eigenvalues and ones (Opitz), scaled and squared for wide
+spectra, so it needs no eigenvector and no Vandermonde system.  A group
+element obeys the norm identity |f0|**2 + (2/N) |fvec|**2 = Tr(u'u) / N
+= 1, and ``linearize_fn`` refuses a form that misses it by more than
+UNITARY_TOL.  That is the one guard of the exp form, on both routes.  A
+NaN or inf fails it, and so does the rounding of the eigenphases, about
+|l| eps each, from about |m| = 1e8 on.  The identity is necessary, not
+sufficient, for unitarity, but its defect tracked the form's true error
+within a factor of about ten from |m| = 1 to 1e12 at N = 2, 3, 4 and 8.
 ``power_table`` lists the plain powers of M as ``LinearElement``s from
-the same routine, every shift 0; it and the monomial coefficients of
-``spectral.expansion_coeffs`` remain as cross-checks.  M is Hermitian, so
-exp(+i M) is the conjugate element ``linearize_fn(...).conj()``.
+the Newton products, every shift 0; it and the monomial coefficients of
+``spectral.expansion_coeffs``, which read Opitz's rows, remain as
+cross-checks.  M is Hermitian, so exp(+i M) is the conjugate element
+``linearize_fn(...).conj()``.
 
 ``delinearize_exp`` inverts the exponential case without eigenvectors,
 at every N.  Near the identity the scalar coordinate alone shows that
@@ -84,6 +86,7 @@ from .algebra import (
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
+    TAYLOR_REACH,
     UNITARY_TOL,
     _ROUNDOFF,
     _cayley_hermitian,
@@ -101,10 +104,10 @@ from .spectral import (
 )
 
 BRANCH_GAP = 1e-9
-# m . m and its square stay normal floats inside this range, so the power
-# sums of the closed-form spectra (D(m) m and its dot products) neither
-# underflow nor overflow; outside it ``spectral._eigvalsh``, which scales
-# its input by a power of two, takes the eigenvalues from LAPACK.
+# ``_log_past_gate``'s closed form for N = 3 and 4 runs while half the power
+# sum p2 of its depressed roots lies inside this range, so that its power
+# sums stay normal floats; outside it ``spectral._eigvalsh``, which scales
+# its input by a power of two, takes the roots from LAPACK.
 POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
 # ``delinearize_exp`` takes the arcsin series when 2N (1 - Re g0) =
 # sum_k |1 - exp(-i theta_k)|**2 = sum_k 4 sin(theta_k/2)**2 is at most
@@ -143,6 +146,10 @@ def _cayley_rows(n: int) -> list[list[complex]]:
 
 
 _CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
+# Rows (c_k, s_k) = ((-1)**k / (2k)!, (-1)**k / (2k+1)!) of cos x =
+# sum_k c_k x**(2k) and sin x = x sum_k s_k x**(2k); ``_exp_series`` sums at
+# most 15 of them, at radius TAYLOR_REACH.
+_COS_SIN = np.array([[(-1) ** k / math.factorial(j) for j in (2 * k, 2 * k + 1)] for k in range(15)])
 
 
 def _step_matrix(t: StructureTensors, m: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -191,51 +198,52 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
     return [LinearElement(p[0], p[1:]) for p in products]
 
 
-def _eigenvalues(
-    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray
-) -> list[float]:
-    """Ascending eigenvalues of M = m . L for ``linearize_fn``'s Newton form.
-
-    For N <= 4 they come in closed form from the power sums of
-    ``eigvals_from_power_sums``, with m (.) m = D(m) m from the caller's
-    D(m) = ``sym``, while m . m lies inside POWER_SUM_RANGE.  Outside it,
-    where the closed form declines (close or repeated eigenvalues), and
-    for N > 4 LAPACK takes them, unguarded (``spectral._eigvalsh``): m is real.
-    """
-    if t.n <= 4:
-        # hypot does not overflow, and a float product overflows to inf
-        # silently: a huge m is refused by the range, not with a warning.
-        norm = math.hypot(*m.tolist())
-        aa = norm * norm
-        if POWER_SUM_RANGE[0] < aa < POWER_SUM_RANGE[1]:
-            p3 = p4 = 0.0
-            if t.n > 2:
-                mm = sym @ m
-                p3 = 2.0 * float(np.dot(mm, m))
-                p4 = (4.0 / t.n) * aa * aa + 2.0 * float(np.dot(mm, mm))
-            vals = eigvals_from_power_sums(t.n, 2.0 * aa, p3, p4)
-            if vals is not None:
-                return vals
+def _eigenvalues(basis: GeneratorBasis, m: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of M = m . L for the Newton form past the reach,
+    from LAPACK, unguarded (``spectral._eigvalsh``): m is real."""
     return _eigvalsh(algebra_matrix(basis, m)).tolist()
+
+
+def _exp_newton(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """Coordinates of exp(-iM) by the Newton form over M's eigenvalues
+    (module docstring), with D(m) = ``sym``."""
+    lam = _eigenvalues(basis, m)
+    return np.dot(exp_divided_differences(lam), _newton_products(t, m, lam[:-1], sym))
+
+
+def _exp_series(step: np.ndarray, square: np.ndarray, radius: float) -> np.ndarray:
+    """Coordinates of exp(-iM) = cos M - i sin M, for the ``_step_matrix`` A
+    of M, S = A A = ``square`` and a bound ``radius`` >= rho(M): cos M =
+    sum_k c_k S**k e0 and sin M = A sum_k s_k S**k e0 (``_COS_SIN``), by
+    Horner's rule on one (dim + 1, 2) array.  The first term left out is at
+    most radius**(2K) / (2K)!, and K is the least count that brings it
+    below a roundoff."""
+    terms, size, r2 = 1, 0.5 * radius * radius, radius * radius
+    while size >= _ROUNDOFF:
+        terms += 1
+        size *= r2 / ((2 * terms - 1) * (2 * terms))
+    x = np.zeros((square.shape[0], 2))
+    x[0] = _COS_SIN[terms - 1]
+    for row in _COS_SIN[:terms - 1][::-1]:
+        x = square @ x
+        x[0] += row
+    return x[:, 0] - 1j * (step @ x[:, 1])
 
 
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
-    The Newton form (module docstring) is exact, because f and its
-    interpolant agree on the spectrum of the diagonalizable M = m . L; a
-    repeated eigenvalue makes that a Hermite interpolant, which agrees
-    there as well.  D(m) is built once (it is zero at N = 2) for the power
-    sums of ``_eigenvalues`` and the steps of ``_newton_products``.  The
-    divided differences come from ``exp_divided_differences`` (Opitz's
-    bidiagonal exponential), which accepts confluent points, so only the
-    eigenvalues are needed, never the eigenvectors, and a degenerate
-    spectrum (the zero element included) is no special case.  The
-    all-matrix route (apply_spectral then from_matrix) reproduces the same
-    element and serves as the oracle in the test suite.  A complex or
-    non-finite m is a ValueError.
+    The route is chosen from m before any eigenproblem (module docstring).
+    Since 2 m . m = Tr M**2 <= N rho(M)**2, 2 m . m > N TAYLOR_REACH**2 is
+    past the reach before S = A A is formed, so a huge m never overflows
+    it.  Otherwise beta = (Tr M**8)**(1/8), Tr M**8 / N being the norm
+    identity's sum of squares of M**4 = S S e0, picks ``_exp_series``
+    (beta <= TAYLOR_REACH) or ``_exp_newton``; D(m) serves both (it is 0
+    at N = 2).  A degenerate spectrum, the zero element included, is no
+    special case.  The dense route (apply_spectral then from_matrix) is
+    the tests' oracle.  A complex or non-finite m is a ValueError.
 
-    The one refusal of the form is its norm identity: unless
+    The one refusal of both routes is the norm identity: unless
     |f0|**2 + (2/N) |fvec|**2 lies within UNITARY_TOL of 1 (a NaN or inf
     does not), ConstraintViolationError names |m| and the defect.  Each
     eigenvalue l carries about |l| eps of rounding into its phase, so at
@@ -243,8 +251,13 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     """
     (m,) = _real_coords(t.dim, m=m)
     sym = product_matrices(t, m)[0]
-    lam = _eigenvalues(t, basis, m, sym)
-    form = np.dot(exp_divided_differences(lam), _newton_products(t, m, lam[:-1], sym))
+    radius = math.inf
+    if 2.0 * float(m @ m) <= t.n * TAYLOR_REACH * TAYLOR_REACH:
+        step = _step_matrix(t, m, sym)
+        square = step @ step
+        fourth = square @ square[:, 0]
+        radius = (t.n * fourth[0] * fourth[0] + 2.0 * float(fourth[1:] @ fourth[1:])) ** 0.125
+    form = _exp_series(step, square, radius) if radius <= TAYLOR_REACH else _exp_newton(t, basis, m, sym)
     f0, fvec = complex(form[0]), form[1:]
     # Products, not **, which raises OverflowError on a huge float.
     norm2 = f0.real * f0.real + f0.imag * f0.imag + (2.0 / t.n) * np.vdot(fvec, fvec).real

@@ -5,14 +5,13 @@ values-only callers by ``eigvalsh`` (``_eigvalsh``), so the two agree to
 rounding, not bit for bit; a matrix of extreme norm is first scaled by a
 power of two, which is exact.  Characteristic polynomials come from
 the traces of a matrix's powers by Newton's identities
-(``_power_sum_poly``), and exp(-ix)'s divided differences come from the
-Taylor series of Opitz's bidiagonal matrix, scaled and squared for
-widely spread points, summed row by row in one loop, ``_taylor_rows``,
-which runs over Python scalars: at
-desk scale (N <= 8) a numpy call costs more in dispatch than its few
-dozen flops.  The monomial coefficients of exp(-iM) expand the Newton
-form of exp(-ix)'s divided differences, so no Vandermonde system is
-solved anywhere.
+(``_power_sum_poly``).  exp(-ix)'s divided differences come from the
+Taylor series of Opitz's bidiagonal matrix, scaled and squared for widely
+spread points (``_taylor_rows``, over Python scalars).  They serve
+``linearize``'s Newton form past TAYLOR_REACH, inside which
+``linearize_fn`` sums exp's own series with no eigenvalue, and the
+monomial coefficients of exp(-iM), which expand that Newton form, so no
+Vandermonde system is solved anywhere.
 
 For N <= 4 the eigenvalues of a traceless M need no iteration:
 ``eigvals_from_power_sums`` reads them off the characteristic polynomial,
@@ -65,9 +64,9 @@ GAP_TOL = 1e-9
 # ``char_poly`` refuses larger input, and ``verify``'s run configuration
 # and the CLI's --n read it.
 MAX_N = 8
-# Largest half-spread that exp_divided_differences sums without squaring:
-# the series then loses at most exp(pi) ~ 23 roundoffs, and every
-# spectrum the sampler draws (radius <= 0.9 pi) stays within it.
+# Largest half-spread that exp_divided_differences sums without squaring,
+# and largest bound on rho(M) at which ``linearize_fn`` sums exp(-iM) as a
+# Taylor series: either series then loses at most exp(pi) ~ 23 roundoffs.
 TAYLOR_REACH = math.pi
 _ROUNDOFF = 2.0 ** -53
 # ||m||_F^2 range in which the Hermitian eigensolver runs on m unscaled.

@@ -230,18 +230,21 @@ def _projector_identities(ctx, rng):
 def _coeff_route_agreement(ctx, rng):
     """The monomial coefficients of exp(-iM) by Horner over the Newton form
     against the paper's moments folded through the characteristic
-    polynomial.
+    polynomial, and sum_k f_k M**k against ``linearize_fn``.
 
-    Both routes read Opitz's matrix (the first row of exp(-iB) from
-    ``exp_divided_differences``), so a fault there would move both alike;
-    ``linearize_vs_dense`` still catches it, since it holds the Newton form
-    against the dense oracle.
+    Both coefficient routes read Opitz's matrix (the first row of exp(-iB)
+    from ``exp_divided_differences``), so a fault there would move both
+    alike; ``linearize_fn`` sums exp's Taylor series on every draw inside
+    the reach, with no divided difference, and so catches it.
     """
-    m = algebra_matrix(ctx.basis, ctx.sample(rng))
-    spec = eig_hermitian(m)
+    m = ctx.sample(rng)
+    mat = algebra_matrix(ctx.basis, m)
+    spec = eig_hermitian(mat)
     direct = expansion_coeffs(spec)
-    derived = expansion_coeffs_derivative(spec, char_poly(m))
-    return _maxabs(direct - derived)
+    derived = expansion_coeffs_derivative(spec, char_poly(mat))
+    series = sum(c * np.linalg.matrix_power(mat, k) for k, c in enumerate(direct))
+    form = to_matrix(ctx.basis, linearize_fn(ctx.tensors, ctx.basis, m))
+    return max(_maxabs(direct - derived), _maxabs(series - form))
 
 
 # ---- linearization properties ---------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sunbch import algebra_matrix, build_basis, cached_algebra, random_coords
+from sunbch import algebra_matrix, build_basis, cached_algebra, from_matrix, random_coords
 from sunbch.algebra import SPARSE_THRESHOLD
 
 
@@ -26,6 +26,19 @@ def dense_conjugate(basis, m, nvec):
     """Oracle exp(-iM) N exp(iM) via scipy."""
     u = dense_exp(basis, m)
     return u @ algebra_matrix(basis, nvec) @ u.conj().T
+
+
+def conjugated(basis, diagonal, rng):
+    """The element U diag(diagonal) U' for a Haar-random unitary U."""
+    n = basis.n
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return from_matrix(basis, q @ np.diag(diagonal) @ q.conj().T)
+
+
+def rotated(basis, eigenvalues, rng):
+    """Coordinates of U diag(eigenvalues) U' for a Haar-random unitary U."""
+    return conjugated(basis, eigenvalues, rng).vector.real
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from sunbch.spectral import (
     eigvals_from_power_sums,
 )
 
-from conftest import dense_exp
+from conftest import conjugated, dense_exp, rotated
 
 
 def power_sums(t, m):
@@ -44,19 +44,6 @@ def power_sums(t, m):
     mm = product_matrices(t, m)[0] @ m
     aa = float(m @ m)
     return 2.0 * aa, 2.0 * float(mm @ m), (4.0 / t.n) * aa * aa + 2.0 * float(mm @ mm)
-
-
-def conjugated(basis, diagonal, rng):
-    """The element U diag(diagonal) U' for a Haar-random unitary U."""
-    n = basis.n
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return from_matrix(basis, q @ np.diag(diagonal) @ q.conj().T)
-
-
-def rotated(basis, eigenvalues, rng):
-    """Coordinates of U diag(eigenvalues) U' for a Haar-random unitary U."""
-    return conjugated(basis, eigenvalues, rng).vector.real
 
 
 def spectral_error(got, m, basis):
@@ -120,7 +107,7 @@ def test_closed_form_both_sides_of_the_cut(n, side):
             assert got is not None
         else:
             assert got is None
-            got = _eigenvalues(t, basis, m, product_matrices(t, m)[0])
+            got = _eigenvalues(basis, m)
         assert spectral_error(got, m, basis) <= 1e-13
         checked += 1
     assert checked >= 25
@@ -142,7 +129,7 @@ def test_closed_form_declines_exact_repeats(n, diagonal):
     rng = np.random.default_rng(5)
     for m in (from_matrix(basis, np.diag(diagonal)).vector.real, rotated(basis, diagonal, rng)):
         assert eigvals_from_power_sums(n, *power_sums(t, m)) is None
-        got = _eigenvalues(t, basis, m, product_matrices(t, m)[0])
+        got = _eigenvalues(basis, m)
         assert spectral_error(got, m, basis) <= 1e-13
 
 
@@ -161,8 +148,7 @@ def test_extreme_norms_take_the_fallback(monkeypatch, n, scale):
         raise AssertionError("the closed form was reached")
 
     monkeypatch.setattr(linearize, "eigvals_from_power_sums", refuse)
-    sym = product_matrices(t, m)[0] if n > 2 else None
-    assert spectral_error(_eigenvalues(t, basis, m, sym), m, basis) <= 1e-13
+    assert spectral_error(_eigenvalues(basis, m), m, basis) <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 9))

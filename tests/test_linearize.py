@@ -15,15 +15,17 @@ from sunbch import (
     linearize_fn,
     log_coords,
     power_table,
+    random_coords,
     similarity,
     similarity_direct,
     to_matrix,
 )
-from sunbch.algebra import algebra_matrix
+from sunbch import linearize
+from sunbch.algebra import algebra_matrix, product_matrices
 from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
-from conftest import dense_exp, seeded_samples
+from conftest import dense_exp, rotated, seeded_samples
 
 
 def test_exp_helpers():
@@ -336,3 +338,122 @@ def test_delinearize_rejects_nonunitary(algebra2):
     g = LinearElement(0.5, np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="unitary"):
         delinearize_exp(t, basis, g)
+
+
+def mpmath_exp_coords(n, m):
+    """(f0, f) of exp(-i m . L) from mpmath's ``expm`` at 40 digits, rounded
+    once to double.  M and the coordinates Tr(E L_k) / 2 are formed in mpmath
+    from the generators' exact entries, so m is the only rounded input."""
+    mpmath = pytest.importorskip("mpmath")
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(c)) for c in m]
+        diagonal = [mpmath.sqrt(mpmath.mpf(2) / (l * (l + 1))) for l in range(1, n)]
+        big = mpmath.matrix(n, n)
+        for (j, k), a, b in zip(pairs, x, x[len(pairs):]):
+            big[j, k] += a - 1j * b
+            big[k, j] += a + 1j * b
+        for l, (c, w) in enumerate(zip(x[2 * len(pairs):], diagonal), 1):
+            for a in range(l):
+                big[a, a] += c * w
+            big[l, l] -= l * c * w
+        e = mpmath.expm(-1j * big)
+        f0 = sum(e[a, a] for a in range(n)) / n
+        f = [(e[k, j] + e[j, k]) / 2 for j, k in pairs]
+        f += [1j * (e[j, k] - e[k, j]) / 2 for j, k in pairs]
+        f += [(sum(e[a, a] for a in range(l)) - l * e[l, l]) * w / 2 for l, w in enumerate(diagonal, 1)]
+        return complex(f0), np.array([complex(c) for c in f])
+
+
+def coordinate_error(elem, exact):
+    """Largest coordinate error of a (scalar, vector) pair against ``exact``."""
+    f0, f = exact
+    return max(abs(elem[0] - f0), float(np.max(np.abs(elem[1] - f))))
+
+
+# Exponents with repeated eigenvalues, (generator index, size) per N:
+# 1.3 L8 at N = 3 (a double eigenvalue), 0.5 L1 at N = 4 (a double
+# eigenvalue 0) and 2 L1 at N = 8 (six eigenvalues 0).
+SPECIAL_EXPONENTS = {3: (7, 1.3), 4: (0, 0.5), 8: (0, 2.0)}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exp_routes_against_40_digits(monkeypatch, n):
+    """linearize_fn against mpmath's 40-digit expm.
+
+    On both sides of the reach: a sampler direction scaled so that
+    beta = (Tr M**8)**(1/8) is 0.99 pi takes the series (the Newton form
+    made to raise), and one at 1.01 pi the Newton form (the series made to
+    raise); both agree within 1e-14.  Then sampler draws, Haar-rotated
+    clusters of 2, 3 or N - 1 eigenvalues in [-1, 1] split by 1e-3 down to
+    1e-12, the zero element and the double eigenvalues of
+    SPECIAL_EXPONENTS, and a draw at scale 1e-300: each within 1e-14, and
+    the worst error within twice that of the Newton form over the same
+    exponents.  At 1e-300, exp(-iM) = I - iM to every digit, so f = -i m
+    holds relative to |m| as well."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(700 + n)
+
+    def refuse(*args):
+        raise AssertionError("the other route was taken")
+
+    for share, other in ((0.99, "_exp_newton"), (1.01, "_exp_series")):
+        m = random_coords(basis, rng)
+        m *= share * np.pi / np.sum(np.linalg.eigvalsh(algebra_matrix(basis, m)) ** 8) ** 0.125
+        with monkeypatch.context() as patch:
+            patch.setattr(linearize, other, refuse)
+            error = coordinate_error(linearize_fn(t, basis, m), mpmath_exp_coords(n, m))
+        print(f"N = {n}: beta = {share} pi, error {error:.1e}")
+        assert error <= 1e-14
+
+    exponents = [random_coords(basis, rng) for _ in range(4)]
+    for size in sorted({2, 3, n - 1} & set(range(2, n))):
+        for split in (1e-3, 1e-6, 1e-9, 1e-12):
+            values = rng.uniform(-1.0, 1.0, n)
+            values[:size] = values[0] + split * np.arange(size)
+            exponents.append(rotated(basis, values - values.mean(), rng))
+    exponents.append(np.zeros(t.dim))
+    if n in SPECIAL_EXPONENTS:
+        k, size = SPECIAL_EXPONENTS[n]
+        exponents.append(size * np.eye(t.dim)[k])
+    tiny = 1e-300 * random_coords(basis, rng)
+    exponents.append(tiny)
+    worst = {"linearize_fn": 0.0, "newton": 0.0}
+    for m in exponents:
+        exact = mpmath_exp_coords(n, m)
+        newton = linearize._exp_newton(t, basis, m, product_matrices(t, m)[0])
+        for name, got in (("linearize_fn", linearize_fn(t, basis, m)), ("newton", (newton[0], newton[1:]))):
+            worst[name] = max(worst[name], coordinate_error(got, exact))
+    print(f"N = {n}: {len(exponents)} exponents, worst " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+    assert worst["linearize_fn"] <= 1e-14
+    assert worst["linearize_fn"] <= 2.0 * worst["newton"]
+    elem = linearize_fn(t, basis, tiny)
+    assert elem.scalar == 1.0
+    assert np.max(np.abs(elem.vector + 1j * tiny)) <= 1e-15 * np.max(np.abs(tiny))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_inside_reach_solves_no_eigenproblem(monkeypatch, n):
+    """Near the identity neither linearization nor logarithm computes an
+    eigenvalue: on pairs at operand scales 10**U(-6, -1), with LAPACK's
+    Hermitian drivers, ``linearize._eigenvalues`` and
+    ``linearize.exp_divided_differences`` made to raise, ``compose`` and
+    ``similarity`` still return what they returned before, bit for bit."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(960 + n)
+    pairs = [
+        tuple(random_coords(basis, rng) * 10.0 ** rng.uniform(-6.0, -1.0) for _ in range(2))
+        for _ in range(12)
+    ]
+    want = [(compose(t, basis, m, v), similarity(t, basis, m, v)) for m, v in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenproblem was solved inside the reach")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linearize, "_eigenvalues", refuse)
+    monkeypatch.setattr(linearize, "exp_divided_differences", refuse)
+    for (m, v), (r, nprime) in zip(pairs, want):
+        np.testing.assert_array_equal(compose(t, basis, m, v), r)
+        np.testing.assert_array_equal(similarity(t, basis, m, v), nprime)

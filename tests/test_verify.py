@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sunbch import cached_algebra
+from sunbch import cached_algebra, spectral
 from sunbch.verify import _PROPERTIES, RunConfig, _jacobi_fd, _jacobi_ff, run_suite
 
 from conftest import trace_tensors
@@ -138,3 +138,27 @@ def test_exhaustive_check_stays_below_one_dim4_array(name):
     finally:
         tracemalloc.stop()
     assert peak < basis.dim**4 * 8
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_coeff_route_agreement_catches_a_perturbed_opitz_kernel(monkeypatch, n):
+    """Both monomial routes read ``exp_divided_differences``, and
+    ``linearize_fn`` reads it on no sampler draw inside the reach, so only
+    the property's residual against ``linearize_fn`` sees a fault there:
+    with the kernel's last entry scaled by 1 + 1e-6 the property fails."""
+    config = RunConfig(n=n, seed=16, trials=10)
+    kernel = spectral.exp_divided_differences
+
+    def perturbed(values):
+        row = kernel(values)
+        row[-1] *= 1.0 + 1e-6
+        return row
+
+    def row(report):
+        return next(r for r in report["properties"] if r["name"] == "coeff_route_agreement")
+
+    assert row(run_suite(config))["pass"]
+    monkeypatch.setattr(spectral, "exp_divided_differences", perturbed)
+    failed = row(run_suite(config))
+    print(f"N = {n}: residual {failed['max_residual']:.1e}")
+    assert not failed["pass"]
