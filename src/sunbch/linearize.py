@@ -50,18 +50,14 @@ at every N.  Near the identity the scalar coordinate alone shows that
 every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then
 arcsin of S = sin R, whose coordinates are the imaginary parts of the
 element's; ``_arcsin_series`` sums its Taylor series with the Newton
-step matrix, and needs no eigenvalue.  Past the gate the eigenphases of
-u come from its Cayley transform H = i (wI + u)(wI - u)**-1, whose
-eigenvalues are real: for N = 3 and 4 in closed form, from u's
-characteristic polynomial mapped by the Cayley substitution to a real
-polynomial that ``spectral.eigvals_from_power_sums`` solves, and
-otherwise, or where that declines, by ``spectral._eigvalsh`` on H.  R is the Newton form in u
-over those eigenvalues (``_log_past_gate``).  That route reads the
-powers of u and its characteristic polynomial from
-``spectral._powers_and_poly``, the pole w from ``spectral._cayley_pole``
-and H from ``spectral._cayley_hermitian``, as ``spectral.eig_unitary``
-does.  It declines, rather than refuses, wherever it would lose accuracy
-(CHORD_CUT, TIE_CUT), and only then does ``log_coords`` take the dense
+step matrix, and needs no eigenvalue.  Past the gate the eigenvalues
+of u itself come from LAPACK's nonsymmetric ``eigvals``, through
+``spectral._lapack``, and R is the Newton form in u over them
+(``_log_past_gate``), expanded over the powers of u from
+``spectral._powers_and_poly``.  u is normal, so each eigenvalue is
+accurate to about eps however they cluster.  That route declines,
+rather than refuses, wherever its divided differences would lose
+accuracy (CHORD_CUT, TIE_CUT), and only then does ``log_coords`` take the dense
 matrix and its eigenvectors.  Past the gate both logarithms take principal
 eigenphases through ``_branch_rule``, the one 2 pi shift rule, the one
 det u = 1 check and the one site of the ambiguity refusals.
@@ -89,26 +85,19 @@ from .spectral import (
     TAYLOR_REACH,
     UNITARY_TOL,
     _ROUNDOFF,
-    _cayley_hermitian,
-    _cayley_pole,
     _eigvalsh,
+    _lapack,
     _newton_monomials,
     _powers_and_poly,
     _require_unitary,
     apply_spectral,
     eig_hermitian,
     eig_unitary,
-    eigvals_from_power_sums,
     exp_divided_differences,
     exp_minus_i,
 )
 
 BRANCH_GAP = 1e-9
-# ``_log_past_gate``'s closed form for N = 3 and 4 runs while half the power
-# sum p2 of its depressed roots lies inside this range, so that its power
-# sums stay normal floats; outside it ``spectral._eigvalsh``, which scales
-# its input by a power of two, takes the roots from LAPACK.
-POWER_SUM_RANGE = (2.0 ** -500, 2.0 ** 500)
 # ``delinearize_exp`` takes the arcsin series when 2N (1 - Re g0) =
 # sum_k |1 - exp(-i theta_k)|**2 = sum_k 4 sin(theta_k/2)**2 is at most
 # this: each term is then at most 4 sin(pi/8)**2, so every |theta_k| <= pi/4
@@ -119,33 +108,20 @@ LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 # Past the gate ``delinearize_exp`` takes the logarithm from u's
 # eigenvalues (``_log_past_gate``) and declines to ``log_coords`` where
 # that would lose accuracy.  CHORD_CUT: some eigenvalue z_k of u has
-# prod_{j != k} |z_k - z_j| below it; a root of p_u errs by about
-# eps / |p_u'(z_k)| and the divided differences of the Newton form lose
-# as much, so an answered R stays within about 2e-13 of exact.  A phase
+# prod_{j != k} |z_k - z_j| below it; the divided differences of the
+# Newton form divide the eigenvalues' rounding, about eps, by such
+# products, so an answered R stays within about 2e-13 of exact.  A phase
 # pair straddling the cut at pi loses more, since R's values there lie
-# nearly 2 pi apart at close points (measured up to 6e-12, at N = 3).
+# nearly 2 pi apart at close points; so does any logarithm of the rounded
+# u (measured up to 3e-12 at N = 3 and 4, ``log_coords`` 2.5e-12).
 # TIE_CUT: the 2 pi shift boundary falls between two phases closer than
 # this, so R takes values 2 pi apart at two close points and the error
-# grows like 3e-15 / gap**2 (measured 3e-13 at a gap of 0.1, 3e-11 at
-# 0.01, where ``log_coords`` errs by 3e-14 and 3e-13).
+# grows like eps / gap (measured at N = 3: 3e-14 at a gap of 0.1, 3e-13
+# at 0.01, where ``log_coords`` errs by 1.4e-14 and 3e-13).
 CHORD_CUT = 1e-3
 TIE_CUT = 0.1
 
 
-def _cayley_rows(n: int) -> list[list[complex]]:
-    """Row k, column j: the coefficient of t**k in (t - i)**j (t + i)**(n - j),
-    so that sum_j a_j w**j (t - i)**j (t + i)**(n - j) is the Cayley
-    substitution z = w (t - i)/(t + i) of p(z) = sum_j a_j z**j."""
-    columns = []
-    for j in range(n + 1):
-        c = [1.0 + 0j]
-        for root in [1j] * j + [-1j] * (n - j):
-            c = [a - root * b for a, b in zip([0j] + c, c + [0j])]  # times (t - root)
-        columns.append(c)
-    return [list(row) for row in zip(*columns)]
-
-
-_CAYLEY = {n: _cayley_rows(n) for n in (3, 4)}
 # Rows (c_k, s_k) = ((-1)**k / (2k)!, (-1)**k / (2k+1)!) of cos x =
 # sum_k c_k x**(2k) and sin x = x sum_k s_k x**(2k); ``_exp_series`` sums at
 # most 15 of them, at radius TAYLOR_REACH.
@@ -351,47 +327,21 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
     (module constants CHORD_CUT and TIE_CUT), and ``log_coords`` then
     decides.
 
-    ``spectral._powers_and_poly`` gives the powers u**0 .. u**(N-1) and u's
-    characteristic polynomial p_u, ``spectral._cayley_pole`` the pole w, the point of
-    largest |p_u(w)| among 4N points on the circle, at least sqrt 2 on
-    every unitary u, so no det check has to come first; ``eig_unitary``
-    reads the same.  The eigenvalues t_k of H = i (wI + u)(wI - u)**-1
-    are real, and the eigenphases are theta_k = -2 atan(t_k) - arg(-w).
-    For N = 3 and 4 the t_k come in closed form: the Cayley substitution
-    z = w (t - i)/(t + i) maps p_u to a real polynomial in t (after
-    division by its leading coefficient p_u(w)), which, depressed by its
-    mean root, ``eigvals_from_power_sums`` solves while its p2 lies inside
-    POWER_SUM_RANGE; its slope cut declines close roots, whose values the
-    rounding of p_u's coefficients would move by eps / |p'|.  N = 2 has no
-    such cut (its two roots are +-r), so there, for N > 4, and wherever
-    the closed form declines, ``spectral._eigvalsh`` takes the t_k from the
-    exactly Hermitian H (``spectral._cayley_hermitian``).  The phases go
-    through ``_branch_rule``, as in ``log_coords``, which also refuses
-    det u != 1 on their sum.  R is the Newton form in u over
-    z_k = exp(-i theta_k) of the values theta_k, expanded to monomials
-    (``_newton_monomials``) over the powers of u already formed.
+    LAPACK's ``eigvals`` takes the eigenvalues z_k of u itself, through
+    ``spectral._lapack`` so that a failure is a ConvergenceError; u is
+    unitary, so its pre-scaling never fires.  u is normal, so a
+    backward-stable nonsymmetric QR gives each z_k within about
+    eps ||u||_2 = eps, however the eigenvalues cluster (Bauer & Fike,
+    Numer. Math. 2 (1960) 137), and the eigenphases theta_k = -arg z_k
+    within about eps too.  They go through ``_branch_rule``, as in
+    ``log_coords``, which also refuses det u != 1 on their sum.  R is the
+    Newton form in u over z_k = exp(-i theta_k) of the values theta_k,
+    expanded to monomials (``_newton_monomials``) over the powers
+    u**0 .. u**(N-1) from ``spectral._powers_and_poly``.
     """
     n = basis.n
-    powers, coeffs = _powers_and_poly(u)
-    w, beta, lead = _cayley_pole(coeffs)
-    t = None
-    if n in _CAYLEY:
-        # The real monic t-polynomial, then its Taylor shift by the mean root.
-        b = [c * w ** j for j, c in enumerate(coeffs)]
-        q = [(sum(a * x for a, x in zip(row, b)) / lead).real for row in _CAYLEY[n]]
-        mean = -q[n - 1] / n
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                q[j] += mean * q[j + 1]
-        # Power sums of the depressed roots from its coefficients.
-        p2 = -2.0 * q[n - 2]
-        if POWER_SUM_RANGE[0] < 0.5 * p2 < POWER_SUM_RANGE[1]:
-            p4 = 2.0 * q[2] * q[2] - 4.0 * q[0] if n == 4 else 0.0
-            tau = eigvals_from_power_sums(n, p2, -3.0 * q[n - 3], p4)
-            t = None if tau is None else [mean + x for x in tau]
-    if t is None:
-        t = _eigvalsh(_cayley_hermitian(u, powers, coeffs, w)).tolist()
-    theta = [math.remainder(-2.0 * math.atan(x) - beta, 2.0 * math.pi) for x in t]
+    powers, _ = _powers_and_poly(u)
+    theta = [-cmath.phase(z) for z in _lapack(np.linalg.eigvals, u)[0].tolist()]
     theta, tie_gap = _branch_rule(theta)
     if tie_gap < TIE_CUT:
         return None
@@ -454,11 +404,10 @@ def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement
     the principal branch, S = sin R = (g' - g) / 2i = -Im g0 I + a . L,
     a = -Im gvec, and ``_arcsin_series`` sums it in coordinates with no
     eigenvalue at all.  Past the gate, at every N, ``_log_past_gate``
-    takes R from the eigenvalues of u itself, those of its Cayley
-    transform, with the det = 1 guard and 2 pi shift rule of
-    ``log_coords`` (``_branch_rule``).  Neither needs an eigenvector or a
-    dense logarithm.  Only where ``_log_past_gate`` declines does
-    ``log_coords`` take the dense matrix.
+    takes R from LAPACK's eigenvalues of u itself, with the det = 1 guard
+    and 2 pi shift rule of ``log_coords`` (``_branch_rule``).  Neither
+    needs an eigenvector or a dense logarithm.  Only where
+    ``_log_past_gate`` declines does ``log_coords`` take the dense matrix.
 
     Both routes are preceded by one unitarity check of the dense u within
     UNITARY_TOL (ValueError, as in ``log_coords``), which the route past

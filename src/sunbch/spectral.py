@@ -13,26 +13,18 @@ spread points (``_taylor_rows``, over Python scalars).  They serve
 monomial coefficients of exp(-iM), which expand that Newton form, so no
 Vandermonde system is solved anywhere.
 
-For N <= 4 the eigenvalues of a traceless M need no iteration:
-``eigvals_from_power_sums`` reads them off the characteristic polynomial,
-which Tr M**2, Tr M**3 and Tr M**4 fix, by the trigonometric cubic (N = 3)
-and Descartes' resolvent (N = 4), each root polished by Newton steps.  A
-root of a polynomial is only as accurate as the polynomial's slope there
-allows, so a spectrum with a slope below CLOSED_FORM_CUT (close or
-repeated eigenvalues) is declined and goes to LAPACK (``_eigvalsh``), as in
-Kopp's hybrid 3 x 3 solver (Int. J. Mod. Phys. C 19, 2008, 523).
-
 A unitary u is diagonalized by one Hermitian eigenproblem, its Cayley
-transform H = i (wI + u)(wI - u)**-1 (``eig_unitary``).  Newton's
-identities turn the traces of u's powers into its characteristic
-polynomial p_u (``_power_sum_poly``); the pole w is the point of largest
-|p_u(w)| among 4N points on the unit circle (``_cayley_pole``), and
-Cayley-Hamilton gives (wI - u)**-1 as a polynomial in u, so no linear
-system is solved.  The powers and p_u (``_powers_and_poly``, which
-``char_poly`` also reads), the pole and the H builder
-(``_cayley_hermitian``) are shared with the values-only logarithm past
-the gate, ``linearize._log_past_gate``, which takes H's eigenvalues and
-not its eigenvectors.
+transform H = i (wI + u)(wI - u)**-1 (``eig_unitary``), whose eigenvectors
+are orthonormal however u's eigenvalues cluster.  Newton's identities turn
+the traces of u's powers into its characteristic polynomial p_u
+(``_power_sum_poly``); the pole w is the point of largest |p_u(w)| among
+4N points on the unit circle (``_cayley_pole``), and Cayley-Hamilton gives
+(wI - u)**-1 as a polynomial in u, so no linear system is solved.  The
+powers and p_u come from ``_powers_and_poly``, which ``char_poly`` also
+reads, and whose powers serve the values-only logarithm past the gate,
+``linearize._log_past_gate``.  That route needs no eigenvector, so it
+takes u's eigenvalues from LAPACK's nonsymmetric ``eigvals`` on u itself,
+through ``_lapack``.
 """
 
 from __future__ import annotations
@@ -49,16 +41,6 @@ from .errors import ConvergenceError, DegenerateSpectrumError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
-# ``eigvals_from_power_sums`` hands a spectrum to ``_eigvalsh`` when some
-# eigenvalue has |p'(l_k)| = prod_{j != k} |l_k - l_j| below this share of
-# radius**(N-1).  An eigenvalue read off the characteristic polynomial p
-# errs by about eps |p|/|p'(l_k)| (Wilkinson): measured, at most
-# 4.3 eps radius**N / |p'(l_k)| on 12,000 N = 3 and 4 spectra with one pair
-# split by 1e-4..1e-1 of the radius, so at this cut every closed-form
-# eigenvalue lies within about 1e-13 of the radius of the Hermitian solver's.
-# The smallest gap alone does not bound the error at N = 4: a gap of 1e-3
-# of the radius next to a second small gap left 5e-11.
-CLOSED_FORM_CUT = 1e-2
 GAP_TOL = 1e-9
 # Largest N the package supports, the range its tests and CI cover:
 # ``char_poly`` refuses larger input, and ``verify``'s run configuration
@@ -114,9 +96,10 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
 
 
 def _lapack(solver, m: np.ndarray):
-    """``solver(m)`` (``np.linalg.eigh`` or ``eigvalsh``) and the e to scale its eigenvalues
-    back by: outside ``_SAFE_NORM2`` m is scaled by 2**-e, 2**e just above its largest part,
-    exactly.  A non-finite entry is a ValueError, a LAPACK failure ConvergenceError."""
+    """``solver(m)`` (``np.linalg.eigh``, ``eigvalsh`` or ``eigvals``) and the e to scale its
+    eigenvalues back by: outside ``_SAFE_NORM2`` m is scaled by 2**-e, 2**e just above its
+    largest part, exactly.  A non-finite entry is a ValueError, a LAPACK failure
+    ConvergenceError."""
     e = 0
     if not _SAFE_NORM2[0] < np.vdot(m, m).real < _SAFE_NORM2[1]:
         parts = np.ascontiguousarray(m).view(float)
@@ -130,7 +113,7 @@ def _lapack(solver, m: np.ndarray):
     except np.linalg.LinAlgError as exc:
         norm = math.ldexp(float(np.linalg.norm(m)), e)
         raise ConvergenceError(
-            f"Hermitian eigensolver failed at N = {m.shape[0]}, ||m||_F = {norm:.3e}: {exc}"
+            f"eigensolver failed at N = {m.shape[0]}, ||m||_F = {norm:.3e}: {exc}"
         ) from exc
 
 
@@ -148,91 +131,6 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     non-Hermitian input raises ValueError."""
     (vals, vecs), e = _lapack(np.linalg.eigh, _hermitian(m))
     return SpectralDecomposition(np.ldexp(vals, e) if e else vals, vecs)
-
-
-def _cubic_roots(p: float, q: float) -> list[float] | None:
-    """The three real roots of z**3 + p z + q by the trigonometric
-    solution (Viete), largest first; None unless p < 0."""
-    if not p < 0.0:
-        return None
-    scale = 2.0 * math.sqrt(-p / 3.0)
-    cos3 = min(1.0, max(-1.0, 3.0 * q / (p * scale)))
-    third = math.acos(cos3) / 3.0
-    return [scale * math.cos(third - 2.0 * math.pi * k / 3.0) for k in range(3)]
-
-
-def eigvals_from_power_sums(n: int, p2: float, p3: float, p4: float) -> list[float] | None:
-    """Ascending eigenvalues of a traceless Hermitian n x n matrix M,
-    n = 2, 3 or 4, in closed form from its power sums p_k = Tr M**k; None
-    where the closed form is not accurate enough.
-
-    For M = a . L the power sums are scalars in coordinates: p2 = 2 a.a,
-    p3 = 2 (a (.) a).a and p4 = (4/N)(a.a)**2 + 2 (a (.) a).(a (.) a).  In
-    units of r = sqrt(p2 / 2) the characteristic polynomial is, with
-    q = p3 / (3 r**3),
-      n = 2: t**2 - 1, so t = +-1;
-      n = 3: t**3 - t - q, solved trigonometrically;
-      n = 4: t**4 - t**2 - q t + R, R = 1/2 - p4 / (4 r**4), by Descartes'
-             resolvent y**3 - 2 y**2 + (1 - 4R) y - q**2, whose roots are
-             the squares (t1 + t2)**2, (t1 + t3)**2, (t1 + t4)**2.  The two
-             larger give s1, s2 >= 0 by square roots, and s3 = q / (s1 s2)
-             keeps its sign and accuracy where a third square root would
-             lose half the digits of a small root; the eigenvalues are
-             (+-s1 +- s2 +- s3) / 2 with an even count of minus signs.
-    Each cubic or quartic root is then polished by Newton steps on its
-    polynomial (one at n = 3, two at n = 4).  The result is None when the
-    slope |p'| at some root is below CLOSED_FORM_CUT times radius**(n-1),
-    which covers every repeated or close eigenvalue: a root of a
-    polynomial is only as accurate as that slope allows, and at a double
-    root the trigonometric and resolvent formulas split it by about
-    sqrt(eps) while Newton's step divides rounding by rounding.
-    p2 must be positive and normal; the caller checks its range.
-    (Kopp, Int. J. Mod. Phys. C 19 (2008) 523, falls back the same way
-    from analytic 3 x 3 eigenvalues to an iterative solver.)
-    """
-    r = math.sqrt(0.5 * p2)
-    if n == 2:
-        return [-r, r]
-    q = p3 / (3.0 * r * r * r)
-    if n == 3:
-        roots = _cubic_roots(-1.0, -q)
-        coeffs, steps = (0.0, -1.0, -q), 1
-    else:
-        quartic = 0.5 - p4 / (4.0 * r ** 4)
-        # The resolvent depressed by y = z + 2/3.
-        cubic = _cubic_roots(
-            -1.0 / 3.0 - 4.0 * quartic,
-            2.0 * (1.0 - 4.0 * quartic) / 3.0 - 16.0 / 27.0 - q * q,
-        )
-        if cubic is None:
-            return None
-        y1, y2 = (max(0.0, z + 2.0 / 3.0) for z in cubic[:2])
-        s1, s2 = math.sqrt(y1), math.sqrt(y2)
-        if not s1 * s2 > 0.0:
-            return None
-        s3 = q / (s1 * s2)
-        roots = [
-            0.5 * (s1 + s2 + s3), 0.5 * (s1 - s2 - s3),
-            0.5 * (s2 - s1 - s3), 0.5 * (s3 - s1 - s2),
-        ]
-        coeffs, steps = (0.0, -1.0, -q, quartic), 2
-    # Newton on t**n + c[0] t**(n-1) + ... + c[n-1], value and slope by
-    # Horner.  A slope below the cut declines before the step: next to a
-    # double root the step would divide rounding by rounding.
-    radius = max(abs(x) for x in roots)
-    floor = CLOSED_FORM_CUT * radius ** (n - 1)
-    polished = []
-    for root in roots:
-        for _ in range(steps):
-            value, slope = 1.0, 0.0
-            for c in coeffs:
-                value, slope = value * root + c, slope * root + value
-            if not abs(slope) >= floor:
-                return None
-            root -= value / slope
-        polished.append(root)
-    polished.sort()
-    return [r * x for x in polished]
 
 
 def exp_minus_i(x):
@@ -365,11 +263,11 @@ def _pole_points(n: int) -> tuple[list, np.ndarray]:
     return turns.tolist(), (-np.exp(1j * turns))[:, None] ** np.arange(n + 1)
 
 
-def _cayley_pole(coeffs: list) -> tuple[complex, float, complex]:
-    """The pole w of the Cayley substitution z = w (t - i)/(t + i) for the
-    monic polynomial p of degree N with coefficients[j] of z**j, with
-    arg(-w) and p(w): of the 4N points w_j = -exp(i pi j / 2N), the one with
-    the largest |p(w_j)|.
+def _cayley_pole(coeffs: list) -> tuple[complex, float]:
+    """The pole w of ``eig_unitary``'s Cayley transform
+    H = i (wI + u)(wI - u)**-1, and arg(-w), from u's monic characteristic
+    polynomial p of degree N, coefficients[j] of z**j: of the 4N points
+    w_j = -exp(i pi j / 2N), the one with the largest |p(w_j)|.
 
     The points are the 4N-th roots of unity turned by pi, and 4N > N, so
     the powers z**0 .. z**N are orthogonal over them and the mean of
@@ -383,7 +281,7 @@ def _cayley_pole(coeffs: list) -> tuple[complex, float, complex]:
     turns, rows = _pole_points(len(coeffs) - 1)
     values = rows @ np.array(coeffs)
     j = int(np.abs(values).argmax())
-    return -cmath.exp(1j * turns[j]), turns[j], complex(values[j])
+    return -cmath.exp(1j * turns[j]), turns[j]
 
 
 def _powers_and_poly(u: np.ndarray) -> tuple[np.ndarray, list]:
@@ -437,13 +335,15 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     once u is unitary.  Eigenvalues come back on the unit
     circle, ordered by principal phase.  Repeated eigenvalues are fine:
     any orthonormal basis of the shared eigenspace gives a valid
-    decomposition.
+    decomposition.  The transform is for the eigenvectors, which
+    ``log_coords`` needs orthonormal; the values-only logarithm past the
+    gate needs none, and takes LAPACK's ``eigvals`` of u instead.
     """
     u = _square(u)
     n = u.shape[0]
     _require_unitary(u)
     powers, coeffs = _powers_and_poly(u)
-    w, turn, _ = _cayley_pole(coeffs)
+    w, turn = _cayley_pole(coeffs)
     (vals, vecs), e = _lapack(np.linalg.eigh, _cayley_hermitian(u, powers, coeffs, w))
     phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in np.ldexp(vals, e).tolist()]
     order = sorted(range(n), key=phases.__getitem__)

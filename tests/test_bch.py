@@ -337,12 +337,14 @@ def test_compose_rounding_out_of_group_is_a_domain_error(n, scale):
 
 
 def test_compose_single_generator_1e8_n3():
-    """m = 1e8 L_1 at N = 3 has the eigenvalues -1e8, 0, 1e8, exact in
-    closed form, so the product stays in SU(3) and compose agrees with the
-    dense oracle to the phase accuracy an exponent of 1e8 allows."""
+    """m = 1e8 L_1 at N = 3 has the eigenvalues -1e8, 0, 1e8, which LAPACK
+    returns exactly to the Newton form past the reach, so the product stays
+    in SU(3) and compose agrees with the dense oracle to the phase accuracy
+    an exponent of 1e8 allows."""
     basis, t = cached_algebra(3)
     m = np.zeros(basis.dim)
     m[0] = 1e8
+    assert linearize._eigenvalues(basis, m) == [-1e8, 0.0, 1e8]
     nvec = np.zeros(basis.dim)
     nvec[1] = 0.2
     assert np.max(np.abs(compose(t, basis, m, nvec) - compose_direct(basis, m, nvec))) < 1e-7

@@ -1,6 +1,6 @@
-"""Closed-form spectra for N <= 4, the values-only logarithms (near the
-identity, and past the gate at every N), and the degenerate spectra the
-Newton route now accepts."""
+"""The values-only logarithms (arcsin's series near the identity, and the
+Newton form over LAPACK's eigenvalues of u past the gate, at every N), and
+the degenerate spectra the Newton route accepts."""
 
 import math
 
@@ -21,134 +21,16 @@ from sunbch import (
     from_matrix,
     linearize_fn,
     log_coords,
-    product_matrices,
     random_coords,
     similarity,
     similarity_direct,
     to_matrix,
 )
 from sunbch import linearize
-from sunbch.errors import BranchCutError, DegenerateSpectrumError
-from sunbch.linearize import LOG_GATE, POWER_SUM_RANGE, TIE_CUT, _eigenvalues, _log_past_gate
-from sunbch.spectral import (
-    CLOSED_FORM_CUT,
-    _eigvalsh,
-    eigvals_from_power_sums,
-)
+from sunbch.errors import BranchCutError, ConvergenceError, DegenerateSpectrumError
+from sunbch.linearize import LOG_GATE, TIE_CUT, _log_past_gate
 
 from conftest import conjugated, dense_exp, rotated
-
-
-def power_sums(t, m):
-    """Tr M**2, Tr M**3, Tr M**4 of M = m . L from coordinates."""
-    mm = product_matrices(t, m)[0] @ m
-    aa = float(m @ m)
-    return 2.0 * aa, 2.0 * float(mm @ m), (4.0 / t.n) * aa * aa + 2.0 * float(mm @ mm)
-
-
-def spectral_error(got, m, basis):
-    ref = _eigvalsh(algebra_matrix(basis, m))
-    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_closed_form_matches_ql_on_sampler_draws(n):
-    """2,000 sampler draws per N, each scaled by 10**U(-6, 0): the closed
-    form is taken on nearly all of them and agrees with LAPACK within 1e-13
-    of the spectral radius."""
-    basis, t = cached_algebra(n)
-    rng = np.random.default_rng(900 + n)
-    worst, declined = 0.0, 0
-    for _ in range(2000):
-        m = random_coords(basis, rng) * 10.0 ** rng.uniform(-6.0, 0.0)
-        vals = eigvals_from_power_sums(n, *power_sums(t, m))
-        if vals is None:
-            declined += 1
-            continue
-        assert vals == sorted(vals)
-        worst = max(worst, spectral_error(vals, m, basis))
-    print(f"N = {n}: worst {worst:.2e} of the radius, {declined} of 2000 declined")
-    assert worst <= 1e-13
-    assert declined <= 20
-
-
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("side", ["above", "below"])
-def test_closed_form_both_sides_of_the_cut(n, side):
-    """Spectra with one close pair, split so that the pair's |p'(l)| is
-    twice (above) or half (below) CLOSED_FORM_CUT times radius**(N-1):
-    above the closed form answers within 1e-13 of the radius, below it
-    declines and ``_eigenvalues`` answers by LAPACK within the same bound."""
-    basis, t = cached_algebra(n)
-    rng = np.random.default_rng(77 + n)
-    factor = 2.0 if side == "above" else 0.5
-    checked = 0
-    for _ in range(50):
-        # The pair (x, x + gap) plus the others; |p'| at the pair is gap
-        # times the distances to the others.
-        x, *others = rng.uniform(-1.0, 1.0, n - 1)
-        lam = np.array([x, x, *others])
-        lam -= lam.mean()
-        radius = np.max(np.abs(lam))
-        spread = np.prod(np.abs(lam[0] - lam[2:]))
-        gap = factor * CLOSED_FORM_CUT * radius ** (n - 1) / max(spread, 1e-3)
-        lam[1] += gap
-        lam -= lam.mean()
-        m = rotated(basis, lam, rng)
-        vals = np.sort(lam)
-        derivative = min(
-            abs(np.prod([vals[k] - vals[j] for j in range(n) if j != k])) for k in range(n)
-        )
-        ratio = derivative / np.max(np.abs(vals)) ** (n - 1) / CLOSED_FORM_CUT
-        if not (0.7 < ratio / factor < 1.4):
-            continue  # the others came too close as well
-        got = eigvals_from_power_sums(n, *power_sums(t, m))
-        if side == "above":
-            assert got is not None
-        else:
-            assert got is None
-            got = _eigenvalues(basis, m)
-        assert spectral_error(got, m, basis) <= 1e-13
-        checked += 1
-    assert checked >= 25
-
-
-@pytest.mark.parametrize(
-    "n, diagonal",
-    [
-        (3, [1.0, 1.0, -2.0]),  # lambda_8
-        (4, [1.0, 1.0, -1.0, -1.0]),
-        (4, [1.0, 1.0, 1.0, -3.0]),
-        (4, [0.5, 0.5, 0.0, -1.0]),
-    ],
-)
-def test_closed_form_declines_exact_repeats(n, diagonal):
-    """Repeated eigenvalues, diagonal and rotated, leave the closed form to
-    LAPACK; ``_eigenvalues`` is then within 1e-13 of the radius of LAPACK's."""
-    basis, t = cached_algebra(n)
-    rng = np.random.default_rng(5)
-    for m in (from_matrix(basis, np.diag(diagonal)).vector.real, rotated(basis, diagonal, rng)):
-        assert eigvals_from_power_sums(n, *power_sums(t, m)) is None
-        got = _eigenvalues(basis, m)
-        assert spectral_error(got, m, basis) <= 1e-13
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("scale", [1e-200, 1e160])
-def test_extreme_norms_take_the_fallback(monkeypatch, n, scale):
-    """a . a outside POWER_SUM_RANGE never reaches the power sums (they
-    would underflow or overflow); LAPACK answers within 1e-13 of the radius."""
-    basis, t = cached_algebra(n)
-    m = random_coords(basis, np.random.default_rng(n))
-    m *= scale / np.linalg.norm(m)
-    norm = math.hypot(*m)
-    assert not POWER_SUM_RANGE[0] < norm * norm < POWER_SUM_RANGE[1]
-
-    def refuse(*args):
-        raise AssertionError("the closed form was reached")
-
-    monkeypatch.setattr(linearize, "eigvals_from_power_sums", refuse)
-    assert spectral_error(_eigenvalues(basis, m), m, basis) <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -161,9 +43,9 @@ def test_values_only_log_against_log_coords(n):
     Both agree with ``log_coords`` within 1e-13.  ``log_coords`` takes its
     eigenvectors from one Hermitian eigenproblem, the Cayley transform of
     u, whose eigenvalues keep their relative accuracy next to I; the route
-    past the gate takes the eigenvalues of the same transform (or their
-    closed form for N = 3 and 4) and loses at most the rounding of its divided
-    differences over u's eigenvalues.
+    past the gate takes LAPACK's eigenvalues of u itself, within about eps
+    since u is normal, and loses at most the rounding of its divided
+    differences over them.
     """
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(200 + n)
@@ -281,8 +163,9 @@ def test_arcsin_series_against_mpmath_logm(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_inside_gate_solves_no_eigenproblem(monkeypatch, n):
     """Inside the gate no eigenvalue is computed: with LAPACK's Hermitian
-    drivers and ``linearize._eigenvalues`` made to raise, ``delinearize_exp``
-    still returns the values it returned before."""
+    drivers, its nonsymmetric ``eigvals`` and ``linearize._eigenvalues`` made
+    to raise, ``delinearize_exp`` still returns the values it returned
+    before."""
     basis, t = cached_algebra(n)
     elements = list(inside_gate_elements(basis, t, np.random.default_rng(950 + n)))
     want = [delinearize_exp(t, basis, g) for g in elements]
@@ -292,6 +175,7 @@ def test_inside_gate_solves_no_eigenproblem(monkeypatch, n):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(linearize, "_eigenvalues", refuse)
     for g, r in zip(elements, want):
         np.testing.assert_array_equal(delinearize_exp(t, basis, g), r)
@@ -356,6 +240,50 @@ def test_log_past_gate_on_sampler_products(n):
     assert worst["route"] <= 1e-12
     assert worst["shifted"] <= 1e-11
     assert declined <= (5 if n <= 6 else 25)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_log_past_gate_one_eigvals_call(monkeypatch, n):
+    """On 20 sampler products past the gate that the values-only route
+    answers, ``delinearize_exp`` solves one eigenproblem: one
+    ``np.linalg.eigvals`` call on u, and no ``eigh`` or ``eigvalsh``."""
+    basis, t = cached_algebra(n)
+    elements = [
+        g for g in past_gate_products(basis, t, np.random.default_rng(620 + n), 20)
+        if _log_past_gate(basis, to_matrix(basis, g)) is not None
+    ]
+    assert len(elements) >= 15
+    calls = []
+    real = np.linalg.eigvals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hermitian eigenproblem was solved past the gate")
+
+    monkeypatch.setattr(np.linalg, "eigvals", lambda u: calls.append(u) or real(u))
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for g in elements:
+        calls.clear()
+        delinearize_exp(t, basis, g)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], to_matrix(basis, g))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_log_past_gate_solver_failure_is_convergence_error(monkeypatch, n):
+    """A LAPACK failure in ``eigvals`` past the gate reaches the caller as
+    the package's typed refusal, with N and ||u||_F = sqrt(N) in its
+    message."""
+    basis, t = cached_algebra(n)
+    (g,) = past_gate_products(basis, t, np.random.default_rng(640 + n), 1)
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ConvergenceError, match=f"N = {n}") as info:
+        delinearize_exp(t, basis, g)
+    assert f"||m||_F = {math.sqrt(n):.3e}" in str(info.value)
 
 
 def targeted_spectra(n):
@@ -463,10 +391,11 @@ def test_compose_past_the_gate_rarely_reaches_eig_unitary(monkeypatch, n):
     assert calls["eig_unitary"] == calls["declined"] <= 2
 
 
-def test_shift_tie_refused_at_the_one_site():
-    """A 2 pi shift boundary inside a 5e-10 phase tie at N = 3: the closed
-    form's slope cut declines the pair, ``log_coords`` takes it, and the
-    refusal comes from the raise in ``_branch_rule``."""
+def test_shift_tie_refused_at_the_one_site(monkeypatch):
+    """A 2 pi shift boundary inside a 5e-10 phase tie at N = 3: the
+    values-only route refuses it itself, by the raise in ``_branch_rule``,
+    before any decline could hand u to ``eig_unitary``."""
+    monkeypatch.setattr(linearize, "eig_unitary", no_eig_unitary)
     basis, t = cached_algebra(3)
     theta = np.array([0.9 * np.pi + 2.5e-10, 0.9 * np.pi - 2.5e-10, 0.2 * np.pi])
     g = conjugated(basis, np.exp(1j * theta), np.random.default_rng(3))
@@ -480,10 +409,11 @@ def test_cayley_pole_stays_off_det_one_spectra(n, floor):
     """The best of the poles -1, 1, i and -i alone has |p_u(w)| >= floor
     on 2,000 random det-1 spectra and at Nelder-Mead minima from 20 of
     them (4 sqrt(2) - 4 at N = 3, 2 at N = 4).  ``_cayley_pole`` searches a
-    superset of these four, so on det-1 spectra its pole does at least
-    this well.  The route past the gate needs less, and checks no det
-    first: over all 4N points the mean of |p_u|**2 is at least 2, so
-    |p_u(w)| >= sqrt 2 on every unitary u, whatever its determinant."""
+    superset of these four, so on det-1 spectra the pole of
+    ``eig_unitary``'s Cayley transform does at least this well.  That
+    transform needs less, and checks no det first: over all 4N points the
+    mean of |p_u|**2 is at least 2, so |p_u(w)| >= sqrt 2 on every unitary
+    u, whatever its determinant."""
     poles = np.array([-1.0, 1.0, 1j, -1j])
 
     def best(free):
@@ -500,10 +430,11 @@ def test_cayley_pole_stays_off_det_one_spectra(n, floor):
 
 
 def test_det_minus_one_with_every_pole_a_root_refused():
-    """u with spectrum {1, -1, i, -i} at N = 4 (det -1): each axis pole is
-    a root of p_u, so the pole comes from the other 12 candidates, with
-    |p_u(w)| >= sqrt 2.  The phases then sum to pi, and ``_branch_rule``
-    refuses det u != 1, in the route as through ``delinearize_exp``."""
+    """u with spectrum {1, -1, i, -i} at N = 4 (det -1), each of -1, 1, i
+    and -i an eigenvalue: the phases of LAPACK's eigenvalues sum to pi, not
+    a multiple of 2 pi, and ``_branch_rule`` refuses det u != 1 before it
+    looks at the phase on the cut, in the route as through
+    ``delinearize_exp``."""
     basis, t = cached_algebra(4)
     g = conjugated(basis, np.array([1.0, -1.0, 1j, -1j]), np.random.default_rng(4))
     with pytest.raises(ValueError, match="det u is not 1"):

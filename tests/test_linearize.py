@@ -436,9 +436,10 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
 def test_inside_reach_solves_no_eigenproblem(monkeypatch, n):
     """Near the identity neither linearization nor logarithm computes an
     eigenvalue: on pairs at operand scales 10**U(-6, -1), with LAPACK's
-    Hermitian drivers, ``linearize._eigenvalues`` and
-    ``linearize.exp_divided_differences`` made to raise, ``compose`` and
-    ``similarity`` still return what they returned before, bit for bit."""
+    Hermitian drivers, its nonsymmetric ``eigvals``,
+    ``linearize._eigenvalues`` and ``linearize.exp_divided_differences``
+    made to raise, ``compose`` and ``similarity`` still return what they
+    returned before, bit for bit."""
     basis, t = cached_algebra(n)
     rng = np.random.default_rng(960 + n)
     pairs = [
@@ -452,6 +453,7 @@ def test_inside_reach_solves_no_eigenproblem(monkeypatch, n):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(linearize, "_eigenvalues", refuse)
     monkeypatch.setattr(linearize, "exp_divided_differences", refuse)
     for (m, v), (r, nprime) in zip(pairs, want):
