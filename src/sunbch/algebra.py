@@ -100,8 +100,9 @@ class StructureTensors:
     ``cross`` and ``dot_sym`` contract; a value with k == l is halved,
     because the term a_k b_l + a_l b_k counts that slot twice.  The rest
     is derived from them: the joint scatter arrays of ``product_matrices``
-    (and their halves, ``terms``) and the row layout of ``multiply``
-    (``product_rule``), each built on first read and then kept, and the
+    (and their halves, ``terms``), the row layout of ``multiply``
+    (``product_rule``) and the scatter list of ``linearize``'s step matrix
+    (``step_rule``), each built on first read and then kept, and the
     canonical 1-based triples ``f_entries`` and ``d_entries``.
 
     ``scatter`` lists its terms row-major over the dim x 2 dim matrix
@@ -123,6 +124,7 @@ class StructureTensors:
     d_entries = property(lambda self: _canonical(self.d_coo))
     scatter = cached_property(lambda self: _row_major(self.dim, self.d_coo, self.f_coo))
     product_rule = cached_property(lambda self: _product_rule(self.dim, *self.scatter))
+    step_rule = cached_property(lambda self: _step_rule(self.n, *self.terms("d")))
 
     def terms(self, tensor: str) -> tuple[np.ndarray, ...]:
         """``tensor``'s ("d" or "f") half of ``scatter``, its slots in 0 .. dim**2 - 1."""
@@ -204,6 +206,22 @@ def _product_rule(dim: int, slots, gather, coef) -> tuple[np.ndarray, ...]:
     assert np.bincount(row[half == 1], minlength=dim).all(), "a row of f has no term"
     coef = np.where(half == 1, 1j * coef, coef)
     return (gather, *(_freeze(x) for x in (column, coef, np.searchsorted(row, np.arange(dim)))))
+
+
+def _step_rule(n: int, slots, gather, coef) -> tuple[np.ndarray, ...]:
+    """Flat slots, gathered coordinate and coefficient of the terms of the
+    (dim + 1)-square matrix A = [[0, (2/N) m'], [m, D(m)]] at m: the d half
+    of ``scatter`` one row and one column down, then the 2 dim border
+    terms (2/N) m_j at (0, j + 1) and m_j at (j + 1, 0).  Each slot of D
+    keeps its terms in ``scatter``'s order, so one ``np.bincount`` builds A
+    with the D(m) of ``product_matrices`` bit for bit."""
+    dim = n * n - 1
+    size, border = dim + 1, np.arange(dim)
+    row, column = np.divmod(slots, dim)
+    slots = np.concatenate((row * size + column + size + 1, border + 1, (border + 1) * size))
+    gather = np.concatenate((gather, border, border))
+    coef = np.concatenate((coef, np.full(dim, 2.0 / n), np.ones(dim)))
+    return tuple(_freeze(x) for x in (slots, gather, coef))
 
 
 def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:

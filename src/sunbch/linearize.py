@@ -10,18 +10,22 @@ The products are real and built in coordinates; with P = s I + v . L,
     P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
 
 and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrices``,
-built once per linearization, so a product with M - l I is one product of
-the (dim + 1)-square step matrix A = [[0, (2/N) m'], [m, D(m)]] with
-(s, v), less l (s, v).  The cross-product term of the full product rule
-(``algebra.multiply``) drops out identically: every product lies in the
-commutative family generated by m under (.).
+so a product with M - l I is one product of the (dim + 1)-square step
+matrix A = [[0, (2/N) m'], [m, D(m)]] with (s, v), less l (s, v).  A is
+built once per linearization, by one gather and one ``np.bincount`` over
+``StructureTensors.step_rule`` (``_step_matrix``), with no F(m).  The
+cross-product term of the full product rule (``algebra.multiply``) drops
+out identically: every product lies in the commutative family generated
+by m under (.).
 
 ``linearize_fn`` evaluates exp(-iM) by one of two routes, chosen from m
 before any eigenproblem.  Inside the reach, where the bound
 beta = (Tr M**8)**(1/8) >= rho(M) is at most TAYLOR_REACH = pi, it sums
 cos M - i sin M as Taylor series in S = A A on the coordinates of I
 (``_exp_series``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488):
-no eigenvalue, and at most about exp(pi) roundoffs lost to cancellation,
+the rows S**k e0 go into one power array, one matrix-vector product
+each, and one product with the coefficient rows sums both series.  No
+eigenvalue, and at most about exp(pi) roundoffs lost to cancellation,
 as in Opitz's rows.  Past the reach it takes the Newton form over the
 eigenvalues l1 <= ... <= lN of M from LAPACK (``_exp_newton``),
 
@@ -49,12 +53,12 @@ cross-checks.  M is Hermitian, so exp(+i M) is the conjugate element
 at every N.  Near the identity the scalar coordinate alone shows that
 every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then
 arcsin of S = sin R, whose coordinates are the imaginary parts of the
-element's; ``_arcsin_series`` sums its Taylor series with the Newton
-step matrix, and needs no eigenvalue.  Past the gate the eigenvalues
-of u itself come from LAPACK's nonsymmetric ``eigvals``, through
-``spectral._lapack``, and R is the Newton form in u over them
+element's; ``_arcsin_series`` sums its Taylor series over one power
+array of the Newton step matrix, and needs no eigenvalue.  Past the gate
+the eigenvalues of u itself come from LAPACK's nonsymmetric ``eigvals``,
+through ``spectral._lapack``, and R is the Newton form in u over them
 (``_log_past_gate``), expanded over the powers of u from
-``spectral._powers_and_poly``.  u is normal, so each eigenvalue is
+``spectral._power_rows``.  u is normal, so each eigenvalue is
 accurate to about eps however they cluster.  That route declines,
 rather than refuses, wherever its divided differences would lose
 accuracy (CHORD_CUT, TIE_CUT), and only then does ``log_coords`` take the dense
@@ -77,7 +81,6 @@ from .algebra import (
     _real_coords,
     algebra_matrix,
     from_matrix,
-    product_matrices,
     to_matrix,
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
@@ -88,7 +91,7 @@ from .spectral import (
     _eigvalsh,
     _lapack,
     _newton_monomials,
-    _powers_and_poly,
+    _power_rows,
     _require_unitary,
     apply_spectral,
     eig_hermitian,
@@ -116,10 +119,12 @@ LOG_GATE = 4.0 * math.sin(math.pi / 8.0) ** 2
 # u (measured up to 3e-12 at N = 3 and 4, ``log_coords`` 2.5e-12).
 # TIE_CUT: the 2 pi shift boundary falls between two phases closer than
 # this, so R takes values 2 pi apart at two close points and the error
-# grows like eps / gap (measured at N = 3: 3e-14 at a gap of 0.1, 3e-13
-# at 0.01, where ``log_coords`` errs by 1.4e-14 and 3e-13).
+# grows like eps / gap.  Over LAPACK's eigenvalues that costs the route
+# what it costs ``log_coords`` (measured at N = 3: 3e-14 at a gap of 0.1,
+# 3e-13 at 0.01, where ``log_coords`` errs by 1.4e-14 and 3e-13), so only
+# ties below 0.01 go to ``log_coords``.
 CHORD_CUT = 1e-3
-TIE_CUT = 0.1
+TIE_CUT = 0.01
 
 
 # Rows (c_k, s_k) = ((-1)**k / (2k)!, (-1)**k / (2k+1)!) of cos x =
@@ -128,30 +133,33 @@ TIE_CUT = 0.1
 _COS_SIN = np.array([[(-1) ** k / math.factorial(j) for j in (2 * k, 2 * k + 1)] for k in range(15)])
 
 
-def _step_matrix(t: StructureTensors, m: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """A = [[0, (2/N) m'], [m, D(m)]], D(m) = ``sym``: A (s, v) are the
+def _step_matrix(t: StructureTensors, m: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """A + shift I for A = [[0, (2/N) m'], [m, D(m)]]: A (s, v) are the
     coordinates of (m . L)(s I + v . L) for every v in the commutative family
-    generated by m (module docstring)."""
-    step = np.zeros((t.dim + 1, t.dim + 1))
-    step[0, 1:], step[1:, 0], step[1:, 1:] = (2.0 / t.n) * m, m, sym
-    return step
+    generated by m (module docstring).  One gather and one ``np.bincount``
+    over ``StructureTensors.step_rule``; A is bit for bit the matrix with
+    D(m) from ``product_matrices``, and the shift is added on its diagonal."""
+    slots, gather, coef = t.step_rule
+    size = t.dim + 1
+    step = np.bincount(slots, coef * m[gather], minlength=size * size)
+    if shift:
+        step[:: size + 1] += shift
+    return step.reshape(size, size)
 
 
-def _newton_products(t: StructureTensors, m: np.ndarray, shifts, sym: np.ndarray) -> np.ndarray:
+def _newton_products(t: StructureTensors, m: np.ndarray, shifts, step: np.ndarray) -> np.ndarray:
     """The rows (s_k, v_k) of P_k = (M - x1 I) ... (M - xk I) = s_k I + v_k . L
     for k = 0 .. len(shifts), in one array.
 
     Each step is (s, v) <- A (s, v) - x (s, v), one product with the
-    ``_step_matrix`` A of m and D(m) = ``sym``.
+    ``_step_matrix`` A of m, ``step``.
     """
     products = np.zeros((len(shifts) + 1, t.dim + 1))
     products[0, 0] = 1.0
     if shifts:
         products[1, 0], products[1, 1:] = -shifts[0], m
-    if len(shifts) >= 2:
-        step = _step_matrix(t, m, sym)
-        for k, shift in enumerate(shifts[1:], 1):
-            products[k + 1] = step @ products[k] - shift * products[k]
+    for k, shift in enumerate(shifts[1:], 1):
+        products[k + 1] = step @ products[k] - shift * products[k]
     return products
 
 
@@ -166,7 +174,7 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
         raise ValueError(
             f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
         )
-    products = _newton_products(t, m, [0.0] * max_power, product_matrices(t, m)[0])
+    products = _newton_products(t, m, [0.0] * max_power, _step_matrix(t, m))
     if not np.isfinite(products).all():
         raise ConstraintViolationError(
             f"a power of m . L at |m| = {math.hypot(*m.tolist()):.3e} is not finite"
@@ -180,30 +188,37 @@ def _eigenvalues(basis: GeneratorBasis, m: np.ndarray) -> list[float]:
     return _eigvalsh(algebra_matrix(basis, m)).tolist()
 
 
-def _exp_newton(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, sym: np.ndarray) -> np.ndarray:
+def _exp_newton(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Coordinates of exp(-iM) by the Newton form over M's eigenvalues
-    (module docstring), with D(m) = ``sym``."""
+    (module docstring), with the ``_step_matrix`` A of m, ``step``."""
     lam = _eigenvalues(basis, m)
-    return np.dot(exp_divided_differences(lam), _newton_products(t, m, lam[:-1], sym))
+    return np.dot(exp_divided_differences(lam), _newton_products(t, m, lam[:-1], step))
 
 
-def _exp_series(step: np.ndarray, square: np.ndarray, radius: float) -> np.ndarray:
+def _series_powers(square: np.ndarray, powers: np.ndarray, start: int) -> np.ndarray:
+    """``powers`` with its rows from ``start`` on filled: row k is S**k e0,
+    S = ``square`` and e0 the coordinates of I, one matrix-vector product
+    per row.  The rows before ``start`` are filled by the caller."""
+    for k in range(start, len(powers)):
+        np.dot(square, powers[k - 1], out=powers[k])
+    return powers
+
+
+def _exp_series(step: np.ndarray, square: np.ndarray, powers: np.ndarray, radius: float) -> np.ndarray:
     """Coordinates of exp(-iM) = cos M - i sin M, for the ``_step_matrix`` A
     of M, S = A A = ``square`` and a bound ``radius`` >= rho(M): cos M =
-    sum_k c_k S**k e0 and sin M = A sum_k s_k S**k e0 (``_COS_SIN``), by
-    Horner's rule on one (dim + 1, 2) array.  The first term left out is at
-    most radius**(2K) / (2K)!, and K is the least count that brings it
-    below a roundoff."""
+    sum_k c_k S**k e0 and sin M = A sum_k s_k S**k e0 (``_COS_SIN``).
+    ``powers`` holds len(_COS_SIN) rows, the first three S**0 e0 .. S**2 e0
+    (``linearize_fn``'s radius probe); ``_series_powers`` fills rows
+    3 .. K - 1, and one product of those K rows with the first K rows of
+    ``_COS_SIN`` sums both series.  The first term left out is at most radius**(2K) / (2K)!, and K
+    is the least count that brings it below a roundoff."""
     terms, size, r2 = 1, 0.5 * radius * radius, radius * radius
     while size >= _ROUNDOFF:
         terms += 1
         size *= r2 / ((2 * terms - 1) * (2 * terms))
-    x = np.zeros((square.shape[0], 2))
-    x[0] = _COS_SIN[terms - 1]
-    for row in _COS_SIN[:terms - 1][::-1]:
-        x = square @ x
-        x[0] += row
-    return x[:, 0] - 1j * (step @ x[:, 1])
+    cos, sin = _COS_SIN[:terms].T @ _series_powers(square, powers[:terms], 3)
+    return cos - 1j * (step @ sin)
 
 
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
@@ -214,10 +229,11 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     past the reach before S = A A is formed, so a huge m never overflows
     it.  Otherwise beta = (Tr M**8)**(1/8), Tr M**8 / N being the norm
     identity's sum of squares of M**4 = S S e0, picks ``_exp_series``
-    (beta <= TAYLOR_REACH) or ``_exp_newton``; D(m) serves both (it is 0
-    at N = 2).  A degenerate spectrum, the zero element included, is no
-    special case.  The dense route (apply_spectral then from_matrix) is
-    the tests' oracle.  A complex or non-finite m is a ValueError.
+    (beta <= TAYLOR_REACH) or ``_exp_newton``; the step matrix A serves
+    both, and S e0 and S S e0 are the series' first powers.  A degenerate
+    spectrum, the zero element included, is no special case.  The dense
+    route (apply_spectral then from_matrix) is the tests' oracle.  A
+    complex or non-finite m is a ValueError.
 
     The one refusal of both routes is the norm identity: unless
     |f0|**2 + (2/N) |fvec|**2 lies within UNITARY_TOL of 1 (a NaN or inf
@@ -226,14 +242,18 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     a large enough |m| the form drifts off SU(N) and is refused here.
     """
     (m,) = _real_coords(t.dim, m=m)
-    sym = product_matrices(t, m)[0]
+    step = _step_matrix(t, m)
     radius = math.inf
     if 2.0 * float(m @ m) <= t.n * TAYLOR_REACH * TAYLOR_REACH:
-        step = _step_matrix(t, m, sym)
         square = step @ step
-        fourth = square @ square[:, 0]
+        powers = np.zeros((len(_COS_SIN), t.dim + 1))
+        powers[0, 0], powers[1] = 1.0, square[:, 0]
+        fourth = np.dot(square, powers[1], out=powers[2])
         radius = (t.n * fourth[0] * fourth[0] + 2.0 * float(fourth[1:] @ fourth[1:])) ** 0.125
-    form = _exp_series(step, square, radius) if radius <= TAYLOR_REACH else _exp_newton(t, basis, m, sym)
+    if radius <= TAYLOR_REACH:
+        form = _exp_series(step, square, powers, radius)
+    else:
+        form = _exp_newton(t, basis, m, step)
     f0, fvec = complex(form[0]), form[1:]
     # Products, not **, which raises OverflowError on a huge float.
     norm2 = f0.real * f0.real + f0.imag * f0.imag + (2.0 / t.n) * np.vdot(fvec, fvec).real
@@ -337,10 +357,10 @@ def _log_past_gate(basis: GeneratorBasis, u: np.ndarray) -> np.ndarray | None:
     ``log_coords``, which also refuses det u != 1 on their sum.  R is the
     Newton form in u over z_k = exp(-i theta_k) of the values theta_k,
     expanded to monomials (``_newton_monomials``) over the powers
-    u**0 .. u**(N-1) from ``spectral._powers_and_poly``.
+    u**0 .. u**(N-1) from ``spectral._power_rows``.
     """
     n = basis.n
-    powers, _ = _powers_and_poly(u)
+    powers = _power_rows(u)
     theta = [-cmath.phase(z) for z in _lapack(np.linalg.eigvals, u)[0].tolist()]
     theta, tie_gap = _branch_rule(theta)
     if tie_gap < TIE_CUT:
@@ -380,18 +400,16 @@ def _arcsin_terms(rho2: float) -> list[float]:
 
 def _arcsin_series(t: StructureTensors, s: float, a: np.ndarray) -> np.ndarray:
     """(scalar, vector) coordinates of arcsin(S), S = s I + a . L, with
-    ||S||_F**2 = N s**2 + 2 a . a < 1: ``_arcsin_terms``' series by Horner's
-    rule in S**2, then times S.  Each partial sum lies in the commutative
-    family of a, so S acts on it as the ``_step_matrix`` of a plus s I."""
+    ||S||_F**2 = N s**2 + 2 a . a < 1: ``_arcsin_terms``' K coefficients
+    times the K rows S**2k e0 of one power array (``_series_powers``), in
+    one product, then times S.  Every power lies in the commutative
+    family of a, so S acts on it as the ``_step_matrix`` of a shifted by s."""
     coeffs = _arcsin_terms(t.n * s * s + 2.0 * float(np.dot(a, a)))
-    step = _step_matrix(t, a, product_matrices(t, a)[0]) + s * np.eye(t.dim + 1)
+    step = _step_matrix(t, a, s)
     square = step @ step
-    r = np.zeros(t.dim + 1)
-    r[0] = coeffs.pop()
-    for c in reversed(coeffs):
-        r = square @ r
-        r[0] += c
-    return step @ r
+    powers = np.zeros((len(coeffs), t.dim + 1))
+    powers[0, 0] = 1.0
+    return step @ np.dot(coeffs, _series_powers(square, powers, 1))
 
 
 def delinearize_exp(t: StructureTensors, basis: GeneratorBasis, g: LinearElement) -> np.ndarray:

@@ -20,11 +20,12 @@ the traces of u's powers into its characteristic polynomial p_u
 (``_power_sum_poly``); the pole w is the point of largest |p_u(w)| among
 4N points on the unit circle (``_cayley_pole``), and Cayley-Hamilton gives
 (wI - u)**-1 as a polynomial in u, so no linear system is solved.  The
-powers and p_u come from ``_powers_and_poly``, which ``char_poly`` also
-reads, and whose powers serve the values-only logarithm past the gate,
-``linearize._log_past_gate``.  That route needs no eigenvector, so it
-takes u's eigenvalues from LAPACK's nonsymmetric ``eigvals`` on u itself,
-through ``_lapack``.
+powers come from ``_power_rows`` and p_u from them by ``_power_poly``,
+which ``char_poly`` also reads.  The powers alone serve the values-only
+logarithm past the gate, ``linearize._log_past_gate``, which builds no
+polynomial.  That route needs no eigenvector, so it takes u's
+eigenvalues from LAPACK's nonsymmetric ``eigvals`` on u itself, through
+``_lapack``.
 """
 
 from __future__ import annotations
@@ -284,10 +285,8 @@ def _cayley_pole(coeffs: list) -> tuple[complex, float]:
     return -cmath.exp(1j * turns[j]), turns[j]
 
 
-def _powers_and_poly(u: np.ndarray) -> tuple[np.ndarray, list]:
-    """The rows u**0 .. u**(N-1) of a square u as an (N, N*N) array, and the
-    coefficients of u's characteristic polynomial: ``_power_sum_poly`` on
-    Tr u**k, k = 1..N, the last as sum_ij (u**(N-1))_ij u_ji."""
+def _power_rows(u: np.ndarray) -> np.ndarray:
+    """The rows u**0 .. u**(N-1) of a square u as an (N, N*N) array."""
     n = u.shape[0]
     powers = np.empty((n, n, n), dtype=complex)
     powers[0], powers[1:2] = np.eye(n), u  # a slice: there is no u**1 row at N = 1
@@ -297,13 +296,19 @@ def _powers_and_poly(u: np.ndarray) -> tuple[np.ndarray, list]:
         m = min(k - 1, n - k)
         powers[k:k + m] = powers[1:m + 1] @ powers[k - 1]
         k += m
-    powers = powers.reshape(n, n * n)
-    return powers, _power_sum_poly((powers @ u.T.ravel()).tolist())
+    return powers.reshape(n, n * n)
+
+
+def _power_poly(u: np.ndarray, powers: np.ndarray) -> list:
+    """The coefficients of u's characteristic polynomial from its
+    ``_power_rows``: ``_power_sum_poly`` on Tr u**k, k = 1..N, the last as
+    sum_ij (u**(N-1))_ij u_ji."""
+    return _power_sum_poly((powers @ u.T.ravel()).tolist())
 
 
 def _cayley_hermitian(u: np.ndarray, powers: np.ndarray, coeffs: list, w: complex) -> np.ndarray:
     """H = i (wI + u) q(u)/p_u(w) = i (wI + u)(wI - u)**-1, made exactly
-    Hermitian, from ``_powers_and_poly``'s rows and p_u and the pole w.
+    Hermitian, from ``_power_rows`` and p_u and the pole w.
     Synthetic division gives q(z) = (p_u(z) - p_u(w))/(z - w) and the remainder
     p_u(w), and Cayley-Hamilton (wI - u)**-1 = q(u)/p_u(w)."""
     n = u.shape[0]
@@ -324,8 +329,8 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     circle, so distinct eigenvalues of u never share one of H, and the
     phases are 2 atan(t_k) + arg(-w).  The pole w is ``_cayley_pole`` of
     u's characteristic polynomial p_u, whose coefficients come from the
-    traces of u, u**2, ..., u**N by Newton's identities
-    (``_powers_and_poly``).  No system is solved: ``_cayley_hermitian`` takes
+    traces of u, u**2, ..., u**N by Newton's identities (``_power_rows``,
+    ``_power_poly``).  No system is solved: ``_cayley_hermitian`` takes
     (wI - u)**-1 = q(u)/p_u(w) from the powers already formed.  Rounding
     in p_u's coefficients moves t_k but not the eigenvectors, since q(u)
     stays a polynomial in u; and wI + u is formed directly, so next to I
@@ -342,7 +347,8 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     u = _square(u)
     n = u.shape[0]
     _require_unitary(u)
-    powers, coeffs = _powers_and_poly(u)
+    powers = _power_rows(u)
+    coeffs = _power_poly(u, powers)
     w, turn = _cayley_pole(coeffs)
     (vals, vecs), e = _lapack(np.linalg.eigh, _cayley_hermitian(u, powers, coeffs, w))
     phases = [math.remainder(2.0 * math.atan(x) + turn, math.tau) for x in np.ldexp(vals, e).tolist()]
@@ -354,7 +360,7 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
 def char_poly(m: np.ndarray) -> np.ndarray:
     """Coefficients of the monic characteristic polynomial, entry k
     multiplying x**k, from the traces of m's powers by Newton's identities
-    (``_powers_and_poly``).
+    (``_power_rows``, ``_power_poly``).
 
     Entry N is 1 and entry 0 is (-1)**N det(m); a traceless input has
     entry N-1 = 0 up to rounding.
@@ -362,7 +368,7 @@ def char_poly(m: np.ndarray) -> np.ndarray:
     m = _square(m)
     if m.shape[0] > MAX_N:
         raise ValueError(f"characteristic polynomial supported for N <= {MAX_N}, got {m.shape[0]}")
-    return np.array(_powers_and_poly(m)[1], dtype=complex)
+    return np.array(_power_poly(m, _power_rows(m)), dtype=complex)
 
 
 def _min_gap(values: np.ndarray) -> float:

@@ -288,12 +288,13 @@ def test_log_past_gate_solver_failure_is_convergence_error(monkeypatch, n):
 
 def targeted_spectra(n):
     """(label, eigenphases summing to 0 mod 2 pi) past the gate: a 2 pi
-    shift (s = 1, then s = -1, its tie gap above TIE_CUT), one phase 1e-2
-    to 1e-6 from the cut at pi, and a repeated phase."""
+    shift (s = 1, then s = -1; the shift boundary between 2.9 and 2.2, a
+    gap of 0.7, far above TIE_CUT), one phase 1e-2 to 1e-6 from the cut at
+    pi, and a repeated phase."""
     if n > 2:
         shift = [2.9, 2.2] + [0.3 + 0.25 * k for k in range(n - 3)]
         shift.append(2.0 * np.pi - sum(shift))
-        assert abs(shift[-1]) < np.pi and shift[1] - max(shift[2:]) > TIE_CUT
+        assert abs(shift[-1]) < np.pi and shift[0] - max(shift[1:]) > TIE_CUT
         yield "shift s = 1", shift
         yield "shift s = -1", [-x for x in shift]
         yield "repeated", [1.2, 1.2] + [-2.4 / (n - 2)] * (n - 2)
@@ -322,6 +323,49 @@ def test_log_past_gate_targeted_spectra(n):
         assert residual <= 1e-10
         if label.startswith("shift"):
             assert not declined
+
+
+def mpmath_shifted_log(basis, g):
+    """Real coordinates of the traceless R with exp(-i R) = u, u = g0 I +
+    g . L, for a u whose principal phases sum to 2 pi: mpmath's eigenvalues
+    z_k and eigenvectors V of u at 40 digits, the largest phase arg z_k
+    less 2 pi, and R = V diag(-arg z) V**-1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, v = mpmath.eig(mpmath.matrix(to_matrix(basis, g).tolist()))
+        phases = [mpmath.arg(x) for x in z]
+        top = max(range(len(phases)), key=phases.__getitem__)
+        phases[top] -= 2 * mpmath.pi
+        r = v * mpmath.diag([-x for x in phases]) * mpmath.inverse(v)
+        r = np.array([[complex(x) for x in row] for row in r.tolist()])
+    return from_matrix(basis, r).vector.real
+
+
+def test_shift_ties_above_tie_cut_answered_by_the_route():
+    """At N = 3, Haar-rotated spectra with phases (2.5, 2.5 - gap, rest),
+    summing to 2 pi, put the 2 pi shift boundary inside a tie of width gap
+    (and their negatives, with the shift of the other sign).  Gaps of 0.05
+    and 0.02, above TIE_CUT = 0.01, are answered by ``_log_past_gate``
+    within 1e-12 of a 40-digit reference; a gap of 0.005 is declined."""
+    basis, t = cached_algebra(3)
+    rng = np.random.default_rng(760)
+    for gap in (0.05, 0.02, 0.005):
+        phases = np.array([2.5, 2.5 - gap, 2.0 * np.pi - 5.0 + gap])
+        worst = 0.0
+        for sign in (1.0, -1.0):
+            for _ in range(10):
+                g = conjugated(basis, np.exp(1j * sign * phases), rng)
+                got = _log_past_gate(basis, to_matrix(basis, g))
+                if gap < TIE_CUT:
+                    assert got is None
+                    continue
+                assert got is not None
+                exact = mpmath_shifted_log(basis, g) if sign > 0 else -mpmath_shifted_log(
+                    basis, LinearElement(np.conj(g.scalar), np.conj(g.vector))
+                )
+                worst = max(worst, float(np.max(np.abs(got - exact))))
+        print(f"gap {gap}: worst distance to the 40-digit logarithm {worst:.1e}")
+        assert worst <= 1e-12
 
 
 def no_eig_unitary(u):

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -421,7 +422,7 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
     worst = {"linearize_fn": 0.0, "newton": 0.0}
     for m in exponents:
         exact = mpmath_exp_coords(n, m)
-        newton = linearize._exp_newton(t, basis, m, product_matrices(t, m)[0])
+        newton = linearize._exp_newton(t, basis, m, linearize._step_matrix(t, m))
         for name, got in (("linearize_fn", linearize_fn(t, basis, m)), ("newton", (newton[0], newton[1:]))):
             worst[name] = max(worst[name], coordinate_error(got, exact))
     print(f"N = {n}: {len(exponents)} exponents, worst " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
@@ -456,6 +457,59 @@ def test_inside_reach_solves_no_eigenproblem(monkeypatch, n):
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(linearize, "_eigenvalues", refuse)
     monkeypatch.setattr(linearize, "exp_divided_differences", refuse)
+    for (m, v), (r, nprime) in zip(pairs, want):
+        np.testing.assert_array_equal(compose(t, basis, m, v), r)
+        np.testing.assert_array_equal(similarity(t, basis, m, v), nprime)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_step_matrix_is_the_product_matrices_form(n):
+    """``_step_matrix``, one bincount over ``step_rule``, is byte for byte
+    [[0, (2/N) m'], [m, D(m)]] with D(m) from ``product_matrices``, on
+    sampler draws, a tiny one and the zero element; and with a shift s it is
+    byte for byte that matrix plus s I, the form ``_arcsin_series`` reads."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(980 + n)
+    draws = [random_coords(basis, rng) for _ in range(6)] + [1e-200 * random_coords(basis, rng)]
+    for m in draws + [np.zeros(t.dim)]:
+        want = np.zeros((t.dim + 1, t.dim + 1))
+        want[0, 1:], want[1:, 0], want[1:, 1:] = (2.0 / n) * m, m, product_matrices(t, m)[0]
+        assert linearize._step_matrix(t, m).tobytes() == want.tobytes()
+        for s in (rng.uniform(-0.3, 0.3), 1e-9):
+            shifted = want + s * np.eye(t.dim + 1)
+            assert linearize._step_matrix(t, m, s).tobytes() == shifted.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_series_read_no_product_matrices(monkeypatch, n):
+    """The series and their step matrices never build F(m): with
+    ``product_matrices`` made to raise wherever the package binds it,
+    ``compose`` and ``similarity`` return what they returned before, bit
+    for bit, on sampler pairs whose exponents both lie inside the reach
+    and on pairs at operand scales 10**U(-6, -1)."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(990 + n)
+
+    def inside_reach(m):
+        return np.sum(np.linalg.eigvalsh(algebra_matrix(basis, m)) ** 8) ** 0.125 <= np.pi
+
+    pairs = []
+    while len(pairs) < 8:
+        m, v = random_coords(basis, rng), random_coords(basis, rng)
+        if inside_reach(m) and inside_reach(v):
+            pairs.append((m, v))
+    pairs += [
+        tuple(random_coords(basis, rng) * 10.0 ** rng.uniform(-6.0, -1.0) for _ in range(2))
+        for _ in range(8)
+    ]
+    want = [(compose(t, basis, m, v), similarity(t, basis, m, v)) for m, v in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product_matrices was called")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "sunbch" or name.startswith("sunbch.")) and hasattr(module, "product_matrices"):
+            monkeypatch.setattr(module, "product_matrices", refuse)
     for (m, v), (r, nprime) in zip(pairs, want):
         np.testing.assert_array_equal(compose(t, basis, m, v), r)
         np.testing.assert_array_equal(similarity(t, basis, m, v), nprime)
