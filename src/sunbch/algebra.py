@@ -28,8 +28,7 @@ with
 
 both at once, from one scatter list of terms (slot, gathered coordinate,
 coefficient), so a loop that multiplies by the same a many times (the
-Newton products of ``linearize``, the adjoint kernel of ``bch``) pays one
-matrix-vector product per step.
+adjoint kernel of ``bch``) pays one matrix-vector product per step.
 
 The product of two elements a0 I + a . L and b0 I + b . L reduces to
 

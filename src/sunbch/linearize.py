@@ -7,61 +7,54 @@ Any smooth function of an algebra element collapses to an affine form,
 because every polynomial in M = m . L reduces through the product rule.
 The products are real and built in coordinates; with P = s I + v . L,
 
-    P (M - l I) = (-l s + (2/N) v . m) I + (s m - l v + v (.) m) . L,
+    P M = ((2/N) v . m) I + (s m + v (.) m) . L,
 
 and v (.) m = D(m) v for the matrix D(m) of ``algebra.product_matrices``,
-so a product with M - l I is one product of the (dim + 1)-square step
-matrix A = [[0, (2/N) m'], [m, D(m)]] with (s, v), less l (s, v).  A is
-built once per linearization, by one gather and one ``np.bincount`` over
+so a product with M is one product of the (dim + 1)-square step matrix
+A = [[0, (2/N) m'], [m, D(m)]] with (s, v).  A is built once per
+linearization, by one gather and one ``np.bincount`` over
 ``StructureTensors.step_rule`` (``_step_matrix``), with no F(m).  The
 cross-product term of the full product rule (``algebra.multiply``) drops
-out identically: every product lies in the commutative family generated
-by m under (.).
+out identically: every product lies in the commutative family of m.
 
 ``linearize_fn`` evaluates exp(-iM) by one of two routes, chosen from m
 before any eigenproblem.  Inside the reach, where the bound
 beta = (Tr M**8)**(1/8) >= rho(M) is at most TAYLOR_REACH = pi, it sums
 cos M - i sin M as Taylor series in S = A A on the coordinates of I
 (``_exp_series``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488):
-the rows S**k e0 go into one power array, one matrix-vector product
-each, and one product with the coefficient rows sums both series.  No
-eigenvalue, and at most about exp(pi) roundoffs lost to cancellation,
-as in Opitz's rows.  Past the reach it takes the Newton form over the
-eigenvalues l1 <= ... <= lN of M from LAPACK (``_exp_newton``),
-
-    f(M) = sum_k f[l1..l(k+1)] (M - l1 I) ... (M - lk I),
-
-which is exact on any spectrum of the diagonalizable M: with a repeated
-eigenvalue it is the Hermite interpolant, which agrees with f there too.
-Its divided differences are the first row of exp(-iB) for the bidiagonal
-matrix B of the eigenvalues and ones (Opitz), scaled and squared for wide
-spectra, so it needs no eigenvector and no Vandermonde system.  A group
-element obeys the norm identity |f0|**2 + (2/N) |fvec|**2 = Tr(u'u) / N
-= 1, and ``linearize_fn`` refuses a form that misses it by more than
-UNITARY_TOL.  That is the one guard of the exp form, on both routes.  A
-NaN or inf fails it, and so does the rounding of the eigenphases, about
-|l| eps each, from about |m| = 1e8 on.  The identity is necessary, not
-sufficient, for unitarity, but its defect tracked the form's true error
-within a factor of about ten from |m| = 1 to 1e12 at N = 2, 3, 4 and 8.
-``power_table`` lists the plain powers of M as ``LinearElement``s from
-the Newton products, every shift 0; it and the monomial coefficients of
-``spectral.expansion_coeffs``, which read Opitz's rows, remain as
-cross-checks.  M is Hermitian, so exp(+i M) is the conjugate element
-``linearize_fn(...).conj()``.
+the rows S**k e0 fill one power array, and one product with the
+coefficient rows sums both series, losing at most about exp(pi)
+roundoffs to cancellation.  Past the reach it runs Lanczos
+(``_exp_lanczos``; Saad, SIAM J. Numer. Anal. 29 (1992) 209; Golub & Van
+Loan, Matrix Computations, 4th ed., sec. 10.1) on W**(1/2) A W**(-1/2) =
+[[0, c m'], [c m, D(m)]], c = sqrt(2/N): A with row 0 and column 0
+scaled, real symmetric since A is self-adjoint in the trace inner
+product Tr(X'Y) / N, of weight W = diag(1, 2/N, ..., 2/N) on (s, v).
+Its Krylov space from e0, the polynomials in M, has one dimension per
+distinct eigenvalue, so with two full reorthogonalization passes per
+step Lanczos ends within N steps, or where beta <= 1e-15 of the 1-norm,
+and exp(-iM) has the coordinates Q exp(-iT) e1, vector part divided by
+c, from ``eigh`` of the tridiagonal T.  No dense M is formed.  Each
+eigenphase carries about rho(M) eps of rounding, which a unitary result
+hides, so past the reach a bound on it past PHASE_BUDGET is refused.  On
+both routes the norm identity |f0|**2 + (2/N) |fvec|**2 = Tr(u'u) / N = 1
+guards the output, within UNITARY_TOL (a NaN or inf fails it).
+``power_table`` lists the powers of M from ``_series_powers`` over A; it
+and the monomial coefficients of ``spectral.expansion_coeffs`` remain as
+cross-checks.  exp(+i M) is the conjugate ``linearize_fn(...).conj()``.
 
 ``delinearize_exp`` inverts the exponential case without eigenvectors,
 at every N.  Near the identity the scalar coordinate alone shows that
 every eigenphase lies within pi/4 (LOG_GATE), and R = m . L is then
 arcsin of S = sin R, whose coordinates are the imaginary parts of the
 element's; ``_arcsin_series`` sums its Taylor series over one power
-array of the Newton step matrix, and needs no eigenvalue.  Past the gate
+array of the step matrix of S, and needs no eigenvalue.  Past the gate
 the eigenvalues of u itself come from LAPACK's nonsymmetric ``eigvals``,
-through ``spectral._lapack``, and R is the Newton form in u over them
-(``_log_past_gate``), expanded over the powers of u from
-``spectral._power_rows``.  u is normal, so each eigenvalue is
-accurate to about eps however they cluster.  That route declines,
-rather than refuses, wherever its divided differences would lose
-accuracy (CHORD_CUT, TIE_CUT), and only then does ``log_coords`` take the dense
+accurate to about eps however they cluster since u is normal, and R is
+the Newton form in u over them (``_log_past_gate``), expanded over the
+powers of u from ``spectral._power_rows``.  That route declines, rather
+than refuses, wherever its divided differences would lose accuracy
+(CHORD_CUT, TIE_CUT), and only then does ``log_coords`` take the dense
 matrix and its eigenvectors.  Past the gate both logarithms take principal
 eigenphases through ``_branch_rule``, the one 2 pi shift rule, the one
 det u = 1 check and the one site of the ambiguity refusals.
@@ -85,6 +78,7 @@ from .algebra import (
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
+    PHASE_BUDGET,
     TAYLOR_REACH,
     UNITARY_TOL,
     _ROUNDOFF,
@@ -96,7 +90,6 @@ from .spectral import (
     apply_spectral,
     eig_hermitian,
     eig_unitary,
-    exp_divided_differences,
     exp_minus_i,
 )
 
@@ -147,54 +140,6 @@ def _step_matrix(t: StructureTensors, m: np.ndarray, shift: float = 0.0) -> np.n
     return step.reshape(size, size)
 
 
-def _newton_products(t: StructureTensors, m: np.ndarray, shifts, step: np.ndarray) -> np.ndarray:
-    """The rows (s_k, v_k) of P_k = (M - x1 I) ... (M - xk I) = s_k I + v_k . L
-    for k = 0 .. len(shifts), in one array.
-
-    Each step is (s, v) <- A (s, v) - x (s, v), one product with the
-    ``_step_matrix`` A of m, ``step``.
-    """
-    products = np.zeros((len(shifts) + 1, t.dim + 1))
-    products[0, 0] = 1.0
-    if shifts:
-        products[1, 0], products[1, 1:] = -shifts[0], m
-    for k, shift in enumerate(shifts[1:], 1):
-        products[k + 1] = step @ products[k] - shift * products[k]
-    return products
-
-
-def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[LinearElement]:
-    """The reduced powers (m . L)**k for k = 0 .. ``max_power`` (<= N).
-
-    The powers are the Newton products with every shift 0.  A power that
-    is not finite (a huge |m| overflows them) raises ConstraintViolationError.
-    """
-    (m,) = _real_coords(t.dim, m=m)
-    if not 0 <= max_power <= t.n:
-        raise ValueError(
-            f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
-        )
-    products = _newton_products(t, m, [0.0] * max_power, _step_matrix(t, m))
-    if not np.isfinite(products).all():
-        raise ConstraintViolationError(
-            f"a power of m . L at |m| = {math.hypot(*m.tolist()):.3e} is not finite"
-        )
-    return [LinearElement(p[0], p[1:]) for p in products]
-
-
-def _eigenvalues(basis: GeneratorBasis, m: np.ndarray) -> list[float]:
-    """Ascending eigenvalues of M = m . L for the Newton form past the reach,
-    from LAPACK, unguarded (``spectral._eigvalsh``): m is real."""
-    return _eigvalsh(algebra_matrix(basis, m)).tolist()
-
-
-def _exp_newton(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Coordinates of exp(-iM) by the Newton form over M's eigenvalues
-    (module docstring), with the ``_step_matrix`` A of m, ``step``."""
-    lam = _eigenvalues(basis, m)
-    return np.dot(exp_divided_differences(lam), _newton_products(t, m, lam[:-1], step))
-
-
 def _series_powers(square: np.ndarray, powers: np.ndarray, start: int) -> np.ndarray:
     """``powers`` with its rows from ``start`` on filled: row k is S**k e0,
     S = ``square`` and e0 the coordinates of I, one matrix-vector product
@@ -202,6 +147,24 @@ def _series_powers(square: np.ndarray, powers: np.ndarray, start: int) -> np.nda
     for k in range(start, len(powers)):
         np.dot(square, powers[k - 1], out=powers[k])
     return powers
+
+
+def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[LinearElement]:
+    """The reduced powers (m . L)**k for k = 0 .. ``max_power`` (<= N), the
+    rows A**k e0 of ``_series_powers`` over the ``_step_matrix`` A of m.  A
+    power that is not finite (a huge |m| overflows them) raises
+    ConstraintViolationError."""
+    (m,) = _real_coords(t.dim, m=m)
+    if not 0 <= max_power <= t.n:
+        raise ValueError(
+            f"max_power must lie in 0..{t.n} (higher powers reduce), got {max_power}"
+        )
+    products = _series_powers(_step_matrix(t, m), np.eye(max_power + 1, t.dim + 1), 1)
+    if not np.isfinite(products).all():
+        raise ConstraintViolationError(
+            f"a power of m . L at |m| = {math.hypot(*m.tolist()):.3e} is not finite"
+        )
+    return [LinearElement(p[0], p[1:]) for p in products]
 
 
 def _exp_series(step: np.ndarray, square: np.ndarray, powers: np.ndarray, radius: float) -> np.ndarray:
@@ -221,6 +184,32 @@ def _exp_series(step: np.ndarray, square: np.ndarray, powers: np.ndarray, radius
     return cos - 1j * (step @ sin)
 
 
+def _exp_lanczos(t: StructureTensors, step: np.ndarray) -> np.ndarray:
+    """Coordinates of exp(-iM) by Lanczos (module docstring) on the
+    ``_step_matrix`` of M, ``step``, scaled in place to its symmetric form."""
+    c = math.sqrt(2.0 / t.n)
+    step[0] /= c
+    step[:, 0] *= c
+    cut = 1e-15 * float(np.abs(step).sum(axis=0).max())
+    q, alpha, beta = np.eye(t.n, t.dim + 1), [], []  # row k + 1 is written before it is read
+    for k in range(t.n):
+        w = step @ q[k]
+        alpha.append(float(q[k] @ w))
+        if k + 1 == t.n:
+            break
+        for _ in range(2):
+            w -= (q[: k + 1] @ w) @ q[: k + 1]
+        b = math.sqrt(float(w @ w))
+        if not b > cut:
+            break
+        beta.append(b)
+        q[k + 1] = w / b
+    (vals, vecs), e = _lapack(np.linalg.eigh, np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    form = (vecs @ (np.exp(-1j * np.ldexp(vals, e)) * vecs[0])) @ q[: len(alpha)]
+    form[1:] /= c
+    return form
+
+
 def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
@@ -229,17 +218,16 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     past the reach before S = A A is formed, so a huge m never overflows
     it.  Otherwise beta = (Tr M**8)**(1/8), Tr M**8 / N being the norm
     identity's sum of squares of M**4 = S S e0, picks ``_exp_series``
-    (beta <= TAYLOR_REACH) or ``_exp_newton``; the step matrix A serves
+    (beta <= TAYLOR_REACH) or ``_exp_lanczos``; the step matrix A serves
     both, and S e0 and S S e0 are the series' first powers.  A degenerate
     spectrum, the zero element included, is no special case.  The dense
     route (apply_spectral then from_matrix) is the tests' oracle.  A
-    complex or non-finite m is a ValueError.
+    complex or non-finite m is a ValueError; ``basis`` is not read.
 
-    The one refusal of both routes is the norm identity: unless
-    |f0|**2 + (2/N) |fvec|**2 lies within UNITARY_TOL of 1 (a NaN or inf
-    does not), ConstraintViolationError names |m| and the defect.  Each
-    eigenvalue l carries about |l| eps of rounding into its phase, so at
-    a large enough |m| the form drifts off SU(N) and is refused here.
+    ConstraintViolationError, naming |m|, refuses past the reach, before
+    any product, a bound sqrt(2 (N - 1) / N) |m| eps >= rho(M) eps (eps =
+    2**-52) past PHASE_BUDGET, and on both routes a norm identity
+    |f0|**2 + (2/N) |fvec|**2 that misses 1 by more than UNITARY_TOL.
     """
     (m,) = _real_coords(t.dim, m=m)
     step = _step_matrix(t, m)
@@ -253,7 +241,15 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     if radius <= TAYLOR_REACH:
         form = _exp_series(step, square, powers, radius)
     else:
-        form = _exp_newton(t, basis, m, step)
+        size = math.hypot(*m.tolist())
+        # eps first, so that a bound past the float range cannot overflow.
+        phase = size * math.ulp(1.0) * math.sqrt(2.0 - 2.0 / t.n)
+        if not phase <= PHASE_BUDGET:
+            raise ConstraintViolationError(
+                f"exp(-i m . L) at |m| = {size:.3e} is not unitary to working precision: "
+                f"rho eps = {phase:.3e} passes PHASE_BUDGET = {PHASE_BUDGET:g}"
+            )
+        form = _exp_lanczos(t, step)
     f0, fvec = complex(form[0]), form[1:]
     # Products, not **, which raises OverflowError on a huge float.
     norm2 = f0.real * f0.real + f0.imag * f0.imag + (2.0 / t.n) * np.vdot(fvec, fvec).real

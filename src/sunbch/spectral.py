@@ -7,25 +7,20 @@ power of two, which is exact.  Characteristic polynomials come from
 the traces of a matrix's powers by Newton's identities
 (``_power_sum_poly``).  exp(-ix)'s divided differences come from the
 Taylor series of Opitz's bidiagonal matrix, scaled and squared for widely
-spread points (``_taylor_rows``, over Python scalars).  They serve
-``linearize``'s Newton form past TAYLOR_REACH, inside which
-``linearize_fn`` sums exp's own series with no eigenvalue, and the
-monomial coefficients of exp(-iM), which expand that Newton form, so no
-Vandermonde system is solved anywhere.
+spread points within PHASE_BUDGET (``_taylor_rows``, over Python scalars).
+They serve only the monomial coefficients of exp(-iM), cross-checks of
+``linearize_fn``, which reads none; no Vandermonde system is solved.
 
 A unitary u is diagonalized by one Hermitian eigenproblem, its Cayley
 transform H = i (wI + u)(wI - u)**-1 (``eig_unitary``), whose eigenvectors
-are orthonormal however u's eigenvalues cluster.  Newton's identities turn
-the traces of u's powers into its characteristic polynomial p_u
-(``_power_sum_poly``); the pole w is the point of largest |p_u(w)| among
-4N points on the unit circle (``_cayley_pole``), and Cayley-Hamilton gives
-(wI - u)**-1 as a polynomial in u, so no linear system is solved.  The
-powers come from ``_power_rows`` and p_u from them by ``_power_poly``,
-which ``char_poly`` also reads.  The powers alone serve the values-only
-logarithm past the gate, ``linearize._log_past_gate``, which builds no
-polynomial.  That route needs no eigenvector, so it takes u's
-eigenvalues from LAPACK's nonsymmetric ``eigvals`` on u itself, through
-``_lapack``.
+are orthonormal however u's eigenvalues cluster.  The pole w is the point
+of largest |p_u(w)| among 4N points on the unit circle (``_cayley_pole``),
+p_u being u's characteristic polynomial from its powers (``_power_rows``,
+``_power_poly``, which ``char_poly`` also reads), and Cayley-Hamilton
+gives (wI - u)**-1 as a polynomial in u, so no linear system is solved.
+The powers alone serve the values-only logarithm past the gate,
+``linearize._log_past_gate``, which takes u's eigenvalues from LAPACK's
+nonsymmetric ``eigvals`` through ``_lapack`` and needs no eigenvector.
 """
 
 from __future__ import annotations
@@ -38,10 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateSpectrumError
+from .errors import ConstraintViolationError, ConvergenceError, DegenerateSpectrumError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
+# Largest rho eps (eps = 2**-52) for exp(-ix) at points bounded by rho:
+# each phase carries about rho eps of rounding, which no unitarity check
+# sees.  |m| = 1e8 is answered at every N (rho eps <= 2.9e-8), 1e9 is not.
+PHASE_BUDGET = 1e-7
 GAP_TOL = 1e-9
 # Largest N the package supports, the range its tests and CI cover:
 # ``char_poly`` refuses larger input, and ``verify``'s run configuration
@@ -97,10 +96,10 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
 
 
 def _lapack(solver, m: np.ndarray):
-    """``solver(m)`` (``np.linalg.eigh``, ``eigvalsh`` or ``eigvals``) and the e to scale its
-    eigenvalues back by: outside ``_SAFE_NORM2`` m is scaled by 2**-e, 2**e just above its
-    largest part, exactly.  A non-finite entry is a ValueError, a LAPACK failure
-    ConvergenceError."""
+    """``solver(m)`` (``np.linalg.eigh``, ``eigvalsh`` or ``eigvals``) for a complex or real m,
+    and the e to scale its eigenvalues back by: outside ``_SAFE_NORM2`` m is scaled by 2**-e,
+    2**e just above its largest part, exactly.  A non-finite entry is a ValueError, a LAPACK
+    failure ConvergenceError."""
     e = 0
     if not _SAFE_NORM2[0] < np.vdot(m, m).real < _SAFE_NORM2[1]:
         parts = np.ascontiguousarray(m).view(float)
@@ -108,7 +107,7 @@ def _lapack(solver, m: np.ndarray):
         if not math.isfinite(peak):
             raise ValueError(f"matrix is not finite: an entry reached {peak}")
         _, e = math.frexp(peak)
-        m = np.ldexp(parts, -e).view(complex)
+        m = np.ldexp(parts, -e).view(m.dtype)
     try:
         return solver(m), e
     except np.linalg.LinAlgError as exc:
@@ -187,21 +186,21 @@ def exp_divided_differences(values) -> np.ndarray:
     """Divided differences f[x1], f[x1, x2], ..., f[x1..xn] of f(x) = exp(-ix).
 
     They are the first row of exp(-iB), B the bidiagonal matrix of the
-    points.  The points are shifted to their midpoint first, exp(-iB) =
-    exp(-i mid) exp(-i (B - mid I)), and with s halvings exp(-i 2**-s (B -
-    mid I)) = S exp(-iP) S**-1, where P has the points (x - mid) 2**-s on
-    its diagonal and ones above it and S = diag(2**(s j)): entry (i, j) of
-    the ``_taylor_rows`` sum of exp(-iP), coefficients (-i)**k / k!, is
-    scaled by 2**(-s (j - i)), which is exact.  With half-spread r, term k
-    of entry j is at most (r 2**-s)**(k-j) / ((k-j)! j!), and the series
-    loses about exp(r 2**-s) roundoffs of the entry's 1 / j! scale to
-    cancellation.  So s is the least count of halvings that brings
-    r 2**-s to TAYLOR_REACH or below, and the scaled sum is squared s
-    times afterwards.  For s = 0 only the first row is summed; otherwise
-    the whole upper triangle is, since squaring needs it.  The series
-    stops once the bound above is below one unit roundoff of the entry's
-    scale.  The values are real and finite; anything else raises
-    ValueError.
+    points (Opitz).  Shifted to their midpoint, exp(-iB) = exp(-i mid)
+    exp(-i (B - mid I)), and with s halvings exp(-i 2**-s (B - mid I)) =
+    S exp(-iP) S**-1 for P with the points (x - mid) 2**-s on its diagonal
+    and ones above it and S = diag(2**(s j)): entry (i, j) of the
+    ``_taylor_rows`` sum of exp(-iP), coefficients (-i)**k / k!, is scaled
+    by 2**(-s (j - i)), which is exact.  With half-spread r, term k of
+    entry j is at most (r 2**-s)**(k-j) / ((k-j)! j!), and the series loses
+    about exp(r 2**-s) roundoffs of the entry's 1 / j! scale, so s is the
+    least count of halvings that brings r 2**-s to TAYLOR_REACH or below,
+    and the scaled sum is squared s times.  For s = 0 only the first row is
+    summed, otherwise the whole upper triangle.  The series stops once the
+    bound is below one roundoff of the entry's scale.  Points that are not
+    real and finite raise ValueError, and points with max |x| eps past
+    PHASE_BUDGET (eps = 2**-52) ConstraintViolationError: their phases
+    carry that much rounding.
     """
     xs = [float(x) for x in values]
     n = len(xs)
@@ -211,6 +210,12 @@ def exp_divided_differences(values) -> np.ndarray:
     mid, reach = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
     if not math.isfinite(mid + reach):
         raise ValueError("divided differences need finite points")
+    peak = max(abs(lo), abs(hi))
+    if not peak * math.ulp(1.0) <= PHASE_BUDGET:
+        raise ConstraintViolationError(
+            f"exp(-ix) at max |x| = {peak:.3e}: |x| eps = {peak * math.ulp(1.0):.3e} "
+            f"passes PHASE_BUDGET = {PHASE_BUDGET:g}"
+        )
     squarings = 0
     while reach > TAYLOR_REACH:
         reach *= 0.5

@@ -394,9 +394,9 @@ def test_compose_rounding_out_of_group_exits_3(capsys, n, scale):
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_compose_huge_exponent_exits_3(capsys, n):
-    """m = 1e200 L1 overflows the Newton form: a typed refusal (exit 3) by
-    linearize_fn's norm identity, not NaN coordinates refused later as a
-    non-unitary product."""
+    """m = 1e200 L1 is far past the phase budget: a typed refusal (exit 3)
+    by linearize_fn before any product, not NaN coordinates refused later
+    as a non-unitary product."""
     dim = n * n - 1
     m = json.dumps([1e200] + [0.0] * (dim - 1))
     code, out, err = run_cli(capsys, "compose", "--n", str(n), "--m", m, "--nvec", json.dumps([0.0] * dim))

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 
@@ -21,7 +22,7 @@ from sunbch import (
     similarity_direct,
     to_matrix,
 )
-from sunbch import linearize
+from sunbch import linearize, spectral
 from sunbch.algebra import algebra_matrix, product_matrices
 from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
@@ -137,13 +138,13 @@ def test_n8_answers_along_a_direction_up_to_1e3():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_norm_identity_refuses_phase_drift(n):
-    """At |m| = 1e12 each eigenphase carries about 1e-4 of rounding, so the
-    form is off unitary by about that much: linearize_fn itself refuses it,
-    where N = 2 and 3 once answered silently."""
+    """At |m| = 1e12 each eigenphase carries about 1e-4 of rounding, far
+    past PHASE_BUDGET: linearize_fn itself refuses it, where N = 2 and 3
+    once answered silently."""
     basis, t = cached_algebra(n)
     direction = np.random.default_rng(7).standard_normal(t.dim)
     m = 1e12 / np.linalg.norm(direction) * direction
-    with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.000e\+12 .*norm identity") as info:
+    with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.000e\+12 .*PHASE_BUDGET") as info:
         linearize_fn(t, basis, m)
     assert info.traceback[-1].name == "linearize_fn"
 
@@ -151,9 +152,9 @@ def test_norm_identity_refuses_phase_drift(n):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("scale", [1e150, 1e200])
 def test_huge_exponent_never_linearizes_to_nan(n, scale):
-    """Past the float range of the Newton form, linearize_fn refuses rather
-    than return NaN or non-unitary coordinates, with the one message of
-    its norm identity at every N.  power_table returns no NaN either."""
+    """Far past the phase budget linearize_fn refuses, before any product,
+    rather than return NaN or non-unitary coordinates, with the one message
+    of PHASE_BUDGET at every N.  power_table returns no NaN either."""
     basis, t = cached_algebra(n)
     m = np.zeros(t.dim)
     m[0] = scale
@@ -183,8 +184,8 @@ def test_power_table_refuses_overflow(n):
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_finite_exponent_with_overflowing_spread_is_refused_by_norm(n):
     """m = 1e308 (e1 + e2) has finite eigenvalues whose difference
-    overflows; exp's divided differences take them, and the norm identity
-    refuses the result, naming |m|."""
+    overflows; the phase budget refuses it by its norm, naming |m|, before
+    any product."""
     basis, t = cached_algebra(n)
     m = np.zeros(t.dim)
     m[:2] = 1e308
@@ -383,13 +384,13 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
     """linearize_fn against mpmath's 40-digit expm.
 
     On both sides of the reach: a sampler direction scaled so that
-    beta = (Tr M**8)**(1/8) is 0.99 pi takes the series (the Newton form
-    made to raise), and one at 1.01 pi the Newton form (the series made to
-    raise); both agree within 1e-14.  Then sampler draws, Haar-rotated
+    beta = (Tr M**8)**(1/8) is 0.99 pi takes the series (the Lanczos route
+    made to raise), and one at 1.01 pi the Lanczos route (the series made
+    to raise); both agree within 1e-14.  Then sampler draws, Haar-rotated
     clusters of 2, 3 or N - 1 eigenvalues in [-1, 1] split by 1e-3 down to
     1e-12, the zero element and the double eigenvalues of
     SPECIAL_EXPONENTS, and a draw at scale 1e-300: each within 1e-14, and
-    the worst error within twice that of the Newton form over the same
+    the worst error within twice that of the Lanczos route over the same
     exponents.  At 1e-300, exp(-iM) = I - iM to every digit, so f = -i m
     holds relative to |m| as well."""
     basis, t = cached_algebra(n)
@@ -398,7 +399,7 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("the other route was taken")
 
-    for share, other in ((0.99, "_exp_newton"), (1.01, "_exp_series")):
+    for share, other in ((0.99, "_exp_lanczos"), (1.01, "_exp_series")):
         m = random_coords(basis, rng)
         m *= share * np.pi / np.sum(np.linalg.eigvalsh(algebra_matrix(basis, m)) ** 8) ** 0.125
         with monkeypatch.context() as patch:
@@ -419,18 +420,77 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
         exponents.append(size * np.eye(t.dim)[k])
     tiny = 1e-300 * random_coords(basis, rng)
     exponents.append(tiny)
-    worst = {"linearize_fn": 0.0, "newton": 0.0}
+    worst = {"linearize_fn": 0.0, "lanczos": 0.0}
     for m in exponents:
         exact = mpmath_exp_coords(n, m)
-        newton = linearize._exp_newton(t, basis, m, linearize._step_matrix(t, m))
-        for name, got in (("linearize_fn", linearize_fn(t, basis, m)), ("newton", (newton[0], newton[1:]))):
+        lanczos = linearize._exp_lanczos(t, linearize._step_matrix(t, m))
+        for name, got in (("linearize_fn", linearize_fn(t, basis, m)), ("lanczos", (lanczos[0], lanczos[1:]))):
             worst[name] = max(worst[name], coordinate_error(got, exact))
     print(f"N = {n}: {len(exponents)} exponents, worst " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
     assert worst["linearize_fn"] <= 1e-14
-    assert worst["linearize_fn"] <= 2.0 * worst["newton"]
+    assert worst["linearize_fn"] <= 2.0 * worst["lanczos"]
     elem = linearize_fn(t, basis, tiny)
     assert elem.scalar == 1.0
     assert np.max(np.abs(elem.vector + 1j * tiny)) <= 1e-15 * np.max(np.abs(tiny))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_phase_budget_refusal_is_monotone_in_size(n):
+    """Along ``default_rng(7)``'s unit direction, |m| = 1e4, 1e6 and 1e8
+    are answered within 4 rho eps of mpmath's 40-digit expm (rho the
+    spectral radius, eps = 2**-52), the accuracy that an exponent of that
+    size allows; 1e9, 1e10 and 1e12 are refused, the message naming |m|,
+    the bound rho-bar eps = sqrt(2 (N - 1) / N) |m| eps and the limit."""
+    basis, t = cached_algebra(n)
+    direction = np.random.default_rng(7).standard_normal(t.dim)
+    direction /= np.linalg.norm(direction)
+    for size in (1e4, 1e6, 1e8):
+        m = size * direction
+        rho = np.max(np.abs(np.linalg.eigvalsh(algebra_matrix(basis, m))))
+        error = coordinate_error(linearize_fn(t, basis, m), mpmath_exp_coords(n, m))
+        print(f"N = {n}: |m| = {size:.0e}, error {error:.1e} = {error / (rho * 2.0 ** -52):.2f} rho eps")
+        assert error <= 4.0 * rho * 2.0 ** -52
+    for size in (1e9, 1e10, 1e12):
+        m = size * direction
+        norm = math.hypot(*m.tolist())
+        bound = norm * 2.0 ** -52 * math.sqrt(2.0 - 2.0 / n)
+        parts = (f"|m| = {norm:.3e} ", f" rho eps = {bound:.3e} ", " PHASE_BUDGET = 1e-07")
+        with pytest.raises(ConstraintViolationError, match=".*".join(map(re.escape, parts))):
+            linearize_fn(t, basis, m)
+
+
+def test_past_reach_forms_no_dense_matrix(monkeypatch):
+    """Past the reach linearize_fn forms no dense M, solves no eigenproblem
+    of M and reads no divided difference: with ``linearize.algebra_matrix``,
+    ``np.linalg.eigvalsh`` and ``spectral.exp_divided_differences`` made to
+    raise, 3 (1, ..., 1) at N = 8, 40 L1 + 25 L8 at N = 3, 3000 L1 at N = 2
+    and 3 L63 at N = 8 are answered within 24 rho eps of 40 digits.  The
+    one eigenproblem is Lanczos' tridiagonal T, one row per distinct
+    eigenvalue: 3 L63 has two, so Lanczos stops after 2 steps."""
+    cases = [(8, 3.0 * np.ones(63)), (3, 40.0 * np.eye(8)[0] + 25.0 * np.eye(8)[7]),
+             (2, 3000.0 * np.eye(3)[0]), (8, 3.0 * np.eye(63)[62])]
+    exact = [mpmath_exp_coords(n, m) for n, m in cases]
+    rho = [np.max(np.abs(np.linalg.eigvalsh(algebra_matrix(cached_algebra(n)[0], m)))) for n, m in cases]
+    sizes = []
+
+    def recorded(solver, a):
+        sizes.append(a.shape[0])
+        return lapack(solver, a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix or divided difference was formed past the reach")
+
+    lapack = linearize._lapack
+    monkeypatch.setattr(linearize, "_lapack", recorded)
+    monkeypatch.setattr(linearize, "algebra_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(spectral, "exp_divided_differences", refuse)
+    for (n, m), want, radius in zip(cases, exact, rho):
+        basis, t = cached_algebra(n)
+        error = coordinate_error(linearize_fn(t, basis, m), want)
+        print(f"N = {n}: rho = {radius:.1f}, error {error:.1e} = {error / (radius * 2.0 ** -52):.2f} rho eps")
+        assert error <= 24.0 * radius * 2.0 ** -52
+    assert sizes == [8, 3, 2, 2]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -438,7 +498,7 @@ def test_inside_reach_solves_no_eigenproblem(monkeypatch, n):
     """Near the identity neither linearization nor logarithm computes an
     eigenvalue: on pairs at operand scales 10**U(-6, -1), with LAPACK's
     Hermitian drivers, its nonsymmetric ``eigvals``,
-    ``linearize._eigenvalues`` and ``linearize.exp_divided_differences``
+    ``linearize._exp_lanczos`` and ``spectral.exp_divided_differences``
     made to raise, ``compose`` and ``similarity`` still return what they
     returned before, bit for bit."""
     basis, t = cached_algebra(n)
@@ -455,8 +515,8 @@ def test_inside_reach_solves_no_eigenproblem(monkeypatch, n):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    monkeypatch.setattr(linearize, "_eigenvalues", refuse)
-    monkeypatch.setattr(linearize, "exp_divided_differences", refuse)
+    monkeypatch.setattr(linearize, "_exp_lanczos", refuse)
+    monkeypatch.setattr(spectral, "exp_divided_differences", refuse)
     for (m, v), (r, nprime) in zip(pairs, want):
         np.testing.assert_array_equal(compose(t, basis, m, v), r)
         np.testing.assert_array_equal(similarity(t, basis, m, v), nprime)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sunbch import (
     lagrange_projectors,
     spectral,
 )
-from sunbch.errors import ConvergenceError, DegenerateSpectrumError
+from sunbch.errors import ConstraintViolationError, ConvergenceError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 from sunbch.spectral import _eigvalsh, _taylor_rows, exp_divided_differences
 
@@ -677,10 +678,14 @@ def test_exp_divided_differences_rejects_nonfinite():
 
 def test_exp_divided_differences_takes_an_overflowing_spread():
     """Finite points whose difference overflows have a finite midpoint and
-    half-spread, so they are summed, not refused as non-finite; what the
-    sum is worth there is for the caller's norm check to judge."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert len(exp_divided_differences([-1e308, 1e308])) == 2
+    half-spread, so they are not refused as non-finite; their phases carry
+    far more rounding than PHASE_BUDGET allows, and they are refused for
+    that, as are [-1e100, 1e100] (once NaN) and [-1e307, 1e307] (once
+    [0, 0]).  Points of 4e8 lie inside the budget and are answered."""
+    for peak in (1e100, 1e307, 1e308):
+        with pytest.raises(ConstraintViolationError, match=re.escape(f"max |x| = {peak:.3e}:") + ".*PHASE_BUDGET"):
+            exp_divided_differences([-peak, peak])
+    assert abs(exp_divided_differences([-4e8, 4e8])[0] - np.exp(4e8j)) < 1e-6
 
 
 @pytest.mark.parametrize("c", [-1j])
