@@ -100,8 +100,9 @@ class StructureTensors:
     because the term a_k b_l + a_l b_k counts that slot twice.  The rest
     is derived from them: the joint scatter arrays of ``product_matrices``
     (and their halves, ``terms``), the row layout of ``multiply``
-    (``product_rule``) and the scatter list of ``linearize``'s step matrix
-    (``step_rule``), each built on first read and then kept, and the
+    (``product_rule``), the scatter list of ``linearize``'s step matrix
+    (``step_rule``) and that of ``bch``'s adjoint matrix K(m) = -2 F(m)
+    (``adjoint_rule``), each built on first read and then kept, and the
     canonical 1-based triples ``f_entries`` and ``d_entries``.
 
     ``scatter`` lists its terms row-major over the dim x 2 dim matrix
@@ -124,6 +125,7 @@ class StructureTensors:
     scatter = cached_property(lambda self: _row_major(self.dim, self.d_coo, self.f_coo))
     product_rule = cached_property(lambda self: _product_rule(self.dim, *self.scatter))
     step_rule = cached_property(lambda self: _step_rule(self.n, *self.terms("d")))
+    adjoint_rule = cached_property(lambda self: _adjoint_rule(*self.terms("f")))
 
     def terms(self, tensor: str) -> tuple[np.ndarray, ...]:
         """``tensor``'s ("d" or "f") half of ``scatter``, its slots in 0 .. dim**2 - 1."""
@@ -221,6 +223,14 @@ def _step_rule(n: int, slots, gather, coef) -> tuple[np.ndarray, ...]:
     gather = np.concatenate((gather, border, border))
     coef = np.concatenate((coef, np.full(dim, 2.0 / n), np.ones(dim)))
     return tuple(_freeze(x) for x in (slots, gather, coef))
+
+
+def _adjoint_rule(slots, gather, coef) -> tuple[np.ndarray, ...]:
+    """Flat slots, gathered coordinate and coefficient of the terms of the
+    dim-square matrix K(m) = -2 F(m), K(m) y = 2 m (x) y: the f half of
+    ``scatter`` with each coefficient times -2, so one ``np.bincount``
+    builds K with -2 times the F(m) of ``product_matrices``, bit for bit."""
+    return tuple(_freeze(x) for x in (slots, gather, -2.0 * coef))
 
 
 def _canonical(coo) -> tuple[tuple[int, int, int, float], ...]:

@@ -10,9 +10,19 @@ product reduces through the structure tensors by ``algebra.multiply``,
 and the result is delinearized back to an algebra element.  ``multiply``
 sums the bilinear part, mu (.) nu + i mu (x) nu = D(nu) mu + i F(nu) mu,
 straight from the structure tensors' row-major term list, one gather and
-one segmented sum, with no matrix formed.  ``similarity`` forms
-exp(-i m . L) (n . L) exp(i m . L) = n' . L with the same product, twice,
-from one linearization and its conjugate.
+one segmented sum, with no matrix formed.
+
+``similarity`` forms exp(-i m . L) (n . L) exp(i m . L) = n' . L, which is
+real, as the adjoint action in coordinates: n' = exp(K) n with
+K y = 2 m (x) y, K = -2 F(m) one ``np.bincount`` over the f terms.
+Inside ``linearize_fn``'s reach (beta = (Tr M**8)**(1/8) <= TAYLOR_REACH)
+exp(K) n is a Taylor series on the vector, in one or two passes of
+radius at most pi, with no linearization and no complex product; it is
+guarded by its norm and by the invariants of m's commutant,
+w_k . n' = w_k . n for the vector parts w_k of M**k.  Past the reach it is
+the sandwich (nu0, nu) (0, n) (mu0, mu) of two ``multiply`` calls on one
+linearization nu of exp(-i m . L) and its conjugate mu, guarded by its
+scalar and imaginary residue, its norm and mu . n = mu . n'.
 Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_direct``).
 """
 
@@ -33,7 +43,18 @@ from .algebra import (
     product_matrices,
 )
 from .errors import ConstraintViolationError
-from .linearize import delinearize_exp, exp_matrix, linearize_fn, log_coords
+from .linearize import (
+    _COS_SIN,
+    _cos_sin,
+    _reach_bound,
+    _series_powers,
+    _step_matrix,
+    delinearize_exp,
+    exp_matrix,
+    linearize_fn,
+    log_coords,
+)
+from .spectral import TAYLOR_REACH
 
 CONSTRAINT_TOL = 1e-9
 DIRECT_SCALAR_TOL = 1e-10
@@ -125,37 +146,117 @@ def build_adjoint_kernel(t: StructureTensors, mu: LinearElement) -> tuple[np.nda
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm without overflow or underflow in the squares."""
-    return math.hypot(*v.tolist())
+    """Euclidean norm without overflow or underflow in the squares: from
+    ``math.hypot``, and where v . v is then safely a normal float, sqrt(v . v)
+    itself, so that a norm drift reads |sqrt(n' . n') - sqrt(n . n)| bit for
+    bit whatever the route's last bits."""
+    size = math.hypot(*v.tolist())
+    return math.sqrt(float(v @ v)) if 1e-150 <= size <= 1e150 else size
+
+
+def _adjoint_series(
+    t: StructureTensors, m: np.ndarray, nvec: np.ndarray, radius: float, norm: float
+) -> np.ndarray:
+    """exp(K) n for K = K(m) = -2 F(m), K y = 2 m (x) y, the action of the
+    matrix exponential on a vector by its truncated Taylor series (Al-Mohy
+    & Higham, SIAM J. Sci. Comput. 33 (2011) 488).  K, one ``np.bincount``
+    over ``StructureTensors.adjoint_rule``, is real antisymmetric with
+    eigenvalues i (lambda_a - lambda_b), of modulus at most 2 ``radius``
+    for a bound ``radius`` >= rho(M).  Where 2 radius <= TAYLOR_REACH one
+    pass of exp(K) = cosh K + K (sinh K / K) sums cos + K sin of
+    ``linearize._cos_sin`` over the powers (-K**2)**k n; otherwise two
+    passes of exp(K/2), so that each has radius at most TAYLOR_REACH and
+    loses at most about exp(pi) roundoffs to cancellation, not exp(2 pi).
+    n is scaled by a power of two to |n| < 1 (``norm`` = |n|) and back, so
+    no power overflows; at m = 0 n comes back bit for bit."""
+    slots, gather, coef = t.adjoint_rule
+    passes = 1 if 2.0 * radius <= TAYLOR_REACH else 2
+    step = np.bincount(slots, coef * m[gather], minlength=t.dim * t.dim).reshape(t.dim, t.dim)
+    if passes == 2:
+        step *= 0.5
+    square = -(step @ step)
+    exponent = math.frexp(norm)[1]
+    powers = np.empty((len(_COS_SIN), t.dim))
+    vec = np.ldexp(nvec, -exponent)
+    for _ in range(passes):
+        powers[0] = vec
+        cos, sin = _cos_sin(square, powers, 2.0 * radius / passes, 1)
+        vec = cos + step @ sin
+    return np.ldexp(vec, exponent)
+
+
+def _mu_defect(mu: LinearElement, nvec: np.ndarray, nprime: np.ndarray) -> float:
+    """|mu . n - mu . n'| for mu the vector part of exp(i m . L)."""
+    return abs(complex(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)))
 
 
 def _conjugate(
     t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """``similarity``'s n' with its norm drift and mu . n defect.
+) -> tuple[np.ndarray, float, LinearElement | None]:
+    """``similarity``'s n' with its norm drift, and the linearization
+    exp(-i m . L) where the route made one (past the reach), else None.
 
     n' is linear in n, so its rounding scales with |n|: each guard is
-    CONSTRAINT_TOL times max(1, |n|).  A complex or non-finite m or n is a
-    ValueError."""
-    (nvec,) = _real_coords(t.dim, nvec=nvec)  # linearize_fn checks m
+    CONSTRAINT_TOL times max(1, |n|).  The reach is tested as in
+    ``linearize_fn``: |m| <= TAYLOR_REACH sqrt(N / 2), by ``math.hypot``,
+    then beta from the coordinates of M**4 (``linearize._reach_bound``).
+    Inside it n' is ``_adjoint_series``, real and traceless by
+    construction, guarded by its norm and by the commutant invariants
+    w_k . n' = w_k . n, k = 1 .. N - 1: M**k commutes with exp(-iM), so
+    Tr(M**k n' . L) = Tr(M**k n . L).  w_k is the vector part of
+    (M / 2**e)**k, 2**e the power of two just above |m|, the row A**k e0 of
+    the powers that gave beta: unit-free, so a vector part that cancels
+    to rounding (M**2 = c I) stays at rounding, and mu, a polynomial in
+    M, lies in their span.  Past the reach n' is the sandwich
+    (nu0, nu) (0, n) (mu0, mu) of two ``multiply`` calls, guarded by its
+    scalar and imaginary residue, its norm and mu . n = mu . n'.  A
+    complex or non-finite m or n is a ValueError."""
+    (nvec,) = _real_coords(t.dim, nvec=nvec)
+    (m,) = _real_coords(t.dim, m=m)
+    norm = _norm(nvec)
+    tol = CONSTRAINT_TOL * max(1.0, norm)
+    size = math.hypot(*m.tolist())
+    if size <= TAYLOR_REACH * math.sqrt(0.5 * t.n):
+        # Rows A**k e0 of M / 2**e, 2**e the power of two just above |m|, for
+        # k up to 4 (beta) and N - 1 (the commutant guard): their coordinates
+        # neither overflow nor underflow, and beta scales back.
+        e = math.frexp(size)[1]
+        powers = np.zeros((max(5, t.n), t.dim + 1))
+        powers[0, 0] = 1.0
+        _series_powers(_step_matrix(t, np.ldexp(m, -e)), powers, 1)
+        radius = math.ldexp(_reach_bound(t, powers[4]), e)
+        if radius <= TAYLOR_REACH:
+            nprime = _adjoint_series(t, m, nvec, radius, norm)
+            drift = _drift(nprime, norm, tol)
+            defect = float(np.max(np.abs(powers[1 : t.n, 1:] @ (nprime - nvec))))
+            if not defect <= tol:
+                raise ConstraintViolationError(
+                    f"conjugation moved a commutant invariant w_k . n of m by {defect:.3e}, "
+                    f"limit {tol:.3e}"
+                )
+            return nprime, drift, None
     nu = linearize_fn(t, basis, m)
     mu = nu.conj()
     product = multiply(t, multiply(t, nu, LinearElement(0.0, nvec)), mu)
-    norm = _norm(nvec)
-    tol = CONSTRAINT_TOL * max(1.0, norm)
     residue = float(np.max(np.abs(product.vector.imag), initial=abs(product.scalar)))
     if not residue <= tol:
         raise ConstraintViolationError(f"conjugation left a scalar or imaginary part {residue:.3e}")
     nprime = product.vector.real
-    drift = abs(_norm(nprime) - norm)
-    if not drift <= tol:
-        raise ConstraintViolationError(f"conjugation changed the norm by {drift:.3e}")
-    scalar_defect = abs(complex(np.dot(mu.vector, nvec) - np.dot(mu.vector, nprime)))
+    drift = _drift(nprime, norm, tol)
+    scalar_defect = _mu_defect(mu, nvec, nprime)
     if not scalar_defect <= tol:
         raise ConstraintViolationError(
             f"scalar invariant mu . n drifted by {scalar_defect:.3e}"
         )
-    return nprime, drift, scalar_defect
+    return nprime, drift, nu
+
+
+def _drift(nprime: np.ndarray, norm: float, tol: float) -> float:
+    """| |n'| - |n| |, refused past ``tol``."""
+    drift = abs(_norm(nprime) - norm)
+    if not drift <= tol:
+        raise ConstraintViolationError(f"conjugation changed the norm by {drift:.3e}")
+    return drift
 
 
 def similarity(
@@ -163,10 +264,17 @@ def similarity(
 ) -> np.ndarray:
     """Coordinates n' with exp(-i m . L)(n . L) exp(i m . L) = n' . L.
 
-    Multiplies out (nu0, nu) (0, n) (mu0, mu), with exp(-i m . L) = nu0 I + nu . L
-    and exp(i m . L) = mu0 I + mu . L its conjugate (the generators are Hermitian).
-    The product must be real with no scalar part, keep the norm of n and the
-    invariant mu . n = mu . n', each within 1e-9 times max(1, |n|).
+    d/ds of exp(-i s M) N exp(i s M) is -i [M, N(s)] = (2 m (x) n(s)) . L,
+    so n' = exp(K) n with K y = 2 m (x) y, the adjoint action in
+    coordinates.  Inside TAYLOR_REACH (beta = (Tr M**8)**(1/8) <= pi, the
+    bound and test of ``linearize_fn``) it is that series on the vector
+    (``_adjoint_series``), with no linearization and no complex product.
+    Past the reach it multiplies out (nu0, nu) (0, n) (mu0, mu), with
+    exp(-i m . L) = nu0 I + nu . L from ``linearize_fn`` and
+    exp(i m . L) = mu0 I + mu . L its conjugate.  Either way n' keeps the
+    norm of n within 1e-9 times max(1, |n|), and the invariants of m's
+    commutant (inside) or mu . n = mu . n' and a real, scalar-free
+    product (past) within the same limit (``_conjugate``).
     """
     return _conjugate(t, basis, m, nvec)[0]
 

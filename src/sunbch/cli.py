@@ -19,9 +19,9 @@ import numpy as np
 
 from . import linsolve  # noqa: F401  unused; loaded for perfbench/tracer.py, which wraps it
 from .algebra import cached_algebra, serialize_algebra
-from .bch import _compose, _conjugate
+from .bch import _compose, _conjugate, _mu_defect
 from .errors import NumericalDomainError
-from .linearize import exp_matrix
+from .linearize import exp_matrix, linearize_fn
 from .sampling import DEFAULT_SPECTRAL_CAP
 from .verify import MAX_N, RunConfig, _jacobi_ff, _orthonormality, run_suite
 
@@ -103,11 +103,15 @@ def cmd_similarity(args) -> dict:
     basis, tensors = cached_algebra(n)
     m = _coords_argument(args.m, basis.dim, "--m")
     nvec = _coords_argument(args.nvec, basis.dim, "--nvec")
-    nprime, norm_drift, scalar_constraint = _conjugate(tensors, basis, m, nvec)
+    nprime, norm_drift, nu = _conjugate(tensors, basis, m, nvec)
+    # The series route makes no linearization; the report's mu . n defect
+    # takes the one it needs, and past the reach the sandwich's own.
+    if nu is None:
+        nu = linearize_fn(tensors, basis, m)
     return {
         "nprime": [float(x) for x in nprime],
         "norm_drift": norm_drift,
-        "scalar_constraint": scalar_constraint,
+        "scalar_constraint": _mu_defect(nu.conj(), nvec, nprime),
     }
 
 

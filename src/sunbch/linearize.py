@@ -24,7 +24,8 @@ cos M - i sin M as Taylor series in S = A A on the coordinates of I
 (``_exp_series``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488):
 the rows S**k e0 fill one power array, and one product with the
 coefficient rows sums both series, losing at most about exp(pi)
-roundoffs to cancellation.  Past the reach it runs Lanczos
+roundoffs to cancellation.  The same sum (``_cos_sin``) serves
+``bch.similarity``'s adjoint series.  Past the reach it runs Lanczos
 (``_exp_lanczos``; Saad, SIAM J. Numer. Anal. 29 (1992) 209; Golub & Van
 Loan, Matrix Computations, 4th ed., sec. 10.1) on W**(1/2) A W**(-1/2) =
 [[0, c m'], [c m, D(m)]], c = sqrt(2/N): A with row 0 and column 0
@@ -121,8 +122,9 @@ TIE_CUT = 0.01
 
 
 # Rows (c_k, s_k) = ((-1)**k / (2k)!, (-1)**k / (2k+1)!) of cos x =
-# sum_k c_k x**(2k) and sin x = x sum_k s_k x**(2k); ``_exp_series`` sums at
-# most 15 of them, at radius TAYLOR_REACH.
+# sum_k c_k x**(2k) and sin x = x sum_k s_k x**(2k); ``_cos_sin`` sums at
+# most 15 of them, at radius TAYLOR_REACH, for ``_exp_series`` and for
+# ``bch._adjoint_series``.
 _COS_SIN = np.array([[(-1) ** k / math.factorial(j) for j in (2 * k, 2 * k + 1)] for k in range(15)])
 
 
@@ -141,9 +143,10 @@ def _step_matrix(t: StructureTensors, m: np.ndarray, shift: float = 0.0) -> np.n
 
 
 def _series_powers(square: np.ndarray, powers: np.ndarray, start: int) -> np.ndarray:
-    """``powers`` with its rows from ``start`` on filled: row k is S**k e0,
-    S = ``square`` and e0 the coordinates of I, one matrix-vector product
-    per row.  The rows before ``start`` are filled by the caller."""
+    """``powers`` with its rows from ``start`` on filled: row k is S**k
+    times row 0, S = ``square`` (row 0 is e0, the coordinates of I, for
+    every series of this module), one matrix-vector product per row.  The
+    rows before ``start`` are filled by the caller."""
     for k in range(start, len(powers)):
         np.dot(square, powers[k - 1], out=powers[k])
     return powers
@@ -167,21 +170,41 @@ def power_table(t: StructureTensors, m: np.ndarray, max_power: int) -> list[Line
     return [LinearElement(p[0], p[1:]) for p in products]
 
 
-def _exp_series(step: np.ndarray, square: np.ndarray, powers: np.ndarray, radius: float) -> np.ndarray:
-    """Coordinates of exp(-iM) = cos M - i sin M, for the ``_step_matrix`` A
-    of M, S = A A = ``square`` and a bound ``radius`` >= rho(M): cos M =
-    sum_k c_k S**k e0 and sin M = A sum_k s_k S**k e0 (``_COS_SIN``).
-    ``powers`` holds len(_COS_SIN) rows, the first three S**0 e0 .. S**2 e0
-    (``linearize_fn``'s radius probe); ``_series_powers`` fills rows
-    3 .. K - 1, and one product of those K rows with the first K rows of
-    ``_COS_SIN`` sums both series.  The first term left out is at most radius**(2K) / (2K)!, and K
-    is the least count that brings it below a roundoff."""
+def _cos_sin(square: np.ndarray, powers: np.ndarray, radius: float, start: int) -> np.ndarray:
+    """The rows (sum_k c_k Q**k p, sum_k s_k Q**k p) of ``_COS_SIN``'s
+    series in Q = ``square`` = X X, for an X of spectral radius at most
+    ``radius``: cos X p and (sin X / X) p.  ``_exp_series`` takes X = A,
+    ``bch._adjoint_series`` X = iK.
+    ``powers`` holds len(_COS_SIN) rows, row 0 p and rows 1 .. ``start`` - 1
+    Q**k p already filled; ``_series_powers`` fills rows ``start`` .. K - 1,
+    and one product of those K rows with the first K rows of ``_COS_SIN``
+    sums both series.  The first term left out is at most
+    radius**(2K) / (2K)!, and K is the least count that brings it below a
+    roundoff: at radius TAYLOR_REACH all 15 rows."""
     terms, size, r2 = 1, 0.5 * radius * radius, radius * radius
     while size >= _ROUNDOFF:
         terms += 1
         size *= r2 / ((2 * terms - 1) * (2 * terms))
-    cos, sin = _COS_SIN[:terms].T @ _series_powers(square, powers[:terms], 3)
+    return _COS_SIN[:terms].T @ _series_powers(square, powers[:terms], start)
+
+
+def _exp_series(step: np.ndarray, square: np.ndarray, powers: np.ndarray, radius: float) -> np.ndarray:
+    """Coordinates of exp(-iM) = cos M - i sin M, for the ``_step_matrix`` A
+    of M, S = A A = ``square`` and a bound ``radius`` >= rho(M): cos M =
+    sum_k c_k S**k e0 and sin M = A sum_k s_k S**k e0, the rows of
+    ``_cos_sin`` after the three S**0 e0 .. S**2 e0 of ``linearize_fn``'s
+    radius probe."""
+    cos, sin = _cos_sin(square, powers, radius, 3)
     return cos - 1j * (step @ sin)
+
+
+def _reach_bound(t: StructureTensors, fourth: np.ndarray) -> float:
+    """beta = (Tr M**8)**(1/8) >= rho(M) from the coordinates of M**4:
+    Tr M**8 / N is the norm identity's sum of squares of M**4.  Callers
+    test 2 m . m <= N TAYLOR_REACH**2 (Tr M**2 <= N rho(M)**2) first, so
+    that M**4 cannot overflow, and take Taylor series where beta is at
+    most TAYLOR_REACH."""
+    return (t.n * fourth[0] * fourth[0] + 2.0 * float(fourth[1:] @ fourth[1:])) ** 0.125
 
 
 def _exp_lanczos(t: StructureTensors, step: np.ndarray) -> np.ndarray:
@@ -236,8 +259,7 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
         square = step @ step
         powers = np.zeros((len(_COS_SIN), t.dim + 1))
         powers[0, 0], powers[1] = 1.0, square[:, 0]
-        fourth = np.dot(square, powers[1], out=powers[2])
-        radius = (t.n * fourth[0] * fourth[0] + 2.0 * float(fourth[1:] @ fourth[1:])) ** 0.125
+        radius = _reach_bound(t, np.dot(square, powers[1], out=powers[2]))
     if radius <= TAYLOR_REACH:
         form = _exp_series(step, square, powers, radius)
     else:

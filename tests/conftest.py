@@ -41,6 +41,50 @@ def rotated(basis, eigenvalues, rng):
     return conjugated(basis, eigenvalues, rng).vector.real
 
 
+def mpmath_element(n, coords):
+    """The mpmath matrix coords . L, from the generators' exact entries, at
+    the caller's working precision; the coordinates are its only rounded
+    input."""
+    import mpmath
+
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    x = [mpmath.mpf(float(c)) for c in coords]
+    big = mpmath.matrix(n, n)
+    for (j, k), a, b in zip(pairs, x, x[len(pairs):]):
+        big[j, k] += a - 1j * b
+        big[k, j] += a + 1j * b
+    for l, c in enumerate(x[2 * len(pairs):], 1):
+        w = mpmath.sqrt(mpmath.mpf(2) / (l * (l + 1)))
+        for a in range(l):
+            big[a, a] += c * w
+        big[l, l] -= l * c * w
+    return big
+
+
+def mpmath_coords(n, e):
+    """(e0, e) of an mpmath matrix E = e0 I + e . L, e0 = Tr E / N and
+    e_k = Tr(E L_k) / 2, rounded once to complex doubles."""
+    import mpmath
+
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    f0 = sum(e[a, a] for a in range(n)) / n
+    f = [(e[k, j] + e[j, k]) / 2 for j, k in pairs]
+    f += [1j * (e[j, k] - e[k, j]) / 2 for j, k in pairs]
+    for l in range(1, n):
+        w = mpmath.sqrt(mpmath.mpf(2) / (l * (l + 1)))
+        f.append((sum(e[a, a] for a in range(l)) - l * e[l, l]) * w / 2)
+    return complex(f0), np.array([complex(c) for c in f])
+
+
+def mpmath_conjugate(n, m, nvec):
+    """n' of exp(-iM) (n . L) exp(iM) = n' . L from mpmath's ``expm`` at 40
+    digits, rounded once to double; m and n are the only rounded inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        u = mpmath.expm(-1j * mpmath_element(n, m))
+        return mpmath_coords(n, u * mpmath_element(n, nvec) * u.transpose_conj())[1].real
+
+
 @pytest.fixture
 def algebra2():
     return cached_algebra(2)

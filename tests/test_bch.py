@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -19,11 +20,12 @@ from sunbch import (
     similarity_direct,
     su2_compose_closed_form,
 )
-from sunbch import algebra, linearize
+from sunbch import algebra, bch, linearize
+from sunbch.algebra import LinearElement, algebra_matrix, multiply
 from sunbch.errors import ConstraintViolationError
 from sunbch.spectral import PHASE_BUDGET
 
-from conftest import dense_conjugate, dense_exp, seeded_samples, trace_tensors
+from conftest import dense_conjugate, dense_exp, mpmath_conjugate, seeded_samples, trace_tensors
 
 HALF_PI = np.pi / 2.0
 
@@ -240,16 +242,20 @@ def test_similarity_against_scipy(algebra3):
         assert np.max(np.abs(got - oracle)) < 1e-9
 
 
-def test_similarity_preserves_invariants(algebra4):
-    basis, t = algebra4
-    for seed in (113, 127):
-        m, nvec = seeded_samples(basis, seed, 2)
-        nprime = similarity(t, basis, m, nvec)
-        assert abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)) < 1e-9
-        mu = linearize_fn(t, basis, m).conj()
-        assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) < 1e-9
-        kplus, kminus = build_adjoint_kernel(t, mu)
-        np.testing.assert_allclose(kplus @ nprime, kminus @ nvec, rtol=0, atol=1e-12)
+def test_similarity_preserves_invariants():
+    """At every N: the norm, mu . n = mu . n' (within 1e-12, although the
+    series route never forms mu) and the conjugation equation."""
+    for n in range(2, 9):
+        basis, t = cached_algebra(n)
+        for seed in (113, 127):
+            m, nvec = seeded_samples(basis, seed, 2)
+            nprime = similarity(t, basis, m, nvec)
+            assert abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)) < 1e-9
+            mu = linearize_fn(t, basis, m).conj()
+            assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) < 1e-9
+            assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) <= 1e-12
+            kplus, kminus = build_adjoint_kernel(t, mu)
+            np.testing.assert_allclose(kplus @ nprime, kminus @ nvec, rtol=0, atol=1e-12)
 
 
 def test_similarity_degenerate_exponent(algebra3):
@@ -312,6 +318,142 @@ def test_similarity_huge_observable_without_overflow(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(similarity(t, basis, np.zeros(t.dim), nvec), nvec)
+
+
+def reach_beta(basis, m):
+    """beta = (Tr M**8)**(1/8), the bound that picks the series routes."""
+    return np.sum(np.linalg.eigvalsh(algebra_matrix(basis, m)) ** 8) ** 0.125
+
+
+def sandwich(t, basis, m, nvec):
+    """n' as (nu0, nu) (0, n) (mu0, mu) by two ``multiply`` calls: the route
+    that ``similarity`` keeps past the reach, here taken at every beta."""
+    nu = linearize_fn(t, basis, m)
+    return multiply(t, multiply(t, nu, LinearElement(0.0, nvec)), nu.conj()).vector.real
+
+
+def similarity_cases(n):
+    """(label, m, n) inputs of the 40-digit test: sampler pairs; beta at
+    0.99 and 1.01 of pi/2, where the series takes one pass or two, and of
+    pi, the reach; a 1e-200 operand on either side; |n| = 1e8 and 1e300;
+    and at N = 4 the double eigenvalue of 0.5 L1."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(1100 + n)
+    draw = lambda: random_coords(basis, rng)  # noqa: E731
+    cases = [("sampler", draw(), draw()) for _ in range(4)]
+    for share in (0.495, 0.505, 0.99, 1.01):
+        m = draw()
+        cases.append((f"beta {share} pi", m * (share * np.pi / reach_beta(basis, m)), draw()))
+    cases += [("m 1e-200", 1e-200 * draw(), draw()), ("n 1e-200", draw(), 1e-200 * draw())]
+    for size in (1e8, 1e300):
+        m, v = draw(), draw()
+        cases.append((f"|n| {size:g}", m, v * (size / np.linalg.norm(v))))
+    if n == 4:
+        cases.append(("0.5 L1", 0.5 * np.eye(t.dim)[0], draw()))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_similarity_against_40_digits(n):
+    """``similarity`` against mpmath's 40-digit expm(-iM) (n . L) expm(iM),
+    as the largest coordinate error over |n|, on ``similarity_cases``: at
+    most twice the worst of the two-``multiply`` sandwich on the same
+    inputs, and at most 1.5e-15.  Nothing overflows or warns, |n| = 1e300
+    included, and at m = 0 n comes back bit for bit."""
+    basis, t = cached_algebra(n)
+    worst = {"similarity": 0.0, "sandwich": 0.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label, m, v in similarity_cases(n):
+            exact = mpmath_conjugate(n, m, v)
+            size = np.max(np.abs(v)) * np.linalg.norm(v / np.max(np.abs(v)))
+            for name, route in (("similarity", similarity), ("sandwich", sandwich)):
+                error = float(np.max(np.abs(route(t, basis, m, v) - exact))) / size
+                worst[name] = max(worst[name], error)
+            if "beta" in label:
+                assert (reach_beta(basis, m) <= np.pi) == ("1.01" not in label)
+        for v in (random_coords(basis, np.random.default_rng(n)), 1e300 * np.ones(t.dim)):
+            np.testing.assert_array_equal(similarity(t, basis, np.zeros(t.dim), v), v)
+    print(f"N = {n}: worst similarity {worst['similarity']:.1e}, sandwich {worst['sandwich']:.1e}")
+    assert worst["similarity"] <= 2.0 * worst["sandwich"]
+    assert worst["similarity"] <= 1.5e-15
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_similarity_stays_in_coordinates(monkeypatch, n):
+    """Inside the reach ``similarity`` calls none of ``linearize_fn``,
+    ``multiply``, ``product_matrices`` or an ``np.linalg`` eigensolver: with
+    each made to raise wherever the package binds it, it returns what it
+    returned before, bit for bit, on sampler pairs inside the reach and on
+    pairs at operand scales 10**U(-6, -1).  Past the reach, m = 3 (1, ...,
+    1), it takes the sandwich and agrees with ``similarity_direct``."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(1200 + n)
+    pairs = []
+    while len(pairs) < 6:
+        m, v = random_coords(basis, rng), random_coords(basis, rng)
+        if reach_beta(basis, m) <= np.pi:
+            pairs.append((m, v))
+    pairs += [
+        tuple(random_coords(basis, rng) * 10.0 ** rng.uniform(-6.0, -1.0) for _ in range(2))
+        for _ in range(6)
+    ]
+    want = [similarity(t, basis, m, v) for m, v in pairs]
+    wide, e1 = 3.0 * np.ones(t.dim), np.eye(t.dim)[0]
+    assert reach_beta(basis, wide) > np.pi
+    np.testing.assert_allclose(
+        similarity(t, basis, wide, e1), similarity_direct(basis, wide, e1), rtol=0, atol=1e-12
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("similarity left coordinates inside the reach")
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name == "sunbch" or name.startswith("sunbch."):
+                for attr in ("linearize_fn", "multiply", "product_matrices"):
+                    if hasattr(module, attr):
+                        patch.setattr(module, attr, refuse)
+        for attr in ("eig", "eigh", "eigvals", "eigvalsh"):
+            patch.setattr(np.linalg, attr, refuse)
+        for (m, v), nprime in zip(pairs, want):
+            np.testing.assert_array_equal(similarity(t, basis, m, v), nprime)
+        with pytest.raises(AssertionError, match="left coordinates"):
+            similarity(t, basis, wide, e1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_similarity_commutant_guard_is_live(monkeypatch, n):
+    """n' moved along m by delta max(1, |n|), for an n orthogonal to m (so
+    its norm barely moves): delta = 1e-6 is refused by the commutant guard,
+    naming the defect and the limit, and delta = 1e-12 is answered."""
+    basis, t = cached_algebra(n)
+    rng = np.random.default_rng(1300 + n)
+    m = random_coords(basis, rng)
+    m *= 0.4 * np.pi / reach_beta(basis, m)
+    unit = m / np.linalg.norm(m)
+    series = bch._adjoint_series
+    for size in (1.0, 1e8):
+        v = random_coords(basis, rng)
+        v -= (v @ unit) * unit
+        v *= size / np.linalg.norm(v)
+        for delta in (1e-6, 1e-12):
+            shift = delta * max(1.0, size) * unit
+            with monkeypatch.context() as patch:
+                patch.setattr(bch, "_adjoint_series", lambda *args: series(*args) + shift)
+                if delta == 1e-12:
+                    similarity(t, basis, m, v)
+                    continue
+                with pytest.raises(ConstraintViolationError) as info:
+                    similarity(t, basis, m, v)
+            found = re.fullmatch(
+                r"conjugation moved a commutant invariant w_k \. n of m by (\S+), limit (\S+)",
+                str(info.value),
+            )
+            assert found, str(info.value)
+            defect, limit = (float(x) for x in found.groups())
+            assert limit == pytest.approx(1e-9 * max(1.0, size), rel=1e-3)
+            assert defect >= 0.4 * delta * max(1.0, size)
 
 
 def test_group_inverse_via_compose(algebra3):

@@ -110,7 +110,9 @@ def test_similarity_half_turn(capsys):
 
 def test_similarity_linearizes_once(capsys, monkeypatch):
     """One linearization per call, and the report the two-linearization
-    front end produced, byte for byte."""
+    front end produced, byte for byte: inside the reach the series route
+    makes none and the report's mu . n defect makes one; past it, at
+    m = 3 (1, ..., 1) at N = 8, the report reuses the sandwich's."""
     from sunbch import cached_algebra, linearize_fn, similarity
     from sunbch.cli import _render
 
@@ -125,15 +127,20 @@ def test_similarity_linearizes_once(capsys, monkeypatch):
         if name.startswith("sunbch") and getattr(module, "linearize_fn", None) is linearize_fn:
             monkeypatch.setattr(module, "linearize_fn", counted)
 
-    # the README example and the N = 2 half-turn
-    for m, nvec in (([0, 0, 0.7854], [1, 0, 0]), ([0, 0, 1.5707963267948966], [1, 0, 0])):
+    # the README example, the N = 2 half-turn and the wide spectrum at N = 8
+    wide = ([3] * 63, [1] + [0] * 62)
+    for n, (m, nvec) in (
+        (2, ([0, 0, 0.7854], [1, 0, 0])),
+        (2, ([0, 0, 1.5707963267948966], [1, 0, 0])),
+        (8, wide),
+    ):
         calls.clear()
         code, out, err = run_cli(
-            capsys, "similarity", "--n", "2", "--m", json.dumps(m), "--nvec", json.dumps(nvec)
+            capsys, "similarity", "--n", str(n), "--m", json.dumps(m), "--nvec", json.dumps(nvec)
         )
         assert code == 0 and err == ""
         assert len(calls) == 1
-        basis, tensors = cached_algebra(2)
+        basis, tensors = cached_algebra(n)
         m, nvec = np.asarray(m, dtype=float), np.asarray(nvec, dtype=float)
         nprime = similarity(tensors, basis, m, nvec)
         mu = linearize_fn(tensors, basis, m).conj()

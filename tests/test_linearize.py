@@ -27,7 +27,7 @@ from sunbch.algebra import algebra_matrix, product_matrices
 from sunbch.errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from sunbch.linearize import exp_minus_i
 
-from conftest import dense_exp, rotated, seeded_samples
+from conftest import dense_exp, mpmath_coords, mpmath_element, rotated, seeded_samples
 
 
 def test_exp_helpers():
@@ -347,24 +347,8 @@ def mpmath_exp_coords(n, m):
     once to double.  M and the coordinates Tr(E L_k) / 2 are formed in mpmath
     from the generators' exact entries, so m is the only rounded input."""
     mpmath = pytest.importorskip("mpmath")
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     with mpmath.workdps(40):
-        x = [mpmath.mpf(float(c)) for c in m]
-        diagonal = [mpmath.sqrt(mpmath.mpf(2) / (l * (l + 1))) for l in range(1, n)]
-        big = mpmath.matrix(n, n)
-        for (j, k), a, b in zip(pairs, x, x[len(pairs):]):
-            big[j, k] += a - 1j * b
-            big[k, j] += a + 1j * b
-        for l, (c, w) in enumerate(zip(x[2 * len(pairs):], diagonal), 1):
-            for a in range(l):
-                big[a, a] += c * w
-            big[l, l] -= l * c * w
-        e = mpmath.expm(-1j * big)
-        f0 = sum(e[a, a] for a in range(n)) / n
-        f = [(e[k, j] + e[j, k]) / 2 for j, k in pairs]
-        f += [1j * (e[j, k] - e[k, j]) / 2 for j, k in pairs]
-        f += [(sum(e[a, a] for a in range(l)) - l * e[l, l]) * w / 2 for l, w in enumerate(diagonal, 1)]
-        return complex(f0), np.array([complex(c) for c in f])
+        return mpmath_coords(n, mpmath.expm(-1j * mpmath_element(n, m)))
 
 
 def coordinate_error(elem, exact):
