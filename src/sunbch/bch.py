@@ -23,6 +23,8 @@ w_k . n' = w_k . n for the vector parts w_k of M**k.  Past the reach it is
 the sandwich (nu0, nu) (0, n) (mu0, mu) of two ``multiply`` calls on one
 linearization nu of exp(-i m . L) and its conjugate mu, guarded by its
 scalar and imaginary residue, its norm and mu . n = mu . n'.
+Of the routes only ``compose``'s ``delinearize_exp`` reads the generator matrices,
+to form the dense u, so ``compose_linear`` and ``_conjugate`` take no basis.
 Each analytic path has a dense oracle twin (``compose_direct``, ``similarity_direct``).
 """
 
@@ -60,12 +62,10 @@ CONSTRAINT_TOL = 1e-9
 DIRECT_SCALAR_TOL = 1e-10
 
 
-def compose_linear(
-    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
-) -> LinearElement:
-    """Product coordinates of exp(-i m . L) exp(-i n . L), not yet delinearized."""
+def compose_linear(t: StructureTensors, m: np.ndarray, nvec: np.ndarray) -> LinearElement:
+    """exp(-i m . L) exp(-i n . L) in coordinates, from the tensors alone, not yet delinearized."""
     _real_coords(t.dim, nvec=nvec)  # linearize_fn checks m
-    return multiply(t, linearize_fn(t, basis, m), linearize_fn(t, basis, nvec))
+    return multiply(t, linearize_fn(t, m), linearize_fn(t, nvec))
 
 
 def _compose(
@@ -73,7 +73,7 @@ def _compose(
 ) -> tuple[np.ndarray, LinearElement]:
     """``compose``'s r and product; a product that rounding pushed out of
     SU(N) is refused as ConstraintViolationError, not as invalid input."""
-    product = compose_linear(t, basis, m, nvec)
+    product = compose_linear(t, m, nvec)
     try:
         return delinearize_exp(t, basis, product), product
     except ValueError as exc:
@@ -87,9 +87,7 @@ def compose(
     return _compose(t, basis, m, nvec)[0]
 
 
-def compose_direct(
-    basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
-) -> np.ndarray:
+def compose_direct(basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray) -> np.ndarray:
     """Dense oracle for ``compose``: multiply the unitaries, take the log.
     A complex or non-finite m or n is a ValueError, as in ``compose``."""
     m, nvec = _real_coords(basis.dim, m=m, nvec=nvec)
@@ -191,18 +189,19 @@ def _mu_defect(mu: LinearElement, nvec: np.ndarray, nprime: np.ndarray) -> float
 
 
 def _conjugate(
-    t: StructureTensors, basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
+    t: StructureTensors, m: np.ndarray, nvec: np.ndarray
 ) -> tuple[np.ndarray, float, LinearElement | None]:
     """``similarity``'s n' with its norm drift, and the linearization
     exp(-i m . L) where the route made one (past the reach), else None.
 
-    n' is linear in n, so its rounding scales with |n|: each guard is
-    CONSTRAINT_TOL times max(1, |n|).  The reach is tested as in
-    ``linearize_fn``: |m| <= TAYLOR_REACH sqrt(N / 2), by ``math.hypot``,
-    then beta from the coordinates of M**4 (``linearize._reach_bound``).
-    Inside it n' is ``_adjoint_series``, real and traceless by
-    construction, guarded by its norm and by the commutant invariants
-    w_k . n' = w_k . n, k = 1 .. N - 1: M**k commutes with exp(-iM), so
+    It reads the structure tensors alone.  n' is linear in n, so its
+    rounding scales with |n|: each guard is CONSTRAINT_TOL times
+    max(1, |n|).  The reach is tested as in ``linearize_fn``:
+    |m| <= TAYLOR_REACH sqrt(N / 2), by ``math.hypot``, then beta from the
+    coordinates of M**4 (``linearize._reach_bound``).  Inside it n' is
+    ``_adjoint_series``, real and traceless by construction, guarded by
+    its norm and by the commutant invariants w_k . n' = w_k . n,
+    k = 1 .. N - 1: M**k commutes with exp(-iM), so
     Tr(M**k n' . L) = Tr(M**k n . L).  w_k is the vector part of
     (M / 2**e)**k, 2**e the power of two just above |m|, the row A**k e0 of
     the powers that gave beta: unit-free, so a vector part that cancels
@@ -235,7 +234,7 @@ def _conjugate(
                     f"limit {tol:.3e}"
                 )
             return nprime, drift, None
-    nu = linearize_fn(t, basis, m)
+    nu = linearize_fn(t, m)
     mu = nu.conj()
     product = multiply(t, multiply(t, nu, LinearElement(0.0, nvec)), mu)
     residue = float(np.max(np.abs(product.vector.imag), initial=abs(product.scalar)))
@@ -274,14 +273,13 @@ def similarity(
     exp(i m . L) = mu0 I + mu . L its conjugate.  Either way n' keeps the
     norm of n within 1e-9 times max(1, |n|), and the invariants of m's
     commutant (inside) or mu . n = mu . n' and a real, scalar-free
-    product (past) within the same limit (``_conjugate``).
+    product (past) within the same limit (``_conjugate``).  No route reads
+    ``basis``, which keeps ``compose``'s (t, basis, m, n) form.
     """
-    return _conjugate(t, basis, m, nvec)[0]
+    return _conjugate(t, m, nvec)[0]
 
 
-def similarity_direct(
-    basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray
-) -> np.ndarray:
+def similarity_direct(basis: GeneratorBasis, m: np.ndarray, nvec: np.ndarray) -> np.ndarray:
     """Dense oracle for ``similarity``: conjugate n . L by exp(-i m . L).
 
     Its guards scale with max(1, |n|) as ``similarity``'s do.  A complex

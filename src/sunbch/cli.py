@@ -100,14 +100,14 @@ def cmd_compose(args) -> dict:
 
 def cmd_similarity(args) -> dict:
     n = _checked_n(args.n)
-    basis, tensors = cached_algebra(n)
-    m = _coords_argument(args.m, basis.dim, "--m")
-    nvec = _coords_argument(args.nvec, basis.dim, "--nvec")
-    nprime, norm_drift, nu = _conjugate(tensors, basis, m, nvec)
+    _, tensors = cached_algebra(n)
+    m = _coords_argument(args.m, tensors.dim, "--m")
+    nvec = _coords_argument(args.nvec, tensors.dim, "--nvec")
+    nprime, norm_drift, nu = _conjugate(tensors, m, nvec)
     # The series route makes no linearization; the report's mu . n defect
     # takes the one it needs, and past the reach the sandwich's own.
     if nu is None:
-        nu = linearize_fn(tensors, basis, m)
+        nu = linearize_fn(tensors, m)
     return {
         "nprime": [float(x) for x in nprime],
         "norm_drift": norm_drift,

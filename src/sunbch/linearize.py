@@ -79,13 +79,13 @@ from .algebra import (
 )
 from .errors import BranchCutError, ConstraintViolationError, DegenerateSpectrumError
 from .spectral import (
-    PHASE_BUDGET,
     TAYLOR_REACH,
     UNITARY_TOL,
     _ROUNDOFF,
     _eigvalsh,
     _lapack,
     _newton_monomials,
+    _phase_budget_refusal,
     _power_rows,
     _require_unitary,
     apply_spectral,
@@ -233,7 +233,7 @@ def _exp_lanczos(t: StructureTensors, step: np.ndarray) -> np.ndarray:
     return form
 
 
-def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> LinearElement:
+def linearize_fn(t: StructureTensors, m: np.ndarray) -> LinearElement:
     """Coordinates (f0, fvec) of f(m . L) = f0 I + fvec . L for f(x) = exp(-ix).
 
     The route is chosen from m before any eigenproblem (module docstring).
@@ -245,7 +245,7 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     both, and S e0 and S S e0 are the series' first powers.  A degenerate
     spectrum, the zero element included, is no special case.  The dense
     route (apply_spectral then from_matrix) is the tests' oracle.  A
-    complex or non-finite m is a ValueError; ``basis`` is not read.
+    complex or non-finite m is a ValueError.
 
     ConstraintViolationError, naming |m|, refuses past the reach, before
     any product, a bound sqrt(2 (N - 1) / N) |m| eps >= rho(M) eps (eps =
@@ -265,12 +265,12 @@ def linearize_fn(t: StructureTensors, basis: GeneratorBasis, m: np.ndarray) -> L
     else:
         size = math.hypot(*m.tolist())
         # eps first, so that a bound past the float range cannot overflow.
-        phase = size * math.ulp(1.0) * math.sqrt(2.0 - 2.0 / t.n)
-        if not phase <= PHASE_BUDGET:
-            raise ConstraintViolationError(
-                f"exp(-i m . L) at |m| = {size:.3e} is not unitary to working precision: "
-                f"rho eps = {phase:.3e} passes PHASE_BUDGET = {PHASE_BUDGET:g}"
-            )
+        refusal = _phase_budget_refusal(
+            size * math.ulp(1.0) * math.sqrt(2.0 - 2.0 / t.n),
+            f"exp(-i m . L) at |m| = {size:.3e} is not unitary to working precision: rho eps",
+        )
+        if refusal is not None:
+            raise refusal
         form = _exp_lanczos(t, step)
     f0, fvec = complex(form[0]), form[1:]
     # Products, not **, which raises OverflowError on a huge float.

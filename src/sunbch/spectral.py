@@ -60,6 +60,14 @@ _ROUNDOFF = 2.0 ** -53
 _SAFE_NORM2 = (2.0 ** -600, 2.0 ** 600)
 
 
+def _phase_budget_refusal(phase: float, subject: str) -> ConstraintViolationError | None:
+    """The refusal "<subject> = <phase> passes PHASE_BUDGET" of a rounding bound rho eps =
+    ``phase`` past the budget (or NaN), for the caller to raise as its own; else None."""
+    if phase <= PHASE_BUDGET:
+        return None
+    return ConstraintViolationError(f"{subject} = {phase:.3e} passes PHASE_BUDGET = {PHASE_BUDGET:g}")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues with matching orthonormal eigenvector columns."""
@@ -211,11 +219,9 @@ def exp_divided_differences(values) -> np.ndarray:
     if not math.isfinite(mid + reach):
         raise ValueError("divided differences need finite points")
     peak = max(abs(lo), abs(hi))
-    if not peak * math.ulp(1.0) <= PHASE_BUDGET:
-        raise ConstraintViolationError(
-            f"exp(-ix) at max |x| = {peak:.3e}: |x| eps = {peak * math.ulp(1.0):.3e} "
-            f"passes PHASE_BUDGET = {PHASE_BUDGET:g}"
-        )
+    refusal = _phase_budget_refusal(peak * math.ulp(1.0), f"exp(-ix) at max |x| = {peak:.3e}: |x| eps")
+    if refusal is not None:
+        raise refusal
     squarings = 0
     while reach > TAYLOR_REACH:
         reach *= 0.5

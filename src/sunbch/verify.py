@@ -243,7 +243,7 @@ def _coeff_route_agreement(ctx, rng):
     direct = expansion_coeffs(spec)
     derived = expansion_coeffs_derivative(spec, char_poly(mat))
     series = sum(c * np.linalg.matrix_power(mat, k) for k, c in enumerate(direct))
-    form = to_matrix(ctx.basis, linearize_fn(ctx.tensors, ctx.basis, m))
+    form = to_matrix(ctx.basis, linearize_fn(ctx.tensors, m))
     return max(_maxabs(direct - derived), _maxabs(series - form))
 
 
@@ -252,14 +252,14 @@ def _coeff_route_agreement(ctx, rng):
 
 def _linearize_vs_dense(ctx, rng):
     m = ctx.sample(rng)
-    elem = linearize_fn(ctx.tensors, ctx.basis, m)
+    elem = linearize_fn(ctx.tensors, m)
     oracle = from_matrix(ctx.basis, exp_matrix(ctx.basis, m))
     return max(abs(elem.scalar - oracle.scalar), _maxabs(elem.vector - oracle.vector))
 
 
 def _f0_trace_agreement(ctx, rng):
     m = ctx.sample(rng)
-    elem = linearize_fn(ctx.tensors, ctx.basis, m)
+    elem = linearize_fn(ctx.tensors, m)
     return abs(elem.scalar - f0_trace(ctx.basis, m, exp_minus_i))
 
 
@@ -297,13 +297,13 @@ def _cubic_regroup(ctx, rng):
     msq = np.dot(m, m)
     scalar = e[0] + e[2] * 0.5 * msq + e[3] * 0.5 * np.dot(mm, m)
     vector = (e[1] + e[3] * 0.5 * msq) * m + e[2] * mm + e[3] * mmm
-    elem = linearize_fn(t, ctx.basis, m)
+    elem = linearize_fn(t, m)
     return max(abs(scalar - elem.scalar), _maxabs(vector - elem.vector))
 
 
 def _exp_log_round_trip(ctx, rng):
     m = ctx.sample(rng)
-    elem = linearize_fn(ctx.tensors, ctx.basis, m)
+    elem = linearize_fn(ctx.tensors, m)
     return _maxabs(delinearize_exp(ctx.tensors, ctx.basis, elem) - m)
 
 
@@ -328,7 +328,7 @@ def _similarity_route_agreement(ctx, rng):
 def _adjoint_invariants(ctx, rng):
     m, nvec = ctx.sample(rng), ctx.sample(rng)
     nprime = similarity(ctx.tensors, ctx.basis, m, nvec)
-    mu = linearize_fn(ctx.tensors, ctx.basis, m).conj()
+    mu = linearize_fn(ctx.tensors, m).conj()
     kplus, kminus = build_adjoint_kernel(ctx.tensors, mu)
     return max(
         abs(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec))),
@@ -367,7 +367,7 @@ def _su2_closed_form(ctx, rng):
     alpha = rng.uniform(-np.pi, np.pi, 3)
     beta = rng.uniform(-np.pi, np.pi, 3)
     g0, gvec = su2_compose_closed_form(alpha, beta)
-    elem = compose_linear(ctx.tensors, ctx.basis, alpha / 2.0, beta / 2.0)
+    elem = compose_linear(ctx.tensors, alpha / 2.0, beta / 2.0)
     return max(abs(elem.scalar - g0), _maxabs(elem.vector - (-1j) * gvec))
 
 

@@ -51,7 +51,7 @@ def test_criterion_1_su2_closed_form():
         alpha = rng.uniform(-np.pi, np.pi, 3)
         beta = rng.uniform(-np.pi, np.pi, 3)
         g0, gvec = su2_compose_closed_form(alpha, beta)
-        elem = compose_linear(t, basis, alpha / 2.0, beta / 2.0)
+        elem = compose_linear(t, alpha / 2.0, beta / 2.0)
         worst = max(
             worst,
             abs(elem.scalar - g0),
@@ -91,7 +91,7 @@ def test_criterion_3_similarity_oracle_equivalence():
             nprime = similarity(t, basis, m, nvec)
             delta = nprime - similarity_direct(basis, m, nvec)
             worst = max(worst, float(np.max(np.abs(delta))))
-            mu = linearize_fn(t, basis, m).conj()
+            mu = linearize_fn(t, m).conj()
             kplus, kminus = build_adjoint_kernel(t, mu)
             worst_invariant = max(
                 worst_invariant,
@@ -181,7 +181,7 @@ def test_criterion_5_linearized_spectral_theorem():
         rng = np.random.default_rng([SEED, 5, n])
         for _ in range(50):
             m = random_coords(basis, rng)
-            elem = linearize_fn(t, basis, m)
+            elem = linearize_fn(t, m)
             dense = apply_spectral(
                 eig_hermitian(algebra_matrix(basis, m)), exp_minus_i
             )
@@ -231,7 +231,7 @@ def test_criterion_6_su4_commuting_family():
         msq = float(np.dot(m, m))
         scalar = e[0] + e[2] * 0.5 * msq + e[3] * 0.5 * np.dot(mm, m)
         vector = (e[1] + e[3] * 0.5 * msq) * m + e[2] * mm + e[3] * mmm
-        elem = linearize_fn(t, basis, m)
+        elem = linearize_fn(t, m)
         worst_regroup = max(
             worst_regroup,
             abs(scalar - elem.scalar),

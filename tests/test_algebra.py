@@ -410,7 +410,7 @@ def test_compose_and_similarity_build_no_dense_tensor():
     m, nvec = (random_coords(basis, rng) for _ in range(2))
     compose(t, basis, m, nvec)
     similarity(t, basis, m, nvec)
-    build_adjoint_kernel(t, linearize_fn(t, basis, m).conj())
+    build_adjoint_kernel(t, linearize_fn(t, m).conj())
     assert "f" not in vars(t) and "d" not in vars(t)
     assert not any(hasattr(x, name) for x in (t, StructureTensors) for name in "fd")
 

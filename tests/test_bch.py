@@ -165,7 +165,7 @@ def test_su2_closed_form_matches_linear_route(algebra2):
         alpha = rng.uniform(-np.pi, np.pi, 3)
         beta = rng.uniform(-np.pi, np.pi, 3)
         g0, gvec = su2_compose_closed_form(alpha, beta)
-        elem = compose_linear(t, basis, alpha / 2.0, beta / 2.0)
+        elem = compose_linear(t, alpha / 2.0, beta / 2.0)
         assert abs(elem.scalar - g0) < 1e-12
         np.testing.assert_allclose(elem.vector, -1j * gvec, atol=1e-12)
 
@@ -251,7 +251,7 @@ def test_similarity_preserves_invariants():
             m, nvec = seeded_samples(basis, seed, 2)
             nprime = similarity(t, basis, m, nvec)
             assert abs(np.linalg.norm(nprime) - np.linalg.norm(nvec)) < 1e-9
-            mu = linearize_fn(t, basis, m).conj()
+            mu = linearize_fn(t, m).conj()
             assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) < 1e-9
             assert abs(np.dot(mu.vector, nprime) - np.dot(mu.vector, nvec)) <= 1e-12
             kplus, kminus = build_adjoint_kernel(t, mu)
@@ -272,7 +272,7 @@ def test_similarity_degenerate_exponent(algebra3):
 def test_adjoint_kernel_shapes(algebra3):
     basis, t = algebra3
     m = seeded_samples(basis, 131, 1)[0]
-    mu = linearize_fn(t, basis, m).conj()
+    mu = linearize_fn(t, m).conj()
     kplus, kminus = build_adjoint_kernel(t, mu)
     assert kplus.shape == (8, 8)
     assert kminus.shape == (8, 8)
@@ -289,7 +289,7 @@ def test_adjoint_kernel_matches_dense_contraction(n):
     f, d = trace_tensors(n)
     eye = np.eye(t.dim)
     for m in seeded_samples(basis, 140 + n, 5):
-        mu = linearize_fn(t, basis, m).conj()
+        mu = linearize_fn(t, m).conj()
         kplus, kminus = build_adjoint_kernel(t, mu)
         sym = np.einsum("jkl,k->jl", d, mu.vector)
         skew = np.einsum("jkl,k->jl", f, mu.vector)
@@ -328,7 +328,7 @@ def reach_beta(basis, m):
 def sandwich(t, basis, m, nvec):
     """n' as (nu0, nu) (0, n) (mu0, mu) by two ``multiply`` calls: the route
     that ``similarity`` keeps past the reach, here taken at every beta."""
-    nu = linearize_fn(t, basis, m)
+    nu = linearize_fn(t, m)
     return multiply(t, multiply(t, nu, LinearElement(0.0, nvec)), nu.conj()).vector.real
 
 
@@ -379,6 +379,20 @@ def test_similarity_against_40_digits(n):
     assert worst["similarity"] <= 1.5e-15
 
 
+def coordinate_pairs(basis, rng):
+    """Six sampler pairs (m, n) with m inside the reach, then six pairs at
+    operand scales 10**U(-6, -1)."""
+    pairs = []
+    while len(pairs) < 6:
+        m, v = random_coords(basis, rng), random_coords(basis, rng)
+        if reach_beta(basis, m) <= np.pi:
+            pairs.append((m, v))
+    return pairs + [
+        tuple(random_coords(basis, rng) * 10.0 ** rng.uniform(-6.0, -1.0) for _ in range(2))
+        for _ in range(6)
+    ]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_similarity_stays_in_coordinates(monkeypatch, n):
     """Inside the reach ``similarity`` calls none of ``linearize_fn``,
@@ -388,16 +402,7 @@ def test_similarity_stays_in_coordinates(monkeypatch, n):
     pairs at operand scales 10**U(-6, -1).  Past the reach, m = 3 (1, ...,
     1), it takes the sandwich and agrees with ``similarity_direct``."""
     basis, t = cached_algebra(n)
-    rng = np.random.default_rng(1200 + n)
-    pairs = []
-    while len(pairs) < 6:
-        m, v = random_coords(basis, rng), random_coords(basis, rng)
-        if reach_beta(basis, m) <= np.pi:
-            pairs.append((m, v))
-    pairs += [
-        tuple(random_coords(basis, rng) * 10.0 ** rng.uniform(-6.0, -1.0) for _ in range(2))
-        for _ in range(6)
-    ]
+    pairs = coordinate_pairs(basis, np.random.default_rng(1200 + n))
     want = [similarity(t, basis, m, v) for m, v in pairs]
     wide, e1 = 3.0 * np.ones(t.dim), np.eye(t.dim)[0]
     assert reach_beta(basis, wide) > np.pi
@@ -420,6 +425,19 @@ def test_similarity_stays_in_coordinates(monkeypatch, n):
             np.testing.assert_array_equal(similarity(t, basis, m, v), nprime)
         with pytest.raises(AssertionError, match="left coordinates"):
             similarity(t, basis, wide, e1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_similarity_reads_no_basis(n):
+    """``similarity`` takes a basis only for ``compose``'s signature: with
+    None in its place it returns the same bytes, on ``coordinate_pairs``
+    and past the reach at m = 3 (1, ..., 1), n = e1, the sandwich."""
+    basis, t = cached_algebra(n)
+    pairs = coordinate_pairs(basis, np.random.default_rng(1400 + n))
+    wide = 3.0 * np.ones(t.dim)
+    assert reach_beta(basis, wide) > np.pi
+    for m, v in pairs + [(wide, np.eye(t.dim)[0])]:
+        assert similarity(t, None, m, v).tobytes() == similarity(t, basis, m, v).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -526,7 +544,7 @@ def test_bad_coordinates_refused_before_any_matrix(n, kind, name, monkeypatch):
             oracle(basis, args["m"], args["nvec"])
     if name == "m":
         with pytest.raises(ValueError, match=message):
-            linearize_fn(t, basis, bad)
+            linearize_fn(t, bad)
         with pytest.raises(ValueError, match=message):
             f0_trace(basis, bad, linearize.exp_minus_i)
 

@@ -143,7 +143,7 @@ def test_similarity_linearizes_once(capsys, monkeypatch):
         basis, tensors = cached_algebra(n)
         m, nvec = np.asarray(m, dtype=float), np.asarray(nvec, dtype=float)
         nprime = similarity(tensors, basis, m, nvec)
-        mu = linearize_fn(tensors, basis, m).conj()
+        mu = linearize_fn(tensors, m).conj()
         expected = {
             "nprime": [float(x) for x in nprime],
             "norm_drift": abs(float(np.sqrt(np.dot(nprime, nprime)) - np.sqrt(np.dot(nvec, nvec)))),

@@ -54,7 +54,7 @@ def test_values_only_log_against_log_coords(n):
     for scale in (1e-2, 1e-1, 0.3, 1.0):
         for _ in range(15):
             m = random_coords(basis, rng) * scale
-            g = linearize_fn(t, basis, m)
+            g = linearize_fn(t, m)
             got = delinearize_exp(t, basis, g)
             oracle = log_coords(basis, to_matrix(basis, g))
             worst_agree = max(worst_agree, float(np.max(np.abs(got - oracle))))
@@ -87,7 +87,7 @@ def test_values_only_log_refuses_like_log_coords(n):
     basis, t = cached_algebra(n)
     m = random_coords(basis, np.random.default_rng(n))
     for m, inside in ((0.05 * m, True), (1.5 * m / np.linalg.norm(m), False)):
-        g = linearize_fn(t, basis, m)
+        g = linearize_fn(t, m)
         phase = np.exp(0.1j)
         turned = LinearElement(phase * g.scalar, phase * g.vector)
         for elem in (g, turned):
@@ -122,7 +122,7 @@ def inside_gate_elements(basis, t, rng):
     for scale in (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.6):
         for _ in range(2):
             g = compose_linear(
-                t, basis, scale * random_coords(basis, rng), scale * random_coords(basis, rng)
+                t, scale * random_coords(basis, rng), scale * random_coords(basis, rng)
             )
             if 2 * n * (1.0 - g.scalar.real) <= LOG_GATE:
                 yield g
@@ -197,7 +197,7 @@ def past_gate_products(basis, t, rng, count):
     """``count`` sampler products g = compose_linear(m, n) past LOG_GATE."""
     n = basis.n
     while count:
-        g = compose_linear(t, basis, random_coords(basis, rng), random_coords(basis, rng))
+        g = compose_linear(t, random_coords(basis, rng), random_coords(basis, rng))
         if 2 * n * (1.0 - g.scalar.real) > LOG_GATE:
             count -= 1
             yield g
@@ -426,7 +426,7 @@ def test_compose_past_the_gate_rarely_reaches_eig_unitary(monkeypatch, n):
     done = 0
     while done < 50:
         m, other = random_coords(basis, rng), random_coords(basis, rng)
-        if 2 * n * (1.0 - compose_linear(t, basis, m, other).scalar.real) > LOG_GATE:
+        if 2 * n * (1.0 - compose_linear(t, m, other).scalar.real) > LOG_GATE:
             compose(t, basis, m, other)
             done += 1
     print(f"N = {n}: {calls['declined']} of 50 declined")
@@ -520,7 +520,7 @@ def test_clustered_spectra_linearize_to_exp_matrix(n):
                 values = rng.uniform(-2.0, 2.0, n)
                 values[:size] = values[0] + split * np.arange(size)
                 m = rotated(basis, values - values.mean(), rng)
-                got = to_matrix(basis, linearize_fn(t, basis, m))
+                got = to_matrix(basis, linearize_fn(t, m))
                 worst = max(worst, float(np.max(np.abs(got - exp_matrix(basis, m)))))
     print(f"N = {n}: worst {worst:.1e}")
     assert worst <= 1e-13
@@ -550,7 +550,7 @@ def test_degenerate_spectra_compose_and_conjugate(n):
         for left, right in partners:
             got = compose(t, basis, left, right)
             product = dense_exp(basis, left) @ dense_exp(basis, right)
-            g0 = compose_linear(t, basis, left, right).scalar
+            g0 = compose_linear(t, left, right).scalar
             side = "inside" if 2 * n * (1.0 - g0.real) <= LOG_GATE else "outside"
             residual = float(np.max(np.abs(dense_exp(basis, got) - product)))
             worst[side] = max(worst[side], residual)

@@ -83,7 +83,7 @@ def test_linearize_zero_coords(n):
     # The zero element takes the general route (D(0) = 0, a fully confluent
     # spectrum) and still gives exactly exp(0) = I.
     basis, t = cached_algebra(n)
-    elem = linearize_fn(t, basis, np.zeros(basis.dim))
+    elem = linearize_fn(t, np.zeros(basis.dim))
     assert elem.scalar == 1.0
     np.testing.assert_array_equal(elem.vector, np.zeros(basis.dim))
 
@@ -93,10 +93,10 @@ def test_linearize_exp_matches_scipy(n):
     """f0 I + fvec . L reproduces the dense matrix exponential."""
     basis, t = cached_algebra(n)
     for coords in seeded_samples(basis, 400 + n, 10):
-        elem = linearize_fn(t, basis, coords)
+        elem = linearize_fn(t, coords)
         recon = to_matrix(basis, elem)
         assert np.max(np.abs(recon - dense_exp(basis, coords))) < 1e-9
-        elem = linearize_fn(t, basis, coords).conj()
+        elem = linearize_fn(t, coords).conj()
         recon = to_matrix(basis, elem)
         assert np.max(np.abs(recon - dense_exp(basis, coords).conj().T)) < 1e-9
 
@@ -105,7 +105,7 @@ def agrees_with_oracles(basis, t, m, nvec):
     """linearize_fn, compose and similarity answer, within 1e-9 max(1, |m|)
     of their dense oracles (for similarity, max(1, |n|): n' is linear in n)."""
     scale = max(1.0, float(np.linalg.norm(m)))
-    elem = linearize_fn(t, basis, m)
+    elem = linearize_fn(t, m)
     assert np.max(np.abs(to_matrix(basis, elem) - dense_exp(basis, m))) <= 1e-9 * scale
     r = compose(t, basis, m, nvec)
     assert np.max(np.abs(r - compose_direct(basis, m, nvec))) <= 1e-9 * scale
@@ -145,7 +145,7 @@ def test_norm_identity_refuses_phase_drift(n):
     direction = np.random.default_rng(7).standard_normal(t.dim)
     m = 1e12 / np.linalg.norm(direction) * direction
     with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.000e\+12 .*PHASE_BUDGET") as info:
-        linearize_fn(t, basis, m)
+        linearize_fn(t, m)
     assert info.traceback[-1].name == "linearize_fn"
 
 
@@ -160,7 +160,7 @@ def test_huge_exponent_never_linearizes_to_nan(n, scale):
     m[0] = scale
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConstraintViolationError, match=re.escape(f"|m| = {scale:.3e} is not unitary")):
-            linearize_fn(t, basis, m)
+            linearize_fn(t, m)
         try:
             table = power_table(t, m, n)
         except ConstraintViolationError as exc:
@@ -191,7 +191,7 @@ def test_finite_exponent_with_overflowing_spread_is_refused_by_norm(n):
     m[:2] = 1e308
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConstraintViolationError, match=r"\|m\| = 1\.414e\+308 is not unitary"):
-            linearize_fn(t, basis, m)
+            linearize_fn(t, m)
 
 
 def test_exp_matrix_matches_scipy(algebra3):
@@ -208,7 +208,7 @@ def test_f0_trace_zero(algebra3):
 def test_f0_trace_agrees_with_linearize(algebra3):
     basis, t = algebra3
     for coords in seeded_samples(basis, 23, 10):
-        elem = linearize_fn(t, basis, coords)
+        elem = linearize_fn(t, coords)
         assert abs(elem.scalar - f0_trace(basis, coords, exp_minus_i)) < 1e-12
 
 
@@ -227,7 +227,7 @@ def test_delinearize_identity_element(algebra3):
 def test_round_trip_inside_principal_region(n):
     basis, t = cached_algebra(n)
     for coords in seeded_samples(basis, 500 + n, 20):
-        elem = linearize_fn(t, basis, coords)
+        elem = linearize_fn(t, coords)
         np.testing.assert_allclose(delinearize_exp(t, basis, elem), coords, atol=1e-9)
 
 
@@ -388,7 +388,7 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
         m *= share * np.pi / np.sum(np.linalg.eigvalsh(algebra_matrix(basis, m)) ** 8) ** 0.125
         with monkeypatch.context() as patch:
             patch.setattr(linearize, other, refuse)
-            error = coordinate_error(linearize_fn(t, basis, m), mpmath_exp_coords(n, m))
+            error = coordinate_error(linearize_fn(t, m), mpmath_exp_coords(n, m))
         print(f"N = {n}: beta = {share} pi, error {error:.1e}")
         assert error <= 1e-14
 
@@ -408,12 +408,12 @@ def test_exp_routes_against_40_digits(monkeypatch, n):
     for m in exponents:
         exact = mpmath_exp_coords(n, m)
         lanczos = linearize._exp_lanczos(t, linearize._step_matrix(t, m))
-        for name, got in (("linearize_fn", linearize_fn(t, basis, m)), ("lanczos", (lanczos[0], lanczos[1:]))):
+        for name, got in (("linearize_fn", linearize_fn(t, m)), ("lanczos", (lanczos[0], lanczos[1:]))):
             worst[name] = max(worst[name], coordinate_error(got, exact))
     print(f"N = {n}: {len(exponents)} exponents, worst " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
     assert worst["linearize_fn"] <= 1e-14
     assert worst["linearize_fn"] <= 2.0 * worst["lanczos"]
-    elem = linearize_fn(t, basis, tiny)
+    elem = linearize_fn(t, tiny)
     assert elem.scalar == 1.0
     assert np.max(np.abs(elem.vector + 1j * tiny)) <= 1e-15 * np.max(np.abs(tiny))
 
@@ -431,7 +431,7 @@ def test_phase_budget_refusal_is_monotone_in_size(n):
     for size in (1e4, 1e6, 1e8):
         m = size * direction
         rho = np.max(np.abs(np.linalg.eigvalsh(algebra_matrix(basis, m))))
-        error = coordinate_error(linearize_fn(t, basis, m), mpmath_exp_coords(n, m))
+        error = coordinate_error(linearize_fn(t, m), mpmath_exp_coords(n, m))
         print(f"N = {n}: |m| = {size:.0e}, error {error:.1e} = {error / (rho * 2.0 ** -52):.2f} rho eps")
         assert error <= 4.0 * rho * 2.0 ** -52
     for size in (1e9, 1e10, 1e12):
@@ -440,7 +440,7 @@ def test_phase_budget_refusal_is_monotone_in_size(n):
         bound = norm * 2.0 ** -52 * math.sqrt(2.0 - 2.0 / n)
         parts = (f"|m| = {norm:.3e} ", f" rho eps = {bound:.3e} ", " PHASE_BUDGET = 1e-07")
         with pytest.raises(ConstraintViolationError, match=".*".join(map(re.escape, parts))):
-            linearize_fn(t, basis, m)
+            linearize_fn(t, m)
 
 
 def test_past_reach_forms_no_dense_matrix(monkeypatch):
@@ -471,7 +471,7 @@ def test_past_reach_forms_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(spectral, "exp_divided_differences", refuse)
     for (n, m), want, radius in zip(cases, exact, rho):
         basis, t = cached_algebra(n)
-        error = coordinate_error(linearize_fn(t, basis, m), want)
+        error = coordinate_error(linearize_fn(t, m), want)
         print(f"N = {n}: rho = {radius:.1f}, error {error:.1e} = {error / (radius * 2.0 ** -52):.2f} rho eps")
         assert error <= 24.0 * radius * 2.0 ** -52
     assert sizes == [8, 3, 2, 2]
